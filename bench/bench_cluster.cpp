@@ -1,19 +1,22 @@
 // PDES cluster self-report (JSON, gated by bench_diff in CI).
 //
 //   BENCH_cluster.json — the parallel cluster harness at scale:
-//   sequential (one worker) vs parallel (eight workers) wall-time at
-//   256 ranks (64 nodes), the Figure-8-shaped HPMMAP-vs-THP point at
-//   1024 ranks (256 nodes), and the determinism spot check (worker
-//   count invariance plus table equality against the shared-engine
-//   run_scaling path at 8 nodes).
+//   sequential (one worker) vs parallel (--jobs workers, default eight)
+//   wall-time at 256 ranks (64 nodes), the Figure-8-shaped
+//   HPMMAP-vs-THP point at 1024 ranks (256 nodes), and the determinism
+//   spot check (worker count invariance plus table equality against
+//   the shared-engine run_scaling path at 8 nodes).
 //
 // `deterministic_match` flipping to false fails the bench directly on
-// any machine. The >= 3x speedup floor at 256 ranks only applies when
-// the host actually has 8 hardware threads — on smaller runners the
-// parallel run degenerates to the sequential schedule plus coordinator
-// overhead, which is exactly what the committed single-core baseline
-// records. `thp_over_hpmmap_*` keys are gated: the paper's headline
-// ordering (THP slower than HPMMAP at scale) must survive any change.
+// any machine. A speedup measured with fewer hardware threads than
+// workers is scheduler noise, not parallelism: it is recorded as
+// `null` (bench_diff then neither compares nor gates it). The >= 3x
+// floor at 256 ranks applies only to a recorded speedup with at least
+// eight workers. `thp_over_hpmmap_*` keys are gated: the paper's
+// headline ordering (THP slower than HPMMAP at scale) must survive any
+// change. The `wall_seconds_256ranks_jobs8` key keeps its name for
+// baseline continuity whatever --jobs is; `parallel_workers` records
+// the count actually used.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -83,6 +86,7 @@ int main(int argc, char** argv) {
   const bench::BenchOptions opt = bench::parse_options(argc, argv);
   bench::print_mode(opt, "PDES cluster: per-node engines vs sequential, 256/1024 ranks");
   const unsigned hw = std::thread::hardware_concurrency();
+  const unsigned workers = opt.jobs != 0 ? opt.jobs : 8;
 
   // Determinism spot check at 8 nodes: worker-count invariance of the
   // PDES path, and table equality against the shared-engine path.
@@ -91,13 +95,13 @@ int main(int argc, char** argv) {
     const harness::ClusterRunConfig c1 =
         cluster_cfg(opt, "HPCCG", harness::Manager::kHpmmap, 8, 1);
     harness::ClusterRunConfig cN = c1;
-    cN.cluster_jobs = 8;
+    cN.cluster_jobs = workers;
     const harness::RunResult r1 = harness::run_cluster(c1);
     const harness::RunResult rN = harness::run_cluster(cN);
     const harness::RunResult shared = harness::run_scaling(c1.scaling);
     match = tables_equal(r1, rN) && r1.events_fired == rN.events_fired &&
             tables_equal(r1, shared);
-    std::printf("determinism: jobs=1 vs jobs=8 vs shared engine at 8 nodes: %s\n",
+    std::printf("determinism: jobs=1 vs jobs=%u vs shared engine at 8 nodes: %s\n", workers,
                 match ? "identical" : "DIVERGED");
   }
 
@@ -105,17 +109,19 @@ int main(int argc, char** argv) {
   const harness::ClusterRunConfig seq256 =
       cluster_cfg(opt, "HPCCG", harness::Manager::kHpmmap, 64, 1);
   harness::ClusterRunConfig par256 = seq256;
-  par256.cluster_jobs = 8;
+  par256.cluster_jobs = workers;
   harness::RunResult seq_result;
   harness::RunResult par_result;
   const double seq_wall = timed_run(seq256, &seq_result);
   std::printf("256 ranks sequential: %.3f s wall (%.2f s simulated)\n", seq_wall,
               seq_result.runtime_seconds);
   const double par_wall = timed_run(par256, &par_result);
-  std::printf("256 ranks, 8 workers: %.3f s wall\n", par_wall);
+  std::printf("256 ranks, %u workers: %.3f s wall\n", workers, par_wall);
   const double speedup = par_wall > 0 ? seq_wall / par_wall : 0.0;
+  const bool speedup_measured = hw >= workers;
   match = match && tables_equal(seq_result, par_result);
-  std::printf("speedup: %.2fx on %u hardware thread(s), identical=%s\n", speedup, hw,
+  std::printf("speedup: %.2fx on %u hardware thread(s)%s, identical=%s\n", speedup, hw,
+              speedup_measured ? "" : " (fewer threads than workers: recorded as null)",
               match ? "yes" : "NO");
 
   // 1024 ranks: the Figure 8 cell the shared engine can't reach in
@@ -139,7 +145,8 @@ int main(int argc, char** argv) {
   j += "  \"sweep\": \"HPCCG profile C, HPMMAP, 4 ranks/node; 64 and 256 nodes\",\n";
   j += "  \"wall_seconds_256ranks_seq\": " + num(seq_wall) + ",\n";
   j += "  \"wall_seconds_256ranks_jobs8\": " + num(par_wall) + ",\n";
-  j += "  \"speedup\": " + num(speedup) + ",\n";
+  j += "  \"parallel_workers\": " + std::to_string(workers) + ",\n";
+  j += "  \"speedup\": " + (speedup_measured ? num(speedup) : std::string("null")) + ",\n";
   j += "  \"ranks_1024_hpmmap_mean_s\": " + num(hpmmap_pt.mean_seconds) + ",\n";
   j += "  \"ranks_1024_hpmmap_stdev_s\": " + num(hpmmap_pt.stdev_seconds) + ",\n";
   j += "  \"ranks_1024_thp_mean_s\": " + num(thp_pt.mean_seconds) + ",\n";
@@ -155,9 +162,9 @@ int main(int argc, char** argv) {
     std::printf("FAIL: parallel cluster run diverged from the sequential/shared path\n");
     return 1;
   }
-  if (hw >= 8 && speedup < 3.0) {
-    std::printf("FAIL: PDES speedup under 3x (%.2fx) with %u hardware threads\n", speedup,
-                hw);
+  if (speedup_measured && workers >= 8 && speedup < 3.0) {
+    std::printf("FAIL: PDES speedup under 3x (%.2fx) with %u workers on %u hardware threads\n",
+                speedup, workers, hw);
     return 1;
   }
   return 0;

@@ -130,18 +130,20 @@ struct ClusterWorld {
                      {trace::Arg::u64("seed", sc.seed)});
     }
 
-    // Boot each node under its own context: boot trace/metrics land in
-    // that group, and the group's injector (armed only after boot — boot
-    // paths assert on allocation success) is the one its mm stack sees.
-    for (std::uint32_t n = 0; n < sc.nodes; ++n) {
+    // Boot and age each node on the worker pool, under its own context:
+    // boot trace/metrics land in that group, and the group's injector
+    // (armed only after boot — boot paths assert on allocation success)
+    // is the one its mm stack sees. A node's boot reads only its own
+    // seed and writes only its own group, so the result is the same on
+    // any number of workers.
+    coord.run_on_groups([this, &sc](std::size_t n) {
       NodeGroup& g = *groups[n];
-      Bound b(g);
       os::NodeConfig nc = detail::node_config_for(
           sc.manager, machine, pool, sc.seed + 7919ull * n, "xeon" + std::to_string(n));
       nc.aged_boot = true;
       g.node.emplace(g.engine, std::move(nc));
       g.verify.emplace(sc.verify, sc.seed);
-    }
+    });
     // Debug-mode audits cover the first node, as in run_scaling.
     groups.front()->verify->audit_on_fire(*groups.front()->node);
 

@@ -17,6 +17,7 @@ MemorySystem::MemorySystem(hw::PhysicalMemory& phys, hw::BandwidthModel& bw, Rng
 
 void MemorySystem::rebuild_zones() {
   zones_.clear();
+  zones_.reserve(phys_.zones().size());
   for (const hw::Zone& z : phys_.zones()) {
     // Offlining drains sections from the top of the zone, so the online
     // portion is the contiguous prefix.

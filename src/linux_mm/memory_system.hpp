@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -128,9 +127,11 @@ class MemorySystem {
   hw::BandwidthModel& bw_;
   Rng rng_;
   CostModel costs_;
-  // deque: ZoneState holds internal references (cache -> buddy), so
-  // element addresses must be stable across rebuild_zones().
-  std::deque<ZoneState> zones_;
+  // Contiguous, one per physical zone. ZoneState holds an internal
+  // reference (cache -> buddy), so elements must never relocate:
+  // rebuild_zones() reserves the full zone count before emplacing, and
+  // nothing else grows the vector.
+  std::vector<ZoneState> zones_;
 };
 
 } // namespace hpmmap::mm

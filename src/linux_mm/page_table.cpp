@@ -5,25 +5,27 @@
 namespace hpmmap::mm {
 
 PageTable::PageTable() {
-  nodes_.push_back(Node{});
+  nodes_[nodes_.append()].slots.fill(0);
   used_.push_back(0);
 }
 
 std::uint32_t PageTable::alloc_node() {
+  std::uint32_t idx;
   if (!free_nodes_.empty()) {
-    const std::uint32_t idx = free_nodes_.back();
+    idx = free_nodes_.back();
     free_nodes_.pop_back();
-    nodes_[idx].slots.fill(0);
     used_[idx] = 0;
-    return idx;
+  } else {
+    idx = nodes_.append();
+    used_.push_back(0);
   }
-  nodes_.push_back(Node{});
-  used_.push_back(0);
-  return static_cast<std::uint32_t>(nodes_.size() - 1);
+  nodes_[idx].slots.fill(0);
+  return idx;
 }
 
 void PageTable::free_node(std::uint32_t idx) {
   HPMMAP_ASSERT(idx != kRoot, "cannot free the root table");
+  forget_pt();
   free_nodes_.push_back(idx);
 }
 
@@ -53,10 +55,17 @@ Errno PageTable::map(Addr vaddr, Addr paddr, PageSize size, Prot prot, PtOpStats
   }
   const unsigned target = leaf_level(size);
   std::uint32_t node = kRoot;
+  unsigned level = 3;
+  if (target != 0) {
+    forget_pt(); // a 2M/1G install may free the region's empty PT below
+  } else if (pt_cached(vaddr)) {
+    node = cached_pt_;
+    level = 0;
+  }
   PtOpStats local;
-  local.levels = 1;
-  for (unsigned level = 3; level > target; --level) {
-    // deque references survive alloc_node()'s push_back.
+  local.levels = 4 - level;
+  for (; level > target; --level) {
+    // Pool nodes never move, so `e` survives alloc_node()'s growth.
     std::uint64_t& e = nodes_[node].slots[index_at(vaddr, level)];
     if (is_leaf(e)) {
       return Errno::kExist; // a larger mapping already covers this address
@@ -70,6 +79,9 @@ Errno PageTable::map(Addr vaddr, Addr paddr, PageSize size, Prot prot, PtOpStats
     }
     node = child_index(e);
     ++local.levels;
+  }
+  if (target == 0) {
+    remember_pt(vaddr, node);
   }
   std::uint64_t& leaf = nodes_[node].slots[index_at(vaddr, target)];
   if (is_leaf(leaf)) {
@@ -104,15 +116,23 @@ Errno PageTable::unmap(Addr vaddr, PageSize size, PtOpStats* stats) {
   }
   const unsigned target = leaf_level(size);
   std::uint32_t node = kRoot;
+  unsigned level = 3;
+  if (target == 0 && pt_cached(vaddr)) {
+    node = cached_pt_;
+    level = 0;
+  }
   PtOpStats local;
-  local.levels = 1;
-  for (unsigned level = 3; level > target; --level) {
+  local.levels = 4 - level;
+  for (; level > target; --level) {
     const std::uint64_t e = nodes_[node].slots[index_at(vaddr, level)];
     if (is_leaf(e) || !has_child(e)) {
       return Errno::kNoEnt;
     }
     node = child_index(e);
     ++local.levels;
+  }
+  if (target == 0) {
+    remember_pt(vaddr, node);
   }
   std::uint64_t& leaf = nodes_[node].slots[index_at(vaddr, target)];
   if (!is_leaf(leaf)) {
@@ -150,17 +170,22 @@ Errno PageTable::protect(Addr vaddr, PageSize size, Prot prot) {
 
 std::optional<Translation> PageTable::walk(Addr vaddr) const {
   std::uint32_t node = kRoot;
-  for (unsigned level = 3; level > 0; --level) {
-    const std::uint64_t e = nodes_[node].slots[index_at(vaddr, level)];
-    if (is_leaf(e)) {
-      const PageSize size = level == 1 ? PageSize::k2M : PageSize::k1G;
-      const Addr offset = vaddr & (bytes(size) - 1);
-      return Translation{leaf_phys(e) + offset, size, leaf_prot(e)};
+  if (pt_cached(vaddr)) {
+    node = cached_pt_;
+  } else {
+    for (unsigned level = 3; level > 0; --level) {
+      const std::uint64_t e = nodes_[node].slots[index_at(vaddr, level)];
+      if (is_leaf(e)) {
+        const PageSize size = level == 1 ? PageSize::k2M : PageSize::k1G;
+        const Addr offset = vaddr & (bytes(size) - 1);
+        return Translation{leaf_phys(e) + offset, size, leaf_prot(e)};
+      }
+      if (!has_child(e)) {
+        return std::nullopt;
+      }
+      node = child_index(e);
     }
-    if (!has_child(e)) {
-      return std::nullopt;
-    }
-    node = child_index(e);
+    remember_pt(vaddr, node);
   }
   const std::uint64_t leaf = nodes_[node].slots[index_at(vaddr, 0)];
   if (!is_leaf(leaf)) {
@@ -188,6 +213,7 @@ Errno PageTable::split_large(Addr vaddr, PtOpStats* stats) {
   const Addr phys = leaf_phys(pd);
   const Prot prot = leaf_prot(pd);
   // Replace the 2M leaf with a PT of 512 4K leaves over the same frames.
+  forget_pt();
   const std::uint32_t pt = alloc_node();
   nodes_[node].slots[pd_slot] = make_child(pt);
   ++table_pages_;
@@ -207,6 +233,9 @@ Errno PageTable::split_large(Addr vaddr, PtOpStats* stats) {
 }
 
 unsigned PageTable::small_count_in_2m(Addr vaddr) const {
+  if (pt_cached(vaddr)) {
+    return used_[cached_pt_];
+  }
   const Addr base = align_down(vaddr, kLargePageSize);
   std::uint32_t node = kRoot;
   for (unsigned level = 3; level > 1; --level) {
@@ -220,6 +249,7 @@ unsigned PageTable::small_count_in_2m(Addr vaddr) const {
   if (is_leaf(pd) || !has_child(pd)) {
     return 0;
   }
+  remember_pt(base, child_index(pd));
   return used_[child_index(pd)];
 }
 

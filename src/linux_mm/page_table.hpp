@@ -13,13 +13,31 @@
 // for children). Nodes are exactly 4 KiB (512 words) and live in an
 // index-addressed pool with a free list, so a walk touches one cache
 // line per level and map/unmap never call the heap once the pool is
-// warm.
+// warm. The pool grows in fixed 16-node chunks: a node's address never
+// moves (map() holds a slot reference across alloc_node()), growth
+// never copies, and indexing is two shifts with no iterator arithmetic.
+//
+// A one-entry paging-structure cache remembers the last 2 MiB region
+// resolved to its PT (level-0) node, the way a CPU's PDE cache skips the
+// upper levels. walk(), small_count_in_2m() and 4K map()/unmap() consult
+// it, so a demand-fault storm through one region descends the table
+// once rather than once per call. It only ever caches a PD entry that
+// points at a child PT, and such an entry changes in exactly these
+// places, each of which drops the cache:
+//   - free_node() (the freed index may be recycled for another region);
+//   - 2M/1G map() (the khugepaged collapse frees the region's empty PT);
+//   - split_large() (installs a fresh PT in place of a 2M leaf);
+//   - snapshot restore (replaces every node).
+// unmap() never frees nodes, so it leaves the cache valid. A hit reports
+// the same PtOpStats as a full descent (levels = 4, no tables
+// allocated), so cost accounting cannot tell the difference.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -109,6 +127,46 @@ class PageTable {
     std::array<std::uint64_t, kFanout> slots;
   };
 
+  /// Index-addressed node storage in fixed chunks of 2^kChunkShift
+  /// nodes. Chunks are allocated uninitialised; append() hands out the
+  /// next index and its owner fills the slots.
+  class NodePool {
+   public:
+    NodePool() = default;
+    NodePool(NodePool&& other) noexcept
+        : chunks_(std::move(other.chunks_)), size_(std::exchange(other.size_, 0)) {}
+    NodePool& operator=(NodePool&& other) noexcept {
+      chunks_ = std::move(other.chunks_);
+      size_ = std::exchange(other.size_, 0);
+      return *this;
+    }
+
+    [[nodiscard]] Node& operator[](std::uint32_t idx) noexcept {
+      return chunks_[idx >> kChunkShift][idx & kChunkMask];
+    }
+    [[nodiscard]] const Node& operator[](std::uint32_t idx) const noexcept {
+      return chunks_[idx >> kChunkShift][idx & kChunkMask];
+    }
+    [[nodiscard]] std::uint32_t size() const noexcept { return size_; }
+    /// Grow by one node with unspecified contents; returns its index.
+    std::uint32_t append() {
+      if ((size_ & kChunkMask) == 0) {
+        chunks_.push_back(std::make_unique_for_overwrite<Node[]>(kChunkMask + 1));
+      }
+      return size_++;
+    }
+    void clear() noexcept {
+      chunks_.clear();
+      size_ = 0;
+    }
+
+   private:
+    static constexpr unsigned kChunkShift = 4;
+    static constexpr std::uint32_t kChunkMask = (1u << kChunkShift) - 1;
+    std::vector<std::unique_ptr<Node[]>> chunks_;
+    std::uint32_t size_ = 0;
+  };
+
   [[nodiscard]] static constexpr bool is_leaf(std::uint64_t e) noexcept {
     return (e & kLeafBit) != 0;
   }
@@ -158,13 +216,27 @@ class PageTable {
   void free_node(std::uint32_t idx);
   void account_map(PageSize size, std::int64_t delta) noexcept;
 
-  // deque: stable addresses across alloc_node() while holding slot
-  // references, one 4 KiB chunk per node.
-  std::deque<Node> nodes_;
+  /// Cache key: the 2 MiB region number of `vaddr`.
+  [[nodiscard]] static constexpr Addr region_of(Addr vaddr) noexcept { return vaddr >> 21; }
+  [[nodiscard]] bool pt_cached(Addr vaddr) const noexcept {
+    return region_of(vaddr) == cached_region_;
+  }
+  void remember_pt(Addr vaddr, std::uint32_t pt) const noexcept {
+    cached_region_ = region_of(vaddr);
+    cached_pt_ = pt;
+  }
+  void forget_pt() noexcept { cached_region_ = kNoRegion; }
+
+  static constexpr Addr kNoRegion = ~Addr{0}; // no 64-bit vaddr >> 21 reaches it
+
+  NodePool nodes_;
   std::vector<std::uint16_t> used_;      // live entries per node
   std::vector<std::uint32_t> free_nodes_; // recycled pool indices
   hw::MappingMix mix_;
   std::uint64_t table_pages_ = 1; // the root
+  // Paging-structure cache (see the header comment): region -> PT node.
+  mutable Addr cached_region_ = kNoRegion;
+  mutable std::uint32_t cached_pt_ = 0;
 };
 
 } // namespace hpmmap::mm

@@ -31,7 +31,11 @@ void ThpService::note_fallback(AddressSpace* as, Addr vaddr) {
   constexpr std::size_t kQueueCap = 32;
   const Addr region = align_down(vaddr, kLargePageSize);
   // Dedup against the most recent entries (fault storms hit the same
-  // region hundreds of times).
+  // region hundreds of times, so the newest entry almost always matches
+  // and the scan is skipped).
+  if (!enter_queue_.empty() && enter_queue_.back() == std::pair{as, region}) {
+    return;
+  }
   for (const auto& [qas, qregion] : enter_queue_) {
     if (qas == as && qregion == region) {
       return;

@@ -200,6 +200,11 @@ void ParallelCoordinator::run_phase_until(Cycles until) {
   deliver_queued();
 }
 
+void ParallelCoordinator::run_on_groups(const std::function<void(std::size_t)>& fn) {
+  // Every slice runs with t_current_group_ set to its group id.
+  for_each_group([&fn](Group&) { fn(t_current_group_); });
+}
+
 void ParallelCoordinator::run_lookahead(Cycles lookahead, Cycles until) {
   HPMMAP_ASSERT(lookahead > 0, "conservative windows need positive lookahead");
   while (true) {

@@ -98,6 +98,13 @@ class ParallelCoordinator {
   /// run_until(until) semantics.
   void run_phase_until(Cycles until);
 
+  /// Run `fn(group id)` once per group across the pool, with the
+  /// group's enter/leave hooks around each call; blocks until all
+  /// finish. Inline, in group order, at one worker. For per-group work
+  /// that is not an engine slice (e.g. booting each node); `fn` must
+  /// touch only its own group's state. No messages are delivered.
+  void run_on_groups(const std::function<void(std::size_t)>& fn);
+
  private:
   struct Message {
     Cycles when = 0;

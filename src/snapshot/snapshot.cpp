@@ -275,8 +275,9 @@ struct Access {
 
   static PageTableImage capture_page_table(const mm::PageTable& pt) {
     PageTableImage img;
-    img.slots.reserve(pt.nodes_.size() * mm::PageTable::kFanout);
-    for (const mm::PageTable::Node& n : pt.nodes_) {
+    img.slots.reserve(std::size_t{pt.nodes_.size()} * mm::PageTable::kFanout);
+    for (std::uint32_t i = 0; i < pt.nodes_.size(); ++i) {
+      const mm::PageTable::Node& n = pt.nodes_[i];
       img.slots.insert(img.slots.end(), n.slots.begin(), n.slots.end());
     }
     img.used = pt.used_;
@@ -290,12 +291,12 @@ struct Access {
     HPMMAP_ASSERT(img.slots.size() % mm::PageTable::kFanout == 0,
                   "snapshot: page-table image not node-aligned");
     pt.nodes_.clear();
+    pt.forget_pt();
     const std::size_t node_count = img.slots.size() / mm::PageTable::kFanout;
     for (std::size_t i = 0; i < node_count; ++i) {
-      mm::PageTable::Node n;
+      mm::PageTable::Node& n = pt.nodes_[pt.nodes_.append()];
       std::memcpy(n.slots.data(), img.slots.data() + i * mm::PageTable::kFanout,
                   sizeof(n.slots));
-      pt.nodes_.push_back(n);
     }
     pt.used_ = img.used;
     pt.free_nodes_ = img.free_nodes;
@@ -1018,5 +1019,13 @@ void restore_world(const WorldImage& image, sim::Engine& engine,
 }
 
 bool step_one(sim::Engine& engine) { return Access::step(engine); }
+
+PageTableImage capture_page_table(const mm::PageTable& pt) {
+  return Access::capture_page_table(pt);
+}
+
+void restore_page_table(const PageTableImage& image, mm::PageTable& pt) {
+  Access::restore_page_table(image, pt);
+}
 
 } // namespace hpmmap::snapshot

@@ -18,6 +18,9 @@
 
 #include "snapshot/image.hpp"
 
+namespace hpmmap::mm {
+class PageTable;
+}
 namespace hpmmap::os {
 class Node;
 }
@@ -53,6 +56,12 @@ struct BuildRef {
 void restore_world(const WorldImage& image, sim::Engine& engine,
                    const std::vector<os::Node*>& nodes,
                    const std::vector<BuildRef>& builds = {});
+
+/// The page-table piece of capture_world()/restore_world(): image one
+/// table, or overwrite `pt` with an image (its paging-structure cache is
+/// dropped). Exposed for the page-table differential test.
+[[nodiscard]] PageTableImage capture_page_table(const mm::PageTable& pt);
+void restore_page_table(const PageTableImage& image, mm::PageTable& pt);
 
 /// Fire exactly the next pending event (time-travel single-stepping for
 /// the replay-to-anomaly harness). Returns false when nothing fired.

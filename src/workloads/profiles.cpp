@@ -137,48 +137,31 @@ AppProfile profile_by_name(const std::string& app_name, double clock_hz) {
   return *std::move(prof);
 }
 
+// The profiles are built by designated initialisers: constructing the
+// name in place, rather than assigning a short literal to a
+// default-constructed std::string, avoids a GCC 12 -O3 -Wrestrict false
+// positive that breaks Release builds under -Werror.
+
 CommodityProfile profile_a(std::uint32_t app_cores) {
   // §IV-B: one parallel kernel build on 8 cores, limited to 4 when the
   // app itself uses 8 "so as to not overcommit the cores".
-  CommodityProfile c;
-  c.name = "A";
-  c.builds = 1;
-  c.jobs_per_build = app_cores >= 8 ? 4 : 8;
-  return c;
+  return {.name = "A", .builds = 1, .jobs_per_build = app_cores >= 8 ? 4u : 8u};
 }
 
 CommodityProfile profile_b(std::uint32_t app_cores) {
   // §IV-B: profile A plus a duplicate build — this one *does* overcommit.
-  CommodityProfile c;
-  c.name = "B";
-  c.builds = 2;
-  c.jobs_per_build = app_cores >= 8 ? 4 : 8;
-  return c;
+  return {.name = "B", .builds = 2, .jobs_per_build = app_cores >= 8 ? 4u : 8u};
 }
 
 CommodityProfile profile_c() {
   // §IV-C: one build consuming the remaining 4 cores of each node.
-  CommodityProfile c;
-  c.name = "C";
-  c.builds = 1;
-  c.jobs_per_build = 4;
-  return c;
+  return {.name = "C", .builds = 1, .jobs_per_build = 4};
 }
 
-CommodityProfile profile_d() {
-  CommodityProfile c;
-  c.name = "D";
-  c.builds = 2;
-  c.jobs_per_build = 4;
-  return c;
-}
+CommodityProfile profile_d() { return {.name = "D", .builds = 2, .jobs_per_build = 4}; }
 
 CommodityProfile no_competition() {
-  CommodityProfile c;
-  c.name = "none";
-  c.builds = 0;
-  c.jobs_per_build = 0;
-  return c;
+  return {.name = "none", .builds = 0, .jobs_per_build = 0};
 }
 
 } // namespace hpmmap::workloads

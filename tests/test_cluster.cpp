@@ -9,9 +9,11 @@
 // sanely and tree rejects non-power-of-two node counts).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/network.hpp"
@@ -73,6 +75,54 @@ TEST(Lookahead, ChainedMessagesRespectEveryDestinationClock) {
   a.schedule_at(Cycles{50}, [&] { volley(0, Cycles{50}); });
   coord.run_lookahead(L);
   EXPECT_EQ(volleys, 8);
+}
+
+// --- per-group work on the pool ---------------------------------------------
+
+TEST(RunOnGroups, EachGroupRunsOnceInsideItsHooksOnTheSameThread) {
+  // Six groups over three workers: each body runs exactly once, strictly
+  // between its own group's enter and leave, on the thread that entered.
+  constexpr std::size_t kGroups = 6;
+  std::array<sim::Engine, kGroups> engines;
+  sim::ParallelCoordinator coord(3);
+  // Per-group slots: every hook and body touches only its own group's.
+  std::array<std::vector<std::string>, kGroups> log;
+  std::array<std::thread::id, kGroups> entered_on;
+  std::array<bool, kGroups> same_thread{};
+  for (std::size_t g = 0; g < kGroups; ++g) {
+    coord.add_group(engines[g], {[&, g] {
+                                   log[g].push_back("enter");
+                                   entered_on[g] = std::this_thread::get_id();
+                                 },
+                                 [&, g] { log[g].push_back("leave"); }});
+  }
+  coord.run_on_groups([&](std::size_t g) {
+    log[g].push_back("run");
+    same_thread[g] = entered_on[g] == std::this_thread::get_id();
+  });
+  for (std::size_t g = 0; g < kGroups; ++g) {
+    EXPECT_EQ(log[g], (std::vector<std::string>{"enter", "run", "leave"})) << "group " << g;
+    EXPECT_TRUE(same_thread[g]) << "group " << g;
+  }
+}
+
+TEST(RunOnGroups, RunsInlineInGroupOrderAtOneWorker) {
+  std::array<sim::Engine, 3> engines;
+  sim::ParallelCoordinator coord(1);
+  std::vector<std::string> log; // shared across groups: safe only because inline
+  for (std::size_t g = 0; g < engines.size(); ++g) {
+    coord.add_group(engines[g], {[&log, g] { log.push_back("enter" + std::to_string(g)); },
+                                 [&log, g] { log.push_back("leave" + std::to_string(g)); }});
+  }
+  const std::thread::id caller = std::this_thread::get_id();
+  bool inline_run = true;
+  coord.run_on_groups([&](std::size_t g) {
+    inline_run = inline_run && std::this_thread::get_id() == caller;
+    log.push_back("run" + std::to_string(g));
+  });
+  EXPECT_TRUE(inline_run);
+  EXPECT_EQ(log, (std::vector<std::string>{"enter0", "run0", "leave0", "enter1", "run1",
+                                           "leave1", "enter2", "run2", "leave2"}));
 }
 
 // --- topology cost model ---------------------------------------------------
@@ -285,7 +335,8 @@ TEST_P(ClusterManagers, AnyWorkerCountIsByteIdentical) {
 
   cfg.cluster_jobs = 1;
   const harness::RunResult inline_ref = harness::run_cluster(cfg);
-  for (unsigned jobs : {2u, 5u}) {
+  // 4 workers on 4 nodes boots every node on its own thread.
+  for (unsigned jobs : {2u, 4u, 5u}) {
     cfg.cluster_jobs = jobs;
     const harness::RunResult par = harness::run_cluster(cfg);
     expect_run_equal(par, inline_ref);
