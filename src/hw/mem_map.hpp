@@ -24,6 +24,7 @@
 // own counts and the invariant auditor cross-checks the two views.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -224,8 +225,13 @@ class MemMap {
   };
   static constexpr std::size_t kNotFound = static_cast<std::size_t>(-1);
 
+  /// Fibonacci hashing: the top log2(capacity) bits of a 64-bit golden-
+  /// ratio product. Block heads are aligned to their order, so their low
+  /// bits are mostly zero; the high bits of the product mix in every key
+  /// bit and spread aligned keys evenly over the table.
   [[nodiscard]] std::size_t home(std::uint32_t key) const noexcept {
-    return (key * 2654435761u) & (slots_.size() - 1);
+    const int shift = std::countl_zero(static_cast<std::uint64_t>(slots_.size())) + 1;
+    return static_cast<std::size_t>((std::uint64_t{key} * 0x9E3779B97F4A7C15ull) >> shift);
   }
   [[nodiscard]] std::size_t find_slot(std::uint32_t key) const noexcept {
     if (slots_.empty()) {

@@ -1,20 +1,30 @@
 // Binary save/load for WorldImage (--snapshot-out / --snapshot-in).
 //
-// Little-endian, length-prefixed, versioned. Plain-old-data stats
-// structs are written as raw object bytes (same-architecture contract —
-// a snapshot file is a local artifact for resuming sweeps, not an
-// interchange format). Trace events are the one pointer-bearing type:
-// their name/argument strings are written out as strings and interned
-// into a process-lifetime pool on load, preserving the recorder's
-// "names outlive the recorder" contract.
+// Versioned, length-prefixed, and raw: every scalar and every array of
+// numbers is stored as its in-memory little-endian bytes, each array in
+// one run copied with a single memcpy, so save and load move at memory
+// speed (DESIGN.md §12.6). Plain-old-data stats structs are written as
+// raw object bytes too. That is a same-architecture contract — a
+// snapshot file is a local artifact for resuming sweeps, not an
+// interchange format or an archive; the static_assert below pins the
+// byte order and the version word refuses images from older builds.
+// save() streams to the file through a small staging buffer; load()
+// reads the file in one sized read and checks every length prefix
+// against the bytes that remain before allocating for it. Trace events
+// are the one pointer-bearing type: their name/argument strings are
+// written out as strings and interned into a process-lifetime pool on
+// load, preserving the recorder's "names outlive the recorder" contract.
 
 #include "snapshot/snapshot.hpp"
 
 #include <bit>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <mutex>
+#include <ranges>
 #include <set>
+#include <span>
 #include <type_traits>
 
 #include "common/assert.hpp"
@@ -22,8 +32,13 @@
 namespace hpmmap::snapshot {
 namespace {
 
+static_assert(std::endian::native == std::endian::little,
+              "snapshot images store numbers as raw little-endian bytes");
+
 constexpr std::uint32_t kMagic = 0x4e535048; // "HPSN"
-constexpr std::uint32_t kVersion = 3; // v3: trace::Event carries a causal span id
+// v3: trace::Event carries a causal span id. v4: the mem_map link table
+// is laid out by Fibonacci hashing, so older slot layouts do not probe.
+constexpr std::uint32_t kVersion = 4;
 
 /// Loaded trace strings live until process exit; std::set node stability
 /// keeps every handed-out c_str() valid as the pool grows.
@@ -37,47 +52,86 @@ const char* intern(const std::string& s) {
   return pool->insert(s).first->c_str();
 }
 
+/// A contiguous array of numbers: stored as one raw byte run.
+template <typename R>
+concept NumberArray = std::ranges::contiguous_range<R> &&
+                      std::is_arithmetic_v<std::ranges::range_value_t<R>>;
+
+/// Streams the encoding to the file: small fields gather in a fixed
+/// staging buffer, and a run too large for it is written straight out.
 class Writer {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void u16(std::uint16_t v) { le(v, 2); }
-  void u32(std::uint32_t v) { le(v, 4); }
-  void u64(std::uint64_t v) { le(v, 8); }
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
+  explicit Writer(std::ofstream& out) : out_(out) {}
+
+  void u8(std::uint8_t v) { raw(&v, sizeof v); }
+  void u32(std::uint32_t v) { raw(&v, sizeof v); }
+  void u64(std::uint64_t v) { raw(&v, sizeof v); }
+  void i32(std::int32_t v) { raw(&v, sizeof v); }
   void b(bool v) { u8(v ? 1 : 0); }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  void f64(double v) { raw(&v, sizeof v); }
   void str(const std::string& s) {
     u64(s.size());
-    buf_.append(s);
+    raw(s.data(), s.size());
   }
   template <typename T>
   void pod(const T& v) {
     static_assert(std::is_trivially_copyable_v<T>);
-    const auto* p = reinterpret_cast<const char*>(&v);
-    buf_.append(p, sizeof(T));
+    raw(&v, sizeof(T));
   }
-  [[nodiscard]] const std::string& data() const noexcept { return buf_; }
+  /// The whole array as one run, no length (fixed-size or shared length).
+  template <NumberArray R>
+  void array(const R& r) {
+    const std::span s(r);
+    raw(s.data(), s.size_bytes());
+  }
+  /// Length prefix, then the array as one run.
+  template <NumberArray R>
+  void vec(const R& r) {
+    u64(std::ranges::size(r));
+    array(r);
+  }
+  void flush() {
+    out_.write(stage_.get(), static_cast<std::streamsize>(used_));
+    used_ = 0;
+  }
 
  private:
-  void le(std::uint64_t v, int n) {
-    for (int i = 0; i < n; ++i) {
-      buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  static constexpr std::size_t kStageBytes = 64 * 1024;
+
+  void raw(const void* p, std::size_t n) {
+    if (n > kStageBytes - used_) {
+      flush();
+      if (n >= kStageBytes) {
+        out_.write(static_cast<const char*>(p), static_cast<std::streamsize>(n));
+        return;
+      }
+    }
+    if (n != 0) {
+      std::memcpy(stage_.get() + used_, p, n);
+      used_ += n;
     }
   }
-  std::string buf_;
+
+  std::ofstream& out_;
+  std::unique_ptr<char[]> stage_ = std::make_unique_for_overwrite<char[]>(kStageBytes);
+  std::size_t used_ = 0;
 };
 
+/// Decodes an image held whole in memory. Every read is bounds-checked,
+/// and every length prefix is checked against the bytes that remain
+/// before anything is sized from it, so a corrupt or cut-off file fails
+/// with the loader's message instead of a wild allocation.
 class Reader {
  public:
-  explicit Reader(std::string data) : buf_(std::move(data)) {}
+  Reader(std::unique_ptr<char[]> data, std::size_t size)
+      : buf_(std::move(data)), size_(size) {}
 
-  std::uint8_t u8() { return static_cast<std::uint8_t>(take(1)[0]); }
-  std::uint16_t u16() { return static_cast<std::uint16_t>(le(2)); }
-  std::uint32_t u32() { return static_cast<std::uint32_t>(le(4)); }
-  std::uint64_t u64() { return le(8); }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
+  std::uint8_t u8() { return scalar<std::uint8_t>(); }
+  std::uint32_t u32() { return scalar<std::uint32_t>(); }
+  std::uint64_t u64() { return scalar<std::uint64_t>(); }
+  std::int32_t i32() { return scalar<std::int32_t>(); }
   bool b() { return u8() != 0; }
-  double f64() { return std::bit_cast<double>(u64()); }
+  double f64() { return scalar<double>(); }
   std::string str() {
     const std::uint64_t n = u64();
     const char* p = take(n);
@@ -88,24 +142,45 @@ class Reader {
     static_assert(std::is_trivially_copyable_v<T>);
     std::memcpy(&v, take(sizeof(T)), sizeof(T));
   }
-  [[nodiscard]] bool done() const noexcept { return pos_ == buf_.size(); }
+  /// Fill an already-sized array from one run.
+  template <NumberArray R>
+  void array(R& r) {
+    const std::span s(r);
+    const char* p = take(s.size_bytes());
+    if (!s.empty()) {
+      std::memcpy(s.data(), p, s.size_bytes());
+    }
+  }
+  /// Length prefix, then the array as one run.
+  template <typename T>
+  void vec(std::vector<T>& v) {
+    v.resize(count(sizeof(T)));
+    array(v);
+  }
+  /// A length prefix for elements that each encode to at least `unit`
+  /// bytes; more than the remaining bytes can hold is a cut-off file.
+  std::size_t count(std::size_t unit) {
+    const std::uint64_t n = u64();
+    HPMMAP_ASSERT(n <= (size_ - pos_) / unit, "snapshot: truncated image file");
+    return static_cast<std::size_t>(n);
+  }
+  [[nodiscard]] bool done() const noexcept { return pos_ == size_; }
 
  private:
+  template <typename T>
+  T scalar() {
+    T v{};
+    std::memcpy(&v, take(sizeof(T)), sizeof(T));
+    return v;
+  }
   const char* take(std::uint64_t n) {
-    HPMMAP_ASSERT(pos_ + n <= buf_.size(), "snapshot: truncated image file");
-    const char* p = buf_.data() + pos_;
+    HPMMAP_ASSERT(n <= size_ - pos_, "snapshot: truncated image file");
+    const char* p = buf_.get() + pos_;
     pos_ += static_cast<std::size_t>(n);
     return p;
   }
-  std::uint64_t le(int n) {
-    const char* p = take(static_cast<std::uint64_t>(n));
-    std::uint64_t v = 0;
-    for (int i = 0; i < n; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-    }
-    return v;
-  }
-  std::string buf_;
+  std::unique_ptr<char[]> buf_;
+  std::size_t size_ = 0;
   std::size_t pos_ = 0;
 };
 
@@ -113,27 +188,25 @@ class Reader {
 
 void put(Writer& w, const MemMapImage& m) {
   w.pod(m.range);
-  w.u64(m.meta.size());
-  for (std::uint8_t v : m.meta) w.u8(v);
+  w.vec(m.meta);
   w.u64(m.slot_key.size());
-  for (std::uint32_t v : m.slot_key) w.u32(v);
-  for (std::uint32_t v : m.slot_next) w.u32(v);
-  for (std::uint32_t v : m.slot_prev) w.u32(v);
+  w.array(m.slot_key);
+  w.array(m.slot_next);
+  w.array(m.slot_prev);
   w.u64(m.link_count);
 }
 
 MemMapImage get_mem_map(Reader& r) {
   MemMapImage m;
   r.pod(m.range);
-  m.meta.resize(r.u64());
-  for (std::uint8_t& v : m.meta) v = r.u8();
-  const std::uint64_t slots = r.u64();
+  r.vec(m.meta);
+  const std::size_t slots = r.count(3 * sizeof(std::uint32_t));
   m.slot_key.resize(slots);
   m.slot_next.resize(slots);
   m.slot_prev.resize(slots);
-  for (std::uint32_t& v : m.slot_key) v = r.u32();
-  for (std::uint32_t& v : m.slot_next) v = r.u32();
-  for (std::uint32_t& v : m.slot_prev) v = r.u32();
+  r.array(m.slot_key);
+  r.array(m.slot_next);
+  r.array(m.slot_prev);
   m.link_count = r.u64();
   return m;
 }
@@ -144,10 +217,8 @@ void put(Writer& w, const BuddyImage& b) {
   w.u64(b.free_bytes);
   w.u64(b.lists.size());
   for (const OrderListImage& l : b.lists) {
-    w.u64(l.bits.size());
-    for (std::uint64_t v : l.bits) w.u64(v);
-    w.u64(l.summary.size());
-    for (std::uint64_t v : l.summary) w.u64(v);
+    w.vec(l.bits);
+    w.vec(l.summary);
     w.u64(l.count);
     w.u64(l.scan_hint);
   }
@@ -165,17 +236,15 @@ BuddyImage get_buddy(Reader& r) {
   r.pod(b.range);
   b.max_order = r.u32();
   b.free_bytes = r.u64();
-  b.lists.resize(r.u64());
+  b.lists.resize(r.count(32)); // two lengths, count, scan_hint
   for (OrderListImage& l : b.lists) {
-    l.bits.resize(r.u64());
-    for (std::uint64_t& v : l.bits) v = r.u64();
-    l.summary.resize(r.u64());
-    for (std::uint64_t& v : l.summary) v = r.u64();
+    r.vec(l.bits);
+    r.vec(l.summary);
     l.count = r.u64();
     l.scan_hint = r.u64();
   }
   b.map = get_mem_map(r);
-  b.corrupt_blocks.resize(r.u64());
+  b.corrupt_blocks.resize(r.count(12)); // addr, order
   for (CorruptBlockImage& c : b.corrupt_blocks) {
     c.addr = r.u64();
     c.order = r.u32();
@@ -184,13 +253,11 @@ BuddyImage get_buddy(Reader& r) {
   return b;
 }
 
-void put(Writer& w, const std::array<std::uint64_t, 4>& rng) {
-  for (std::uint64_t v : rng) w.u64(v);
-}
+void put(Writer& w, const std::array<std::uint64_t, 4>& rng) { w.array(rng); }
 
 std::array<std::uint64_t, 4> get_rng(Reader& r) {
   std::array<std::uint64_t, 4> rng{};
-  for (std::uint64_t& v : rng) v = r.u64();
+  r.array(rng);
   return rng;
 }
 
@@ -215,7 +282,7 @@ void put(Writer& w, const MemoryImage& m) {
 MemoryImage get_memory(Reader& r) {
   MemoryImage m;
   m.rng = get_rng(r);
-  m.zones.resize(r.u64());
+  m.zones.resize(r.count(152)); // fixed fields of buddy, map, cache, zone
   for (ZoneImage& z : m.zones) {
     z.buddy = get_buddy(r);
     z.cache.head = r.u32();
@@ -238,7 +305,7 @@ void put(Writer& w, const std::vector<mm::Vma>& vmas) {
 }
 
 std::vector<mm::Vma> get_vmas(Reader& r) {
-  std::vector<mm::Vma> vmas(r.u64());
+  std::vector<mm::Vma> vmas(r.count(sizeof(mm::Vma)));
   for (mm::Vma& v : vmas) r.pod(v);
   return vmas;
 }
@@ -258,19 +325,15 @@ PidAddr get_pid_addr(Reader& r) {
 void put(Writer& w, const AddressSpaceImage& a) {
   w.u32(a.pid);
   put(w, a.vmas);
-  w.u64(a.pt.slots.size());
-  for (std::uint64_t v : a.pt.slots) w.u64(v);
-  w.u64(a.pt.used.size());
-  for (std::uint16_t v : a.pt.used) w.u16(v);
-  w.u64(a.pt.free_nodes.size());
-  for (std::uint32_t v : a.pt.free_nodes) w.u32(v);
+  w.vec(a.pt.slots);
+  w.vec(a.pt.used);
+  w.vec(a.pt.free_nodes);
   w.pod(a.pt.mix);
   w.u64(a.pt.table_pages);
   w.u64(a.heap_base);
   w.u64(a.heap_end);
   w.u64(a.locked_until);
-  w.u64(a.swapped.size());
-  for (Addr v : a.swapped) w.u64(v);
+  w.vec(a.swapped);
   w.u8(a.zone_policy);
   w.u32(a.home_zone);
   w.u32(a.zone_count);
@@ -280,19 +343,15 @@ AddressSpaceImage get_address_space(Reader& r) {
   AddressSpaceImage a;
   a.pid = r.u32();
   a.vmas = get_vmas(r);
-  a.pt.slots.resize(r.u64());
-  for (std::uint64_t& v : a.pt.slots) v = r.u64();
-  a.pt.used.resize(r.u64());
-  for (std::uint16_t& v : a.pt.used) v = r.u16();
-  a.pt.free_nodes.resize(r.u64());
-  for (std::uint32_t& v : a.pt.free_nodes) v = r.u32();
+  r.vec(a.pt.slots);
+  r.vec(a.pt.used);
+  r.vec(a.pt.free_nodes);
   r.pod(a.pt.mix);
   a.pt.table_pages = r.u64();
   a.heap_base = r.u64();
   a.heap_end = r.u64();
   a.locked_until = r.u64();
-  a.swapped.resize(r.u64());
-  for (Addr& v : a.swapped) v = r.u64();
+  r.vec(a.swapped);
   a.zone_policy = r.u8();
   a.home_zone = r.u32();
   a.zone_count = r.u32();
@@ -300,8 +359,7 @@ AddressSpaceImage get_address_space(Reader& r) {
 }
 
 void put(Writer& w, const ThpImage& t) {
-  w.u64(t.processes.size());
-  for (Pid p : t.processes) w.u32(p);
+  w.vec(t.processes);
   w.u64(t.enter_queue.size());
   for (const PidAddr& pa : t.enter_queue) put(w, pa);
   w.u64(t.inflight.size());
@@ -331,25 +389,24 @@ void put(Writer& w, const ThpImage& t) {
 
 ThpImage get_thp(Reader& r) {
   ThpImage t;
-  t.processes.resize(r.u64());
-  for (Pid& p : t.processes) p = r.u32();
-  t.enter_queue.resize(r.u64());
+  r.vec(t.processes);
+  t.enter_queue.resize(r.count(12)); // pid, addr
   for (PidAddr& pa : t.enter_queue) pa = get_pid_addr(r);
-  t.inflight.resize(r.u64());
+  t.inflight.resize(r.count(12));
   for (PidAddr& pa : t.inflight) pa = get_pid_addr(r);
   t.scan_rr = r.u64();
   t.scan_cursor = r.u64();
   t.scan_period = r.u64();
   t.last_scan = r.u64();
   t.running = r.b();
-  t.pending_collapses.resize(r.u64());
+  t.pending_collapses.resize(r.count(24)); // token, pid, region, mapped_small
   for (ThpCollapseImage& c : t.pending_collapses) {
     c.token = r.u64();
     c.pid = r.u32();
     c.region = r.u64();
     c.mapped_small = r.u32();
   }
-  t.pending_merges.resize(r.u64());
+  t.pending_merges.resize(r.count(28)); // token, pid, region, huge_phys
   for (ThpMergeImage& m : t.pending_merges) {
     m.token = r.u64();
     m.pid = r.u32();
@@ -397,18 +454,18 @@ void put(Writer& w, const ModuleImage& m) {
 ModuleImage get_module(Reader& r) {
   ModuleImage m;
   m.rng = get_rng(r);
-  m.offlined.resize(r.u64());
+  m.offlined.resize(r.count(8)); // length of each zone's list
   for (std::vector<Range>& zone : m.offlined) {
-    zone.resize(r.u64());
+    zone.resize(r.count(sizeof(Range)));
     for (Range& rr : zone) r.pod(rr);
   }
-  m.kitten_zones.resize(r.u64());
+  m.kitten_zones.resize(r.count(8)); // length of each zone's list
   for (std::vector<BuddyImage>& zone : m.kitten_zones) {
-    zone.resize(r.u64());
+    zone.resize(r.count(84)); // fixed fields of a buddy and its map
     for (BuddyImage& b : zone) b = get_buddy(r);
   }
   r.pod(m.kitten_stats);
-  m.registry_slots.resize(r.u64());
+  m.registry_slots.resize(r.count(9)); // state, pid, context
   for (RegistrySlotImage& s : m.registry_slots) {
     s.state = r.u8();
     s.pid = r.u32();
@@ -416,7 +473,7 @@ ModuleImage get_module(Reader& r) {
   }
   m.registry_size = r.u64();
   m.registry_tombstones = r.u64();
-  m.contexts.resize(r.u64());
+  m.contexts.resize(r.count(37)); // pid, vma length, cursors, live
   for (ModuleContextImage& c : m.contexts) {
     c.pid = r.u32();
     c.vmas = get_vmas(r);
@@ -438,11 +495,9 @@ void put(Writer& w, const NodeImage& n) {
     w.u32(t.gen);
     w.b(t.live);
   }
-  w.u64(n.scheduler.free_slots.size());
-  for (std::uint32_t v : n.scheduler.free_slots) w.u32(v);
+  w.vec(n.scheduler.free_slots);
   w.u64(n.scheduler.live_count);
-  w.u64(n.scheduler.pinned_weight.size());
-  for (double v : n.scheduler.pinned_weight) w.f64(v);
+  w.vec(n.scheduler.pinned_weight);
   w.f64(n.scheduler.unpinned_weight);
   w.u64(n.bw.entries.size());
   for (const BandwidthEntryImage& e : n.bw.entries) {
@@ -450,8 +505,7 @@ void put(Writer& w, const NodeImage& n) {
     w.u32(e.zone);
     w.f64(e.demand);
   }
-  w.u64(n.bw.zone_demand.size());
-  for (double v : n.bw.zone_demand) w.f64(v);
+  w.vec(n.bw.zone_demand);
   w.f64(n.bw.capacity);
   w.u32(n.bw.next_id);
   put(w, n.memory);
@@ -462,8 +516,7 @@ void put(Writer& w, const NodeImage& n) {
       w.u32(zp.head);
       w.u64(zp.count);
     }
-    w.u64(n.hugetlb.total.size());
-    for (std::uint64_t v : n.hugetlb.total) w.u64(v);
+    w.vec(n.hugetlb.total);
     w.pod(n.hugetlb.stats);
   }
   w.u64(n.processes.size());
@@ -488,24 +541,18 @@ void put(Writer& w, const NodeImage& n) {
   }
   w.b(n.has_smp);
   if (n.has_smp) {
-    w.u64(n.smp.zone_lock_free_at.size());
-    for (Cycles v : n.smp.zone_lock_free_at) w.u64(v);
-    w.u64(n.smp.cpu_stall.size());
-    for (Cycles v : n.smp.cpu_stall) w.u64(v);
+    w.vec(n.smp.zone_lock_free_at);
+    w.vec(n.smp.cpu_stall);
     w.u64(n.smp.mms.size());
     for (const SmpMmImage& m : n.smp.mms) {
       w.u32(m.pid);
       w.u64(m.writer_free_at);
       w.u64(m.readers_free_at);
-      w.u64(m.pt_shard_free_at.size());
-      for (Cycles v : m.pt_shard_free_at) w.u64(v);
+      w.vec(m.pt_shard_free_at);
       w.u64(m.pending_shootdown_pages);
     }
     w.u64(n.smp.pcp.size());
-    for (const std::vector<Addr>& list : n.smp.pcp) {
-      w.u64(list.size());
-      for (Addr a : list) w.u64(a);
-    }
+    for (const std::vector<Addr>& list : n.smp.pcp) w.vec(list);
     w.pod(n.smp.stats);
   }
   w.u32(n.next_pid);
@@ -517,42 +564,38 @@ void put(Writer& w, const NodeImage& n) {
 NodeImage get_node(Reader& r) {
   NodeImage n;
   n.rng = get_rng(r);
-  n.scheduler.threads.resize(r.u64());
+  n.scheduler.threads.resize(r.count(17)); // core, weight, gen, live
   for (SchedulerThreadImage& t : n.scheduler.threads) {
     t.core = r.i32();
     t.weight = r.f64();
     t.gen = r.u32();
     t.live = r.b();
   }
-  n.scheduler.free_slots.resize(r.u64());
-  for (std::uint32_t& v : n.scheduler.free_slots) v = r.u32();
+  r.vec(n.scheduler.free_slots);
   n.scheduler.live_count = r.u64();
-  n.scheduler.pinned_weight.resize(r.u64());
-  for (double& v : n.scheduler.pinned_weight) v = r.f64();
+  r.vec(n.scheduler.pinned_weight);
   n.scheduler.unpinned_weight = r.f64();
-  n.bw.entries.resize(r.u64());
+  n.bw.entries.resize(r.count(16)); // consumer, zone, demand
   for (BandwidthEntryImage& e : n.bw.entries) {
     e.consumer = r.u32();
     e.zone = r.u32();
     e.demand = r.f64();
   }
-  n.bw.zone_demand.resize(r.u64());
-  for (double& v : n.bw.zone_demand) v = r.f64();
+  r.vec(n.bw.zone_demand);
   n.bw.capacity = r.f64();
   n.bw.next_id = r.u32();
   n.memory = get_memory(r);
   n.has_hugetlb = r.b();
   if (n.has_hugetlb) {
-    n.hugetlb.pool.resize(r.u64());
+    n.hugetlb.pool.resize(r.count(12)); // head, count
     for (HugetlbZonePoolImage& zp : n.hugetlb.pool) {
       zp.head = r.u32();
       zp.count = r.u64();
     }
-    n.hugetlb.total.resize(r.u64());
-    for (std::uint64_t& v : n.hugetlb.total) v = r.u64();
+    r.vec(n.hugetlb.total);
     r.pod(n.hugetlb.stats);
   }
-  n.processes.resize(r.u64());
+  n.processes.resize(r.count(64)); // fixed fields of a process and its mm
   for (ProcessImage& p : n.processes) {
     p.pid = r.u32();
     p.name = r.str();
@@ -574,28 +617,22 @@ NodeImage get_node(Reader& r) {
   }
   n.has_smp = r.b();
   if (n.has_smp) {
-    n.smp.zone_lock_free_at.resize(r.u64());
-    for (Cycles& v : n.smp.zone_lock_free_at) v = r.u64();
-    n.smp.cpu_stall.resize(r.u64());
-    for (Cycles& v : n.smp.cpu_stall) v = r.u64();
-    n.smp.mms.resize(r.u64());
+    r.vec(n.smp.zone_lock_free_at);
+    r.vec(n.smp.cpu_stall);
+    n.smp.mms.resize(r.count(36)); // pid, two stamps, shard length, backlog
     for (SmpMmImage& m : n.smp.mms) {
       m.pid = r.u32();
       m.writer_free_at = r.u64();
       m.readers_free_at = r.u64();
-      m.pt_shard_free_at.resize(r.u64());
-      for (Cycles& v : m.pt_shard_free_at) v = r.u64();
+      r.vec(m.pt_shard_free_at);
       m.pending_shootdown_pages = r.u64();
     }
-    n.smp.pcp.resize(r.u64());
-    for (std::vector<Addr>& list : n.smp.pcp) {
-      list.resize(r.u64());
-      for (Addr& a : list) a = r.u64();
-    }
+    n.smp.pcp.resize(r.count(8)); // length of each list
+    for (std::vector<Addr>& list : n.smp.pcp) r.vec(list);
     r.pod(n.smp.stats);
   }
   n.next_pid = r.u32();
-  n.anon_lru.resize(r.u64());
+  n.anon_lru.resize(r.count(12)); // pid, addr
   for (PidAddr& pa : n.anon_lru) pa = get_pid_addr(r);
   n.swapped_out_total = r.u64();
   return n;
@@ -627,9 +664,9 @@ BuildImage get_build(Reader& r) {
   BuildImage b;
   b.node_index = r.u32();
   b.rng = get_rng(r);
-  b.jobs.resize(r.u64());
+  b.jobs.resize(r.count(29)); // block length, five u32 fields, live
   for (BuildJobImage& j : b.jobs) {
-    j.blocks.resize(r.u64());
+    j.blocks.resize(r.count(16)); // zone, addr, order
     for (BuildBlockImage& blk : j.blocks) {
       blk.zone = r.u32();
       blk.addr = r.u64();
@@ -710,20 +747,20 @@ trace::Event get_event(Reader& r) {
 void put(Writer& w, const P2QuantileImage& p) {
   w.f64(p.q);
   w.u64(p.n);
-  for (double v : p.heights) w.f64(v);
-  for (double v : p.positions) w.f64(v);
-  for (double v : p.desired) w.f64(v);
-  for (double v : p.increments) w.f64(v);
+  w.array(p.heights);
+  w.array(p.positions);
+  w.array(p.desired);
+  w.array(p.increments);
 }
 
 P2QuantileImage get_p2(Reader& r) {
   P2QuantileImage p;
   p.q = r.f64();
   p.n = r.u64();
-  for (double& v : p.heights) v = r.f64();
-  for (double& v : p.positions) v = r.f64();
-  for (double& v : p.desired) v = r.f64();
-  for (double& v : p.increments) v = r.f64();
+  r.array(p.heights);
+  r.array(p.positions);
+  r.array(p.desired);
+  r.array(p.increments);
   return p;
 }
 
@@ -750,7 +787,9 @@ RunningStatsImage get_running_stats(Reader& r) {
 } // namespace
 
 void save(const WorldImage& image, const std::string& path) {
-  Writer w;
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  HPMMAP_ASSERT(out.good(), "snapshot: cannot open output file");
+  Writer w(out);
   w.u32(kMagic);
   w.u32(kVersion);
   w.u64(image.fingerprint.size());
@@ -803,23 +842,26 @@ void save(const WorldImage& image, const std::string& path) {
   }
   put(w, image.injector.rng);
   w.b(image.injector.armed);
-
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  HPMMAP_ASSERT(out.good(), "snapshot: cannot open output file");
-  out.write(w.data().data(), static_cast<std::streamsize>(w.data().size()));
+  w.flush();
+  out.close();
   HPMMAP_ASSERT(out.good(), "snapshot: write failed");
 }
 
 WorldImage load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   HPMMAP_ASSERT(in.good(), "snapshot: cannot open image file");
-  std::string data((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  Reader r(std::move(data));
+  const std::streamsize size = in.tellg();
+  HPMMAP_ASSERT(size >= 0, "snapshot: cannot size image file");
+  in.seekg(0);
+  auto data = std::make_unique_for_overwrite<char[]>(static_cast<std::size_t>(size));
+  in.read(data.get(), size);
+  HPMMAP_ASSERT(in.gcount() == size, "snapshot: short read of image file");
+  Reader r(std::move(data), static_cast<std::size_t>(size));
   HPMMAP_ASSERT(r.u32() == kMagic, "snapshot: not a snapshot image");
   HPMMAP_ASSERT(r.u32() == kVersion, "snapshot: unsupported image version");
 
   WorldImage image;
-  image.fingerprint.resize(r.u64());
+  image.fingerprint.resize(r.count(16)); // key length, value
   for (auto& [key, value] : image.fingerprint) {
     key = r.str();
     value = r.u64();
@@ -829,11 +871,11 @@ WorldImage load(const std::string& path) {
   image.engine.fired = r.u64();
   image.engine.cancelled = r.u64();
   image.engine.stopped = r.b();
-  image.nodes.resize(r.u64());
+  image.nodes.resize(r.count(172)); // fixed fields of a node
   for (NodeImage& n : image.nodes) n = get_node(r);
-  image.builds.resize(r.u64());
+  image.builds.resize(r.count(45)); // index, rng, job length, running
   for (BuildImage& b : image.builds) b = get_build(r);
-  image.events.resize(r.u64());
+  image.events.resize(r.count(34)); // when, seq, flags, owner, aux
   for (EventRecord& e : image.events) {
     e.when = r.u64();
     e.seq = r.u64();
@@ -843,18 +885,18 @@ WorldImage load(const std::string& path) {
     e.build_index = r.u32();
     e.aux = r.u64();
   }
-  image.trace.ring.resize(r.u64());
+  image.trace.ring.resize(r.count(78)); // fixed fields, four empty args
   for (trace::Event& e : image.trace.ring) e = get_event(r);
   image.trace.capacity = r.u64();
   image.trace.head = r.u64();
   image.trace.dropped = r.u64();
   image.trace.recorded = r.u64();
-  image.metrics.counters.resize(r.u64());
+  image.metrics.counters.resize(r.count(16)); // name length, value
   for (auto& [name, value] : image.metrics.counters) {
     name = r.str();
     value = r.u64();
   }
-  image.metrics.histograms.resize(r.u64());
+  image.metrics.histograms.resize(r.count(584)); // name length, stats, three P2s
   for (auto& [name, h] : image.metrics.histograms) {
     name = r.str();
     h.stats = get_running_stats(r);

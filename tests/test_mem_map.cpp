@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <unordered_map>
 #include <utility>
@@ -146,6 +147,45 @@ TEST(MemMap, LinkTableSurvivesCollisionsAndRehash) {
     EXPECT_EQ(m.link(key).next, l.first);
     EXPECT_EQ(m.link(key).prev, l.second);
   }
+}
+
+TEST(MemMap, AlignedKeysMatchOrderedModelThroughRehashes) {
+  // The owners key the link table by block heads, which are aligned to
+  // their order: keys with up to nine trailing zero bits must still probe
+  // and backward-shift correctly. Grows 64 -> 4096 slots while erasing,
+  // and compares the whole table against the model after every op.
+  auto m = make(512 * MiB);
+  std::map<std::uint32_t, std::pair<std::uint32_t, std::uint32_t>> ref;
+  Rng rng(0xa11cedULL);
+  const std::uint64_t frames = m.frame_count();
+  std::size_t peak = 0;
+  for (int i = 0; i < 8'000; ++i) {
+    const unsigned order = static_cast<unsigned>(rng.uniform(10));
+    const auto key = static_cast<std::uint32_t>(rng.uniform(frames >> order) << order);
+    if (rng.uniform(100) < 65 || ref.empty()) {
+      const auto next = static_cast<std::uint32_t>(rng.next_u64());
+      const auto prev = static_cast<std::uint32_t>(rng.next_u64());
+      m.set_link(key, MemMap::Link{next, prev});
+      ref[key] = {next, prev};
+    } else {
+      // Erase the model's nearest key at or above `key` (wrapping).
+      auto it = ref.lower_bound(key);
+      if (it == ref.end()) {
+        it = ref.begin();
+      }
+      m.erase_link(it->first);
+      EXPECT_FALSE(m.has_link(it->first));
+      ref.erase(it);
+    }
+    ASSERT_EQ(m.link_count(), ref.size()) << "op " << i;
+    peak = std::max(peak, ref.size());
+    for (const auto& [k, l] : ref) {
+      ASSERT_TRUE(m.has_link(k)) << "op " << i << " key " << k;
+      ASSERT_EQ(m.link(k).next, l.first) << "op " << i << " key " << k;
+      ASSERT_EQ(m.link(k).prev, l.second) << "op " << i << " key " << k;
+    }
+  }
+  EXPECT_GE(peak, 1'434u); // past the 2048 -> 4096 rehash threshold
 }
 
 TEST(MemMap, ForEachHeadAscendingAndComplete) {

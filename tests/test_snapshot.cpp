@@ -3,12 +3,15 @@
 // restore, byte-identical procfs renderings across a capture/restore
 // round-trip, straight runs vs snapshot-resumed runs byte-identical for
 // all three managers (trace streams included), save/load file
-// round-trips, the amortized-aging sweep matching the plain batch bit
-// for bit, and deterministic time-travel: restore the capture preceding
-// a flight-recorder anomaly and single-step back to the exact event.
+// round-trips and save/load fixpoints, corrupt image files failing with
+// the loader's message, the amortized-aging sweep matching the plain
+// batch bit for bit, and deterministic time-travel: restore the capture
+// preceding a flight-recorder anomaly and single-step back to the exact
+// event.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <deque>
 #include <fstream>
 #include <string>
@@ -430,6 +433,98 @@ TEST(SnapshotSmp, CaptureCyclesInterleavedWithPcpChurnStayExact) {
   std::remove(path_b.c_str());
 }
 
+// --- the image file: save/load fixpoint and corrupt-file rejection --------
+//
+// save(load(save(img))) must reproduce save(img) byte for byte: every
+// array the serializer moves as one raw run (mem_map, buddy bitmaps,
+// page tables, SMP stamps, pcp lists, P2 markers, ...) comes back to the
+// same bytes. Each loaded world must also restore audit-clean.
+
+std::string temp_path(const std::string& stem) {
+  return ::testing::TempDir() + "hpmmap_test_" + stem + ".img";
+}
+
+/// Save, load, save again; expect identical files and hand back the
+/// loaded image.
+snapshot::WorldImage expect_save_load_fixpoint(const snapshot::WorldImage& image,
+                                               const std::string& stem) {
+  const std::string first = temp_path(stem + "_first");
+  const std::string second = temp_path(stem + "_second");
+  snapshot::save(image, first);
+  snapshot::WorldImage loaded = snapshot::load(first);
+  snapshot::save(loaded, second);
+  const std::string a = file_bytes(first);
+  const std::string b = file_bytes(second);
+  EXPECT_GT(a.size(), 0u);
+  EXPECT_TRUE(a == b) << stem << ": " << a.size() << " vs " << b.size() << " bytes";
+  std::remove(first.c_str());
+  std::remove(second.c_str());
+  return loaded;
+}
+
+class SnapshotFileFixpoint : public ::testing::TestWithParam<harness::Manager> {};
+
+TEST_P(SnapshotFileFixpoint, AgedNodeImageIsASaveLoadFixpoint) {
+  harness::SingleNodeRunConfig cfg =
+      quick("miniMD", GetParam(), workloads::profile_a(2), 2);
+  cfg.verify.audit = true;
+  const snapshot::WorldImage image = harness::capture_single_node(cfg);
+  const snapshot::WorldImage loaded =
+      expect_save_load_fixpoint(image, "fixpoint_" + std::to_string(static_cast<int>(GetParam())));
+  const harness::RunResult resumed = harness::run_single_node(cfg, loaded);
+  EXPECT_GT(resumed.audit_checks, 0u);
+  EXPECT_EQ(resumed.audit_violations, 0u) << resumed.audit_report;
+}
+
+INSTANTIATE_TEST_SUITE_P(Managers, SnapshotFileFixpoint,
+                         ::testing::Values(harness::Manager::kThp,
+                                           harness::Manager::kHugetlbfs,
+                                           harness::Manager::kHpmmap));
+
+TEST(SnapshotFileFixpointServer, CapturedServerImageIsASaveLoadFixpoint) {
+  harness::ServerRunConfig cfg;
+  cfg.manager = harness::Manager::kThp;
+  cfg.seed = 77;
+  cfg.arrival.mean_rps = 4000.0;
+  cfg.arrival.duration_seconds = 0.1;
+  cfg.service.workers = 2;
+  cfg.service.session_table_bytes = 64 * MiB;
+  cfg.service.object_count = 64;
+  cfg.commodity = workloads::profile_a(2);
+  cfg.verify.audit = true;
+  const snapshot::WorldImage image = harness::capture_server(cfg);
+  const snapshot::WorldImage loaded = expect_save_load_fixpoint(image, "fixpoint_server");
+  const harness::ServerRunResult resumed = harness::run_server(cfg, loaded);
+  EXPECT_GT(resumed.server.completed, 0u);
+  EXPECT_GT(resumed.audit_checks, 0u);
+  EXPECT_EQ(resumed.audit_violations, 0u);
+}
+
+TEST(SnapshotSmp, MidContentionImageIsASaveLoadFixpoint) {
+  sim::Engine engine;
+  os::Node node(engine, smp_node_config(47));
+  os::Process& p = node.spawn("smp", os::MmPolicy::kLinuxPlain, 0, 1.0,
+                              mm::AddressSpace::ZonePolicy::kSingle, 0);
+  std::vector<Addr> slabs;
+  for (int round = 0; round < 6; ++round) {
+    smp_churn_round(node, p, slabs, round);
+    if (::testing::Test::HasFatalFailure()) {
+      return;
+    }
+  }
+  ASSERT_GT(node.smp()->stats().total_lock_wait(), 0u);
+  ASSERT_GT(node.smp()->pcp_cached_bytes(0), 0u);
+  const snapshot::WorldImage loaded =
+      expect_save_load_fixpoint(snapshot::capture_world(engine, {&node}), "fixpoint_smp");
+
+  sim::Engine engine2;
+  os::Node node2(engine2, smp_node_config(47));
+  snapshot::restore_world(loaded, engine2, {&node2});
+  const verify::AuditReport report = verify::MmAuditor(node2).run();
+  EXPECT_GT(report.checks, 0u);
+  EXPECT_TRUE(report.ok()) << report.summary();
+}
+
 // --- causal spans ----------------------------------------------------------
 
 // Snapshot format v3: the flight-recorder image carries each event's
@@ -500,6 +595,91 @@ TEST(SnapshotSweep, SnapshottedTrialsMatchPlainBatchBitForBit) {
   expect_points_equal(plain, snap);
   // Parallel fan-out folds identically too (the BatchRunner contract).
   expect_points_equal(plain, harness::run_trials_snapshotted(configs, 2, /*jobs=*/4));
+}
+
+// --- corrupt image files ----------------------------------------------------
+//
+// The loader trusts nothing it reads: a file cut off anywhere, or a
+// length word far larger than the bytes that follow, must fail with the
+// loader's own message — never wrap a bounds check, never try to
+// allocate terabytes, never escape as a C++ exception.
+
+class SnapshotFileDeathTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    sim::Engine engine;
+    os::Node node(engine, node_config(5, /*aged=*/false));
+    image_ = snapshot::capture_world(engine, {&node});
+    // Per-test file names: ctest runs these cases concurrently.
+    path_ = temp_path(std::string("corrupt_") +
+                      ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    snapshot::save(image_, path_);
+    bytes_ = file_bytes(path_);
+    ASSERT_GT(bytes_.size(), 64u);
+  }
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  void write(const std::string& bytes) const {
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  /// The image with the u64 at `offset` replaced by `value`.
+  [[nodiscard]] std::string with_word(std::size_t offset, std::uint64_t value) const {
+    std::string b = bytes_;
+    std::memcpy(b.data() + offset, &value, sizeof value);
+    return b;
+  }
+  /// Offset of the first zone's mem_map meta length: the u64 holding
+  /// meta.size() directly followed by the meta bytes themselves.
+  [[nodiscard]] std::size_t meta_length_offset() const {
+    const std::vector<std::uint8_t>& meta = image_.nodes.at(0).memory.zones.at(0).buddy.map.meta;
+    std::string needle(sizeof(std::uint64_t), '\0');
+    const std::uint64_t n = meta.size();
+    std::memcpy(needle.data(), &n, sizeof n);
+    needle.append(reinterpret_cast<const char*>(meta.data()), 64);
+    const std::size_t at = bytes_.find(needle);
+    EXPECT_NE(at, std::string::npos);
+    return at;
+  }
+
+  snapshot::WorldImage image_;
+  std::string bytes_;
+  std::string path_;
+};
+
+TEST_F(SnapshotFileDeathTest, CutOffImagesFailWithTheLoaderMessage) {
+  const std::size_t meta = meta_length_offset();
+  for (const std::size_t cut : {std::size_t{0}, std::size_t{3}, std::size_t{6}, std::size_t{12},
+                                std::size_t{21}, meta + 4, meta + 8 + 1000,
+                                bytes_.size() / 2, bytes_.size() - 1}) {
+    write(bytes_.substr(0, cut));
+    EXPECT_DEATH((void)snapshot::load(path_), "snapshot: truncated image file")
+        << "cut at " << cut << " of " << bytes_.size();
+  }
+}
+
+TEST_F(SnapshotFileDeathTest, OversizedLengthWordsFailWithTheLoaderMessage) {
+  // Header: magic u32, version u32, fingerprint count u64 at 8, then the
+  // first fingerprint key's string length at 16.
+  const std::size_t meta = meta_length_offset();
+  const std::size_t length_words[] = {8, 16, meta, meta + 8 + image_.nodes.at(0)
+                                                                   .memory.zones.at(0)
+                                                                   .buddy.map.meta.size()};
+  for (const std::size_t at : length_words) {
+    for (const std::uint64_t bogus : {std::uint64_t{1} << 62, ~std::uint64_t{0} - 3}) {
+      write(with_word(at, bogus));
+      EXPECT_DEATH((void)snapshot::load(path_), "snapshot: truncated image file")
+          << "length word at " << at << " set to " << bogus;
+    }
+  }
+}
+
+TEST_F(SnapshotFileDeathTest, OlderImageVersionIsRefused) {
+  std::string b = bytes_;
+  const std::uint32_t v3 = 3;
+  std::memcpy(b.data() + 4, &v3, sizeof v3);
+  write(b);
+  EXPECT_DEATH((void)snapshot::load(path_), "snapshot: unsupported image version");
 }
 
 // --- time travel -----------------------------------------------------------
