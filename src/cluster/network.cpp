@@ -63,11 +63,6 @@ double allreduce_seconds(const EthernetSpec& spec, Topology topology,
   return 0.0;
 }
 
-Cycles min_cross_node_latency(const EthernetSpec& spec, double clock_hz) {
-  const auto cycles = static_cast<Cycles>(spec.latency_seconds * clock_hz);
-  return cycles > 0 ? cycles : 1;
-}
-
 workloads::CommModel ethernet_comm(const EthernetSpec& spec, double clock_hz,
                                    std::uint32_t node_count, Rng rng,
                                    Topology topology) {

@@ -67,11 +67,6 @@ inline constexpr std::uint32_t kSwitchRadix = 32;
 [[nodiscard]] double allreduce_seconds(const EthernetSpec& spec, Topology topology,
                                        std::uint32_t node_count);
 
-/// The smallest cross-node interaction delay the model can produce: the
-/// wire latency of one message. This is the PDES lookahead — no event
-/// on node A can affect node B sooner than this.
-[[nodiscard]] Cycles min_cross_node_latency(const EthernetSpec& spec, double clock_hz);
-
 /// Communication model for a job spanning `node_count` nodes:
 /// allreduce rounds per the topology (see allreduce_seconds) plus the
 /// intra-node shared-memory part; halo exchange pays bytes/bw once.

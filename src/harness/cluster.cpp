@@ -227,9 +227,9 @@ RunResult measure_cluster(ClusterWorld& w) {
 
   // Rendezvous loop: run every engine to its local barrier arrival (the
   // hook stops it), resolve the global barrier single-threaded, repeat.
-  // No cross-engine message ever lands behind a destination clock: the
-  // release time T + comm is >= the max arrival T >= every local clock
-  // (the coordinator asserts this on each delivery regardless).
+  // No release ever lands behind a node's clock: the release time
+  // T + comm is >= the max arrival T >= every local clock (and the
+  // engine's schedule_at asserts this on every release regardless).
   while (true) {
     w.coord.run_phase();
     bool all_arrived = true;

@@ -783,10 +783,32 @@ struct Access {
                   "snapshot: engine holds events no owner accounted for");
   }
 
+  /// Whether the owner a record names exists in the target world. The
+  /// indices come from the image file, which the fingerprint does not cover.
+  static bool owner_exists(const EventRecord& r, const std::vector<os::Node*>& nodes,
+                           const std::vector<BuildRef>& builds) {
+    switch (r.kind) {
+      case EventKind::kKswapd:
+        return r.node_index < nodes.size();
+      case EventKind::kThpScan:
+      case EventKind::kThpWake:
+      case EventKind::kThpCollapse:
+      case EventKind::kThpMerge:
+        return r.node_index < nodes.size() && nodes[r.node_index]->thp_ != nullptr;
+      case EventKind::kBuildSpawn:
+      case EventKind::kBuildStep:
+        return r.build_index < builds.size() &&
+               r.aux < builds[r.build_index].build->jobs_.size();
+    }
+    return false; // not a known EventKind
+  }
+
   static void rearm_events(const WorldImage& img, sim::Engine& e,
                            const std::vector<os::Node*>& nodes,
                            const std::vector<BuildRef>& builds) {
     for (const EventRecord& r : img.events) {
+      HPMMAP_ASSERT(owner_exists(r, nodes, builds),
+                    "snapshot: event record names an unknown owner");
       switch (r.kind) {
         case EventKind::kKswapd: {
           os::Node* n = nodes[r.node_index];

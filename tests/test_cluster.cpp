@@ -1,7 +1,7 @@
 // PDES cluster harness correctness (DESIGN.md §13). The headline
-// checks: conservative-window message delivery exactly at the horizon
-// edge; the nodes=1 bridge — run_cluster byte-identical to run_scaling,
-// trace stream included; the --cluster-jobs determinism contract (any
+// checks: per-group work on the pool runs inside its hooks; the nodes=1
+// bridge — run_cluster byte-identical to run_scaling, trace stream
+// included; the --cluster-jobs determinism contract (any
 // worker count byte-identical, exporters included) across a
 // nodes × managers matrix; multi-node runtime/fault tables matching the
 // shared-engine path; and the topology cost model (flat reproduces the
@@ -11,7 +11,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,56 +25,6 @@
 
 namespace hpmmap {
 namespace {
-
-// --- conservative window loop ---------------------------------------------
-
-TEST(Lookahead, DeliversMessageExactlyAtTheHorizonEdge) {
-  // A message stamped send-time + lookahead lands exactly on the first
-  // window's inclusive end: legal (the soundness bound is >=, not >) and
-  // it must fire inside that window, not one window late.
-  sim::Engine a;
-  sim::Engine b;
-  sim::ParallelCoordinator coord(1);
-  coord.add_group(a);
-  coord.add_group(b);
-
-  cluster::EthernetSpec eth;
-  const double clock_hz = 2.2e9;
-  const Cycles lookahead = cluster::min_cross_node_latency(eth, clock_hz);
-  ASSERT_GT(lookahead, 0u);
-
-  std::vector<Cycles> fired;
-  a.schedule_at(Cycles{100}, [&] {
-    coord.post(1, Cycles{100} + lookahead, [&] { fired.push_back(b.now()); });
-  });
-  b.schedule_at(Cycles{100} + 2 * lookahead, [&] { fired.push_back(b.now()); });
-
-  coord.run_lookahead(lookahead);
-  ASSERT_EQ(fired.size(), 2u);
-  EXPECT_EQ(fired[0], Cycles{100} + lookahead);
-  EXPECT_EQ(fired[1], Cycles{100} + 2 * lookahead);
-}
-
-TEST(Lookahead, ChainedMessagesRespectEveryDestinationClock) {
-  // Ping-pong at exactly the lookahead bound for several rounds; the
-  // coordinator's per-delivery assert is the real check here.
-  sim::Engine a;
-  sim::Engine b;
-  sim::ParallelCoordinator coord(2);
-  coord.add_group(a);
-  coord.add_group(b);
-  const Cycles L = 1000;
-  int volleys = 0;
-  std::function<void(std::size_t, Cycles)> volley = [&](std::size_t dst, Cycles when) {
-    ++volleys;
-    if (volleys < 8) {
-      coord.post(1 - dst, when + L, [&, dst, when] { volley(1 - dst, when + L); });
-    }
-  };
-  a.schedule_at(Cycles{50}, [&] { volley(0, Cycles{50}); });
-  coord.run_lookahead(L);
-  EXPECT_EQ(volleys, 8);
-}
 
 // --- per-group work on the pool ---------------------------------------------
 

@@ -10,6 +10,7 @@
 // event.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -29,6 +30,7 @@
 #include "trace/export.hpp"
 #include "trace/trace.hpp"
 #include "verify/audit.hpp"
+#include "workloads/kernel_build.hpp"
 
 namespace hpmmap {
 namespace {
@@ -609,7 +611,14 @@ class SnapshotFileDeathTest : public ::testing::Test {
   void SetUp() override {
     sim::Engine engine;
     os::Node node(engine, node_config(5, /*aged=*/false));
+    node.spawn("victim", os::MmPolicy::kLinuxThp, 0, 1.0, mm::AddressSpace::ZonePolicy::kSingle,
+               0);
     image_ = snapshot::capture_world(engine, {&node});
+    // A marker event first in the ring, so its count word can be found.
+    trace::Event marker;
+    marker.ts = 0x0123456789abcdef;
+    marker.dur = 0x0fedcba987654321;
+    image_.trace.ring.insert(image_.trace.ring.begin(), marker);
     // Per-test file names: ctest runs these cases concurrently.
     path_ = temp_path(std::string("corrupt_") +
                       ::testing::UnitTest::GetInstance()->current_test_info()->name());
@@ -629,17 +638,37 @@ class SnapshotFileDeathTest : public ::testing::Test {
     std::memcpy(b.data() + offset, &value, sizeof value);
     return b;
   }
-  /// Offset of the first zone's mem_map meta length: the u64 holding
-  /// meta.size() directly followed by the meta bytes themselves.
-  [[nodiscard]] std::size_t meta_length_offset() const {
-    const std::vector<std::uint8_t>& meta = image_.nodes.at(0).memory.zones.at(0).buddy.map.meta;
-    std::string needle(sizeof(std::uint64_t), '\0');
-    const std::uint64_t n = meta.size();
-    std::memcpy(needle.data(), &n, sizeof n);
-    needle.append(reinterpret_cast<const char*>(meta.data()), 64);
-    const std::size_t at = bytes_.find(needle);
+  /// Offset of the u64 `word` where the bytes `next` directly follow it.
+  [[nodiscard]] std::size_t find_word(std::uint64_t word, const std::string& next) const {
+    std::string needle(sizeof word, '\0');
+    std::memcpy(needle.data(), &word, sizeof word);
+    const std::size_t at = bytes_.find(needle + next);
     EXPECT_NE(at, std::string::npos);
     return at;
+  }
+  template <typename T>
+  static std::string raw(const T& v) {
+    return std::string(reinterpret_cast<const char*>(&v), sizeof v);
+  }
+  /// The first zone's mem_map meta length, followed by the meta bytes.
+  [[nodiscard]] std::size_t meta_length_offset() const {
+    const std::vector<std::uint8_t>& meta = image_.nodes.at(0).memory.zones.at(0).buddy.map.meta;
+    return find_word(meta.size(), std::string(reinterpret_cast<const char*>(meta.data()), 64));
+  }
+  /// The node count, followed by the first node's RNG state.
+  [[nodiscard]] std::size_t node_count_offset() const {
+    return find_word(image_.nodes.size(), raw(image_.nodes.at(0).rng));
+  }
+  /// The process count, followed by the first process's pid and name.
+  [[nodiscard]] std::size_t process_count_offset() const {
+    const snapshot::ProcessImage& p = image_.nodes.at(0).processes.at(0);
+    return find_word(image_.nodes.at(0).processes.size(),
+                     raw(p.pid) + raw(std::uint64_t{p.name.size()}) + p.name);
+  }
+  /// The trace ring's count, followed by the marker's timestamps.
+  [[nodiscard]] std::size_t ring_count_offset() const {
+    const trace::Event& marker = image_.trace.ring.at(0);
+    return find_word(image_.trace.ring.size(), raw(marker.ts) + raw(marker.dur));
   }
 
   snapshot::WorldImage image_;
@@ -660,11 +689,18 @@ TEST_F(SnapshotFileDeathTest, CutOffImagesFailWithTheLoaderMessage) {
 
 TEST_F(SnapshotFileDeathTest, OversizedLengthWordsFailWithTheLoaderMessage) {
   // Header: magic u32, version u32, fingerprint count u64 at 8, then the
-  // first fingerprint key's string length at 16.
+  // first fingerprint key's string length at 16. Then number arrays (the
+  // meta run, the shared link-slot length) and lists of records (nodes,
+  // one node's processes, the trace ring), whose unit is derived.
   const std::size_t meta = meta_length_offset();
-  const std::size_t length_words[] = {8, 16, meta, meta + 8 + image_.nodes.at(0)
-                                                                   .memory.zones.at(0)
-                                                                   .buddy.map.meta.size()};
+  const std::size_t length_words[] = {
+      8,
+      16,
+      meta,
+      meta + 8 + image_.nodes.at(0).memory.zones.at(0).buddy.map.meta.size(),
+      node_count_offset(),
+      process_count_offset(),
+      ring_count_offset()};
   for (const std::size_t at : length_words) {
     for (const std::uint64_t bogus : {std::uint64_t{1} << 62, ~std::uint64_t{0} - 3}) {
       write(with_word(at, bogus));
@@ -680,6 +716,261 @@ TEST_F(SnapshotFileDeathTest, OlderImageVersionIsRefused) {
   std::memcpy(b.data() + 4, &v3, sizeof v3);
   write(b);
   EXPECT_DEATH((void)snapshot::load(path_), "snapshot: unsupported image version");
+}
+
+// An event record's owner indices come from the file, and the fingerprint
+// does not cover them: restore must refuse a record naming a node, build
+// or job slot the target world does not have, not index past a vector.
+TEST(SnapshotRestoreDeathTest, EventRecordWithAnUnknownOwnerIsRefused) {
+  for (const bool build_step : {false, true}) {
+    sim::Engine engine;
+    os::Node node(engine, node_config(5, /*aged=*/false));
+    workloads::KernelBuildConfig bc;
+    bc.jobs = 2;
+    workloads::KernelBuild build(node, bc, Rng(3));
+    build.start();
+    engine.run_until(node.spec().cycles(0.5));
+    snapshot::WorldImage image = snapshot::capture_world(engine, {&node}, {{&build, 0}});
+    build.stop();
+    // A node-owned record (kswapd or khugepaged), or a live job's step.
+    const auto it = std::find_if(image.events.begin(), image.events.end(),
+                                 [build_step](const snapshot::EventRecord& r) {
+                                   return build_step ? r.kind == snapshot::EventKind::kBuildStep
+                                                     : r.kind < snapshot::EventKind::kBuildSpawn;
+                                 });
+    ASSERT_NE(it, image.events.end());
+    if (build_step) {
+      it->aux = image.builds.at(0).jobs.size();
+    } else {
+      it->node_index = static_cast<std::uint32_t>(image.nodes.size());
+    }
+    const std::string path = temp_path(build_step ? "bad_job_slot" : "bad_node_index");
+    snapshot::save(image, path);
+    const snapshot::WorldImage loaded = snapshot::load(path);
+    std::remove(path.c_str());
+
+    sim::Engine target_engine;
+    os::Node target(target_engine, node_config(5, /*aged=*/false));
+    workloads::KernelBuild target_build(target, bc, Rng(3));
+    EXPECT_DEATH(
+        snapshot::restore_world(loaded, target_engine, {&target}, {{&target_build, 0}}),
+        "snapshot: event record names an unknown owner")
+        << (build_step ? "job slot" : "node index");
+  }
+}
+
+// --- the v4 byte layout -----------------------------------------------------
+//
+// The fixpoint tests prove that save and load agree with each other; a
+// change that reordered a field in both would still pass them. This
+// image is built by hand, never captured, so simulator changes cannot
+// move it: every list holds one or two entries, every has_* branch is
+// on, and the trace event carries one argument of each kind. Its saved
+// bytes are pinned in tests/golden/snapshot_v4_small.hex. A deliberate
+// format change bumps kVersion and records a new golden.
+
+snapshot::WorldImage hand_built_image() {
+  using namespace snapshot;
+  WorldImage w;
+  w.fingerprint = {{"nodes", 1}, {"zones", 1}};
+  w.engine = {.now = 5000, .next_seq = 9, .fired = 7, .cancelled = 1, .stopped = true};
+
+  NodeImage n;
+  n.rng = {1, 2, 3, 4};
+  n.scheduler.threads = {{.core = 2, .weight = 1.5, .gen = 3, .live = true}};
+  n.scheduler.free_slots = {4};
+  n.scheduler.live_count = 1;
+  n.scheduler.pinned_weight = {0.0, 0.0, 1.5};
+  n.scheduler.unpinned_weight = 0.25;
+  n.bw.entries = {{.consumer = 1, .zone = 0, .demand = 2.5}};
+  n.bw.zone_demand = {2.5};
+  n.bw.capacity = 10.0;
+  n.bw.next_id = 2;
+
+  ZoneImage z;
+  z.buddy.range = {0x10000, 0x90000};
+  z.buddy.max_order = 10;
+  z.buddy.free_bytes = 0x8000;
+  z.buddy.lists = {{.bits = {0x5, 0x0}, .summary = {0x1}, .count = 2, .scan_hint = 1}};
+  z.buddy.map.range = {0x10000, 0x90000};
+  z.buddy.map.meta = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+  z.buddy.map.slot_key = {0xffffffff, 3};
+  z.buddy.map.slot_next = {0xffffffff, 0xfffffffe};
+  z.buddy.map.slot_prev = {0xffffffff, 0xfffffffd};
+  z.buddy.map.link_count = 1;
+  z.buddy.corrupt_blocks = {{.addr = 0x20000, .order = 1}};
+  z.buddy.stats = {.allocs = 11, .frees = 12, .split_steps = 13, .merge_steps = 14,
+                   .failed_allocs = 15};
+  z.cache = {.head = 3, .tail = 4, .count = 2, .cached_bytes = 0x2000, .free_floor = 0x1000,
+             .dirty_fraction = 0.125, .grow_count = 6};
+  z.online_bytes = 0x80000;
+  z.compact_cursor = 0x30000;
+  z.compact_defer = 2;
+  n.memory.rng = {5, 6, 7, 8};
+  n.memory.zones = {z};
+
+  n.has_hugetlb = true;
+  n.hugetlb.pool = {{.head = 1, .count = 2}};
+  n.hugetlb.total = {4};
+  n.hugetlb.stats = {.pool_pages_total = 4, .faults_served = 2, .pool_exhausted = 1};
+
+  n.has_module = true;
+  n.module.rng = {9, 10, 11, 12};
+  n.module.offlined = {{Range{0x40000, 0x60000}}};
+  BuddyImage kitten;
+  kitten.range = {0x40000, 0x60000};
+  kitten.max_order = 9;
+  kitten.map.meta = {7};
+  kitten.map.slot_key = {0xffffffff};
+  kitten.map.slot_next = {0xffffffff};
+  kitten.map.slot_prev = {0xffffffff};
+  n.module.kitten_zones = {{kitten}};
+  n.module.kitten_stats = {.allocs = 21, .frees = 22, .failed = 23};
+  n.module.registry_slots = {{.state = 1, .pid = 1001, .context = 0}};
+  n.module.registry_size = 1;
+  n.module.registry_tombstones = 0;
+  n.module.contexts = {{.pid = 1001, .vmas = {}, .mmap_cursor = 0x50000, .heap_base = 0x44000,
+                        .heap_break = 0x46000, .live = true}};
+  n.module.stats.registered = 1;
+
+  n.has_thp = true;
+  n.thp.processes = {1000};
+  n.thp.enter_queue = {{.pid = 1000, .addr = 0x200000}};
+  n.thp.inflight = {{.pid = 1000, .addr = 0x400000}};
+  n.thp.scan_rr = 1;
+  n.thp.scan_cursor = 0x600000;
+  n.thp.scan_period = 100;
+  n.thp.last_scan = 4000;
+  n.thp.running = true;
+  n.thp.pending_collapses = {
+      {.token = 1, .pid = 1000, .region = 0x200000, .mapped_small = 3}};
+  n.thp.pending_merges = {{.token = 2, .pid = 1000, .region = 0x400000, .huge_phys = 0x70000}};
+  n.thp.next_token = 3;
+  n.thp.stats.merges_completed = 5;
+
+  n.has_smp = true;
+  n.smp.zone_lock_free_at = {11};
+  n.smp.cpu_stall = {12, 13};
+  n.smp.mms = {{.pid = 1000, .writer_free_at = 14, .readers_free_at = 15,
+                .pt_shard_free_at = {16}, .pending_shootdown_pages = 2}};
+  n.smp.pcp = {{0x31000, 0x32000}, {}};
+  n.smp.stats.zone_lock_wait = 17;
+
+  ProcessImage app;
+  app.pid = 1000;
+  app.name = "app";
+  app.policy = 1;
+  app.as.pid = 1000;
+  app.as.pt.slots = {0x8000000000000003, 0};
+  app.as.pt.used = {1};
+  app.as.pt.free_nodes = {1};
+  app.as.pt.mix = {.bytes_4k = 0x1000, .bytes_2m = 0x200000, .bytes_1g = 0};
+  app.as.pt.table_pages = 2;
+  app.as.heap_base = 0x100000;
+  app.as.heap_end = 0x180000;
+  app.as.locked_until = 42;
+  app.as.swapped = {0x140000};
+  app.as.zone_policy = 0;
+  app.as.home_zone = 0;
+  app.as.zone_count = 1;
+  app.core = 0;
+  app.sched_id = 0;
+  app.sched_gen = 3;
+  app.fault_stats.record(mm::FaultKind::kSmall, 900);
+  app.alive = true;
+  ProcessImage hpc = app;
+  hpc.pid = 1001;
+  hpc.name = "hpc";
+  hpc.policy = 3;
+  hpc.as.pid = 1001;
+  hpc.as.swapped = {};
+  hpc.core = -1;
+  hpc.alive = false;
+  n.processes = {app, hpc};
+  n.next_pid = 1002;
+  n.anon_lru = {{.pid = 1000, .addr = 0x140000}};
+  n.swapped_out_total = 1;
+  w.nodes = {n};
+
+  BuildImage b;
+  b.node_index = 0;
+  b.rng = {13, 14, 15, 16};
+  b.jobs = {{.blocks = {{.zone = 0, .addr = 0x50000, .order = 2}}, .sched_id = 1,
+             .sched_gen = 4, .bw_id = 1, .home = 0, .phase = 2, .live = true}};
+  b.stats = {.jobs_completed = 3, .alloc_failures = 1, .bytes_churned = 0x10000};
+  b.running = true;
+  w.builds = {b};
+
+  w.events = {{.when = 6000, .seq = 8, .daemon = true, .kind = EventKind::kBuildStep,
+               .node_index = 0, .build_index = 0, .aux = 0}};
+
+  trace::Event e;
+  e.ts = 4500;
+  e.dur = 20;
+  e.event_name = "golden.event";
+  e.cat = trace::Category::kThp;
+  e.phase = trace::Phase::kComplete;
+  e.pid = 1000;
+  e.core = 1;
+  e.span = 9;
+  e.arg_count = 4;
+  e.args[0].name = "none";
+  e.args[1] = trace::Arg::u64("pages", 512);
+  e.args[2] = trace::Arg::f64("ratio", 0.75);
+  e.args[3] = trace::Arg::str("why", "merge");
+  w.trace.ring = {e};
+  w.trace.capacity = 8;
+  w.trace.head = 1;
+  w.trace.dropped = 0;
+  w.trace.recorded = 1;
+
+  w.metrics.counters = {{"faults", 3}};
+  HistogramImage h;
+  h.stats = {.n = 2, .mean = 1.5, .m2 = 0.5, .min = 1.0, .max = 2.0, .sum = 3.0};
+  h.p50 = {.q = 0.5, .n = 2, .heights = {1.0, 2.0}, .positions = {1.0, 2.0, 3.0, 4.0, 5.0},
+           .desired = {1.0, 2.0, 3.0, 4.0, 5.0}, .increments = {0.0, 0.25, 0.5, 0.75, 1.0}};
+  h.p95 = h.p50;
+  h.p95.q = 0.95;
+  h.p99 = h.p50;
+  h.p99.q = 0.99;
+  w.metrics.histograms = {{"latency", h}};
+
+  w.injector.plan.points[0].first = 3;
+  w.injector.stats[1] = {.calls = 4, .fired = 1};
+  w.injector.rng = {17, 18, 19, 20};
+  w.injector.armed = true;
+  return w;
+}
+
+/// Lower-case hex, 32 bytes to a line.
+std::string to_hex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    const auto c = static_cast<unsigned char>(bytes[i]);
+    out += kDigits[c >> 4];
+    out += kDigits[c & 0xf];
+    if (i % 32 == 31 || i + 1 == bytes.size()) {
+      out += '\n';
+    }
+  }
+  return out;
+}
+
+TEST(SnapshotFileFormat, HandBuiltImageMatchesTheV4Bytes) {
+  const std::string path = temp_path("v4_layout");
+  snapshot::save(hand_built_image(), path);
+  const std::string saved = to_hex(file_bytes(path));
+  const std::string golden = file_bytes(HPMMAP_GOLDEN_DIR "/snapshot_v4_small.hex");
+  if (saved != golden) {
+    const std::string actual = temp_path("v4_layout_actual") + ".hex";
+    std::ofstream(actual, std::ios::binary) << saved;
+    ADD_FAILURE() << "saved bytes differ from the v4 golden; they are in " << actual;
+  }
+  // The loader reads the pinned bytes back to the same image.
+  snapshot::save(snapshot::load(path), path);
+  EXPECT_EQ(to_hex(file_bytes(path)), golden);
+  std::remove(path.c_str());
 }
 
 // --- time travel -----------------------------------------------------------
