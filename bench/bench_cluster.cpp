@@ -4,13 +4,11 @@
 //   sequential (one worker) vs parallel (--jobs workers, default eight)
 //   wall-time at 256 ranks (64 nodes), the Figure-8-shaped
 //   HPMMAP-vs-THP point at 1024 ranks (256 nodes), and the determinism
-//   spot check (worker count invariance plus table equality against
-//   the shared-engine run_scaling path at 8 nodes).
+//   spot check (worker-count invariance at 8 and 64 nodes).
 //
 // `deterministic_match` flipping to false fails the bench directly on
-// any machine. A speedup measured with fewer hardware threads than
-// workers is scheduler noise, not parallelism: it is recorded as
-// `null` (bench_diff then neither compares nor gates it). The >= 3x
+// any machine. A speedup is recorded as `null` unless
+// bench::speedup_measured() holds for the worker count. The >= 3x
 // floor at 256 ranks applies only to a recorded speedup with at least
 // eight workers. `thp_over_hpmmap_*` keys are gated: the paper's
 // headline ordering (THP slower than HPMMAP at scale) must survive any
@@ -21,7 +19,6 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -85,11 +82,10 @@ std::string num(double v) {
 int main(int argc, char** argv) {
   const bench::BenchOptions opt = bench::parse_options(argc, argv);
   bench::print_mode(opt, "PDES cluster: per-node engines vs sequential, 256/1024 ranks");
-  const unsigned hw = std::thread::hardware_concurrency();
+  const unsigned hw = harness::hardware_jobs();
   const unsigned workers = opt.jobs != 0 ? opt.jobs : 8;
 
-  // Determinism spot check at 8 nodes: worker-count invariance of the
-  // PDES path, and table equality against the shared-engine path.
+  // Determinism spot check at 8 nodes: worker-count invariance.
   bool match = true;
   {
     const harness::ClusterRunConfig c1 =
@@ -98,10 +94,8 @@ int main(int argc, char** argv) {
     cN.cluster_jobs = workers;
     const harness::RunResult r1 = harness::run_cluster(c1);
     const harness::RunResult rN = harness::run_cluster(cN);
-    const harness::RunResult shared = harness::run_scaling(c1.scaling);
-    match = tables_equal(r1, rN) && r1.events_fired == rN.events_fired &&
-            tables_equal(r1, shared);
-    std::printf("determinism: jobs=1 vs jobs=%u vs shared engine at 8 nodes: %s\n", workers,
+    match = tables_equal(r1, rN) && r1.events_fired == rN.events_fired;
+    std::printf("determinism: jobs=1 vs jobs=%u at 8 nodes: %s\n", workers,
                 match ? "identical" : "DIVERGED");
   }
 
@@ -118,13 +112,12 @@ int main(int argc, char** argv) {
   const double par_wall = timed_run(par256, &par_result);
   std::printf("256 ranks, %u workers: %.3f s wall\n", workers, par_wall);
   const double speedup = par_wall > 0 ? seq_wall / par_wall : 0.0;
-  const bool speedup_measured = hw >= workers;
+  const bool measured = bench::speedup_measured(workers);
   match = match && tables_equal(seq_result, par_result);
   std::printf("speedup: %.2fx on %u hardware thread(s)%s, identical=%s\n", speedup, hw,
-              speedup_measured ? "" : " (fewer threads than workers: recorded as null)",
-              match ? "yes" : "NO");
+              measured ? "" : " (not a measurement: recorded as null)", match ? "yes" : "NO");
 
-  // 1024 ranks: the Figure 8 cell the shared engine can't reach in
+  // 1024 ranks: the Figure 8 cell a sequential schedule can't reach in
   // reasonable time — HPMMAP vs THP at 256 nodes, fat-tree collectives
   // (a single flat switch would be dishonest at this scale).
   const std::uint32_t trials_1024 = opt.full ? 3 : 1;
@@ -146,7 +139,7 @@ int main(int argc, char** argv) {
   j += "  \"wall_seconds_256ranks_seq\": " + num(seq_wall) + ",\n";
   j += "  \"wall_seconds_256ranks_jobs8\": " + num(par_wall) + ",\n";
   j += "  \"parallel_workers\": " + std::to_string(workers) + ",\n";
-  j += "  \"speedup\": " + (speedup_measured ? num(speedup) : std::string("null")) + ",\n";
+  j += "  \"speedup\": " + (measured ? num(speedup) : std::string("null")) + ",\n";
   j += "  \"ranks_1024_hpmmap_mean_s\": " + num(hpmmap_pt.mean_seconds) + ",\n";
   j += "  \"ranks_1024_hpmmap_stdev_s\": " + num(hpmmap_pt.stdev_seconds) + ",\n";
   j += "  \"ranks_1024_thp_mean_s\": " + num(thp_pt.mean_seconds) + ",\n";
@@ -159,10 +152,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!match) {
-    std::printf("FAIL: parallel cluster run diverged from the sequential/shared path\n");
+    std::printf("FAIL: parallel cluster run diverged from the sequential run\n");
     return 1;
   }
-  if (speedup_measured && workers >= 8 && speedup < 3.0) {
+  if (measured && workers >= 8 && speedup < 3.0) {
     std::printf("FAIL: PDES speedup under 3x (%.2fx) with %u workers on %u hardware threads\n",
                 speedup, workers, hw);
     return 1;

@@ -12,8 +12,7 @@
 //   BENCH_batch.json — wall-time of a Figure-8-shaped sweep (2 managers
 //   x 4 trials of 8-node HPCCG under profile C) through the batch runner
 //   at --jobs 1 vs --jobs N, with a byte-identity self-check on the two
-//   result sets. On a single-hardware-thread host the speedup honestly
-//   reports ~1x; the `hardware_concurrency` field says why.
+//   result sets; `speedup` is null unless bench::speedup_measured(jobs).
 //
 // Usage: bench_engine_throughput [--full] [--jobs N] [--out-dir DIR]
 #include <chrono>
@@ -322,7 +321,8 @@ int main(int argc, char** argv) {
   bj += "  \"wall_seconds_jobs1\": " + num(serial.wall_seconds) + ",\n";
   bj += "  \"wall_seconds_jobsN\": " + num(par.wall_seconds) + ",\n";
   bj += "  \"jobs\": " + std::to_string(jobs) + ",\n";
-  bj += "  \"speedup\": " + num(speedup) + ",\n";
+  bj += "  \"speedup\": " +
+        (bench::speedup_measured(jobs) ? num(speedup) : std::string("null")) + ",\n";
   bj += "  \"hardware_concurrency\": " + std::to_string(harness::hardware_jobs()) +
         ",\n";
   bj += std::string("  \"deterministic_match\": ") + (match ? "true" : "false") +

@@ -81,6 +81,13 @@ inline bool write_bench_json(const BenchOptions& opt, const std::string& name,
   return true;
 }
 
+/// A serial-vs-parallel speedup measures parallelism only with >= 2
+/// workers and at least that many hardware threads; benches record any
+/// other as `null`, which bench_diff neither compares nor gates.
+inline bool speedup_measured(unsigned workers) {
+  return workers >= 2 && harness::hardware_jobs() >= workers;
+}
+
 inline void print_mode(const BenchOptions& opt, const char* what) {
   std::printf("== %s ==\n", what);
   std::printf("mode: %s (footprint x%.2f, duration x%.2f, %u trials, %u jobs)\n\n",

@@ -8,32 +8,17 @@
 // smaller variance — single-node memory-management noise amplifies
 // through the per-iteration barrier as node count grows.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "harness/cluster.hpp"
 #include "harness/experiment.hpp"
 #include "harness/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace hpmmap;
   const bench::BenchOptions opt = bench::parse_options(argc, argv);
-  // --cluster-jobs N switches the sweep to the PDES path: per-node
-  // engines driven by N workers (0 = all hardware threads). The tables
-  // match the shared-engine sweep — see test_cluster.cpp.
-  int cluster_jobs = -1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--cluster-jobs") == 0 && i + 1 < argc) {
-      cluster_jobs = std::atoi(argv[++i]);
-    }
-  }
   bench::print_mode(opt, "Figure 8: scaling runtimes (profiles C and D, 1GbE cluster)");
-  if (cluster_jobs >= 0) {
-    std::printf("engine: PDES per-node engines, %d worker(s)\n", cluster_jobs);
-  }
 
   const char* apps[] = {"HPCCG", "miniFE", "LAMMPS"};
   const std::uint32_t node_counts[] = {1, 2, 4, 8};
@@ -67,17 +52,8 @@ int main(int argc, char** argv) {
       }
     }
   }
-  std::vector<harness::SeriesPoint> points;
-  if (cluster_jobs >= 0) {
-    for (const harness::ScalingRunConfig& cfg : cfgs) {
-      harness::ClusterRunConfig ccfg;
-      ccfg.scaling = cfg;
-      ccfg.cluster_jobs = static_cast<unsigned>(cluster_jobs);
-      points.push_back(harness::run_cluster_trials(ccfg, trials));
-    }
-  } else {
-    points = harness::run_trials_snapshotted(cfgs, trials, opt.jobs);
-  }
+  const std::vector<harness::SeriesPoint> points =
+      harness::run_trials_snapshotted(cfgs, trials, opt.jobs);
 
   std::size_t ci = 0;
   for (const char* app : apps) {

@@ -10,6 +10,7 @@
 // isolation keeps both the mean and the spread nearly flat.
 #include <cstdio>
 
+#include "harness/batch.hpp"
 #include "harness/experiment.hpp"
 #include "harness/table.hpp"
 

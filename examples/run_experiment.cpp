@@ -18,6 +18,7 @@
 // OpenMetrics text + CSV twin on disk, and Perfetto counter tracks
 // spliced into the --trace-out JSON when both are given. --procfs-dump
 // prints the kernel-style /proc view of every node at run end.
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -56,10 +57,10 @@ using namespace hpmmap;
       "  --profile P      none | A | B (single node) | C | D (cluster) (default A)\n"
       "  --cores N        app cores on the single node              (default 8)\n"
       "  --nodes N        cluster nodes; >1 selects the 1GbE testbed (default 1)\n"
-      "  --cluster-jobs N run cluster nodes on per-node event engines (PDES)\n"
-      "                   driven by N worker threads; 0 = all hardware threads.\n"
-      "                   Results are byte-identical for any N, and the\n"
-      "                   runtime/fault tables match the shared-engine path\n"
+      "  --cluster-jobs N drive the per-node event engines of each cluster run\n"
+      "                   with N worker threads; 0 = all hardware threads.\n"
+      "                   Results are byte-identical for any N. Without it,\n"
+      "                   multi-node trials run one worker each, --jobs at once\n"
       "  --topology T     interconnect for the cluster collectives:\n"
       "                   flat | tree | fat-tree (default flat; flat reproduces\n"
       "                   the paper's single-switch model, tree needs a\n"
@@ -124,6 +125,19 @@ using namespace hpmmap;
       "                   e.g. --inject thp_huge_alloc@100+50x20,net_delay~0.02*16\n",
       argv0);
   std::exit(0);
+}
+
+/// A count flag's value: digits only, at least `min`. Anything else exits
+/// 1 with a one-line message (atoi would read "abc" as 0).
+unsigned parse_count(const char* flag, const char* text, unsigned min) {
+  unsigned value = 0;
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc{} || ptr != end || value < min) {
+    std::fprintf(stderr, "%s needs an integer >= %u (got '%s')\n", flag, min, text);
+    std::exit(1);
+  }
+  return value;
 }
 
 harness::Manager parse_manager(const std::string& s) {
@@ -447,7 +461,7 @@ int run_server_mode(const harness::ServerRunConfig& cfg, std::uint32_t trials,
 int main(int argc, char** argv) {
   std::string app = "HPCCG", manager = "hpmmap", profile = "A";
   std::uint32_t cores = 8, nodes = 1, trials = 3;
-  int cluster_jobs = -1; // -1 = shared-engine path; >= 0 = PDES workers
+  std::optional<unsigned> cluster_jobs;
   std::string topology = "flat";
   unsigned jobs = 0;
   double scale = 1.0, duration = 0.1;
@@ -501,9 +515,9 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--cores")) {
       cores = static_cast<std::uint32_t>(std::atoi(next()));
     } else if (!std::strcmp(argv[i], "--nodes")) {
-      nodes = static_cast<std::uint32_t>(std::atoi(next()));
+      nodes = parse_count("--nodes", next(), 1);
     } else if (!std::strcmp(argv[i], "--cluster-jobs")) {
-      cluster_jobs = std::atoi(next());
+      cluster_jobs = parse_count("--cluster-jobs", next(), 0);
     } else if (!std::strcmp(argv[i], "--topology")) {
       topology = next();
     } else if (!std::strcmp(argv[i], "--trials")) {
@@ -515,7 +529,7 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--seed")) {
       seed = static_cast<std::uint64_t>(std::atoll(next()));
     } else if (!std::strcmp(argv[i], "--jobs")) {
-      jobs = static_cast<unsigned>(std::atoi(next()));
+      jobs = parse_count("--jobs", next(), 0);
     } else if (!std::strcmp(argv[i], "--perf-summary")) {
       perf_summary = true;
     } else if (!std::strcmp(argv[i], "--trace")) {
@@ -710,7 +724,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (nodes > 1 || cluster_jobs >= 0) {
+  if (nodes > 1 || cluster_jobs) {
     harness::ScalingRunConfig cfg;
     cfg.app = app;
     cfg.manager = mgr;
@@ -724,36 +738,16 @@ int main(int argc, char** argv) {
     cfg.duration_scale = duration;
     cfg.verify = verify_cfg;
     cfg.introspect = introspect_cfg;
+    const harness::ClusterRunConfig ccfg{cfg, *topo, cluster_jobs.value_or(1)};
     std::printf("%s on %u nodes (%u ranks), %s, profile %s, %u trials\n", app.c_str(), nodes,
                 nodes * cfg.ranks_per_node, name(mgr).data(), cfg.commodity.name.c_str(),
                 trials);
-    if (cluster_jobs >= 0) {
-      harness::ClusterRunConfig ccfg;
-      ccfg.scaling = cfg;
-      ccfg.topology = *topo;
-      ccfg.cluster_jobs = static_cast<unsigned>(cluster_jobs);
-      std::printf("pdes: per-node engines, %s topology, %d worker(s)\n",
-                  std::string(cluster::name(*topo)).c_str(), cluster_jobs);
-      if (!trace_out.empty() || verifying || introspecting || !metrics_out.empty()) {
-        const harness::RunResult r = harness::run_cluster(ccfg);
-        perf.add_events(r.events_fired);
-        perf.add_faults(r.faults);
-        std::printf("runtime: %.2f s\n", r.runtime_seconds);
-        report_verification(r, verify_cfg.inject.any(), audit);
-        report_introspection(r, metrics_out, procfs_dump);
-        if (!trace_out.empty()) {
-          dump_trace(r, trace_out);
-        }
-        return r.audit_violations == 0 ? 0 : 1;
-      }
-      const harness::SeriesPoint p = harness::run_cluster_trials(ccfg, trials);
-      perf.add_events(p.events);
-      perf.add_series(p);
-      std::printf("runtime: %.2f s  (stdev %.2f)\n", p.mean_seconds, p.stdev_seconds);
-      return 0;
+    if (cluster_jobs) {
+      std::printf("pdes: per-node engines, %s topology, %u worker(s)\n",
+                  std::string(cluster::name(*topo)).c_str(), *cluster_jobs);
     }
-    if (!trace_out.empty() || verifying) {
-      const harness::RunResult r = harness::run_scaling(cfg);
+    if (!trace_out.empty() || verifying || (cluster_jobs && introspecting)) {
+      const harness::RunResult r = harness::run_cluster(ccfg);
       perf.add_events(r.events_fired);
       perf.add_faults(r.faults);
       std::printf("runtime: %.2f s\n", r.runtime_seconds);
@@ -764,10 +758,11 @@ int main(int argc, char** argv) {
       }
       return r.audit_violations == 0 ? 0 : 1;
     }
-    if (introspecting || !metrics_out.empty()) {
+    if (introspecting) {
       return run_introspected_trials(cfg, trials, jobs, metrics_out, procfs_dump, perf);
     }
-    const harness::SeriesPoint p = harness::run_trials(cfg, trials);
+    const harness::SeriesPoint p = cluster_jobs ? harness::run_cluster_trials(ccfg, trials)
+                                                : harness::run_trials(cfg, trials);
     perf.add_events(p.events);
     perf.add_series(p);
     std::printf("runtime: %.2f s  (stdev %.2f)\n", p.mean_seconds, p.stdev_seconds);

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <string>
 
+#include "harness/batch.hpp"
 #include "harness/experiment.hpp"
 #include "harness/table.hpp"
 

@@ -1,29 +1,27 @@
 #include "harness/batch.hpp"
 
 #include <algorithm>
+#include <span>
 
-#include "common/stats.hpp"
+#include "harness/cluster.hpp"
+#include "harness/detail.hpp"
 
 namespace hpmmap::harness {
 
 namespace {
 
+using detail::TrialOutcome;
+
 std::atomic<unsigned> g_default_jobs{1};
 
-/// What a trial task returns: enough to fold the SeriesPoint and the
-/// perf summary in deterministic t order on the calling thread.
-struct TrialOutcome {
-  double runtime_seconds = 0.0;
-  std::uint64_t events_fired = 0;
-  mm::FaultStats faults{};
-};
-
+/// Scaling configs run on per-node engines at one worker: the batch pool
+/// already spreads tasks over the cores, so pools are never nested.
 template <typename Config>
 RunResult dispatch(const Config& cfg) {
   if constexpr (std::is_same_v<Config, SingleNodeRunConfig>) {
     return run_single_node(cfg);
   } else {
-    return run_scaling(cfg);
+    return run_cluster(ClusterRunConfig{cfg});
   }
 }
 
@@ -36,33 +34,15 @@ std::vector<SeriesPoint> trials_batch(const std::vector<Config>& configs,
     for (const std::uint64_t seed : trial_seeds(cfg.seed, trials)) {
       Config trial_cfg = cfg;
       trial_cfg.seed = seed;
-      tasks.push_back([trial_cfg]() -> TrialOutcome {
-        const RunResult r = dispatch(trial_cfg);
-        return TrialOutcome{r.runtime_seconds, r.events_fired, r.faults};
-      });
+      tasks.push_back([trial_cfg] { return detail::outcome_of(dispatch(trial_cfg)); });
     }
   }
   const std::vector<TrialOutcome> outcomes = BatchRunner(jobs).map(std::move(tasks));
   std::vector<SeriesPoint> points;
   points.reserve(configs.size());
   for (std::size_t c = 0; c < configs.size(); ++c) {
-    RunningStats stats;
-    std::uint64_t events = 0;
-    SeriesPoint point;
-    for (std::uint32_t t = 0; t < trials; ++t) {
-      const TrialOutcome& o = outcomes[c * trials + t];
-      stats.add(o.runtime_seconds);
-      events += o.events_fired;
-      for (std::size_t k = 0; k < mm::kFaultKindCount; ++k) {
-        point.fault_counts[k] += o.faults.count[k];
-        point.fault_cycles[k] += o.faults.total_cycles[k];
-      }
-    }
-    point.mean_seconds = stats.mean();
-    point.stdev_seconds = stats.stdev();
-    point.trials = trials;
-    point.events = events;
-    points.push_back(point);
+    points.push_back(
+        detail::fold_trials(std::span(outcomes).subspan(c * trials, trials)));
   }
   return points;
 }
@@ -106,7 +86,7 @@ bool same_world(const ScalingRunConfig& a, const ScalingRunConfig& b) {
 }
 
 template <typename Config>
-snapshot::WorldImage capture_dispatch(const Config& cfg) {
+auto capture_dispatch(const Config& cfg) {
   if constexpr (std::is_same_v<Config, SingleNodeRunConfig>) {
     return capture_single_node(cfg);
   } else {
@@ -114,12 +94,12 @@ snapshot::WorldImage capture_dispatch(const Config& cfg) {
   }
 }
 
-template <typename Config>
-RunResult dispatch(const Config& cfg, const snapshot::WorldImage& image) {
+template <typename Config, typename Image>
+RunResult dispatch(const Config& cfg, const Image& image) {
   if constexpr (std::is_same_v<Config, SingleNodeRunConfig>) {
     return run_single_node(cfg, image);
   } else {
-    return run_scaling(cfg, image);
+    return run_cluster(ClusterRunConfig{cfg}, image);
   }
 }
 
@@ -159,13 +139,11 @@ std::vector<SeriesPoint> trials_snapshotted(const std::vector<Config>& configs,
         std::vector<TrialOutcome> out;
         out.reserve(members.size());
         if (members.size() == 1) {
-          const RunResult r = dispatch(members.front());
-          out.push_back(TrialOutcome{r.runtime_seconds, r.events_fired, r.faults});
+          out.push_back(detail::outcome_of(dispatch(members.front())));
         } else {
-          const snapshot::WorldImage image = capture_dispatch(members.front());
+          const auto image = capture_dispatch(members.front());
           for (const Config& cfg : members) {
-            const RunResult r = dispatch(cfg, image);
-            out.push_back(TrialOutcome{r.runtime_seconds, r.events_fired, r.faults});
+            out.push_back(detail::outcome_of(dispatch(cfg, image)));
           }
         }
         return out;
@@ -174,29 +152,20 @@ std::vector<SeriesPoint> trials_snapshotted(const std::vector<Config>& configs,
   }
   const std::vector<std::vector<TrialOutcome>> outcomes =
       BatchRunner(jobs).map(std::move(tasks));
-  // Fold per config with trials in t order — the same accumulation order
-  // as run_trials_batch, so the points match bit for bit.
-  std::vector<RunningStats> stats(configs.size());
-  std::vector<SeriesPoint> points(configs.size());
+  // Regroup per config with trials in t order — the fold run_trials_batch
+  // uses, so the points match bit for bit.
+  std::vector<std::vector<TrialOutcome>> per_config(configs.size());
   for (std::size_t gi = 0; gi < groups.size(); ++gi) {
     for (std::uint32_t t = 0; t < trials; ++t) {
-      const std::vector<TrialOutcome>& row = outcomes[gi * trials + t];
       for (std::size_t m = 0; m < groups[gi].size(); ++m) {
-        const std::size_t c = groups[gi][m];
-        const TrialOutcome& o = row[m];
-        stats[c].add(o.runtime_seconds);
-        points[c].events += o.events_fired;
-        for (std::size_t k = 0; k < mm::kFaultKindCount; ++k) {
-          points[c].fault_counts[k] += o.faults.count[k];
-          points[c].fault_cycles[k] += o.faults.total_cycles[k];
-        }
+        per_config[groups[gi][m]].push_back(outcomes[gi * trials + t][m]);
       }
     }
   }
-  for (std::size_t c = 0; c < configs.size(); ++c) {
-    points[c].mean_seconds = stats[c].mean();
-    points[c].stdev_seconds = stats[c].stdev();
-    points[c].trials = trials;
+  std::vector<SeriesPoint> points;
+  points.reserve(configs.size());
+  for (const std::vector<TrialOutcome>& o : per_config) {
+    points.push_back(detail::fold_trials(o));
   }
   return points;
 }

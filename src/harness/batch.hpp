@@ -28,10 +28,10 @@ namespace hpmmap::harness {
 /// max(1, std::thread::hardware_concurrency).
 [[nodiscard]] unsigned hardware_jobs() noexcept;
 
-/// Process-wide default parallelism used by run_trials(config, trials)
-/// and everything layered on it. 0 = hardware_jobs(). The library
-/// default is 1 (serial) so embedders opt in; the CLI tools set it from
-/// --jobs (whose own default is the hardware concurrency).
+/// Process-wide default parallelism: the jobs default of run_trials and
+/// run_smp_batch. 0 = hardware_jobs(). The library default is 1 (serial)
+/// so embedders opt in; the CLI tools set it from --jobs (whose own
+/// default is the hardware concurrency).
 void set_default_jobs(unsigned jobs) noexcept;
 [[nodiscard]] unsigned default_jobs() noexcept;
 
@@ -106,12 +106,12 @@ class BatchRunner {
 [[nodiscard]] std::vector<std::uint64_t> trial_seeds(std::uint64_t base,
                                                      std::uint32_t trials);
 
-/// Parallel trial loops: identical results to the serial run_trials for
-/// every jobs value (0 = hardware).
+/// Trial loops over trial_seeds(config.seed, trials): byte-identical
+/// points for every jobs value (0 = hardware).
 [[nodiscard]] SeriesPoint run_trials(SingleNodeRunConfig config, std::uint32_t trials,
-                                     unsigned jobs);
+                                     unsigned jobs = default_jobs());
 [[nodiscard]] SeriesPoint run_trials(ScalingRunConfig config, std::uint32_t trials,
-                                     unsigned jobs);
+                                     unsigned jobs = default_jobs());
 
 /// Whole-sweep fan-out: one SeriesPoint per config, parallelized at
 /// (config, trial) granularity so a figure sweep keeps every worker busy

@@ -9,7 +9,6 @@
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
-#include "common/stats.hpp"
 #include "common/units.hpp"
 #include "harness/batch.hpp"
 #include "harness/detail.hpp"
@@ -17,6 +16,7 @@
 #include "introspect/sampler.hpp"
 #include "os/node.hpp"
 #include "sim/parallel.hpp"
+#include "snapshot/snapshot.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 #include "verify/fault_inject.hpp"
@@ -69,6 +69,14 @@ struct NodeGroup {
     trace::set_clock(&NodeGroup::pinned, this);
   }
 
+  [[nodiscard]] std::vector<snapshot::BuildRef> build_refs() {
+    std::vector<snapshot::BuildRef> refs;
+    for (auto& build : builds) {
+      refs.push_back(snapshot::BuildRef{build.get(), 0});
+    }
+    return refs;
+  }
+
  private:
   static Cycles engine_now(const void* ctx) {
     return static_cast<const sim::Engine*>(ctx)->now();
@@ -104,7 +112,7 @@ struct ClusterWorld {
   std::vector<std::unique_ptr<NodeGroup>> groups;
   sim::ParallelCoordinator coord;
 
-  explicit ClusterWorld(const ClusterRunConfig& cfg)
+  ClusterWorld(const ClusterRunConfig& cfg, bool aged)
       : config(cfg), coord(cfg.cluster_jobs) {
     const ScalingRunConfig& sc = config.scaling;
     HPMMAP_ASSERT(sc.nodes >= 1, "cluster needs at least one node");
@@ -119,9 +127,11 @@ struct ClusterWorld {
     }
 
     // Mirrors detail::begin_tracing: one ring per group, the single
-    // run.start instant on node 0's stream (per-group registries are
-    // freshly constructed, so no reset is needed).
+    // run.start instant on node 0's stream, and the caller's registry
+    // reset for the node counters merged into it at the end (per-group
+    // registries are freshly constructed).
     if (sc.trace.on()) {
+      trace::metrics().reset();
       for (auto& g : groups) {
         g->recorder.set_capacity(sc.trace.capacity);
       }
@@ -136,15 +146,16 @@ struct ClusterWorld {
     // is the one its mm stack sees. A node's boot reads only its own
     // seed and writes only its own group, so the result is the same on
     // any number of workers.
-    coord.run_on_groups([this, &sc](std::size_t n) {
+    coord.run_on_groups([this, &sc, aged](std::size_t n) {
       NodeGroup& g = *groups[n];
       os::NodeConfig nc = detail::node_config_for(
           sc.manager, machine, pool, sc.seed + 7919ull * n, "xeon" + std::to_string(n));
-      nc.aged_boot = true;
+      nc.aged_boot = aged; // a restore target skips aging — it gets overwritten
       g.node.emplace(g.engine, std::move(nc));
       g.verify.emplace(sc.verify, sc.seed);
     });
-    // Debug-mode audits cover the first node, as in run_scaling.
+    // Debug-mode audits cover the first node (injections arm per group;
+    // the end-of-run audit walks every node).
     groups.front()->verify->audit_on_fire(*groups.front()->node);
 
     Rng rng(sc.seed);
@@ -180,7 +191,9 @@ RunResult measure_cluster(ClusterWorld& w) {
       static_cast<std::uint64_t>(nodes) * sc.ranks_per_node;
   Rng rng(sc.seed);
 
-  // Identical profile arithmetic to measure_scaling (§IV-C rank budget).
+  // §IV-C: inputs chosen "to maximize the memory utilization" — on the
+  // 24 GB nodes, 4 ranks split the 20 GB reservation, not the single-node
+  // footprint.
   workloads::AppProfile app = detail::scaled_profile(
       sc.app, w.machine.clock_hz, sc.footprint_scale, sc.duration_scale);
   const std::uint64_t budget_per_rank =
@@ -191,8 +204,8 @@ RunResult measure_cluster(ClusterWorld& w) {
       kLargePageSize);
 
   cluster::EthernetSpec eth;
-  // One comm stream for the whole job, as on the shared engine: the
-  // controller draws each barrier's collective cost exactly once.
+  // One comm stream for the whole job: the controller draws each
+  // barrier's collective cost exactly once.
   workloads::CommModel comm_model = cluster::ethernet_comm(
       eth, w.machine.clock_hz, nodes, rng.fork("net"), w.config.topology);
 
@@ -250,7 +263,7 @@ RunResult measure_cluster(ClusterWorld& w) {
     std::fill(arrivals.begin(), arrivals.end(), sim::Engine::kNoEvent);
     // The collective draw runs in node 0's context with the trace clock
     // pinned to the global arrival: net.collective (and the rank.finish
-    // instants below) stamp the same timestamp the shared engine would.
+    // instants below) stamp the barrier time, not a node's local clock.
     Cycles comm = 0;
     {
       Bound b(*w.groups.front(), barrier_time);
@@ -331,8 +344,8 @@ RunResult measure_cluster(ClusterWorld& w) {
     }
   }
 
-  // Verification accounting, merged with run_scaling's first-failure
-  // rule applied across groups in node order.
+  // Verification accounting: the first-failure rule of
+  // detail::VerifySession applied across groups in node order.
   if (sc.verify.inject.any()) {
     for (auto& g : w.groups) {
       const auto& stats = g->verify->injected_stats();
@@ -355,35 +368,60 @@ RunResult measure_cluster(ClusterWorld& w) {
       clean = g->verify->clean();
     }
   }
+
+  // The caller's registry: node counters summed in node order (the
+  // totals one shared registry would hold); P² histograms cannot be
+  // merged exactly, so each node's is copied under its own name.
+  trace::MetricRegistry& caller = trace::metrics();
+  for (std::size_t n = 0; n < w.groups.size(); ++n) {
+    for (const auto& [name, value] : w.groups[n]->metrics.counters()) {
+      caller.counter(name) += value;
+    }
+    for (const auto& [name, hist] : w.groups[n]->metrics.histograms()) {
+      caller.histogram(name + ".node" + std::to_string(n)) = hist;
+    }
+  }
   return result;
 }
 
 } // namespace
 
 RunResult run_cluster(const ClusterRunConfig& config) {
-  ClusterWorld world(config);
+  ClusterWorld world(config, /*aged=*/true);
   world.age_to_warmup();
   return measure_cluster(world);
 }
 
+ClusterImage capture_scaling(const ScalingRunConfig& config) {
+  ClusterWorld world(ClusterRunConfig{config}, /*aged=*/true);
+  world.age_to_warmup();
+  ClusterImage image;
+  image.reserve(world.groups.size());
+  for (auto& g : world.groups) {
+    Bound b(*g);
+    image.push_back(snapshot::capture_world(g->engine, {&*g->node}, g->build_refs()));
+  }
+  return image;
+}
+
+RunResult run_cluster(const ClusterRunConfig& config, const ClusterImage& image) {
+  ClusterWorld world(config, /*aged=*/false);
+  HPMMAP_ASSERT(image.size() == world.groups.size(), "cluster image node count mismatch");
+  world.coord.run_on_groups([&world, &image](std::size_t n) {
+    NodeGroup& g = *world.groups[n];
+    snapshot::restore_world(image[n], g.engine, {&*g.node}, g.build_refs());
+  });
+  return measure_cluster(world);
+}
+
 SeriesPoint run_cluster_trials(ClusterRunConfig config, std::uint32_t trials) {
-  RunningStats stats;
-  SeriesPoint point;
+  std::vector<detail::TrialOutcome> outcomes;
   for (const std::uint64_t seed : trial_seeds(config.scaling.seed, trials)) {
     ClusterRunConfig trial = config;
     trial.scaling.seed = seed;
-    const RunResult r = run_cluster(trial);
-    stats.add(r.runtime_seconds);
-    point.events += r.events_fired;
-    for (std::size_t k = 0; k < mm::kFaultKindCount; ++k) {
-      point.fault_counts[k] += r.faults.count[k];
-      point.fault_cycles[k] += r.faults.total_cycles[k];
-    }
+    outcomes.push_back(detail::outcome_of(run_cluster(trial)));
   }
-  point.mean_seconds = stats.mean();
-  point.stdev_seconds = stats.stdev();
-  point.trials = trials;
-  return point;
+  return detail::fold_trials(outcomes);
 }
 
 } // namespace hpmmap::harness

@@ -168,4 +168,25 @@ RunResult collect(workloads::MpiJob& job, os::Node& first_node, const TraceConfi
   return result;
 }
 
+TrialOutcome outcome_of(const RunResult& r) {
+  return TrialOutcome{r.runtime_seconds, r.events_fired, r.faults};
+}
+
+SeriesPoint fold_trials(std::span<const TrialOutcome> outcomes) {
+  RunningStats stats;
+  SeriesPoint point;
+  for (const TrialOutcome& o : outcomes) {
+    stats.add(o.runtime_seconds);
+    point.events += o.events_fired;
+    for (std::size_t k = 0; k < mm::kFaultKindCount; ++k) {
+      point.fault_counts[k] += o.faults.count[k];
+      point.fault_cycles[k] += o.faults.total_cycles[k];
+    }
+  }
+  point.mean_seconds = stats.mean();
+  point.stdev_seconds = stats.stdev();
+  point.trials = static_cast<std::uint32_t>(outcomes.size());
+  return point;
+}
+
 } // namespace hpmmap::harness::detail

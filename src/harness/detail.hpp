@@ -9,6 +9,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,11 +52,24 @@ void fill_by_kind(RunResult& result, const TraceConfig& trace_cfg);
 /// THP/hugetlb/HPMMAP service counters from the run's first node.
 void fill_node_stats(RunResult& result, os::Node& first_node);
 
-/// Full collection for the shared-engine shapes: runtime, faults, pids,
-/// run.end + trace snapshot, by-kind summaries, first-node stats.
+/// Full collection for a single-node job: runtime, faults, pids, run.end
+/// + trace snapshot, by-kind summaries, node stats.
 [[nodiscard]] RunResult collect(workloads::MpiJob& job, os::Node& first_node,
                                 const TraceConfig& trace_cfg, Cycles job_start,
                                 double clock_hz);
+
+/// What one trial contributes to its SeriesPoint.
+struct TrialOutcome {
+  double runtime_seconds = 0.0;
+  std::uint64_t events_fired = 0;
+  mm::FaultStats faults{};
+};
+
+[[nodiscard]] TrialOutcome outcome_of(const RunResult& r);
+
+/// Fold one config's outcomes, in trial order, into its point: every
+/// trial loop folds through here, so equal outcomes give equal bits.
+[[nodiscard]] SeriesPoint fold_trials(std::span<const TrialOutcome> outcomes);
 
 /// Arms a fault injector for one run; the destructor guarantees the next
 /// run's node boots against a disarmed injector even if the run throws.

@@ -5,7 +5,6 @@
 #include <optional>
 #include <utility>
 
-#include "cluster/network.hpp"
 #include "harness/batch.hpp"
 #include "harness/detail.hpp"
 #include "common/assert.hpp"
@@ -123,125 +122,6 @@ RunResult measure_single_node(SingleNodeWorld& w) {
     result.procfs_text = introspect::procfs_dump(node);
   }
   w.verify->finish(result, {&node});
-  return result;
-}
-
-struct ScalingWorld {
-  ScalingRunConfig config;
-  hw::MachineSpec machine = hw::sandia_xeon_node();
-  // §IV: 20 of 24 GB offlined per node, split across the two zones.
-  std::uint64_t pool = 10 * GiB;
-  sim::Engine engine;
-  std::vector<std::unique_ptr<os::Node>> nodes;
-  std::optional<detail::VerifySession> verify;
-  std::vector<std::unique_ptr<workloads::KernelBuild>> builds;
-  std::vector<std::uint32_t> build_nodes;
-
-  ScalingWorld(const ScalingRunConfig& cfg, bool aged) : config(cfg) {
-    detail::begin_tracing(config.trace, config.seed);
-    for (std::uint32_t n = 0; n < config.nodes; ++n) {
-      os::NodeConfig nc =
-          detail::node_config_for(config.manager, machine, pool, config.seed + 7919ull * n,
-                          "xeon" + std::to_string(n));
-      nc.aged_boot = aged;
-      nodes.push_back(std::make_unique<os::Node>(engine, std::move(nc)));
-    }
-    verify.emplace(config.verify, config.seed);
-    // Debug-mode audits cover the first node (injections are global; the
-    // end-of-run audit walks every node).
-    verify->audit_on_fire(*nodes.front());
-
-    Rng rng(config.seed);
-    for (std::uint32_t n = 0; n < config.nodes; ++n) {
-      for (std::uint32_t b = 0; b < config.commodity.builds; ++b) {
-        workloads::KernelBuildConfig bc;
-        bc.jobs = config.commodity.jobs_per_build;
-        builds.push_back(std::make_unique<workloads::KernelBuild>(
-            *nodes[n], bc, rng.fork("build").fork(n * 16 + b)));
-        build_nodes.push_back(n);
-      }
-    }
-  }
-
-  void age_to_warmup() {
-    for (auto& build : builds) {
-      build->start();
-    }
-    const double warmup = config.commodity.builds > 0 ? config.warmup_seconds : 0.1;
-    engine.run_until(machine.cycles(warmup));
-  }
-
-  [[nodiscard]] std::vector<os::Node*> node_ptrs() {
-    std::vector<os::Node*> out;
-    for (auto& n : nodes) {
-      out.push_back(n.get());
-    }
-    return out;
-  }
-
-  [[nodiscard]] std::vector<snapshot::BuildRef> build_refs() {
-    std::vector<snapshot::BuildRef> refs;
-    for (std::size_t b = 0; b < builds.size(); ++b) {
-      refs.push_back(snapshot::BuildRef{builds[b].get(), build_nodes[b]});
-    }
-    return refs;
-  }
-};
-
-RunResult measure_scaling(ScalingWorld& w) {
-  const ScalingRunConfig& config = w.config;
-  sim::Engine& engine = w.engine;
-  Rng rng(config.seed);
-
-  workloads::MpiJobConfig jc;
-  jc.app = detail::scaled_profile(config.app, w.machine.clock_hz, config.footprint_scale,
-                          config.duration_scale);
-  // §IV-C: inputs chosen "to maximize the memory utilization" — on the
-  // 24 GB nodes, 4 ranks split the 20 GB reservation, not the single-node
-  // footprint.
-  const std::uint64_t budget_per_rank =
-      (2 * w.pool * 92 / 100) / config.ranks_per_node - jc.app.misc_bytes;
-  jc.app.bytes_per_rank = align_up(
-      static_cast<std::uint64_t>(static_cast<double>(budget_per_rank) *
-                                 config.footprint_scale),
-      kLargePageSize);
-  jc.policy = detail::policy_for(config.manager);
-  for (std::uint32_t n = 0; n < config.nodes; ++n) {
-    for (const workloads::RankPlacement& p :
-         detail::placements(*w.nodes[n], config.ranks_per_node)) {
-      jc.ranks.push_back(p);
-    }
-  }
-  cluster::EthernetSpec eth;
-  jc.comm = cluster::ethernet_comm(eth, w.machine.clock_hz, config.nodes, rng.fork("net"));
-
-  workloads::MpiJob job(engine, jc);
-  const Cycles job_start = engine.now();
-  introspect::TelemetrySampler sampler(
-      engine, {config.introspect.sample_interval, config.introspect.max_samples});
-  for (auto& n : w.nodes) {
-    sampler.add_node(*n);
-  }
-  if (config.introspect.sampling()) {
-    sampler.start();
-  }
-  job.start([&engine] { engine.stop(); });
-  engine.run();
-  HPMMAP_ASSERT(job.done(), "engine drained before the job completed");
-
-  for (auto& build : w.builds) {
-    build->stop();
-  }
-  RunResult result =
-      detail::collect(job, *w.nodes.front(), config.trace, job_start, w.machine.clock_hz);
-  result.events_fired = engine.events_fired();
-  result.telemetry = sampler.take();
-  if (config.introspect.procfs_dump) {
-    for (auto& n : w.nodes) {
-      result.procfs_text += introspect::procfs_dump(*n);
-    }
-  }
-  w.verify->finish(result, w.node_ptrs());
   return result;
 }
 
@@ -451,24 +331,6 @@ RunResult run_single_node(const SingleNodeRunConfig& config,
   return measure_single_node(world);
 }
 
-RunResult run_scaling(const ScalingRunConfig& config) {
-  ScalingWorld world(config, /*aged=*/true);
-  world.age_to_warmup();
-  return measure_scaling(world);
-}
-
-snapshot::WorldImage capture_scaling(const ScalingRunConfig& config) {
-  ScalingWorld world(config, /*aged=*/true);
-  world.age_to_warmup();
-  return snapshot::capture_world(world.engine, world.node_ptrs(), world.build_refs());
-}
-
-RunResult run_scaling(const ScalingRunConfig& config, const snapshot::WorldImage& image) {
-  ScalingWorld world(config, /*aged=*/false);
-  snapshot::restore_world(image, world.engine, world.node_ptrs(), world.build_refs());
-  return measure_scaling(world);
-}
-
 ServerRunResult run_server(const ServerRunConfig& config) {
   ServerWorld world(config, /*aged=*/true);
   world.age_to_warmup();
@@ -581,14 +443,6 @@ std::vector<SmpRunResult> run_smp_batch(const std::vector<SmpRunConfig>& configs
     tasks.push_back([c] { return run_smp(c); });
   }
   return runner.map(std::move(tasks));
-}
-
-SeriesPoint run_trials(SingleNodeRunConfig config, std::uint32_t trials) {
-  return run_trials(std::move(config), trials, default_jobs());
-}
-
-SeriesPoint run_trials(ScalingRunConfig config, std::uint32_t trials) {
-  return run_trials(std::move(config), trials, default_jobs());
 }
 
 } // namespace hpmmap::harness

@@ -213,8 +213,8 @@ struct ScalingRunConfig {
   IntrospectConfig introspect{};
 };
 
-/// Run one multi-node trial (Sandia Xeon cluster model, 1 GbE).
-[[nodiscard]] RunResult run_scaling(const ScalingRunConfig& config);
+// Multi-node trials (Sandia Xeon cluster model, 1 GbE) run on per-node
+// engines: run_cluster and capture_scaling in harness/cluster.hpp.
 
 // --- snapshot/resume (DESIGN.md §12) ---------------------------------------
 //
@@ -236,9 +236,6 @@ struct ScalingRunConfig {
 [[nodiscard]] snapshot::WorldImage capture_single_node(const SingleNodeRunConfig& config);
 [[nodiscard]] RunResult run_single_node(const SingleNodeRunConfig& config,
                                         const snapshot::WorldImage& image);
-[[nodiscard]] snapshot::WorldImage capture_scaling(const ScalingRunConfig& config);
-[[nodiscard]] RunResult run_scaling(const ScalingRunConfig& config,
-                                    const snapshot::WorldImage& image);
 
 /// Mean/stdev of runtime over `trials` seeds — one point of Figure 7/8.
 struct SeriesPoint {
@@ -413,12 +410,7 @@ struct SmpRunResult {
 /// order — byte-identical for any jobs value.
 [[nodiscard]] std::vector<SmpRunResult> run_smp_batch(const std::vector<SmpRunConfig>& configs);
 
-/// Trial loops run on the batch runner at harness::default_jobs()
-/// parallelism (see harness/batch.hpp; 1 = serial, and any jobs value
-/// produces byte-identical points). Explicit-jobs overloads and
-/// whole-sweep batch fan-out live in batch.hpp.
-[[nodiscard]] SeriesPoint run_trials(SingleNodeRunConfig config, std::uint32_t trials);
-[[nodiscard]] SeriesPoint run_trials(ScalingRunConfig config, std::uint32_t trials);
+// Trial loops (run_trials) and whole-sweep fan-out live in batch.hpp.
 
 /// Flatten per-trial telemetry into one export-ready stream: each trial's
 /// series gain a `trial="N"` label (N = submission index), concatenated in

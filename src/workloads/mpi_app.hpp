@@ -69,7 +69,7 @@ class MpiJob {
 
   /// Distributed-barrier mode only: schedule the finish/teardown event
   /// at absolute time `finish_time` (mirrors the finish_job event the
-  /// shared-engine release schedules).
+  /// in-engine barrier release schedules).
   void external_finish(Cycles finish_time);
 
   [[nodiscard]] bool done() const noexcept { return completed_; }

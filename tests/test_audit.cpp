@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/units.hpp"
+#include "harness/cluster.hpp"
 #include "harness/experiment.hpp"
 #include "hw/mem_map.hpp"
 #include "linux_mm/buddy_allocator.hpp"
@@ -114,7 +115,7 @@ TEST(Audit, ScalingRunIsClean) {
   cfg.footprint_scale = 0.08;
   cfg.duration_scale = 0.05;
   cfg.verify.audit = true;
-  const harness::RunResult r = harness::run_scaling(cfg);
+  const harness::RunResult r = harness::run_cluster({cfg});
   EXPECT_EQ(r.audit_violations, 0u) << r.audit_report;
   EXPECT_GT(r.audit_checks, 0u);
 }

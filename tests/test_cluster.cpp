@@ -1,17 +1,21 @@
 // PDES cluster harness correctness (DESIGN.md §13). The headline
-// checks: per-group work on the pool runs inside its hooks; the nodes=1
-// bridge — run_cluster byte-identical to run_scaling, trace stream
-// included; the --cluster-jobs determinism contract (any
-// worker count byte-identical, exporters included) across a
-// nodes × managers matrix; multi-node runtime/fault tables matching the
-// shared-engine path; and the topology cost model (flat reproduces the
-// paper's single-switch formula through the radix, tree/fat-tree order
-// sanely and tree rejects non-power-of-two node counts).
+// checks: per-group work on the pool runs inside its hooks; run_cluster
+// against the golden recorded from the shared-engine path it replaced
+// (runtime/fault tables at 1–8 nodes, the nodes=1 trace/telemetry/procfs
+// bytes, the traced run's registry counters); the --cluster-jobs
+// determinism contract (any worker count byte-identical, exporters
+// included) across a nodes × managers matrix; capture/resume exactness;
+// and the topology cost model (flat reproduces the paper's single-switch
+// formula through the radix, tree/fat-tree order sanely and tree rejects
+// non-power-of-two node counts).
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -21,6 +25,8 @@
 #include "introspect/export.hpp"
 #include "sim/engine.hpp"
 #include "sim/parallel.hpp"
+#include "trace/export.hpp"
+#include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 
 namespace hpmmap {
@@ -89,7 +95,7 @@ TEST(Topology, NamesRoundTrip) {
 
 TEST(Topology, FlatReproducesThePaperFormulaThroughTheRadix) {
   // Single switch, no contention: 2 * ceil(log2 n) * hop, exactly the
-  // model run_scaling always used.
+  // paper's model.
   cluster::EthernetSpec eth;
   const double hop = eth.latency_seconds + 8192.0 / eth.bandwidth_bytes_per_sec;
   for (std::uint32_t n : {2u, 8u, 32u}) {
@@ -139,7 +145,7 @@ TEST(Topology, FatTreeCostsOrderSanely) {
   EXPECT_LT(big, cluster::allreduce_seconds(eth, cluster::Topology::kFlat, 256));
 }
 
-// --- run_cluster vs run_scaling -------------------------------------------
+// --- run_cluster ------------------------------------------------------------
 
 harness::ScalingRunConfig scaling_quick(const std::string& app, harness::Manager mgr,
                                         std::uint32_t nodes) {
@@ -242,38 +248,146 @@ void expect_run_equal(const harness::RunResult& a, const harness::RunResult& b) 
   expect_telemetry_equal(a, b);
 }
 
-/// The shared-engine comparison at nodes > 1: per-node trajectories are
-/// identical, so the physics (runtime, faults, pids, node counters) must
-/// match; engine bookkeeping (events_fired) legitimately differs (N
-/// finish events, N sampler daemons instead of one).
-void expect_tables_equal(const harness::RunResult& cluster,
-                         const harness::RunResult& scaling) {
-  EXPECT_EQ(cluster.runtime_seconds, scaling.runtime_seconds);
-  for (std::size_t k = 0; k < mm::kFaultKindCount; ++k) {
-    EXPECT_EQ(cluster.faults.count[k], scaling.faults.count[k]) << "kind " << k;
-    EXPECT_EQ(cluster.faults.total_cycles[k], scaling.faults.total_cycles[k]) << "kind " << k;
+// --- the shared-engine golden --------------------------------------------
+//
+// tests/golden/scaling_tables.txt was recorded from the shared-engine
+// path before it was deleted; each line is rebuilt here from run_cluster
+// and compared verbatim.
+
+constexpr harness::Manager kManagers[] = {harness::Manager::kThp, harness::Manager::kHugetlbfs,
+                                          harness::Manager::kHpmmap};
+
+const char* short_name(harness::Manager m) {
+  switch (m) {
+    case harness::Manager::kThp:       return "thp";
+    case harness::Manager::kHugetlbfs: return "hugetlbfs";
+    case harness::Manager::kHpmmap:    return "hpmmap";
   }
-  EXPECT_EQ(cluster.app_pids, scaling.app_pids);
-  EXPECT_EQ(cluster.thp_merges, scaling.thp_merges);
-  EXPECT_EQ(cluster.hpmmap_spurious_faults, scaling.hpmmap_spurious_faults);
-  EXPECT_EQ(cluster.hugetlb_pool_exhausted, scaling.hugetlb_pool_exhausted);
+  return "?";
 }
 
-TEST(ClusterBridge, SingleNodeIsByteIdenticalToRunScaling) {
-  harness::ScalingRunConfig cfg = scaling_quick("HPCCG", harness::Manager::kHpmmap, 1);
-  cfg.trace.categories = trace::kAllCategories;
-  cfg.introspect.sample_interval = 40'000'000;
-  cfg.introspect.procfs_dump = true;
-  const harness::RunResult seq = harness::run_scaling(cfg);
+std::string fnv(std::string_view s) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
+  return buf;
+}
 
-  harness::ClusterRunConfig ccfg;
-  ccfg.scaling = cfg;
-  const harness::RunResult par = harness::run_cluster(ccfg);
-  ASSERT_FALSE(seq.events.empty());
-  expect_run_equal(par, seq);
+std::string table_line(harness::Manager mgr, std::uint32_t nodes, const harness::RunResult& r) {
+  char buf[160];
+  std::snprintf(buf, sizeof buf, "table %s n%u runtime=%a", short_name(mgr), nodes,
+                r.runtime_seconds);
+  std::string line = buf;
+  for (std::size_t k = 0; k < mm::kFaultKindCount; ++k) {
+    const std::string kind(mm::name(static_cast<mm::FaultKind>(k)));
+    std::snprintf(buf, sizeof buf, " %s=%llu/%llu", kind.c_str(),
+                  static_cast<unsigned long long>(r.faults.count[k]),
+                  static_cast<unsigned long long>(r.faults.total_cycles[k]));
+    line += buf;
+  }
+  std::string pids;
+  for (const Pid p : r.app_pids) {
+    pids += std::to_string(p);
+    pids += ',';
+  }
+  std::snprintf(buf, sizeof buf, " thp_merges=%llu spurious=%llu pool_exhausted=%llu pids=%s",
+                static_cast<unsigned long long>(r.thp_merges),
+                static_cast<unsigned long long>(r.hpmmap_spurious_faults),
+                static_cast<unsigned long long>(r.hugetlb_pool_exhausted), fnv(pids).c_str());
+  return line + buf;
+}
+
+/// The golden's lines whose first word is `kind`, in file order.
+std::vector<std::string> golden_lines(std::string_view kind) {
+  std::ifstream in(std::string(HPMMAP_GOLDEN_DIR) + "/scaling_tables.txt");
+  EXPECT_TRUE(in.good()) << "missing tests/golden/scaling_tables.txt";
+  std::vector<std::string> out;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind(std::string(kind) + " ", 0) == 0) {
+      out.push_back(line);
+    }
+  }
+  return out;
+}
+
+/// The golden table line for `mgr` at `nodes`, or an empty string.
+std::string golden_table(harness::Manager mgr, std::uint32_t nodes) {
+  const std::string prefix =
+      std::string("table ") + short_name(mgr) + " n" + std::to_string(nodes) + " ";
+  for (const std::string& line : golden_lines("table")) {
+    if (line.rfind(prefix, 0) == 0) {
+      return line;
+    }
+  }
+  ADD_FAILURE() << "no golden line for " << prefix;
+  return {};
+}
+
+harness::RunResult run_scaling_quick(harness::Manager mgr, std::uint32_t nodes) {
+  harness::ClusterRunConfig cfg;
+  cfg.scaling = scaling_quick("HPCCG", mgr, nodes);
+  cfg.cluster_jobs = 3;
+  return harness::run_cluster(cfg);
+}
+
+// The golden's table and bridge lines were recorded from run_scaling at
+// one node; run_cluster must reproduce them byte for byte.
+TEST(ClusterBridge, SingleNodeIsByteIdenticalToRunScaling) {
+  for (const harness::Manager mgr : kManagers) {
+    EXPECT_EQ(table_line(mgr, 1, run_scaling_quick(mgr, 1)), golden_table(mgr, 1));
+  }
+
+  harness::ClusterRunConfig cfg;
+  cfg.scaling = scaling_quick("HPCCG", harness::Manager::kHpmmap, 1);
+  cfg.scaling.trace.categories = trace::kAllCategories;
+  cfg.scaling.introspect.sample_interval = 40'000'000;
+  cfg.scaling.introspect.procfs_dump = true;
+  const harness::RunResult r = harness::run_cluster(cfg);
+  const std::vector<std::string> bridge = {
+      "bridge events=" + std::to_string(r.events.size()) + " csv=" + fnv(trace::csv(r.events)),
+      "bridge fired=" + std::to_string(r.events_fired) + " t0=" + std::to_string(r.trace_t0) +
+          " dropped=" + std::to_string(r.trace_dropped),
+      "bridge telemetry=" + std::to_string(r.telemetry.size()) +
+          " csv=" + fnv(introspect::telemetry_csv(r.telemetry)),
+      "bridge procfs=" + std::to_string(r.procfs_text.size()) + " fnv=" + fnv(r.procfs_text)};
+  EXPECT_EQ(bridge, golden_lines("bridge"));
+}
+
+TEST(ClusterGolden, TracedRunLeavesTheSharedEngineCountersInTheCallersRegistry) {
+  std::vector<std::string> lines;
+  for (const harness::Manager mgr : kManagers) {
+    harness::ClusterRunConfig cfg;
+    cfg.scaling = scaling_quick("HPCCG", mgr, 4);
+    cfg.scaling.trace.categories = trace::kAllCategories;
+    cfg.cluster_jobs = 2;
+    static_cast<void>(harness::run_cluster(cfg));
+    for (const auto& [key, value] : trace::metrics().counters()) {
+      for (const std::string_view prefix :
+           {"buddy.", "mm.", "thp.", "khugepaged.", "hugetlb.", "fault.", "hpmmap."}) {
+        if (key.rfind(prefix, 0) == 0) {
+          lines.push_back(std::string("counter ") + short_name(mgr) + " n4 " + key + " " +
+                          std::to_string(value));
+          break;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(lines, golden_lines("counter"));
 }
 
 class ClusterManagers : public ::testing::TestWithParam<harness::Manager> {};
+
+// The golden's multi-node table lines were recorded from the shared engine.
+TEST_P(ClusterManagers, MultiNodeTablesMatchTheSharedEngine) {
+  for (const std::uint32_t nodes : {2u, 4u, 8u}) {
+    EXPECT_EQ(table_line(GetParam(), nodes, run_scaling_quick(GetParam(), nodes)),
+              golden_table(GetParam(), nodes));
+  }
+}
 
 TEST_P(ClusterManagers, AnyWorkerCountIsByteIdentical) {
   harness::ClusterRunConfig cfg;
@@ -295,15 +409,18 @@ TEST_P(ClusterManagers, AnyWorkerCountIsByteIdentical) {
   }
 }
 
-TEST_P(ClusterManagers, MultiNodeTablesMatchTheSharedEngine) {
-  for (std::uint32_t nodes : {2u, 4u, 8u}) {
-    const harness::ScalingRunConfig cfg = scaling_quick("HPCCG", GetParam(), nodes);
-    const harness::RunResult seq = harness::run_scaling(cfg);
-    harness::ClusterRunConfig ccfg;
-    ccfg.scaling = cfg;
-    ccfg.cluster_jobs = 3;
-    const harness::RunResult par = harness::run_cluster(ccfg);
-    expect_tables_equal(par, seq);
+TEST_P(ClusterManagers, ResumedRunIsByteIdenticalAtAnyWorkerCount) {
+  harness::ClusterRunConfig cfg;
+  cfg.scaling = scaling_quick("miniFE", GetParam(), 3);
+  cfg.scaling.trace.categories = trace::kAllCategories;
+  cfg.scaling.introspect.sample_interval = 40'000'000;
+  cfg.scaling.introspect.procfs_dump = true;
+  const harness::RunResult straight = harness::run_cluster(cfg);
+  const harness::ClusterImage image = harness::capture_scaling(cfg.scaling);
+  ASSERT_EQ(image.size(), 3u);
+  for (unsigned jobs : {1u, 3u}) {
+    cfg.cluster_jobs = jobs;
+    expect_run_equal(harness::run_cluster(cfg, image), straight);
     if (::testing::Test::HasFatalFailure()) {
       return;
     }

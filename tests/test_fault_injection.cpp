@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "harness/cluster.hpp"
 #include "harness/experiment.hpp"
 #include "verify/audit.hpp"
 #include "verify/fault_inject.hpp"
@@ -246,10 +247,10 @@ TEST_F(InjectionTest, NetDelaySpikeSlowsTheClusterRun) {
   cfg.seed = 11;
   cfg.footprint_scale = 0.08;
   cfg.duration_scale = 0.05;
-  const harness::RunResult base = harness::run_scaling(cfg);
+  const harness::RunResult base = harness::run_cluster({cfg});
   cfg.verify.inject[InjectPoint::kNetDelay] =
       PointPlan{0, 0, /*count=*/100000, /*probability=*/1.0, /*magnitude=*/64.0};
-  const harness::RunResult spiked = harness::run_scaling(cfg);
+  const harness::RunResult spiked = harness::run_cluster({cfg});
   EXPECT_GT(spiked.injected_total(), 0u);
   EXPECT_GT(spiked.runtime_seconds, base.runtime_seconds);
 }

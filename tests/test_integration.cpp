@@ -7,6 +7,8 @@
 #include <fstream>
 
 #include "cluster/network.hpp"
+#include "harness/batch.hpp"
+#include "harness/cluster.hpp"
 #include "harness/experiment.hpp"
 #include "harness/table.hpp"
 
@@ -97,7 +99,7 @@ TEST(Integration, ScalingRunCompletesOnMultipleNodes) {
   cfg.seed = 3;
   cfg.footprint_scale = 0.08;
   cfg.duration_scale = 0.05;
-  const harness::RunResult r = harness::run_scaling(cfg);
+  const harness::RunResult r = harness::run_cluster({cfg});
   EXPECT_GT(r.runtime_seconds, 0.0);
 }
 
@@ -111,7 +113,7 @@ TEST(Integration, ScalingHpmmapCompletesWithNearZeroFaults) {
   cfg.seed = 3;
   cfg.footprint_scale = 0.08;
   cfg.duration_scale = 0.05;
-  const harness::RunResult r = harness::run_scaling(cfg);
+  const harness::RunResult r = harness::run_cluster({cfg});
   EXPECT_EQ(r.faults.count[1], 0u);
   EXPECT_LT(r.faults.count[0], 8192u);
 }

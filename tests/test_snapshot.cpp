@@ -4,10 +4,10 @@
 // round-trip, straight runs vs snapshot-resumed runs byte-identical for
 // all three managers (trace streams included), save/load file
 // round-trips and save/load fixpoints, corrupt image files failing with
-// the loader's message, the amortized-aging sweep matching the plain
-// batch bit for bit, and deterministic time-travel: restore the capture
-// preceding a flight-recorder anomaly and single-step back to the exact
-// event.
+// the loader's message, the amortized-aging sweeps (single node and
+// cluster) matching the plain batch bit for bit, and deterministic
+// time-travel: restore the capture preceding a flight-recorder anomaly
+// and single-step back to the exact event.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +21,7 @@
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "harness/batch.hpp"
+#include "harness/cluster.hpp"
 #include "harness/experiment.hpp"
 #include "introspect/procfs.hpp"
 #include "linux_mm/smp.hpp"
@@ -192,9 +193,9 @@ TEST(SnapshotResume, ScalingRunResumesExactly) {
   cfg.seed = 3;
   cfg.footprint_scale = 0.08;
   cfg.duration_scale = 0.05;
-  const harness::RunResult straight = harness::run_scaling(cfg);
-  const snapshot::WorldImage image = harness::capture_scaling(cfg);
-  const harness::RunResult resumed = harness::run_scaling(cfg, image);
+  const harness::RunResult straight = harness::run_cluster({cfg});
+  const harness::ClusterImage image = harness::capture_scaling(cfg);
+  const harness::RunResult resumed = harness::run_cluster({cfg}, image);
   expect_run_equal(straight, resumed);
 }
 
@@ -596,6 +597,34 @@ TEST(SnapshotSweep, SnapshottedTrialsMatchPlainBatchBitForBit) {
       harness::run_trials_snapshotted(configs, /*trials=*/2, /*jobs=*/1);
   expect_points_equal(plain, snap);
   // Parallel fan-out folds identically too (the BatchRunner contract).
+  expect_points_equal(plain, harness::run_trials_snapshotted(configs, 2, /*jobs=*/4));
+}
+
+TEST(SnapshotSweep, SnapshottedScalingTrialsMatchPlainBatchBitForBit) {
+  // Fig 8's default mode: configs that differ only in app and duration
+  // share one aged 2-node cluster per trial, captured as per-node images.
+  const auto scaling = [](const std::string& app, harness::Manager mgr) {
+    harness::ScalingRunConfig cfg;
+    cfg.app = app;
+    cfg.manager = mgr;
+    cfg.commodity = workloads::profile_c();
+    cfg.nodes = 2;
+    cfg.ranks_per_node = 2;
+    cfg.seed = 5;
+    cfg.footprint_scale = 0.08;
+    cfg.duration_scale = 0.05;
+    cfg.warmup_seconds = 0.3;
+    return cfg;
+  };
+  std::vector<harness::ScalingRunConfig> configs;
+  configs.push_back(scaling("HPCCG", harness::Manager::kThp));
+  configs.push_back(scaling("miniFE", harness::Manager::kThp));
+  configs.push_back(scaling("LAMMPS", harness::Manager::kThp));
+  configs.back().duration_scale = 0.03;
+  configs.push_back(scaling("HPCCG", harness::Manager::kHpmmap));
+  const std::vector<harness::SeriesPoint> plain =
+      harness::run_trials_batch(configs, /*trials=*/2, /*jobs=*/1);
+  expect_points_equal(plain, harness::run_trials_snapshotted(configs, 2, /*jobs=*/1));
   expect_points_equal(plain, harness::run_trials_snapshotted(configs, 2, /*jobs=*/4));
 }
 
