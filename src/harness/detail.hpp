@@ -5,7 +5,8 @@
 // out of the same pieces — node configuration, §IV rank pinning, profile
 // scaling, trace bracketing, result collection, verification session —
 // so they moved behind this internal header. Not part of the public
-// harness API; include from harness/*.cpp only.
+// harness API; include from harness/*.cpp, and from tests that rebuild a
+// harness world's boot config.
 #pragma once
 
 #include <optional>

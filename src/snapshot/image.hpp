@@ -5,10 +5,11 @@
 // copy of the live structure's field, with exactly two translations —
 // raw pointers (AddressSpace*/Process*) become pids, and armed engine
 // events become EventRecords naming their owner, firing time and
-// sequence number so restore can re-arm the identical callback. Restore
-// overwrites a freshly booted world with these images; nothing is
-// re-derived, so a resumed run replays the exact event stream the
-// uninterrupted run would have produced.
+// sequence number so restore can re-arm the identical callback. Sets
+// whose order carries no meaning (swap sets, THP's in-flight merges) are
+// stored sorted. Restore overwrites a freshly booted world with these
+// images; nothing is re-derived, so a resumed run replays the exact event
+// stream the uninterrupted run would have produced.
 #pragma once
 
 #include <array>
@@ -182,7 +183,7 @@ struct AddressSpaceImage {
   Addr heap_base = 0;
   Addr heap_end = 0;
   Cycles locked_until = 0;
-  std::vector<Addr> swapped; // membership-only set, captured iteration order
+  std::vector<Addr> swapped; // membership-only set, sorted on capture
   std::uint8_t zone_policy = 0;
   ZoneId home_zone = 0;
   std::uint32_t zone_count = 1;

@@ -24,6 +24,7 @@
 #include "snapshot/snapshot.hpp"
 
 #include <bit>
+#include <cstddef>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -274,9 +275,18 @@ void fields(Ar& ar, Range& r) {
   ar.pod(r);
 }
 
+// A VMA record keeps the object's old 32-byte layout, but field by field:
+// the padding byte after `locked` is indeterminate in a live VMA, so a
+// zero is written in its place and the loaded byte is dropped.
+static_assert(sizeof(mm::Vma) == 32 && offsetof(mm::Vma, prot) == 16 &&
+                  offsetof(mm::Vma, kind) == 20 && offsetof(mm::Vma, thp_eligible) == 21 &&
+                  offsetof(mm::Vma, locked) == 22 && offsetof(mm::Vma, hugetlb_size) == 24,
+              "the v4 VMA record mirrors the mm::Vma layout");
+
 template <class Ar>
 void fields(Ar& ar, mm::Vma& v) {
-  ar.pod(v);
+  std::uint8_t pad = 0;
+  ar(v.range, v.prot, v.kind, v.thp_eligible, v.locked, pad, v.hugetlb_size);
 }
 
 template <class Ar>

@@ -1,21 +1,26 @@
-// Capture/restore implementation. snapshot::Access is the single friend
-// every mm/os/sim class grants; all private-state traffic lives here.
+// Capture and restore (DESIGN.md §12). snapshot::Access is the single
+// friend every mm/os/sim class grants; all private-state traffic lives here.
 //
-// Restore runs against a freshly booted world (same config, aged_boot
-// off, builds constructed but not started) and overwrites it: the only
-// state *not* overwritten is what boot derives deterministically from
-// the configuration (PhysicalMemory section ownership, cost model, TLB
-// geometry) — the module's offlined ranges are asserted equal rather
-// than copied, which is the cheap cross-check that the fresh boot really
-// did reproduce the captured topology.
+// Each image type has one transfer list, `Transfer<D>::transfer(img, live)`,
+// naming every field once; the direction D, Capture (live -> image) or
+// Restore (image -> live), decides through its primitives on the member `d`
+// which way each field moves. Steps with no image field (clearing event
+// handles, dirtying caches) sit under `if constexpr (D::kRestores)`.
+// Restore overwrites a freshly booted world (same config, aged_boot off,
+// builds constructed but not started); what boot derives from the
+// configuration (zone ranges, list lengths, the module's offlined ranges)
+// is asserted equal rather than copied, the cheap cross-check that the
+// fresh boot reproduced the captured topology.
 
 #include "snapshot/snapshot.hpp"
 
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <iterator>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -44,6 +49,53 @@
 #include "workloads/kernel_build.hpp"
 
 namespace hpmmap::snapshot {
+namespace {
+
+/// The two sides of a transfer in direction D: capture writes the image
+/// and reads the live structure, restore the other way round.
+template <class D, class T>
+using Img = std::conditional_t<D::kRestores, const T, T>;
+template <class D, class T>
+using Live = std::conditional_t<D::kRestores, T, const T>;
+
+/// to <- from for one field. Same-typed values (vectors of numbers
+/// included) move as one assignment, fixed arrays element-wise; integers
+/// and enums convert, and RNG states keep their bytes.
+template <class To, class From>
+void put(To& to, const From& from) {
+  if constexpr (std::is_array_v<To> || std::is_array_v<From>) {
+    std::ranges::copy(from, std::ranges::begin(to));
+  } else if constexpr (std::is_same_v<To, From>) {
+    to = from;
+  } else if constexpr (requires { static_cast<To>(from); }) {
+    to = static_cast<To>(from);
+  } else {
+    to = std::bit_cast<To>(from);
+  }
+}
+
+/// fn(a[i], b[i]) for each i; b is at least as long as a.
+template <class A, class B, class F>
+void zip(A& a, B& b, F& fn) {
+  auto it = std::begin(b);
+  for (auto& e : a) {
+    fn(e, *it++);
+  }
+}
+
+/// What restore builds before inserting into a set or map: its element,
+/// with a mutable key.
+template <class C>
+struct Entry {
+  using type = typename C::value_type;
+};
+template <class C>
+  requires requires { typename C::mapped_type; }
+struct Entry<C> {
+  using type = std::pair<typename C::key_type, typename C::mapped_type>;
+};
+
+} // namespace
 
 struct Access {
   // --- engine primitives -------------------------------------------------
@@ -139,605 +191,6 @@ struct Access {
       fp.emplace_back(p + ".jobs", builds[b].build->config_.jobs);
     }
     return fp;
-  }
-
-  // --- capture: hw / linux_mm ---------------------------------------------
-
-  static MemMapImage capture_mem_map(const hw::MemMap& m) {
-    MemMapImage img;
-    img.range = m.range_;
-    img.meta = m.meta_;
-    img.slot_key.reserve(m.slots_.size());
-    img.slot_next.reserve(m.slots_.size());
-    img.slot_prev.reserve(m.slots_.size());
-    for (const hw::MemMap::Slot& s : m.slots_) {
-      img.slot_key.push_back(s.key);
-      img.slot_next.push_back(s.link.next);
-      img.slot_prev.push_back(s.link.prev);
-    }
-    img.link_count = m.link_count_;
-    return img;
-  }
-
-  static void restore_mem_map(const MemMapImage& img, hw::MemMap& m) {
-    HPMMAP_ASSERT(m.range_ == img.range, "snapshot: mem_map range mismatch");
-    m.meta_ = img.meta;
-    m.slots_.assign(img.slot_key.size(), hw::MemMap::Slot{});
-    for (std::size_t i = 0; i < img.slot_key.size(); ++i) {
-      m.slots_[i].key = img.slot_key[i];
-      m.slots_[i].link.next = img.slot_next[i];
-      m.slots_[i].link.prev = img.slot_prev[i];
-    }
-    m.link_count_ = img.link_count;
-  }
-
-  static BuddyImage capture_buddy(const mm::BuddyAllocator& b) {
-    BuddyImage img;
-    img.range = b.range_;
-    img.max_order = b.max_order_;
-    img.free_bytes = b.free_bytes_;
-    img.lists.reserve(b.lists_.size());
-    for (const mm::BuddyAllocator::OrderList& l : b.lists_) {
-      img.lists.push_back(OrderListImage{l.bits, l.summary, l.count, l.scan_hint});
-    }
-    img.map = capture_mem_map(b.map_);
-    for (const auto& [addr, order] : b.corrupt_blocks_) {
-      img.corrupt_blocks.push_back(CorruptBlockImage{addr, order});
-    }
-    img.stats = b.stats_;
-    return img;
-  }
-
-  static void restore_buddy(const BuddyImage& img, mm::BuddyAllocator& b) {
-    HPMMAP_ASSERT(b.range_ == img.range && b.max_order_ == img.max_order,
-                  "snapshot: buddy layout mismatch");
-    b.free_bytes_ = img.free_bytes;
-    HPMMAP_ASSERT(b.lists_.size() == img.lists.size(), "snapshot: buddy order count mismatch");
-    for (std::size_t o = 0; o < img.lists.size(); ++o) {
-      b.lists_[o].bits = img.lists[o].bits;
-      b.lists_[o].summary = img.lists[o].summary;
-      b.lists_[o].count = img.lists[o].count;
-      b.lists_[o].scan_hint = static_cast<std::size_t>(img.lists[o].scan_hint);
-    }
-    restore_mem_map(img.map, b.map_);
-    b.corrupt_blocks_.clear();
-    for (const CorruptBlockImage& c : img.corrupt_blocks) {
-      b.corrupt_blocks_.emplace_back(c.addr, c.order);
-    }
-    b.stats_ = img.stats;
-  }
-
-  static CacheImage capture_cache(const mm::PageCache& c) {
-    return CacheImage{c.head_, c.tail_, c.count_, c.cached_bytes_,
-                      c.free_floor_, c.dirty_fraction_, c.grow_count_};
-  }
-
-  static void restore_cache(const CacheImage& img, mm::PageCache& c) {
-    c.head_ = img.head;
-    c.tail_ = img.tail;
-    c.count_ = static_cast<std::size_t>(img.count);
-    c.cached_bytes_ = img.cached_bytes;
-    c.free_floor_ = img.free_floor;
-    c.dirty_fraction_ = img.dirty_fraction;
-    c.grow_count_ = img.grow_count;
-  }
-
-  static MemoryImage capture_memory(const mm::MemorySystem& ms) {
-    MemoryImage img;
-    img.rng = std::bit_cast<std::array<std::uint64_t, 4>>(ms.rng_);
-    for (const mm::MemorySystem::ZoneState& z : ms.zones_) {
-      ZoneImage zi;
-      zi.buddy = capture_buddy(z.buddy);
-      zi.cache = capture_cache(z.cache);
-      zi.online_bytes = z.online_bytes;
-      zi.compact_cursor = z.compact_cursor;
-      zi.compact_defer = z.compact_defer;
-      img.zones.push_back(std::move(zi));
-    }
-    return img;
-  }
-
-  static void restore_memory(const MemoryImage& img, mm::MemorySystem& ms) {
-    ms.rng_ = std::bit_cast<Rng>(img.rng);
-    HPMMAP_ASSERT(ms.zones_.size() == img.zones.size(), "snapshot: zone count mismatch");
-    std::size_t zi = 0;
-    for (mm::MemorySystem::ZoneState& z : ms.zones_) {
-      const ZoneImage& img_z = img.zones[zi++];
-      restore_buddy(img_z.buddy, z.buddy);
-      restore_cache(img_z.cache, z.cache);
-      z.online_bytes = img_z.online_bytes;
-      z.compact_cursor = img_z.compact_cursor;
-      z.compact_defer = img_z.compact_defer;
-    }
-  }
-
-  static HugetlbImage capture_hugetlb(const mm::HugetlbPool& h) {
-    HugetlbImage img;
-    for (const mm::HugetlbPool::ZonePool& zp : h.pool_) {
-      img.pool.push_back(HugetlbZonePoolImage{zp.head, zp.count});
-    }
-    img.total = h.total_;
-    img.stats = h.stats_;
-    return img;
-  }
-
-  static void restore_hugetlb(const HugetlbImage& img, mm::HugetlbPool& h) {
-    HPMMAP_ASSERT(h.pool_.size() == img.pool.size(), "snapshot: hugetlb zone count mismatch");
-    for (std::size_t z = 0; z < img.pool.size(); ++z) {
-      h.pool_[z].head = img.pool[z].head;
-      h.pool_[z].count = img.pool[z].count;
-    }
-    h.total_ = img.total;
-    h.stats_ = img.stats;
-  }
-
-  // --- capture: address spaces ---------------------------------------------
-
-  static PageTableImage capture_page_table(const mm::PageTable& pt) {
-    PageTableImage img;
-    img.slots.reserve(std::size_t{pt.nodes_.size()} * mm::PageTable::kFanout);
-    for (std::uint32_t i = 0; i < pt.nodes_.size(); ++i) {
-      const mm::PageTable::Node& n = pt.nodes_[i];
-      img.slots.insert(img.slots.end(), n.slots.begin(), n.slots.end());
-    }
-    img.used = pt.used_;
-    img.free_nodes = pt.free_nodes_;
-    img.mix = pt.mix_;
-    img.table_pages = pt.table_pages_;
-    return img;
-  }
-
-  static void restore_page_table(const PageTableImage& img, mm::PageTable& pt) {
-    HPMMAP_ASSERT(img.slots.size() % mm::PageTable::kFanout == 0,
-                  "snapshot: page-table image not node-aligned");
-    pt.nodes_.clear();
-    pt.forget_pt();
-    const std::size_t node_count = img.slots.size() / mm::PageTable::kFanout;
-    for (std::size_t i = 0; i < node_count; ++i) {
-      mm::PageTable::Node& n = pt.nodes_[pt.nodes_.append()];
-      std::memcpy(n.slots.data(), img.slots.data() + i * mm::PageTable::kFanout,
-                  sizeof(n.slots));
-    }
-    pt.used_ = img.used;
-    pt.free_nodes_ = img.free_nodes;
-    pt.mix_ = img.mix;
-    pt.table_pages_ = img.table_pages;
-  }
-
-  static std::vector<mm::Vma> capture_vmas(const mm::VmaTree& tree) {
-    std::vector<mm::Vma> out;
-    tree.for_each([&](const mm::Vma& v) { out.push_back(v); });
-    return out;
-  }
-
-  /// Re-inserting the captured (maximally merged, disjoint) VMAs in
-  /// ascending order reproduces the tree byte-identically: insert() only
-  /// merges adjacent *compatible* VMAs, and a consistent tree has none.
-  static void restore_vmas(const std::vector<mm::Vma>& vmas, mm::VmaTree& tree) {
-    tree.remove(Range{0, ~Addr{0}});
-    for (const mm::Vma& v : vmas) {
-      const Errno err = tree.insert(v);
-      HPMMAP_ASSERT(err == Errno::kOk, "snapshot: VMA re-insert failed");
-    }
-  }
-
-  static AddressSpaceImage capture_address_space(const mm::AddressSpace& as) {
-    AddressSpaceImage img;
-    img.pid = as.pid_;
-    img.vmas = capture_vmas(as.vmas_);
-    img.pt = capture_page_table(as.pt_);
-    img.heap_base = as.heap_base_;
-    img.heap_end = as.heap_end_;
-    img.locked_until = as.locked_until_;
-    img.swapped.assign(as.swapped_out_.begin(), as.swapped_out_.end());
-    img.zone_policy = static_cast<std::uint8_t>(as.zone_policy_);
-    img.home_zone = as.home_zone_;
-    img.zone_count = as.zone_count_;
-    return img;
-  }
-
-  static void restore_address_space(const AddressSpaceImage& img, mm::AddressSpace& as) {
-    HPMMAP_ASSERT(as.pid_ == img.pid, "snapshot: address-space pid mismatch");
-    restore_vmas(img.vmas, as.vmas_);
-    restore_page_table(img.pt, as.pt_);
-    as.heap_base_ = img.heap_base;
-    as.heap_end_ = img.heap_end;
-    as.locked_until_ = img.locked_until;
-    as.swapped_out_.clear();
-    for (Addr a : img.swapped) {
-      as.swapped_out_.insert(a);
-    }
-    as.zone_policy_ = static_cast<mm::AddressSpace::ZonePolicy>(img.zone_policy);
-    as.home_zone_ = img.home_zone;
-    as.zone_count_ = img.zone_count;
-  }
-
-  // --- capture: THP / module ------------------------------------------------
-
-  static ThpImage capture_thp(const mm::ThpService& t) {
-    ThpImage img;
-    for (const mm::AddressSpace* as : t.processes_) {
-      img.processes.push_back(as->pid());
-    }
-    for (const auto& [as, addr] : t.enter_queue_) {
-      img.enter_queue.push_back(PidAddr{as->pid(), addr});
-    }
-    for (const auto& [as, addr] : t.inflight_) {
-      img.inflight.push_back(PidAddr{as->pid(), addr});
-    }
-    // inflight_ is keyed by pointer, so its iteration order is not
-    // stable across processes; it is membership-only, so sort for a
-    // deterministic image.
-    std::sort(img.inflight.begin(), img.inflight.end(), [](const PidAddr& a, const PidAddr& b) {
-      return a.pid != b.pid ? a.pid < b.pid : a.addr < b.addr;
-    });
-    img.scan_rr = t.scan_rr_;
-    img.scan_cursor = t.scan_cursor_;
-    img.scan_period = t.scan_period_;
-    img.last_scan = t.last_scan_;
-    img.running = t.running_;
-    for (const mm::ThpService::PendingCollapse& pc : t.pending_collapses_) {
-      img.pending_collapses.push_back(
-          ThpCollapseImage{pc.token, pc.as->pid(), pc.region, pc.mapped_small});
-    }
-    for (const mm::ThpService::PendingMerge& pm : t.pending_merges_) {
-      img.pending_merges.push_back(
-          ThpMergeImage{pm.token, pm.as->pid(), pm.region, pm.huge_phys});
-    }
-    img.next_token = t.next_token_;
-    img.stats = t.stats_;
-    return img;
-  }
-
-  static void restore_thp(const ThpImage& img, mm::ThpService& t, os::Node& node) {
-    t.processes_.clear();
-    for (Pid pid : img.processes) {
-      t.processes_.push_back(&find_process(node, pid)->as_);
-    }
-    t.enter_queue_.clear();
-    for (const PidAddr& pa : img.enter_queue) {
-      t.enter_queue_.emplace_back(&find_process(node, pa.pid)->as_, pa.addr);
-    }
-    t.inflight_.clear();
-    for (const PidAddr& pa : img.inflight) {
-      t.inflight_.emplace(&find_process(node, pa.pid)->as_, pa.addr);
-    }
-    t.scan_rr_ = static_cast<std::size_t>(img.scan_rr);
-    t.scan_cursor_ = img.scan_cursor;
-    t.scan_period_ = img.scan_period;
-    t.last_scan_ = img.last_scan;
-    t.running_ = img.running;
-    t.pending_scan_ = sim::EventId{};
-    t.wake_pending_ = sim::EventId{};
-    t.pending_collapses_.clear();
-    for (const ThpCollapseImage& pc : img.pending_collapses) {
-      t.pending_collapses_.push_back(mm::ThpService::PendingCollapse{
-          pc.token, &find_process(node, pc.pid)->as_, pc.region, pc.mapped_small,
-          sim::EventId{}});
-    }
-    t.pending_merges_.clear();
-    for (const ThpMergeImage& pm : img.pending_merges) {
-      t.pending_merges_.push_back(mm::ThpService::PendingMerge{
-          pm.token, &find_process(node, pm.pid)->as_, pm.region, pm.huge_phys,
-          sim::EventId{}});
-    }
-    t.next_token_ = img.next_token;
-    t.stats_ = img.stats;
-  }
-
-  static ModuleImage capture_module(const core::HpmmapModule& m) {
-    ModuleImage img;
-    img.rng = std::bit_cast<std::array<std::uint64_t, 4>>(m.rng_);
-    img.offlined = m.offlined_;
-    for (const core::KittenAllocator::ZoneHeap& zh : m.kitten_.zones_) {
-      std::vector<BuddyImage> buddies;
-      for (const mm::BuddyAllocator& b : zh.buddies) {
-        buddies.push_back(capture_buddy(b));
-      }
-      img.kitten_zones.push_back(std::move(buddies));
-    }
-    img.kitten_stats = m.kitten_.stats_;
-    for (const core::PidRegistry::Slot& s : m.registry_.slots_) {
-      img.registry_slots.push_back(
-          RegistrySlotImage{static_cast<std::uint8_t>(s.state), s.pid, s.context});
-    }
-    img.registry_size = m.registry_.size_;
-    img.registry_tombstones = m.registry_.tombstones_;
-    for (const core::HpmmapModule::ProcessContext& c : m.contexts_) {
-      ModuleContextImage ci;
-      ci.pid = (c.live && c.as != nullptr) ? c.as->pid() : 0;
-      ci.vmas = capture_vmas(c.vmas);
-      ci.mmap_cursor = c.mmap_cursor;
-      ci.heap_base = c.heap_base;
-      ci.heap_break = c.heap_break;
-      ci.live = c.live;
-      img.contexts.push_back(std::move(ci));
-    }
-    img.stats = m.stats_;
-    return img;
-  }
-
-  static void restore_module(const ModuleImage& img, core::HpmmapModule& m, os::Node& node) {
-    m.rng_ = std::bit_cast<Rng>(img.rng);
-    // A fresh boot with the same config offlines the same ranges from
-    // the same forked rng stream; verify instead of trusting.
-    HPMMAP_ASSERT(m.offlined_ == img.offlined,
-                  "snapshot: fresh boot offlined different ranges than the image");
-    HPMMAP_ASSERT(m.kitten_.zones_.size() == img.kitten_zones.size(),
-                  "snapshot: kitten zone count mismatch");
-    for (std::size_t z = 0; z < img.kitten_zones.size(); ++z) {
-      core::KittenAllocator::ZoneHeap& zh = m.kitten_.zones_[z];
-      HPMMAP_ASSERT(zh.buddies.size() == img.kitten_zones[z].size(),
-                    "snapshot: kitten heap count mismatch");
-      for (std::size_t i = 0; i < zh.buddies.size(); ++i) {
-        restore_buddy(img.kitten_zones[z][i], zh.buddies[i]);
-      }
-    }
-    m.kitten_.stats_ = img.kitten_stats;
-    m.registry_.slots_.assign(img.registry_slots.size(), core::PidRegistry::Slot{});
-    for (std::size_t i = 0; i < img.registry_slots.size(); ++i) {
-      m.registry_.slots_[i].state =
-          static_cast<core::PidRegistry::State>(img.registry_slots[i].state);
-      m.registry_.slots_[i].pid = img.registry_slots[i].pid;
-      m.registry_.slots_[i].context = img.registry_slots[i].context;
-    }
-    m.registry_.size_ = static_cast<std::size_t>(img.registry_size);
-    m.registry_.tombstones_ = static_cast<std::size_t>(img.registry_tombstones);
-    m.contexts_.clear();
-    for (const ModuleContextImage& ci : img.contexts) {
-      core::HpmmapModule::ProcessContext c;
-      c.as = ci.pid != 0 ? &find_process(node, ci.pid)->as_ : nullptr;
-      restore_vmas(ci.vmas, c.vmas);
-      c.mmap_cursor = ci.mmap_cursor;
-      c.heap_base = ci.heap_base;
-      c.heap_break = ci.heap_break;
-      c.live = ci.live;
-      m.contexts_.push_back(std::move(c));
-    }
-    m.stats_ = img.stats;
-  }
-
-  // --- capture: SMP domain ---------------------------------------------------
-
-  static SmpImage capture_smp(const mm::SmpDomain& s) {
-    SmpImage img;
-    for (const mm::SimLock& l : s.zone_locks_) {
-      img.zone_lock_free_at.push_back(l.free_at);
-    }
-    img.cpu_stall = s.cpu_stall_;
-    for (const mm::SmpDomain::MmState& m : s.mms_) {
-      SmpMmImage mi;
-      mi.pid = m.pid;
-      mi.writer_free_at = m.mmap_sem.writer_free_at;
-      mi.readers_free_at = m.mmap_sem.readers_free_at;
-      for (const mm::SimLock& l : m.pt_shards) {
-        mi.pt_shard_free_at.push_back(l.free_at);
-      }
-      mi.pending_shootdown_pages = m.pending_shootdown_pages;
-      img.mms.push_back(std::move(mi));
-    }
-    for (const mm::SmpDomain::PcpList& l : s.pcp_) {
-      img.pcp.push_back(l.frames);
-    }
-    img.stats = s.stats_;
-    return img;
-  }
-
-  static void restore_smp(const SmpImage& img, mm::SmpDomain& s) {
-    HPMMAP_ASSERT(s.zone_locks_.size() == img.zone_lock_free_at.size(),
-                  "snapshot: smp zone count mismatch");
-    for (std::size_t z = 0; z < img.zone_lock_free_at.size(); ++z) {
-      s.zone_locks_[z].free_at = img.zone_lock_free_at[z];
-    }
-    HPMMAP_ASSERT(s.cpu_stall_.size() == img.cpu_stall.size(),
-                  "snapshot: smp core count mismatch");
-    s.cpu_stall_ = img.cpu_stall;
-    s.mms_.clear();
-    for (const SmpMmImage& mi : img.mms) {
-      mm::SmpDomain::MmState m;
-      m.pid = mi.pid;
-      m.mmap_sem.writer_free_at = mi.writer_free_at;
-      m.mmap_sem.readers_free_at = mi.readers_free_at;
-      for (const Cycles c : mi.pt_shard_free_at) {
-        m.pt_shards.push_back(mm::SimLock{c});
-      }
-      m.pending_shootdown_pages = mi.pending_shootdown_pages;
-      s.mms_.push_back(std::move(m));
-    }
-    HPMMAP_ASSERT(s.pcp_.size() == img.pcp.size(), "snapshot: smp pcp list count mismatch");
-    for (std::size_t i = 0; i < img.pcp.size(); ++i) {
-      s.pcp_[i].frames = img.pcp[i];
-    }
-    s.stats_ = img.stats;
-  }
-
-  // --- capture: os ---------------------------------------------------------
-
-  static SchedulerImage capture_scheduler(const os::Scheduler& s) {
-    SchedulerImage img;
-    for (const os::Scheduler::Thread& t : s.threads_) {
-      img.threads.push_back(SchedulerThreadImage{t.core, t.weight, t.gen, t.live});
-    }
-    img.free_slots = s.free_slots_;
-    img.live_count = s.live_count_;
-    img.pinned_weight = s.pinned_weight_;
-    img.unpinned_weight = s.unpinned_weight_;
-    return img;
-  }
-
-  static void restore_scheduler(const SchedulerImage& img, os::Scheduler& s) {
-    s.threads_.clear();
-    for (const SchedulerThreadImage& t : img.threads) {
-      s.threads_.push_back(os::Scheduler::Thread{t.core, t.weight, t.gen, t.live});
-    }
-    s.free_slots_ = img.free_slots;
-    s.live_count_ = static_cast<std::size_t>(img.live_count);
-    s.pinned_weight_ = img.pinned_weight;
-    s.unpinned_weight_ = img.unpinned_weight;
-    s.dirty_ = true; // mutable caches recompute lazily
-  }
-
-  static BandwidthImage capture_bandwidth(const hw::BandwidthModel& bw) {
-    BandwidthImage img;
-    for (const hw::BandwidthModel::Entry& e : bw.entries_) {
-      img.entries.push_back(BandwidthEntryImage{e.consumer, e.zone, e.demand});
-    }
-    img.zone_demand = bw.zone_demand_;
-    img.capacity = bw.capacity_;
-    img.next_id = bw.next_id_;
-    return img;
-  }
-
-  static void restore_bandwidth(const BandwidthImage& img, hw::BandwidthModel& bw) {
-    bw.entries_.clear();
-    for (const BandwidthEntryImage& e : img.entries) {
-      bw.entries_.push_back(hw::BandwidthModel::Entry{e.consumer, e.zone, e.demand});
-    }
-    bw.zone_demand_ = img.zone_demand;
-    bw.capacity_ = img.capacity;
-    bw.next_id_ = img.next_id;
-  }
-
-  static os::Process* find_process(os::Node& node, Pid pid) {
-    for (const auto& p : node.processes_) {
-      if (p->pid_ == pid) {
-        return p.get();
-      }
-    }
-    HPMMAP_ASSERT(false, "snapshot: image references a pid the world does not hold");
-    return nullptr;
-  }
-
-  static NodeImage capture_node(os::Node& n) {
-    NodeImage img;
-    img.rng = std::bit_cast<std::array<std::uint64_t, 4>>(n.rng_);
-    img.scheduler = capture_scheduler(n.scheduler_);
-    img.bw = capture_bandwidth(n.bw_);
-    img.memory = capture_memory(*n.memory_);
-    if (n.hugetlb_) {
-      img.has_hugetlb = true;
-      img.hugetlb = capture_hugetlb(*n.hugetlb_);
-    }
-    for (const auto& p : n.processes_) {
-      ProcessImage pi;
-      pi.pid = p->pid_;
-      pi.name = p->name_;
-      pi.policy = static_cast<std::uint8_t>(p->policy_);
-      pi.as = capture_address_space(p->as_);
-      pi.core = p->core_;
-      pi.sched_id = p->sched_.id;
-      pi.sched_gen = p->sched_.gen;
-      pi.fault_stats = p->fault_stats_;
-      pi.alive = p->alive_;
-      img.processes.push_back(std::move(pi));
-    }
-    if (n.module_) {
-      img.has_module = true;
-      img.module = capture_module(*n.module_);
-    }
-    if (n.thp_) {
-      img.has_thp = true;
-      img.thp = capture_thp(*n.thp_);
-    }
-    if (n.smp_) {
-      img.has_smp = true;
-      img.smp = capture_smp(*n.smp_);
-    }
-    img.next_pid = n.next_pid_;
-    for (const auto& [proc, addr] : n.anon_lru_) {
-      img.anon_lru.push_back(PidAddr{proc->pid_, addr});
-    }
-    img.swapped_out_total = n.swapped_out_total_;
-    return img;
-  }
-
-  static void restore_node(const NodeImage& img, os::Node& n) {
-    n.rng_ = std::bit_cast<Rng>(img.rng);
-    restore_scheduler(img.scheduler, n.scheduler_);
-    restore_bandwidth(img.bw, n.bw_);
-    restore_memory(img.memory, *n.memory_);
-    HPMMAP_ASSERT(img.has_hugetlb == (n.hugetlb_ != nullptr),
-                  "snapshot: hugetlb presence mismatch");
-    if (img.has_hugetlb) {
-      restore_hugetlb(img.hugetlb, *n.hugetlb_);
-    }
-    // Processes before module/THP: both rebind AddressSpace pointers by pid.
-    n.processes_.clear();
-    for (const ProcessImage& pi : img.processes) {
-      auto p = std::make_unique<os::Process>(pi.pid, pi.name,
-                                             static_cast<os::MmPolicy>(pi.policy));
-      restore_address_space(pi.as, p->as_);
-      p->core_ = pi.core;
-      p->sched_ = os::Scheduler::ThreadId{pi.sched_id, pi.sched_gen};
-      p->fault_stats_ = pi.fault_stats;
-      p->alive_ = pi.alive;
-      n.processes_.push_back(std::move(p));
-    }
-    HPMMAP_ASSERT(img.has_module == (n.module_ != nullptr),
-                  "snapshot: module presence mismatch");
-    if (img.has_module) {
-      restore_module(img.module, *n.module_, n);
-    }
-    HPMMAP_ASSERT(img.has_thp == (n.thp_ != nullptr), "snapshot: thp presence mismatch");
-    if (img.has_thp) {
-      restore_thp(img.thp, *n.thp_, n);
-    }
-    HPMMAP_ASSERT(img.has_smp == (n.smp_ != nullptr), "snapshot: smp presence mismatch");
-    if (img.has_smp) {
-      restore_smp(img.smp, *n.smp_);
-    }
-    n.next_pid_ = img.next_pid;
-    n.anon_lru_.clear();
-    for (const PidAddr& pa : img.anon_lru) {
-      n.anon_lru_.emplace_back(find_process(n, pa.pid), pa.addr);
-    }
-    n.swapped_out_total_ = img.swapped_out_total;
-    n.kswapd_event_ = sim::EventId{}; // re-armed from the event records
-  }
-
-  // --- capture: builds ------------------------------------------------------
-
-  static BuildImage capture_build(const workloads::KernelBuild& kb, std::uint32_t node_index) {
-    BuildImage img;
-    img.node_index = node_index;
-    img.rng = std::bit_cast<std::array<std::uint64_t, 4>>(kb.rng_);
-    for (const workloads::KernelBuild::Job& j : kb.jobs_) {
-      BuildJobImage ji;
-      for (const workloads::KernelBuild::Block& blk : j.blocks) {
-        ji.blocks.push_back(BuildBlockImage{blk.zone, blk.addr, blk.order});
-      }
-      ji.sched_id = j.sched.id;
-      ji.sched_gen = j.sched.gen;
-      ji.bw_id = j.bw.id;
-      ji.home = j.home;
-      ji.phase = j.phase;
-      ji.live = j.live;
-      img.jobs.push_back(std::move(ji));
-    }
-    img.stats = kb.stats_;
-    img.running = kb.running_;
-    return img;
-  }
-
-  static void restore_build(const BuildImage& img, workloads::KernelBuild& kb) {
-    kb.rng_ = std::bit_cast<Rng>(img.rng);
-    kb.jobs_.clear();
-    kb.jobs_.resize(img.jobs.size());
-    for (std::size_t i = 0; i < img.jobs.size(); ++i) {
-      const BuildJobImage& ji = img.jobs[i];
-      workloads::KernelBuild::Job& j = kb.jobs_[i];
-      for (const BuildBlockImage& blk : ji.blocks) {
-        j.blocks.push_back(workloads::KernelBuild::Block{blk.zone, blk.addr, blk.order});
-      }
-      j.sched = os::Scheduler::ThreadId{ji.sched_id, ji.sched_gen};
-      j.bw = hw::BandwidthModel::Consumer{ji.bw_id};
-      j.home = ji.home;
-      j.phase = ji.phase;
-      j.live = ji.live;
-      j.pending = sim::EventId{}; // re-armed from the event records
-    }
-    kb.stats_ = img.stats;
-    kb.running_ = img.running;
   }
 
   // --- events ---------------------------------------------------------------
@@ -871,183 +324,487 @@ struct Access {
     HPMMAP_ASSERT(e.live_ == img.events.size(), "snapshot: re-arm count mismatch");
   }
 
-  // --- per-run context -----------------------------------------------------
+  // --- directions ------------------------------------------------------------
+  //
+  // d(img, live) moves one field. d.same(img, live, what) captures layout a
+  // fresh boot reproduces and asserts it on restore. d.each(img, live, fn)
+  // moves a list entry by entry; restore rebuilds the list from
+  // value-initialised entries, so entry fields with no image field (pending
+  // events) start cleared. d.fixed(img, live, what, fn) moves a list whose
+  // length a fresh boot fixes, asserted on restore. d.pid(img, ptr, node)
+  // moves a Process*/AddressSpace* as its pid.
 
-  static TraceImage capture_trace() {
-    const trace::FlightRecorder& rec = trace::recorder();
-    TraceImage img;
-    img.ring = rec.ring_;
-    img.capacity = rec.capacity_;
-    img.head = rec.head_;
-    img.dropped = rec.dropped_;
-    img.recorded = rec.recorded_;
-    return img;
-  }
+  struct Capture {
+    static constexpr bool kRestores = false;
 
-  static void restore_trace(const TraceImage& img) {
-    trace::FlightRecorder& rec = trace::recorder();
-    rec.ring_ = img.ring;
-    rec.capacity_ = static_cast<std::size_t>(img.capacity);
-    rec.head_ = static_cast<std::size_t>(img.head);
-    rec.dropped_ = img.dropped;
-    rec.recorded_ = img.recorded;
-  }
-
-  static RunningStatsImage capture_running_stats(const RunningStats& s) {
-    return RunningStatsImage{s.n_, s.mean_, s.m2_, s.min_, s.max_, s.sum_};
-  }
-
-  static void restore_running_stats(const RunningStatsImage& img, RunningStats& s) {
-    s.n_ = img.n;
-    s.mean_ = img.mean;
-    s.m2_ = img.m2;
-    s.min_ = img.min;
-    s.max_ = img.max;
-    s.sum_ = img.sum;
-  }
-
-  static P2QuantileImage capture_p2(const P2Quantile& p) {
-    P2QuantileImage img;
-    img.q = p.q_;
-    img.n = p.n_;
-    for (int i = 0; i < 5; ++i) {
-      img.heights[static_cast<std::size_t>(i)] = p.heights_[i];
-      img.positions[static_cast<std::size_t>(i)] = p.positions_[i];
-      img.desired[static_cast<std::size_t>(i)] = p.desired_[i];
-      img.increments[static_cast<std::size_t>(i)] = p.increments_[i];
+    template <class I, class L>
+    void operator()(I& img, const L& live) const { put(img, live); }
+    template <class I, class L>
+    void same(I& img, const L& live, const char* /*what*/) const { put(img, live); }
+    template <class I, class L, class F>
+    void each(I& img, const L& live, F&& fn) const {
+      img.resize(std::size(live));
+      zip(img, live, fn);
     }
-    return img;
-  }
+    template <class I, class L, class F>
+    void fixed(I& img, const L& live, const char* /*what*/, F&& fn) const { each(img, live, fn); }
+    template <class P>
+    void pid(Pid& pid, const P* ptr, const os::Node& /*node*/) const { pid = ptr->pid(); }
+  };
 
-  static void restore_p2(const P2QuantileImage& img, P2Quantile& p) {
-    p.q_ = img.q;
-    p.n_ = img.n;
-    for (int i = 0; i < 5; ++i) {
-      p.heights_[i] = img.heights[static_cast<std::size_t>(i)];
-      p.positions_[i] = img.positions[static_cast<std::size_t>(i)];
-      p.desired_[i] = img.desired[static_cast<std::size_t>(i)];
-      p.increments_[i] = img.increments[static_cast<std::size_t>(i)];
-    }
-  }
+  struct Restore {
+    static constexpr bool kRestores = true;
 
-  static MetricsImage capture_metrics() {
-    const trace::MetricRegistry& reg = trace::metrics();
-    MetricsImage img;
-    for (const auto& [name, value] : reg.counters_) {
-      img.counters.emplace_back(name, value);
+    template <class I, class L>
+    void operator()(const I& img, L& live) const { put(live, img); }
+    template <class I, class L>
+    void same(const I& img, const L& live, const char* what) const {
+      HPMMAP_ASSERT(img == live, what);
     }
-    for (const auto& [name, hist] : reg.histograms_) {
-      HistogramImage hi;
-      hi.stats = capture_running_stats(hist.stats_);
-      hi.p50 = capture_p2(hist.p50_);
-      hi.p95 = capture_p2(hist.p95_);
-      hi.p99 = capture_p2(hist.p99_);
-      img.histograms.emplace_back(name, hi);
+    template <class I, class L, class F>
+    void each(const I& img, L& live, F&& fn) const {
+      live.clear();
+      if constexpr (requires { live.resize(img.size()); }) {
+        live.resize(img.size());
+        zip(img, live, fn);
+      } else {
+        for (const auto& e : img) {
+          typename Entry<L>::type entry{};
+          fn(e, entry);
+          live.insert(std::move(entry));
+        }
+      }
     }
-    return img;
-  }
+    template <class I, class L, class F>
+    void fixed(const I& img, L& live, const char* what, F&& fn) const {
+      HPMMAP_ASSERT(std::size(live) == img.size(), what);
+      zip(img, live, fn);
+    }
+    template <class P>
+    void pid(Pid pid, P*& ptr, os::Node& node) const {
+      const auto it =
+          std::ranges::find(node.processes_, pid, [](const auto& p) { return p->pid(); });
+      HPMMAP_ASSERT(it != node.processes_.end(),
+                    "snapshot: image references a pid the world does not hold");
+      if constexpr (std::is_same_v<P, os::Process>) {
+        ptr = it->get();
+      } else {
+        ptr = &(*it)->as_;
+      }
+    }
+  };
 
-  static void restore_metrics(const MetricsImage& img) {
-    trace::MetricRegistry& reg = trace::metrics();
-    reg.counters_.clear();
-    reg.histograms_.clear();
-    for (const auto& [name, value] : img.counters) {
-      reg.counters_[name] = value;
-    }
-    for (const auto& [name, hi] : img.histograms) {
-      trace::Histogram& h = reg.histograms_[name];
-      restore_running_stats(hi.stats, h.stats_);
-      restore_p2(hi.p50, h.p50_);
-      restore_p2(hi.p95, h.p95_);
-      restore_p2(hi.p99, h.p99_);
-    }
-  }
+  // --- transfer lists, one per image type -----------------------------------
 
-  static InjectorImage capture_injector() {
-    const verify::FaultInjector& inj = verify::injector();
-    InjectorImage img;
-    img.plan = inj.plan_;
-    img.stats = inj.stats_;
-    img.rng = std::bit_cast<std::array<std::uint64_t, 4>>(inj.rng_);
-    img.armed = inj.armed_;
-    return img;
-  }
+  /// Every transfer list, read in direction D.
+  template <class D>
+  struct Transfer {
+    D d;
 
-  /// on_fire_ is deliberately untouched: the resumed harness installs
-  /// its own audit hook before restore.
-  static void restore_injector(const InjectorImage& img) {
-    verify::FaultInjector& inj = verify::injector();
-    inj.plan_ = img.plan;
-    inj.stats_ = img.stats;
-    inj.rng_ = std::bit_cast<Rng>(img.rng);
-    inj.armed_ = img.armed;
-  }
+    /// (pid, addr) <-> the mm layer's (pointer, addr) queue entries.
+    template <class N>
+    auto pid_addr(N& node) const {
+      return [this, &node](auto& pa, auto& entry) {
+        d.pid(pa.pid, entry.first, node);
+        d(pa.addr, entry.second);
+      };
+    }
 
-  // --- top level ------------------------------------------------------------
+    void transfer(Img<D, MemMapImage>& img, Live<D, hw::MemMap>& m) const {
+      d.same(img.range, m.range_, "snapshot: mem_map range mismatch");
+      d(img.meta, m.meta_);
+      // The link table verbatim, empty slots included, one array per field.
+      d.each(img.slot_key, m.slots_, [&](auto& key, auto& s) { d(key, s.key); });
+      d.fixed(img.slot_next, m.slots_, "snapshot: mem_map link table mismatch",
+              [&](auto& next, auto& s) { d(next, s.link.next); });
+      d.fixed(img.slot_prev, m.slots_, "snapshot: mem_map link table mismatch",
+              [&](auto& prev, auto& s) { d(prev, s.link.prev); });
+      d(img.link_count, m.link_count_);
+    }
 
-  static WorldImage capture(sim::Engine& e, const std::vector<os::Node*>& nodes,
-                            const std::vector<BuildRef>& builds) {
-    WorldImage img;
-    img.fingerprint = fingerprint(nodes, builds);
-    img.engine = EngineImage{e.now_, e.next_seq_, e.fired_, e.cancelled_, e.stopped_};
-    for (os::Node* n : nodes) {
-      img.nodes.push_back(capture_node(*n));
+    void transfer(Img<D, BuddyImage>& img, Live<D, mm::BuddyAllocator>& b) const {
+      d.same(img.range, b.range_, "snapshot: buddy layout mismatch");
+      d.same(img.max_order, b.max_order_, "snapshot: buddy layout mismatch");
+      d(img.free_bytes, b.free_bytes_);
+      d.fixed(img.lists, b.lists_, "snapshot: buddy order count mismatch", [&](auto& li, auto& l) {
+        d(li.bits, l.bits);
+        d(li.summary, l.summary);
+        d(li.count, l.count);
+        d(li.scan_hint, l.scan_hint);
+      });
+      transfer(img.map, b.map_);
+      d.each(img.corrupt_blocks, b.corrupt_blocks_, [&](auto& ci, auto& c) {
+        d(ci.addr, c.first);
+        d(ci.order, c.second);
+      });
+      d(img.stats, b.stats_);
     }
-    for (const BuildRef& b : builds) {
-      img.builds.push_back(capture_build(*b.build, b.node_index));
-    }
-    capture_events(img, e, nodes, builds);
-    img.trace = capture_trace();
-    img.metrics = capture_metrics();
-    img.injector = capture_injector();
-    return img;
-  }
 
-  static void restore(const WorldImage& img, sim::Engine& e,
-                      const std::vector<os::Node*>& nodes,
-                      const std::vector<BuildRef>& builds) {
-    HPMMAP_ASSERT(img.fingerprint == fingerprint(nodes, builds),
-                  "snapshot: image does not match the target world's layout");
-    clear_events(e);
-    HPMMAP_ASSERT(img.nodes.size() == nodes.size(), "snapshot: node count mismatch");
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      restore_node(img.nodes[i], *nodes[i]);
+    void transfer(Img<D, CacheImage>& img, Live<D, mm::PageCache>& c) const {
+      d(img.head, c.head_);
+      d(img.tail, c.tail_);
+      d(img.count, c.count_);
+      d(img.cached_bytes, c.cached_bytes_);
+      d(img.free_floor, c.free_floor_);
+      d(img.dirty_fraction, c.dirty_fraction_);
+      d(img.grow_count, c.grow_count_);
     }
-    HPMMAP_ASSERT(img.builds.size() == builds.size(), "snapshot: build count mismatch");
-    for (std::size_t b = 0; b < builds.size(); ++b) {
-      restore_build(img.builds[b], *builds[b].build);
+
+    void transfer(Img<D, MemoryImage>& img, Live<D, mm::MemorySystem>& ms) const {
+      d(img.rng, ms.rng_);
+      d.fixed(img.zones, ms.zones_, "snapshot: zone count mismatch", [&](auto& zi, auto& z) {
+        transfer(zi.buddy, z.buddy);
+        transfer(zi.cache, z.cache);
+        d(zi.online_bytes, z.online_bytes);
+        d(zi.compact_cursor, z.compact_cursor);
+        d(zi.compact_defer, z.compact_defer);
+      });
     }
-    rearm_events(img, e, nodes, builds);
-    e.now_ = img.engine.now;
-    e.next_seq_ = img.engine.next_seq;
-    e.fired_ = img.engine.fired;
-    e.cancelled_ = img.engine.cancelled;
-    e.stopped_ = img.engine.stopped;
-    restore_trace(img.trace);
-    restore_metrics(img.metrics);
-    restore_injector(img.injector);
-  }
+
+    void transfer(Img<D, HugetlbImage>& img, Live<D, mm::HugetlbPool>& h) const {
+      d.fixed(img.pool, h.pool_, "snapshot: hugetlb zone count mismatch", [&](auto& zi, auto& z) {
+        d(zi.head, z.head);
+        d(zi.count, z.count);
+      });
+      d(img.total, h.total_);
+      d(img.stats, h.stats_);
+    }
+
+    void transfer(Img<D, PageTableImage>& img, Live<D, mm::PageTable>& pt) const {
+      constexpr std::size_t kFanout = mm::PageTable::kFanout;
+      // nodes_ flattened: node i occupies slots [kFanout*i, kFanout*(i+1)).
+      if constexpr (D::kRestores) {
+        HPMMAP_ASSERT(img.slots.size() % kFanout == 0,
+                      "snapshot: page-table image not node-aligned");
+        pt.nodes_.clear();
+        pt.forget_pt();
+        for (std::size_t i = 0; i < img.slots.size(); i += kFanout) {
+          mm::PageTable::Node& n = pt.nodes_[pt.nodes_.append()];
+          std::memcpy(n.slots.data(), img.slots.data() + i, sizeof(n.slots));
+        }
+      } else {
+        img.slots.reserve(std::size_t{pt.nodes_.size()} * kFanout);
+        for (std::uint32_t i = 0; i < pt.nodes_.size(); ++i) {
+          img.slots.insert(img.slots.end(), pt.nodes_[i].slots.begin(), pt.nodes_[i].slots.end());
+        }
+      }
+      d(img.used, pt.used_);
+      d(img.free_nodes, pt.free_nodes_);
+      d(img.mix, pt.mix_);
+      d(img.table_pages, pt.table_pages_);
+    }
+
+    /// Re-inserting the captured (maximally merged, disjoint) VMAs in
+    /// ascending order reproduces the tree byte-identically: insert() only
+    /// merges adjacent *compatible* VMAs, and a consistent tree has none.
+    void transfer(Img<D, std::vector<mm::Vma>>& vmas, Live<D, mm::VmaTree>& tree) const {
+      if constexpr (D::kRestores) {
+        tree.remove(Range{0, ~Addr{0}});
+        for (const mm::Vma& v : vmas) {
+          const Errno err = tree.insert(v);
+          HPMMAP_ASSERT(err == Errno::kOk, "snapshot: VMA re-insert failed");
+        }
+      } else {
+        tree.for_each([&](const mm::Vma& v) { vmas.push_back(v); });
+      }
+    }
+
+    void transfer(Img<D, AddressSpaceImage>& img, Live<D, mm::AddressSpace>& as) const {
+      d.same(img.pid, as.pid_, "snapshot: address-space pid mismatch");
+      transfer(img.vmas, as.vmas_);
+      transfer(img.pt, as.pt_);
+      d(img.heap_base, as.heap_base_);
+      d(img.heap_end, as.heap_end_);
+      d(img.locked_until, as.locked_until_);
+      d.each(img.swapped, as.swapped_out_, d);
+      if constexpr (!D::kRestores) {
+        // A membership-only set: bucket order depends on the set's history,
+        // so a restored set would capture in a different order. Sort.
+        std::ranges::sort(img.swapped);
+      }
+      d(img.zone_policy, as.zone_policy_);
+      d(img.home_zone, as.home_zone_);
+      d(img.zone_count, as.zone_count_);
+    }
+
+    void transfer(Img<D, ThpImage>& img, Live<D, mm::ThpService>& t,
+                  Live<D, os::Node>& node) const {
+      d.each(img.processes, t.processes_, [&](auto& pid, auto& as) { d.pid(pid, as, node); });
+      d.each(img.enter_queue, t.enter_queue_, pid_addr(node));
+      d.each(img.inflight, t.inflight_, pid_addr(node));
+      if constexpr (!D::kRestores) {
+        // inflight_ is keyed by pointer, so its iteration order is not
+        // stable across processes; it is membership-only, so sort for a
+        // deterministic image.
+        std::ranges::sort(img.inflight, {},
+                          [](const PidAddr& pa) { return std::pair(pa.pid, pa.addr); });
+      }
+      d(img.scan_rr, t.scan_rr_);
+      d(img.scan_cursor, t.scan_cursor_);
+      d(img.scan_period, t.scan_period_);
+      d(img.last_scan, t.last_scan_);
+      d(img.running, t.running_);
+      d.each(img.pending_collapses, t.pending_collapses_, [&](auto& ci, auto& c) {
+        d(ci.token, c.token);
+        d.pid(ci.pid, c.as, node);
+        d(ci.region, c.region);
+        d(ci.mapped_small, c.mapped_small);
+      });
+      d.each(img.pending_merges, t.pending_merges_, [&](auto& mi, auto& m) {
+        d(mi.token, m.token);
+        d.pid(mi.pid, m.as, node);
+        d(mi.region, m.region);
+        d(mi.huge_phys, m.huge_phys);
+      });
+      d(img.next_token, t.next_token_);
+      d(img.stats, t.stats_);
+      if constexpr (D::kRestores) {
+        t.pending_scan_ = sim::EventId{}; // re-armed from the event records
+        t.wake_pending_ = sim::EventId{};
+      }
+    }
+
+    void transfer(Img<D, ModuleImage>& img, Live<D, core::HpmmapModule>& m,
+                  Live<D, os::Node>& node) const {
+      d(img.rng, m.rng_);
+      // A fresh boot with the same config offlines the same ranges from
+      // the same forked rng stream; verify instead of trusting.
+      d.same(img.offlined, m.offlined_,
+             "snapshot: fresh boot offlined different ranges than the image");
+      d.fixed(img.kitten_zones, m.kitten_.zones_, "snapshot: kitten zone count mismatch",
+              [&](auto& heaps, auto& zh) {
+                d.fixed(heaps, zh.buddies, "snapshot: kitten heap count mismatch",
+                        [&](auto& bi, auto& b) { transfer(bi, b); });
+              });
+      d(img.kitten_stats, m.kitten_.stats_);
+      d.each(img.registry_slots, m.registry_.slots_, [&](auto& si, auto& s) {
+        d(si.state, s.state);
+        d(si.pid, s.pid);
+        d(si.context, s.context);
+      });
+      d(img.registry_size, m.registry_.size_);
+      d(img.registry_tombstones, m.registry_.tombstones_);
+      d.each(img.contexts, m.contexts_, [&](auto& ci, auto& c) {
+        // A dead context holds no address space; its image pid is 0.
+        if (D::kRestores ? ci.pid != 0 : c.as != nullptr) {
+          d.pid(ci.pid, c.as, node);
+        }
+        transfer(ci.vmas, c.vmas);
+        d(ci.mmap_cursor, c.mmap_cursor);
+        d(ci.heap_base, c.heap_base);
+        d(ci.heap_break, c.heap_break);
+        d(ci.live, c.live);
+      });
+      d(img.stats, m.stats_);
+    }
+
+    void transfer(Img<D, SmpImage>& img, Live<D, mm::SmpDomain>& s) const {
+      d.fixed(img.zone_lock_free_at, s.zone_locks_, "snapshot: smp zone count mismatch",
+              [&](auto& at, auto& l) { d(at, l.free_at); });
+      d.fixed(img.cpu_stall, s.cpu_stall_, "snapshot: smp core count mismatch", d);
+      d.each(img.mms, s.mms_, [&](auto& mi, auto& ms) {
+        d(mi.pid, ms.pid);
+        d(mi.writer_free_at, ms.mmap_sem.writer_free_at);
+        d(mi.readers_free_at, ms.mmap_sem.readers_free_at);
+        d.each(mi.pt_shard_free_at, ms.pt_shards, [&](auto& at, auto& l) { d(at, l.free_at); });
+        d(mi.pending_shootdown_pages, ms.pending_shootdown_pages);
+      });
+      d.fixed(img.pcp, s.pcp_, "snapshot: smp pcp list count mismatch",
+              [&](auto& frames, auto& l) { d(frames, l.frames); });
+      d(img.stats, s.stats_);
+    }
+
+    void transfer(Img<D, SchedulerImage>& img, Live<D, os::Scheduler>& s) const {
+      d.each(img.threads, s.threads_, [&](auto& ti, auto& t) {
+        d(ti.core, t.core);
+        d(ti.weight, t.weight);
+        d(ti.gen, t.gen);
+        d(ti.live, t.live);
+      });
+      d(img.free_slots, s.free_slots_);
+      d(img.live_count, s.live_count_);
+      d(img.pinned_weight, s.pinned_weight_);
+      d(img.unpinned_weight, s.unpinned_weight_);
+      if constexpr (D::kRestores) {
+        s.dirty_ = true; // mutable caches recompute lazily
+      }
+    }
+
+    void transfer(Img<D, BandwidthImage>& img, Live<D, hw::BandwidthModel>& bw) const {
+      d.each(img.entries, bw.entries_, [&](auto& ei, auto& e) {
+        d(ei.consumer, e.consumer);
+        d(ei.zone, e.zone);
+        d(ei.demand, e.demand);
+      });
+      d(img.zone_demand, bw.zone_demand_);
+      d(img.capacity, bw.capacity_);
+      d(img.next_id, bw.next_id_);
+    }
+
+    void transfer(Img<D, NodeImage>& img, Live<D, os::Node>& n) const {
+      d(img.rng, n.rng_);
+      transfer(img.scheduler, n.scheduler_);
+      transfer(img.bw, n.bw_);
+      transfer(img.memory, *n.memory_);
+      d.same(img.has_hugetlb, n.hugetlb_ != nullptr, "snapshot: hugetlb presence mismatch");
+      if (img.has_hugetlb) {
+        transfer(img.hugetlb, *n.hugetlb_);
+      }
+      // Processes before module/THP/LRU: those rebind pointers by pid.
+      // Restore constructs each process from its identity first.
+      d.each(img.processes, n.processes_, [&](auto& pi, auto& p) {
+        if constexpr (D::kRestores) {
+          p = std::make_unique<os::Process>(pi.pid, pi.name, static_cast<os::MmPolicy>(pi.policy));
+        }
+        d(pi.pid, p->pid_);
+        d(pi.name, p->name_);
+        d(pi.policy, p->policy_);
+        transfer(pi.as, p->as_);
+        d(pi.core, p->core_);
+        d(pi.sched_id, p->sched_.id);
+        d(pi.sched_gen, p->sched_.gen);
+        d(pi.fault_stats, p->fault_stats_);
+        d(pi.alive, p->alive_);
+      });
+      d.same(img.has_module, n.module_ != nullptr, "snapshot: module presence mismatch");
+      if (img.has_module) {
+        transfer(img.module, *n.module_, n);
+      }
+      d.same(img.has_thp, n.thp_ != nullptr, "snapshot: thp presence mismatch");
+      if (img.has_thp) {
+        transfer(img.thp, *n.thp_, n);
+      }
+      d.same(img.has_smp, n.smp_ != nullptr, "snapshot: smp presence mismatch");
+      if (img.has_smp) {
+        transfer(img.smp, *n.smp_);
+      }
+      d(img.next_pid, n.next_pid_);
+      d.each(img.anon_lru, n.anon_lru_, pid_addr(n));
+      d(img.swapped_out_total, n.swapped_out_total_);
+      if constexpr (D::kRestores) {
+        n.kswapd_event_ = sim::EventId{}; // re-armed from the event records
+      }
+    }
+
+    void transfer(Img<D, BuildImage>& img, Live<D, workloads::KernelBuild>& kb) const {
+      d(img.rng, kb.rng_);
+      d.each(img.jobs, kb.jobs_, [&](auto& ji, auto& j) {
+        d.each(ji.blocks, j.blocks, [&](auto& bi, auto& b) {
+          d(bi.zone, b.zone);
+          d(bi.addr, b.addr);
+          d(bi.order, b.order);
+        });
+        d(ji.sched_id, j.sched.id);
+        d(ji.sched_gen, j.sched.gen);
+        d(ji.bw_id, j.bw.id);
+        d(ji.home, j.home);
+        d(ji.phase, j.phase);
+        d(ji.live, j.live);
+      });
+      d(img.stats, kb.stats_);
+      d(img.running, kb.running_);
+    }
+
+    void transfer(Img<D, TraceImage>& img, Live<D, trace::FlightRecorder>& rec) const {
+      d(img.ring, rec.ring_);
+      d(img.capacity, rec.capacity_);
+      d(img.head, rec.head_);
+      d(img.dropped, rec.dropped_);
+      d(img.recorded, rec.recorded_);
+    }
+
+    void transfer(Img<D, RunningStatsImage>& img, Live<D, RunningStats>& s) const {
+      d(img.n, s.n_);
+      d(img.mean, s.mean_);
+      d(img.m2, s.m2_);
+      d(img.min, s.min_);
+      d(img.max, s.max_);
+      d(img.sum, s.sum_);
+    }
+
+    void transfer(Img<D, P2QuantileImage>& img, Live<D, P2Quantile>& p) const {
+      d(img.q, p.q_);
+      d(img.n, p.n_);
+      d(img.heights, p.heights_);
+      d(img.positions, p.positions_);
+      d(img.desired, p.desired_);
+      d(img.increments, p.increments_);
+    }
+
+    void transfer(Img<D, MetricsImage>& img, Live<D, trace::MetricRegistry>& reg) const {
+      d.each(img.counters, reg.counters_, d);
+      d.each(img.histograms, reg.histograms_, [&](auto& hi, auto& h) {
+        d(hi.first, h.first);
+        transfer(hi.second.stats, h.second.stats_);
+        transfer(hi.second.p50, h.second.p50_);
+        transfer(hi.second.p95, h.second.p95_);
+        transfer(hi.second.p99, h.second.p99_);
+      });
+    }
+
+    /// on_fire_ is deliberately untouched: the resumed harness installs
+    /// its own audit hook before restore.
+    void transfer(Img<D, InjectorImage>& img, Live<D, verify::FaultInjector>& inj) const {
+      d(img.plan, inj.plan_);
+      d(img.stats, inj.stats_);
+      d(img.rng, inj.rng_);
+      d(img.armed, inj.armed_);
+    }
+
+    void transfer(Img<D, WorldImage>& img, Live<D, sim::Engine>& e,
+                  const std::vector<os::Node*>& nodes,
+                  const std::vector<BuildRef>& builds) const {
+      constexpr const char* kLayout = "snapshot: image does not match the target world's layout";
+      d.same(img.fingerprint, fingerprint(nodes, builds), kLayout);
+      if constexpr (D::kRestores) {
+        clear_events(e);
+      }
+      d(img.engine.now, e.now_);
+      d(img.engine.next_seq, e.next_seq_);
+      d(img.engine.fired, e.fired_);
+      d(img.engine.cancelled, e.cancelled_);
+      d(img.engine.stopped, e.stopped_);
+      d.fixed(img.nodes, nodes, "snapshot: node count mismatch",
+              [&](auto& ni, os::Node* n) { transfer(ni, *n); });
+      d.fixed(img.builds, builds, "snapshot: build count mismatch", [&](auto& bi, auto& b) {
+        d.same(bi.node_index, b.node_index, kLayout);
+        transfer(bi, *b.build);
+      });
+      if constexpr (D::kRestores) {
+        rearm_events(img, e, nodes, builds);
+      } else {
+        capture_events(img, e, nodes, builds);
+      }
+      transfer(img.trace, trace::recorder());
+      transfer(img.metrics, trace::metrics());
+      transfer(img.injector, verify::injector());
+    }
+  };
 };
 
 WorldImage capture_world(sim::Engine& engine, const std::vector<os::Node*>& nodes,
                          const std::vector<BuildRef>& builds) {
-  return Access::capture(engine, nodes, builds);
+  WorldImage image;
+  Access::Transfer<Access::Capture>{}.transfer(image, engine, nodes, builds);
+  return image;
 }
 
 void restore_world(const WorldImage& image, sim::Engine& engine,
                    const std::vector<os::Node*>& nodes,
                    const std::vector<BuildRef>& builds) {
-  Access::restore(image, engine, nodes, builds);
+  Access::Transfer<Access::Restore>{}.transfer(image, engine, nodes, builds);
 }
 
 bool step_one(sim::Engine& engine) { return Access::step(engine); }
 
 PageTableImage capture_page_table(const mm::PageTable& pt) {
-  return Access::capture_page_table(pt);
+  PageTableImage image;
+  Access::Transfer<Access::Capture>{}.transfer(image, pt);
+  return image;
 }
 
 void restore_page_table(const PageTableImage& image, mm::PageTable& pt) {
-  Access::restore_page_table(image, pt);
+  Access::Transfer<Access::Restore>{}.transfer(image, pt);
 }
 
 } // namespace hpmmap::snapshot

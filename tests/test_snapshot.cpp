@@ -15,13 +15,16 @@
 #include <cstring>
 #include <deque>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "harness/batch.hpp"
 #include "harness/cluster.hpp"
+#include "harness/detail.hpp"
 #include "harness/experiment.hpp"
 #include "introspect/procfs.hpp"
 #include "linux_mm/smp.hpp"
@@ -528,6 +531,162 @@ TEST(SnapshotSmp, MidContentionImageIsASaveLoadFixpoint) {
   EXPECT_TRUE(report.ok()) << report.summary();
 }
 
+// --- restore -> capture fixpoint --------------------------------------------
+//
+// Capturing a freshly restored world must save to the restored image's
+// bytes. A field that restore drops, or that capture reads from somewhere
+// restore does not write, shows up here as a differing byte; the
+// save/load fixpoints above never run capture or restore and cannot see it.
+
+/// A fresh, unaged restore target shaped like a captured world: the same
+/// node config with the profile's kernel builds constructed but not
+/// started (their seeds do not matter; restore overwrites them). The
+/// configs below mirror the harness worlds' boots (harness/
+/// experiment.cpp, harness/cluster.cpp); a drift trips restore's
+/// fingerprint or offlined-range assert.
+struct RestoreTarget {
+  sim::Engine engine;
+  os::Node node;
+  std::vector<std::unique_ptr<workloads::KernelBuild>> builds;
+
+  RestoreTarget(os::NodeConfig cfg, const workloads::CommodityProfile& commodity)
+      : node(engine, unaged(std::move(cfg))) {
+    for (std::uint32_t b = 0; b < commodity.builds; ++b) {
+      workloads::KernelBuildConfig bc;
+      bc.jobs = commodity.jobs_per_build;
+      builds.push_back(std::make_unique<workloads::KernelBuild>(node, bc, Rng(b)));
+    }
+  }
+  [[nodiscard]] std::vector<snapshot::BuildRef> refs() const {
+    std::vector<snapshot::BuildRef> out;
+    for (const auto& b : builds) {
+      out.push_back({b.get(), 0});
+    }
+    return out;
+  }
+  static os::NodeConfig unaged(os::NodeConfig cfg) {
+    cfg.aged_boot = false;
+    return cfg;
+  }
+};
+
+void expect_restore_capture_fixpoint(const snapshot::WorldImage& image, RestoreTarget& target,
+                                     const std::string& stem) {
+  snapshot::restore_world(image, target.engine, {&target.node}, target.refs());
+  const std::string restored = temp_path(stem + "_restored");
+  const std::string recaptured = temp_path(stem + "_recaptured");
+  snapshot::save(image, restored);
+  snapshot::save(snapshot::capture_world(target.engine, {&target.node}, target.refs()),
+                 recaptured);
+  const std::string a = file_bytes(restored);
+  const std::string b = file_bytes(recaptured);
+  const auto diverge = std::mismatch(a.begin(), a.end(), b.begin(), b.end());
+  EXPECT_TRUE(a == b) << stem << ": " << a.size() << " vs " << b.size()
+                      << " bytes, first difference at byte " << (diverge.first - a.begin());
+  std::remove(restored.c_str());
+  std::remove(recaptured.c_str());
+}
+
+/// The single-node and server harness boots: an r415 with the §IV
+/// reservation for the manager.
+os::NodeConfig r415_config(harness::Manager mgr, std::uint64_t pool, std::uint64_t seed) {
+  return harness::detail::node_config_for(mgr, hw::dell_r415(), pool, seed, "r415");
+}
+
+class SnapshotRestoreFixpoint
+    : public ::testing::TestWithParam<std::tuple<harness::Manager, bool>> {};
+
+TEST_P(SnapshotRestoreFixpoint, AgedNodeRecapturesItsOwnBytes) {
+  const auto [mgr, profile_b] = GetParam();
+  const harness::SingleNodeRunConfig cfg =
+      quick("miniMD", mgr, profile_b ? workloads::profile_b(2) : workloads::profile_a(2), 2);
+  // SingleNodeWorld's reservation: 6 GiB scaled by the footprint.
+  const std::uint64_t pool =
+      align_up(static_cast<std::uint64_t>(static_cast<double>(6 * GiB) * cfg.footprint_scale),
+               kMemorySectionSize);
+  RestoreTarget target(r415_config(mgr, pool, cfg.seed), cfg.commodity);
+  expect_restore_capture_fixpoint(harness::capture_single_node(cfg), target,
+                                  "recapture_" + std::to_string(static_cast<int>(mgr)) +
+                                      (profile_b ? "_b" : "_a"));
+}
+
+INSTANTIATE_TEST_SUITE_P(ManagersByProfile, SnapshotRestoreFixpoint,
+                         ::testing::Combine(::testing::Values(harness::Manager::kThp,
+                                                              harness::Manager::kHugetlbfs,
+                                                              harness::Manager::kHpmmap),
+                                            ::testing::Bool()));
+
+TEST(SnapshotRestoreFixpointWorlds, ServerWorldRecapturesItsOwnBytes) {
+  harness::ServerRunConfig cfg;
+  cfg.manager = harness::Manager::kHpmmap;
+  cfg.seed = 78;
+  cfg.commodity = workloads::profile_a(2);
+  RestoreTarget target(r415_config(cfg.manager, 6 * GiB, cfg.seed), cfg.commodity);
+  expect_restore_capture_fixpoint(harness::capture_server(cfg), target, "recapture_server");
+}
+
+TEST(SnapshotRestoreFixpointWorlds, MidContentionSmpWorldRecapturesItsOwnBytes) {
+  sim::Engine engine;
+  os::Node node(engine, smp_node_config(49));
+  os::Process& p = node.spawn("smp", os::MmPolicy::kLinuxPlain, 0, 1.0,
+                              mm::AddressSpace::ZonePolicy::kSingle, 0);
+  std::vector<Addr> slabs;
+  for (int round = 0; round < 6; ++round) {
+    smp_churn_round(node, p, slabs, round);
+    if (::testing::Test::HasFatalFailure()) {
+      return;
+    }
+  }
+  ASSERT_GT(node.smp()->stats().total_lock_wait(), 0u);
+  RestoreTarget target(smp_node_config(49), workloads::no_competition());
+  expect_restore_capture_fixpoint(snapshot::capture_world(engine, {&node}), target,
+                                  "recapture_smp");
+}
+
+TEST(SnapshotRestoreFixpointWorlds, ShrunkSwapSetRecapturesItsOwnBytes) {
+  // A swap set that grew to 4000 pages and shrank to 10 keeps its large
+  // bucket array; the restored set is rebuilt small, so the two iterate
+  // the same 10 pages in different orders.
+  sim::Engine engine;
+  os::Node node(engine, node_config(13, /*aged=*/false));
+  mm::AddressSpace& as = node.spawn("swapper", os::MmPolicy::kLinuxPlain, 0, 1.0,
+                                    mm::AddressSpace::ZonePolicy::kSingle, 0)
+                             .address_space();
+  for (Addr page = 0; page < 4000; ++page) {
+    as.mark_swapped(0x10000000 + page * kSmallPageSize);
+  }
+  for (Addr page = 0; page < 3990; ++page) {
+    ASSERT_TRUE(as.take_swapped(0x10000000 + page * kSmallPageSize));
+  }
+  ASSERT_EQ(as.swapped_pages(), 10u);
+  RestoreTarget target(node_config(13, /*aged=*/false), workloads::no_competition());
+  expect_restore_capture_fixpoint(snapshot::capture_world(engine, {&node}), target,
+                                  "recapture_swap");
+}
+
+TEST(SnapshotRestoreFixpointWorlds, ClusterNodeImagesRecaptureTheirOwnBytes) {
+  harness::ScalingRunConfig cfg;
+  cfg.app = "HPCCG";
+  cfg.manager = harness::Manager::kHpmmap;
+  cfg.commodity = workloads::profile_c();
+  cfg.nodes = 2;
+  cfg.ranks_per_node = 2;
+  cfg.seed = 9;
+  cfg.footprint_scale = 0.08;
+  cfg.duration_scale = 0.05;
+  const harness::ClusterImage image = harness::capture_scaling(cfg);
+  ASSERT_EQ(image.size(), 2u);
+  for (std::uint32_t n = 0; n < 2; ++n) {
+    // ClusterWorld's boot: a Sandia Xeon node, 10 GiB reserved per zone,
+    // seeded per node.
+    RestoreTarget target(harness::detail::node_config_for(cfg.manager, hw::sandia_xeon_node(),
+                                                          10 * GiB, cfg.seed + 7919ull * n,
+                                                          "xeon" + std::to_string(n)),
+                         cfg.commodity);
+    expect_restore_capture_fixpoint(image[n], target, "recapture_xeon" + std::to_string(n));
+  }
+}
+
 // --- causal spans ----------------------------------------------------------
 
 // Snapshot format v3: the flight-recorder image carries each event's
@@ -1000,6 +1159,31 @@ TEST(SnapshotFileFormat, HandBuiltImageMatchesTheV4Bytes) {
   snapshot::save(snapshot::load(path), path);
   EXPECT_EQ(to_hex(file_bytes(path)), golden);
   std::remove(path.c_str());
+}
+
+TEST(SnapshotFileFormat, VmaPaddingNeverReachesTheFile) {
+  // mm::Vma has a padding byte after `locked`; a VMA built in a dirty
+  // stack slot must save to the same bytes as one built in zeroed memory.
+  const auto image_with_vma = [](unsigned char fill) {
+    mm::Vma v;
+    std::memset(static_cast<void*>(&v), fill, sizeof v);
+    v.range = {0x100000, 0x180000};
+    v.prot = kProtRW;
+    v.kind = mm::VmaKind::kHeap;
+    v.thp_eligible = true;
+    v.locked = false;
+    v.hugetlb_size = PageSize::k2M;
+    snapshot::WorldImage w = hand_built_image();
+    w.nodes.at(0).processes.at(0).as.vmas = {v};
+    return w;
+  };
+  const std::string poisoned = temp_path("vma_poisoned");
+  const std::string zeroed = temp_path("vma_zeroed");
+  snapshot::save(image_with_vma(0xAB), poisoned);
+  snapshot::save(image_with_vma(0x00), zeroed);
+  EXPECT_TRUE(file_bytes(poisoned) == file_bytes(zeroed));
+  std::remove(poisoned.c_str());
+  std::remove(zeroed.c_str());
 }
 
 // --- time travel -----------------------------------------------------------
