@@ -1,30 +1,22 @@
 // Contiguous frame-metadata array over a physical range — the moral
 // equivalent of Linux's `struct page` mem_map.
 //
-// Every BuddyAllocator owns one MemMap covering its range; the mm hot
-// path (buddy freelists, page-cache LRU, hugetlb pool stacks) threads
-// its bookkeeping through it instead of heap-allocating tree/list nodes
-// per block. Two stores back the abstraction:
+// Every BuddyAllocator owns one MemMap covering its range. It stores one
+// byte per 4 KiB frame, dense. Only the *head* frame of a tracked block is
+// marked (state in the low 3 bits, block order in the high 5); blocks are
+// naturally aligned, so the block containing an address is found by
+// aligning down at each order and probing the head — O(max_order) with no
+// search structure. At 1 byte/frame a 12 GiB zone costs 3 MiB, against
+// hundreds of megabytes for a struct-per-frame layout.
 //
-//   meta   one byte per 4 KiB frame, dense. Only the *head* frame of a
-//          tracked block is marked (state in the low 3 bits, block order
-//          in the high 5); blocks are naturally aligned, so the block
-//          containing an address is found by aligning down at each order
-//          and probing the head — O(max_order) with no search structure.
-//          At 1 byte/frame a 12 GiB zone costs 3 MiB, against hundreds
-//          of megabytes for a struct-per-frame layout.
-//
-//   links  a sparse open-addressing table from frame index to
-//          {next, prev} frame indices, for the intrusive lists (LRU
-//          order, pool stacks) that only ever cover a small fraction of
-//          frames. Linear probing, power-of-two capacity, backward-shift
-//          deletion; indices are 32-bit (a range is < 2^32 frames).
+// The lists over these blocks live with their owners as plain arrays of
+// 32-bit frame indices (a range is < 2^32 frames): the page-cache LRU is a
+// FIFO, each hugetlb pool a stack.
 //
 // The MemMap records ownership; it enforces nothing. Owners keep their
 // own counts and the invariant auditor cross-checks the two views.
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -62,19 +54,12 @@ inline constexpr std::uint8_t kCacheStates =
 
 class MemMap {
  public:
-  /// Null frame index: list terminator / absent link.
-  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
-
-  struct Link {
-    std::uint32_t next = kNil;
-    std::uint32_t prev = kNil;
-  };
-
   explicit MemMap(Range range) : range_(range) {
     HPMMAP_ASSERT(!range_.empty(), "mem_map range must be non-empty");
     HPMMAP_ASSERT(is_aligned(range_.begin, kSmallPageSize) && is_aligned(range_.end, kSmallPageSize),
                   "mem_map range must be page-aligned");
-    HPMMAP_ASSERT(range_.size() >> 12 < kNil, "range too large for 32-bit frame indices");
+    HPMMAP_ASSERT(range_.size() >> 12 <= std::uint64_t{1} << 32,
+                  "range too large for 32-bit frame indices");
     meta_.assign(static_cast<std::size_t>(range_.size() >> 12), 0);
   }
 
@@ -131,67 +116,6 @@ class MemMap {
     return std::nullopt;
   }
 
-  // --- intrusive links -------------------------------------------------
-
-  [[nodiscard]] bool has_link(std::uint32_t idx) const noexcept {
-    return find_slot(idx) != kNotFound;
-  }
-  [[nodiscard]] Link link(std::uint32_t idx) const noexcept {
-    const std::size_t slot = find_slot(idx);
-    HPMMAP_ASSERT(slot != kNotFound, "frame has no link entry");
-    return slots_[slot].link;
-  }
-  /// Insert or update the link entry for `idx`.
-  void set_link(std::uint32_t idx, Link l) {
-    if (slots_.empty() || (link_count_ + 1) * 10 > slots_.size() * 7) {
-      rehash(slots_.empty() ? 64 : slots_.size() * 2);
-    }
-    std::size_t pos = home(idx);
-    while (slots_[pos].key != kNil && slots_[pos].key != idx) {
-      pos = (pos + 1) & (slots_.size() - 1);
-    }
-    if (slots_[pos].key == kNil) {
-      slots_[pos].key = idx;
-      ++link_count_;
-    }
-    slots_[pos].link = l;
-  }
-  void set_next(std::uint32_t idx, std::uint32_t next) {
-    const std::size_t slot = find_slot(idx);
-    HPMMAP_ASSERT(slot != kNotFound, "frame has no link entry");
-    slots_[slot].link.next = next;
-  }
-  void set_prev(std::uint32_t idx, std::uint32_t prev) {
-    const std::size_t slot = find_slot(idx);
-    HPMMAP_ASSERT(slot != kNotFound, "frame has no link entry");
-    slots_[slot].link.prev = prev;
-  }
-  void erase_link(std::uint32_t idx) {
-    std::size_t pos = find_slot(idx);
-    HPMMAP_ASSERT(pos != kNotFound, "erase of a frame with no link entry");
-    // Backward-shift deletion keeps every probe chain gap-free.
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t hole = pos;
-    std::size_t probe = pos;
-    for (;;) {
-      probe = (probe + 1) & mask;
-      if (slots_[probe].key == kNil) {
-        break;
-      }
-      const std::size_t h = home(slots_[probe].key);
-      // Move the entry back iff its home does not lie in (hole, probe].
-      const bool keep = hole < probe ? (h > hole && h <= probe) : (h > hole || h <= probe);
-      if (!keep) {
-        slots_[hole] = slots_[probe];
-        hole = probe;
-      }
-    }
-    slots_[hole].key = kNil;
-    slots_[hole].link = Link{};
-    --link_count_;
-  }
-  [[nodiscard]] std::size_t link_count() const noexcept { return link_count_; }
-
   /// Visit every tracked block head as (addr, state, order), ascending
   /// address. O(frames) with word-wise skipping of untracked runs —
   /// auditor sweeps, not the hot path.
@@ -219,39 +143,8 @@ class MemMap {
  private:
   friend struct hpmmap::snapshot::Access;
 
-  struct Slot {
-    std::uint32_t key = kNil;
-    Link link;
-  };
-  static constexpr std::size_t kNotFound = static_cast<std::size_t>(-1);
-
-  /// Fibonacci hashing: the top log2(capacity) bits of a 64-bit golden-
-  /// ratio product. Block heads are aligned to their order, so their low
-  /// bits are mostly zero; the high bits of the product mix in every key
-  /// bit and spread aligned keys evenly over the table.
-  [[nodiscard]] std::size_t home(std::uint32_t key) const noexcept {
-    const int shift = std::countl_zero(static_cast<std::uint64_t>(slots_.size())) + 1;
-    return static_cast<std::size_t>((std::uint64_t{key} * 0x9E3779B97F4A7C15ull) >> shift);
-  }
-  [[nodiscard]] std::size_t find_slot(std::uint32_t key) const noexcept {
-    if (slots_.empty()) {
-      return kNotFound;
-    }
-    std::size_t pos = home(key);
-    while (slots_[pos].key != kNil) {
-      if (slots_[pos].key == key) {
-        return pos;
-      }
-      pos = (pos + 1) & (slots_.size() - 1);
-    }
-    return kNotFound;
-  }
-  void rehash(std::size_t new_cap);
-
   Range range_;
   std::vector<std::uint8_t> meta_;
-  std::vector<Slot> slots_;
-  std::size_t link_count_ = 0;
 };
 
 } // namespace hpmmap::hw

@@ -8,24 +8,19 @@
 
 namespace hpmmap::mm {
 
-namespace {
-constexpr std::uint32_t kNil = hw::MemMap::kNil;
-} // namespace
-
 void HugetlbPool::push(ZoneId zone, Addr addr) {
   hw::MemMap& m = memory_.buddy(zone).mem_map();
   HPMMAP_ASSERT(m.contains(addr), "pooled page outside its zone");
   const std::uint32_t idx = m.index_of(addr);
   // No state assertion here: the auditor, not this push, is responsible
   // for flagging a page returned while still mapped (leak detection
-  // tests drive exactly that). A page that is already linked — a double
-  // free_page — is only re-accounted, never re-linked: relinking would
-  // cycle the stack, while a count/chain mismatch is exactly what the
-  // auditor's conservation and stack-walk checks exist to catch.
-  m.set_head(idx, hw::FrameState::kHugetlbPool, kLargePageOrder);
-  if (!m.has_link(idx)) {
-    m.set_link(idx, hw::MemMap::Link{pool_[zone].head, kNil});
-    pool_[zone].head = idx;
+  // tests drive exactly that). A page that is already pooled — a double
+  // free_page — is only re-accounted, never pushed twice: a count/stack
+  // mismatch is exactly what the auditor's conservation and stack-walk
+  // checks exist to catch.
+  if (m.state(idx) != hw::FrameState::kHugetlbPool) {
+    m.set_head(idx, hw::FrameState::kHugetlbPool, kLargePageOrder);
+    pool_[zone].stack.push_back(idx);
   }
   ++pool_[zone].count;
 }
@@ -55,11 +50,11 @@ HugetlbPool::~HugetlbPool() {
   // simulated machine.
   for (ZoneId z = 0; z < pool_.size(); ++z) {
     hw::MemMap& m = memory_.buddy(z).mem_map();
-    while (pool_[z].head != kNil) {
-      const std::uint32_t idx = pool_[z].head;
+    std::vector<std::uint32_t>& stack = pool_[z].stack;
+    while (!stack.empty()) {
+      const std::uint32_t idx = stack.back();
+      stack.pop_back();
       const Addr addr = m.addr_of(idx);
-      pool_[z].head = m.link(idx).next;
-      m.erase_link(idx);
       m.clear_head(idx);
       --pool_[z].count;
       memory_.free_pages(z, addr, kLargePageOrder);
@@ -83,14 +78,14 @@ std::optional<std::pair<Addr, ZoneId>> HugetlbPool::alloc_page(ZoneId zone) {
   }
   for (std::uint32_t probe = 0; probe < pool_.size(); ++probe) {
     const ZoneId z = (zone + probe) % static_cast<ZoneId>(pool_.size());
-    if (pool_[z].head == kNil) {
+    std::vector<std::uint32_t>& stack = pool_[z].stack;
+    if (stack.empty()) {
       continue;
     }
     hw::MemMap& m = memory_.buddy(z).mem_map();
-    const std::uint32_t idx = pool_[z].head;
+    const std::uint32_t idx = stack.back();
+    stack.pop_back();
     const Addr addr = m.addr_of(idx);
-    pool_[z].head = m.link(idx).next;
-    m.erase_link(idx);
     m.clear_head(idx);
     --pool_[z].count;
     ++stats_.faults_served;

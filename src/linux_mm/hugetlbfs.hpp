@@ -6,10 +6,9 @@
 // sword Figure 5 documents: hugetlb faults always find memory, while the
 // rest of the system fights over what is left.
 //
-// The free pages are not kept in side vectors: each zone's pool is an
-// intrusive LIFO stack threaded through that zone's hw::MemMap (state
-// kHugetlbPool on the head frame, next-links in the map's link table),
-// so frame ownership has a single home the auditor can cross-check.
+// Each zone's free pages are a LIFO stack of head-frame indices into that
+// zone's hw::MemMap, and every pooled page is also marked kHugetlbPool
+// there, so the auditor can cross-check the stack against the map.
 #pragma once
 
 #include <cstdint>
@@ -56,30 +55,30 @@ class HugetlbPool {
   [[nodiscard]] const HugetlbStats& stats() const noexcept { return stats_; }
 
   /// Visit the zone's free pool pages as (addr), newest first (stack
-  /// order) — the invariant auditor's frame sweep. Bounded by the pool
-  /// count so a corrupted chain still terminates.
+  /// order) — the invariant auditor's frame sweep.
   template <typename Fn>
   void for_each_pool_page(ZoneId zone, Fn&& fn) const {
     HPMMAP_ASSERT(zone < pool_.size(), "zone out of range");
     const hw::MemMap& m = memory_.buddy(zone).mem_map();
-    std::uint32_t idx = pool_[zone].head;
-    for (std::uint64_t n = 0; idx != hw::MemMap::kNil && n < pool_[zone].count; ++n) {
-      fn(m.addr_of(idx));
-      idx = m.link(idx).next;
+    const std::vector<std::uint32_t>& stack = pool_[zone].stack;
+    for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
+      fn(m.addr_of(*it));
     }
   }
 
  private:
   friend struct hpmmap::snapshot::Access;
 
-  /// Intrusive stack push (ctor reservation and free_page share it).
+  /// Stack push (ctor reservation and free_page share it).
   void push(ZoneId zone, Addr addr);
 
-  /// One zone's free stack: head frame index into the zone's MemMap.
-  /// A stack only ever holds frames of its own zone (reservation and
-  /// free_page both key by the frame's physical zone).
+  /// One zone's free stack of frame indices into the zone's MemMap, top
+  /// at the back. A stack only ever holds frames of its own zone
+  /// (reservation and free_page both key by the frame's physical zone).
+  /// The count is kept apart so the auditor can catch a drift between it
+  /// and the stack.
   struct ZonePool {
-    std::uint32_t head = hw::MemMap::kNil;
+    std::vector<std::uint32_t> stack;
     std::uint64_t count = 0;
   };
 

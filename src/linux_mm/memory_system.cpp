@@ -119,13 +119,14 @@ std::optional<Addr> MemorySystem::run_compaction(ZoneState& z, AllocOutcome& out
     if (!window_movable(z, window)) {
       continue;
     }
-    // Claim the free holes in the window first so migration targets are
-    // found elsewhere, then migrate the cache blocks out one by one.
+    // Pass 1 claims every free hole in the window, so no migration target
+    // can land inside it, and records the cache blocks to move out.
     struct Taken {
       Addr addr;
       unsigned order;
     };
     std::vector<Taken> holes;
+    std::vector<Taken> blocks;
     Addr pos = window.begin;
     while (pos < window.end) {
       if (auto free_blk = z.buddy.free_block_containing(pos); free_blk.has_value()) {
@@ -136,20 +137,34 @@ std::optional<Addr> MemorySystem::run_compaction(ZoneState& z, AllocOutcome& out
       } else {
         const auto cache_blk = z.cache.block_containing(pos);
         HPMMAP_ASSERT(cache_blk.has_value(), "window_movable guaranteed free-or-cache");
-        const auto replacement = z.buddy.alloc(cache_blk->second);
-        if (!replacement.has_value()) {
-          // Out of migration targets: roll back the holes and give up.
-          for (const Taken& h : holes) {
-            z.buddy.free(h.addr, h.order);
-          }
-          z.compact_defer = 64;
-          return std::nullopt;
-        }
-        z.cache.relocate(cache_blk->first, replacement->addr);
-        outcome.compaction_migrated_bytes += BuddyAllocator::order_bytes(cache_blk->second);
-        // The vacated frames become part of the window we now own.
+        blocks.push_back(Taken{cache_blk->first, cache_blk->second});
         pos = cache_blk->first + BuddyAllocator::order_bytes(cache_blk->second);
       }
+    }
+    // Pass 2 migrates the blocks to targets outside the window, moving
+    // them on the LRU in one call.
+    std::vector<PageCache::Move> moves;
+    moves.reserve(blocks.size());
+    for (const Taken& b : blocks) {
+      const auto target = z.buddy.alloc(b.order);
+      if (!target.has_value()) {
+        break;
+      }
+      moves.push_back(PageCache::Move{b.addr, target->addr});
+      outcome.compaction_migrated_bytes += BuddyAllocator::order_bytes(b.order);
+    }
+    z.cache.relocate(moves);
+    if (moves.size() < blocks.size()) {
+      // Out of migration targets: give back the holes and the frames the
+      // migrated blocks vacated, then give up.
+      for (const Taken& h : holes) {
+        z.buddy.free(h.addr, h.order);
+      }
+      for (std::size_t i = 0; i < moves.size(); ++i) {
+        z.buddy.free(blocks[i].addr, blocks[i].order);
+      }
+      z.compact_defer = 64;
+      return std::nullopt;
     }
     // The whole window is now allocated to us and physically contiguous.
     z.compact_defer = 0;

@@ -1,5 +1,8 @@
 #include "linux_mm/page_cache.hpp"
 
+#include <algorithm>
+#include <vector>
+
 #include "common/assert.hpp"
 
 namespace hpmmap::mm {
@@ -15,32 +18,21 @@ void PageCache::push_back_block(Addr addr, unsigned order, bool dirty) {
   const std::uint32_t idx = m.index_of(addr);
   HPMMAP_ASSERT(m.state(idx) == FrameState::kUntracked, "block already cached");
   m.set_head(idx, dirty ? FrameState::kCacheDirty : FrameState::kCacheClean, order);
-  m.set_link(idx, MemMap::Link{MemMap::kNil, tail_});
-  if (tail_ != MemMap::kNil) {
-    m.set_next(tail_, idx);
-  } else {
-    head_ = idx;
-  }
-  tail_ = idx;
-  ++count_;
+  lru_.push_back(idx);
   cached_bytes_ += BuddyAllocator::order_bytes(order);
 }
 
-void PageCache::unlink(std::uint32_t idx) {
+std::pair<std::uint64_t, bool> PageCache::pop_front_block() {
   MemMap& m = buddy_.mem_map();
-  const MemMap::Link l = m.link(idx);
-  if (l.prev != MemMap::kNil) {
-    m.set_next(l.prev, l.next);
-  } else {
-    head_ = l.next;
-  }
-  if (l.next != MemMap::kNil) {
-    m.set_prev(l.next, l.prev);
-  } else {
-    tail_ = l.prev;
-  }
-  m.erase_link(idx);
-  --count_;
+  const std::uint32_t idx = lru_.front();
+  lru_.pop_front();
+  const unsigned order = m.order(idx);
+  const bool dirty = m.state(idx) == FrameState::kCacheDirty;
+  m.clear_head(idx);
+  buddy_.free(m.addr_of(idx), order);
+  const std::uint64_t block_bytes = BuddyAllocator::order_bytes(order);
+  cached_bytes_ -= block_bytes;
+  return {block_bytes, dirty};
 }
 
 std::uint64_t PageCache::grow(std::uint64_t bytes, unsigned order, bool dirty) {
@@ -73,17 +65,8 @@ void PageCache::adopt(Addr addr, unsigned order, bool dirty) {
 
 PageCache::ShrinkResult PageCache::shrink(std::uint64_t bytes) {
   ShrinkResult result;
-  MemMap& m = buddy_.mem_map();
-  while (result.bytes_freed < bytes && head_ != MemMap::kNil) {
-    const std::uint32_t idx = head_;
-    const Addr addr = m.addr_of(idx);
-    const unsigned order = m.order(idx);
-    const bool dirty = m.state(idx) == FrameState::kCacheDirty;
-    unlink(idx);
-    m.clear_head(idx);
-    const std::uint64_t block_bytes = BuddyAllocator::order_bytes(order);
-    buddy_.free(addr, order);
-    cached_bytes_ -= block_bytes;
+  while (result.bytes_freed < bytes && !lru_.empty()) {
+    const auto [block_bytes, dirty] = pop_front_block();
     result.bytes_freed += block_bytes;
     if (dirty) {
       ++result.writeback_blocks;
@@ -95,47 +78,43 @@ PageCache::ShrinkResult PageCache::shrink(std::uint64_t bytes) {
 }
 
 void PageCache::clear() {
-  MemMap& m = buddy_.mem_map();
-  while (head_ != MemMap::kNil) {
-    const std::uint32_t idx = head_;
-    const Addr addr = m.addr_of(idx);
-    const unsigned order = m.order(idx);
-    unlink(idx);
-    m.clear_head(idx);
-    cached_bytes_ -= BuddyAllocator::order_bytes(order);
-    buddy_.free(addr, order);
+  while (!lru_.empty()) {
+    (void)pop_front_block();
   }
   HPMMAP_ASSERT(cached_bytes_ == 0, "cache accounting drift");
 }
 
-void PageCache::relocate(Addr old_addr, Addr new_addr) {
+void PageCache::relocate(std::span<const Move> moves) {
   MemMap& m = buddy_.mem_map();
-  const std::uint32_t io = m.index_of(old_addr);
-  const FrameState st = m.state(io);
-  HPMMAP_ASSERT(st == FrameState::kCacheClean || st == FrameState::kCacheDirty,
-                "relocate of a block the cache does not own");
-  const unsigned order = m.order(io);
-  const MemMap::Link l = m.link(io);
-  m.erase_link(io);
-  m.clear_head(io);
-  const std::uint32_t in = m.index_of(new_addr);
-  // The target is normally a freshly-allocated (untracked) block, but
-  // only another cache block is an outright error: compaction tests
-  // relocate onto raw free space without reserving it first.
-  HPMMAP_ASSERT(m.state(in) != FrameState::kCacheClean && m.state(in) != FrameState::kCacheDirty,
-                "relocate target already cached");
-  m.set_head(in, st, order);
-  m.set_link(in, l);
-  if (l.prev != MemMap::kNil) {
-    m.set_next(l.prev, in);
-  } else {
-    head_ = in;
+  using Moved = std::pair<std::uint32_t, std::uint32_t>; // (old head, new head)
+  std::vector<Moved> moved;
+  moved.reserve(moves.size());
+  for (const Move& mv : moves) {
+    const std::uint32_t io = m.index_of(mv.from);
+    const FrameState st = m.state(io);
+    HPMMAP_ASSERT(st == FrameState::kCacheClean || st == FrameState::kCacheDirty,
+                  "relocate of a block the cache does not own");
+    const std::uint32_t in = m.index_of(mv.to);
+    // The target is normally a freshly-allocated (untracked) block, but
+    // only another cache block is an outright error: compaction tests
+    // relocate onto raw free space without reserving it first.
+    HPMMAP_ASSERT(m.state(in) != FrameState::kCacheClean && m.state(in) != FrameState::kCacheDirty,
+                  "relocate target already cached");
+    m.set_head(in, st, m.order(io));
+    m.clear_head(io);
+    moved.emplace_back(io, in);
   }
-  if (l.next != MemMap::kNil) {
-    m.set_prev(l.next, in);
-  } else {
-    tail_ = in;
+  // One LRU walk rewrites each moved head in place, keeping its position.
+  std::ranges::sort(moved);
+  std::size_t left = moved.size();
+  for (auto it = lru_.begin(); left > 0 && it != lru_.end(); ++it) {
+    const auto hit = std::ranges::lower_bound(moved, *it, {}, &Moved::first);
+    if (hit != moved.end() && hit->first == *it) {
+      *it = hit->second;
+      --left;
+    }
   }
+  HPMMAP_ASSERT(left == 0, "relocated block missing from the LRU");
 }
 
 } // namespace hpmmap::mm

@@ -11,16 +11,18 @@
 // relocate them to assemble contiguous 2M regions, so the cache supports
 // address lookup and relocation.
 //
-// There is no per-block heap state: the LRU is an intrusive list
-// threaded through the buddy's hw::MemMap link table, dirtiness and
-// order live in the per-frame meta byte (kCacheClean/kCacheDirty heads),
-// and block_containing() is an O(orders) align-down probe of that meta
-// instead of an ordered-map search — grow/shrink/relocate touch no
-// allocator and stay O(1) per block.
+// There is no per-block heap state: the LRU is a FIFO of head-frame
+// indices (pushed at the back, reclaimed from the front), dirtiness and
+// order live in the per-frame meta byte of the buddy's hw::MemMap
+// (kCacheClean/kCacheDirty heads), and block_containing() is an
+// O(orders) align-down probe of that meta instead of an ordered-map
+// search — grow and shrink stay O(1) per block.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "common/types.hpp"
@@ -72,9 +74,14 @@ class PageCache {
     return buddy_.mem_map().block_containing(addr, hw::kCacheStates, buddy_.max_order());
   }
 
-  /// Compaction support: the block at `old_addr` now lives at
-  /// `new_addr`. LRU position and dirtiness are preserved.
-  void relocate(Addr old_addr, Addr new_addr);
+  /// Compaction support: each block at `from` now lives at `to`. LRU
+  /// position and dirtiness are preserved. One call walks the LRU once,
+  /// so a compaction batches all of its moves.
+  struct Move {
+    Addr from = 0;
+    Addr to = 0;
+  };
+  void relocate(std::span<const Move> moves);
 
   /// Visit every cached block as (base, order, dirty) in ascending
   /// address order (deterministic; the invariant auditor's sweep).
@@ -88,21 +95,18 @@ class PageCache {
     });
   }
 
-  /// Visit the LRU chain front (oldest) to back as (base, order, dirty)
-  /// — the auditor's linkage walk. Bounded by block_count() so a
-  /// corrupted (cyclic) chain still terminates.
+  /// Visit the LRU front (oldest) to back as (base, order, dirty) — the
+  /// auditor's walk.
   template <typename Fn>
   void for_each_lru(Fn&& fn) const {
     const hw::MemMap& m = buddy_.mem_map();
-    std::uint32_t idx = head_;
-    for (std::size_t n = 0; idx != hw::MemMap::kNil && n < count_; ++n) {
+    for (const std::uint32_t idx : lru_) {
       fn(m.addr_of(idx), m.order(idx), m.state(idx) == hw::FrameState::kCacheDirty);
-      idx = m.link(idx).next;
     }
   }
 
   [[nodiscard]] std::uint64_t cached_bytes() const noexcept { return cached_bytes_; }
-  [[nodiscard]] std::size_t block_count() const noexcept { return count_; }
+  [[nodiscard]] std::size_t block_count() const noexcept { return lru_.size(); }
   [[nodiscard]] double dirty_fraction() const noexcept { return dirty_fraction_; }
   void set_dirty_fraction(double f) noexcept { dirty_fraction_ = f; }
 
@@ -110,13 +114,12 @@ class PageCache {
   friend struct hpmmap::snapshot::Access;
 
   void push_back_block(Addr addr, unsigned order, bool dirty);
-  /// Unlink `idx` from the LRU chain (meta untouched).
-  void unlink(std::uint32_t idx);
+  /// Pop the oldest block off the LRU and free it to the buddy; returns
+  /// its bytes and whether it was dirty.
+  std::pair<std::uint64_t, bool> pop_front_block();
 
   BuddyAllocator& buddy_;
-  std::uint32_t head_ = hw::MemMap::kNil; // oldest (reclaimed first)
-  std::uint32_t tail_ = hw::MemMap::kNil; // newest
-  std::size_t count_ = 0;
+  std::deque<std::uint32_t> lru_; // head-frame indices, oldest (reclaimed first) at the front
   std::uint64_t cached_bytes_ = 0;
   std::uint64_t free_floor_ = 0;
   double dirty_fraction_;

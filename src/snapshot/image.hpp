@@ -80,12 +80,6 @@ struct EventRecord {
 struct MemMapImage {
   Range range{};
   std::vector<std::uint8_t> meta;
-  // The open-addressing link table verbatim (including empty slots), so
-  // probe chains restore bit-identically.
-  std::vector<std::uint32_t> slot_key;
-  std::vector<std::uint32_t> slot_next;
-  std::vector<std::uint32_t> slot_prev;
-  std::uint64_t link_count = 0;
 };
 
 struct OrderListImage {
@@ -111,9 +105,7 @@ struct BuddyImage {
 };
 
 struct CacheImage {
-  std::uint32_t head = 0;
-  std::uint32_t tail = 0;
-  std::uint64_t count = 0;
+  std::vector<std::uint32_t> lru; // head-frame indices, oldest first
   std::uint64_t cached_bytes = 0;
   std::uint64_t free_floor = 0;
   double dirty_fraction = 0.0;
@@ -134,7 +126,7 @@ struct MemoryImage {
 };
 
 struct HugetlbZonePoolImage {
-  std::uint32_t head = 0;
+  std::vector<std::uint32_t> stack; // frame indices, top last
   std::uint64_t count = 0;
 };
 

@@ -32,7 +32,6 @@
 #include <ranges>
 #include <set>
 #include <string_view>
-#include <tuple>
 #include <type_traits>
 
 #include "common/assert.hpp"
@@ -45,8 +44,9 @@ static_assert(std::endian::native == std::endian::little,
 
 constexpr std::uint32_t kMagic = 0x4e535048; // "HPSN"
 // v3: trace::Event carries a causal span id. v4: the mem_map link table
-// is laid out by Fibonacci hashing, so older slot layouts do not probe.
-constexpr std::uint32_t kVersion = 4;
+// is laid out by Fibonacci hashing. v5: no link table; the page-cache LRU
+// and the hugetlb pools are stored as arrays of frame indices.
+constexpr std::uint32_t kVersion = 5;
 
 /// Loaded trace strings live until process exit; std::set node stability
 /// keeps every handed-out c_str() valid as the pool grows.
@@ -92,24 +92,8 @@ class Archive {
     self().bytes(&x, sizeof(T));
   }
 
-  /// Arrays of numbers that share one length word, each then one run.
-  template <class... Vs>
-  void runs(Vs&... vs) {
-    std::size_t n = std::get<0>(std::tie(vs...)).size();
-    self().length(n, (sizeof(typename Vs::value_type) + ...));
-    (run(vs, n), ...);
-  }
-
  private:
   Self& self() { return static_cast<Self&>(*this); }
-
-  template <class V>
-  void run(V& v, std::size_t n) {
-    if constexpr (Self::kLoads) {
-      v.resize(n);
-    }
-    self().bytes(v.data(), v.size() * sizeof(typename V::value_type));
-  }
 
   template <class R>
   void list_length(R& r, std::size_t unit) {
@@ -299,8 +283,6 @@ void fields(Ar& ar, PidAddr& pa) {
 template <class Ar>
 void fields(Ar& ar, MemMapImage& m) {
   ar(m.range, m.meta);
-  ar.runs(m.slot_key, m.slot_next, m.slot_prev);
-  ar(m.link_count);
 }
 
 template <class Ar>
@@ -321,7 +303,7 @@ void fields(Ar& ar, BuddyImage& b) {
 
 template <class Ar>
 void fields(Ar& ar, CacheImage& c) {
-  ar(c.head, c.tail, c.count, c.cached_bytes, c.free_floor, c.dirty_fraction, c.grow_count);
+  ar(c.lru, c.cached_bytes, c.free_floor, c.dirty_fraction, c.grow_count);
 }
 
 template <class Ar>
@@ -366,7 +348,7 @@ void fields(Ar& ar, ThpImage& t) {
 
 template <class Ar>
 void fields(Ar& ar, HugetlbZonePoolImage& zp) {
-  ar(zp.head, zp.count);
+  ar(zp.stack, zp.count);
 }
 
 template <class Ar>

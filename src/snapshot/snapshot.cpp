@@ -59,14 +59,17 @@ template <class D, class T>
 using Live = std::conditional_t<D::kRestores, T, const T>;
 
 /// to <- from for one field. Same-typed values (vectors of numbers
-/// included) move as one assignment, fixed arrays element-wise; integers
-/// and enums convert, and RNG states keep their bytes.
+/// included) move as one assignment, fixed arrays element-wise, other
+/// containers (the LRU's deque) by one assign; integers and enums
+/// convert, and RNG states keep their bytes.
 template <class To, class From>
 void put(To& to, const From& from) {
   if constexpr (std::is_array_v<To> || std::is_array_v<From>) {
     std::ranges::copy(from, std::ranges::begin(to));
   } else if constexpr (std::is_same_v<To, From>) {
     to = from;
+  } else if constexpr (requires { to.assign(std::ranges::begin(from), std::ranges::end(from)); }) {
+    to.assign(std::ranges::begin(from), std::ranges::end(from));
   } else if constexpr (requires { static_cast<To>(from); }) {
     to = static_cast<To>(from);
   } else {
@@ -413,13 +416,6 @@ struct Access {
     void transfer(Img<D, MemMapImage>& img, Live<D, hw::MemMap>& m) const {
       d.same(img.range, m.range_, "snapshot: mem_map range mismatch");
       d(img.meta, m.meta_);
-      // The link table verbatim, empty slots included, one array per field.
-      d.each(img.slot_key, m.slots_, [&](auto& key, auto& s) { d(key, s.key); });
-      d.fixed(img.slot_next, m.slots_, "snapshot: mem_map link table mismatch",
-              [&](auto& next, auto& s) { d(next, s.link.next); });
-      d.fixed(img.slot_prev, m.slots_, "snapshot: mem_map link table mismatch",
-              [&](auto& prev, auto& s) { d(prev, s.link.prev); });
-      d(img.link_count, m.link_count_);
     }
 
     void transfer(Img<D, BuddyImage>& img, Live<D, mm::BuddyAllocator>& b) const {
@@ -441,9 +437,7 @@ struct Access {
     }
 
     void transfer(Img<D, CacheImage>& img, Live<D, mm::PageCache>& c) const {
-      d(img.head, c.head_);
-      d(img.tail, c.tail_);
-      d(img.count, c.count_);
+      d(img.lru, c.lru_);
       d(img.cached_bytes, c.cached_bytes_);
       d(img.free_floor, c.free_floor_);
       d(img.dirty_fraction, c.dirty_fraction_);
@@ -463,7 +457,7 @@ struct Access {
 
     void transfer(Img<D, HugetlbImage>& img, Live<D, mm::HugetlbPool>& h) const {
       d.fixed(img.pool, h.pool_, "snapshot: hugetlb zone count mismatch", [&](auto& zi, auto& z) {
-        d(zi.head, z.head);
+        d(zi.stack, z.stack);
         d(zi.count, z.count);
       });
       d(img.total, h.total_);

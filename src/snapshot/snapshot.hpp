@@ -1,10 +1,10 @@
 // Node snapshot/restore (DESIGN.md §12).
 //
 // capture_world() deep-copies every structure of a quiesced simulation —
-// engine clock and pending events, buddy bitmaps, the mem_map link
-// table, page-cache LRU chains, packed page tables, hugetlb pool
-// stacks, VMA trees, the PID registry, module state, the flight
-// recorder, metrics and the fault injector — into a WorldImage.
+// engine clock and pending events, buddy bitmaps, the mem_map meta
+// bytes, page-cache LRU FIFOs, packed page tables, hugetlb pool stacks,
+// VMA trees, the PID registry, module state, the flight recorder,
+// metrics and the fault injector — into a WorldImage.
 // restore_world() overwrites a freshly booted world (same configuration,
 // aging skipped) with the image and re-arms the captured events, after
 // which the resumed run is event-for-event identical to the run that

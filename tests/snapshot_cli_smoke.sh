@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The snapshot image file end to end through the CLI (DESIGN.md §12.6):
 # saving the same aged world twice writes identical bytes, a saved image
-# resumes, and a cut-off copy is refused with the loader's own message.
+# resumes, and a cut-off copy or an image from an older format version is
+# refused with the loader's own message.
 #
 # Usage: snapshot_cli_smoke.sh <path to run_experiment>
 set -euo pipefail
@@ -22,4 +23,13 @@ if "$run_experiment" "${args[@]}" --snapshot-in "$snap/cut.snap" > /dev/null 2> 
 fi
 cat "$snap/cut.err"
 grep -q "snapshot: truncated image file" "$snap/cut.err"
+# The version word follows the 4-byte magic; 4 is the previous format.
+cp "$snap/a.snap" "$snap/v4.snap"
+printf '\x04\x00\x00\x00' | dd of="$snap/v4.snap" bs=1 seek=4 conv=notrunc status=none
+if "$run_experiment" "${args[@]}" --snapshot-in "$snap/v4.snap" > /dev/null 2> "$snap/v4.err"; then
+  echo "a version-4 image was accepted"
+  exit 1
+fi
+cat "$snap/v4.err"
+grep -q "snapshot: unsupported image version" "$snap/v4.err"
 echo "snapshot CLI smoke passed"

@@ -319,21 +319,46 @@ TEST(Audit, DetectsCacheBlockStateDrift) {
   EXPECT_TRUE(has_violation(r, "cache.memmap_orphan")) << r.summary();
 }
 
+/// Restore `image` into a fresh boot of `cfg`; the state arrives from
+/// the image, so the boot skips aging.
+std::unique_ptr<os::Node> restore_fresh(const snapshot::WorldImage& image, sim::Engine& engine,
+                                        os::NodeConfig cfg) {
+  cfg.aged_boot = false;
+  auto node = std::make_unique<os::Node>(engine, cfg);
+  snapshot::restore_world(image, engine, {node.get()});
+  return node;
+}
+
+/// Copy zone 0's first LRU entry over a later one of the same order: the
+/// cache then holds that block twice and the other not at all, while
+/// every count and byte total still balances.
+void duplicate_lru_entry(snapshot::WorldImage& image) {
+  snapshot::ZoneImage& zone = image.nodes.at(0).memory.zones.at(0);
+  std::vector<std::uint32_t>& lru = zone.cache.lru;
+  const std::vector<std::uint8_t>& meta = zone.buddy.map.meta;
+  const auto same_order = std::find_if(lru.begin() + 1, lru.end(), [&](std::uint32_t idx) {
+    return meta.at(idx) >> 3 == meta.at(lru.front()) >> 3;
+  });
+  ASSERT_NE(same_order, lru.end());
+  *same_order = lru.front();
+}
+
 TEST(Audit, DetectsBrokenLruChain) {
-  mm::BuddyAllocator buddy(Range{0, 4 * MiB}, 8);
-  mm::PageCache cache(buddy);
-  ASSERT_GT(cache.grow(64 * KiB, 0, false), 0u);
-  std::vector<Addr> blocks;
-  cache.for_each_block([&](Addr a, unsigned, bool) { blocks.push_back(a); });
-  ASSERT_GE(blocks.size(), 3u);
-  // Truncate the chain mid-way: the walk visits fewer blocks than the
-  // cache accounts for, and the byte totals drift with it.
-  buddy.mem_map().set_next(buddy.mem_map().index_of(blocks[1]), hw::MemMap::kNil);
+  const os::NodeConfig cfg = small_config();
+  snapshot::WorldImage image;
+  {
+    sim::Engine engine;
+    os::Node node(engine, cfg);
+    ASSERT_GT(node.memory().cache(0).grow(64 * KiB, 0, false), 0u);
+    image = snapshot::capture_world(engine, {&node});
+  }
+  duplicate_lru_entry(image);
+  sim::Engine engine;
+  const std::unique_ptr<os::Node> node = restore_fresh(image, engine, cfg);
   verify::AuditReport r;
-  verify::audit_page_cache(buddy, cache, "test", r);
-  EXPECT_FALSE(r.ok());
-  EXPECT_TRUE(has_violation(r, "cache.lru_broken") || has_violation(r, "cache.accounting"))
-      << r.summary();
+  verify::audit_page_cache(node->memory().buddy(0), node->memory().cache(0), "test", r);
+  EXPECT_TRUE(has_violation(r, "cache.lru_broken")) << r.summary();
+  EXPECT_FALSE(has_violation(r, "cache.accounting")) << r.summary();
 }
 
 TEST(Audit, DetectsHugetlbPoolPageStateDrift) {
@@ -357,6 +382,22 @@ TEST(Audit, DetectsHugetlbPoolPageStateDrift) {
   const verify::AuditReport r = auditor.run();
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(has_violation(r, "hugetlb.memmap_state")) << r.summary();
+}
+
+TEST(Audit, DetectsHugetlbDoubleFree) {
+  sim::Engine engine;
+  os::NodeConfig cfg = small_config();
+  cfg.hugetlb_pool_per_zone = 64 * MiB;
+  os::Node node(engine, cfg);
+  const auto page = node.hugetlb()->alloc_page(0);
+  ASSERT_TRUE(page.has_value());
+  node.hugetlb()->free_page(page->second, page->first);
+  ASSERT_TRUE(verify::MmAuditor(node).run().ok());
+  // A second free of a pooled page is counted but not pushed again: the
+  // stack no longer walks to the counter.
+  node.hugetlb()->free_page(page->second, page->first);
+  const verify::AuditReport r = verify::MmAuditor(node).run();
+  EXPECT_TRUE(has_violation(r, "hugetlb.stack")) << r.summary();
 }
 
 // --- per-CPU page-frame caches ---------------------------------------------
@@ -454,27 +495,27 @@ TEST(Audit, DetectsForgedPcpMark) {
 // is named by its exact invariant. If restore ever reconstructed these
 // structures loosely, the clean-before/dirty-after pair would not hold.
 
-/// Age and workload a node, capture it, and restore the image into a
-/// fresh non-aged boot on `engine`. The caller corrupts the result.
-std::unique_ptr<os::Node> restore_aged_world(sim::Engine& engine) {
-  os::NodeConfig cfg = small_config();
+/// Age and workload a node and capture it; `cfg` receives its config.
+snapshot::WorldImage capture_aged_world(os::NodeConfig& cfg) {
+  cfg = small_config();
   cfg.aged_boot = true;
   cfg.hugetlb_pool_per_zone = 64 * MiB;
-  snapshot::WorldImage image;
-  {
-    sim::Engine capture_engine;
-    os::Node node(capture_engine, cfg);
-    os::Process& p = node.spawn("app", os::MmPolicy::kLinuxThp, 0, 1.0,
-                                mm::AddressSpace::ZonePolicy::kSingle, 0);
-    const auto out = node.sys_mmap(p, 16 * MiB, kProtRW, os::Node::Segment::kHeapData);
-    EXPECT_EQ(out.err, Errno::kOk);
-    (void)node.touch_range(p, Range{out.addr, out.addr + 16 * MiB});
-    image = snapshot::capture_world(capture_engine, {&node});
-  }
-  cfg.aged_boot = false; // state arrives from the image
-  auto node = std::make_unique<os::Node>(engine, cfg);
-  snapshot::restore_world(image, engine, {node.get()});
-  return node;
+  sim::Engine engine;
+  os::Node node(engine, cfg);
+  os::Process& p = node.spawn("app", os::MmPolicy::kLinuxThp, 0, 1.0,
+                              mm::AddressSpace::ZonePolicy::kSingle, 0);
+  const auto out = node.sys_mmap(p, 16 * MiB, kProtRW, os::Node::Segment::kHeapData);
+  EXPECT_EQ(out.err, Errno::kOk);
+  (void)node.touch_range(p, Range{out.addr, out.addr + 16 * MiB});
+  return snapshot::capture_world(engine, {&node});
+}
+
+/// An aged world restored into a fresh non-aged boot on `engine`. The
+/// caller corrupts the result.
+std::unique_ptr<os::Node> restore_aged_world(sim::Engine& engine) {
+  os::NodeConfig cfg;
+  const snapshot::WorldImage image = capture_aged_world(cfg);
+  return restore_fresh(image, engine, cfg);
 }
 
 TEST(AuditRestored, SkewedFreelistBitIsNamedExactly) {
@@ -500,21 +541,15 @@ TEST(AuditRestored, SkewedFreelistBitIsNamedExactly) {
 }
 
 TEST(AuditRestored, BrokenLruLinkIsNamedExactly) {
+  // The aged boot leaves the cache warm, so the restored LRU is long.
+  os::NodeConfig cfg;
+  snapshot::WorldImage image = capture_aged_world(cfg);
+  duplicate_lru_entry(image);
   sim::Engine engine;
-  const std::unique_ptr<os::Node> node = restore_aged_world(engine);
-  ASSERT_TRUE(verify::MmAuditor(*node).run().ok());
-  // Truncate the restored page-cache LRU chain mid-way (the aged boot
-  // leaves the cache warm, so the chain is long).
-  mm::BuddyAllocator& buddy = node->memory().buddy(0);
-  std::vector<Addr> blocks;
-  node->memory().cache(0).for_each_block(
-      [&](Addr a, unsigned, bool) { blocks.push_back(a); });
-  ASSERT_GE(blocks.size(), 3u);
-  buddy.mem_map().set_next(buddy.mem_map().index_of(blocks[1]), hw::MemMap::kNil);
+  const std::unique_ptr<os::Node> node = restore_fresh(image, engine, cfg);
   const verify::AuditReport r = verify::MmAuditor(*node).run();
   EXPECT_FALSE(r.ok());
-  EXPECT_TRUE(has_violation(r, "cache.lru_broken") || has_violation(r, "cache.accounting"))
-      << r.summary();
+  EXPECT_TRUE(has_violation(r, "cache.lru_broken")) << r.summary();
 }
 
 TEST(AuditRestored, StrayPteIsNamedExactly) {

@@ -1,22 +1,28 @@
 // Unit + property tests: the hw::MemMap frame-metadata array and the
-// intrusive structures threaded through it. The differential test at the
-// bottom drives the bitmap-freelist BuddyAllocator against an
-// std::set-based reference model (the pre-rework implementation's data
-// structure) through random op sequences — results, accounting and
-// per-order populations must agree at every step.
+// owners that mark blocks in it. The differential tests at the bottom
+// drive the bitmap-freelist BuddyAllocator against an std::set-based
+// reference model (the pre-rework implementation's data structure), and
+// the page-cache LRU and hugetlb pool stacks against std::deque and
+// std::vector models, through random op sequences — results, accounting
+// and list order must agree at every step.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
+#include <deque>
+#include <optional>
 #include <set>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
+#include "hw/bandwidth.hpp"
 #include "hw/mem_map.hpp"
+#include "hw/phys_mem.hpp"
 #include "linux_mm/buddy_allocator.hpp"
+#include "linux_mm/hugetlbfs.hpp"
+#include "linux_mm/memory_system.hpp"
+#include "linux_mm/page_cache.hpp"
 
 namespace hpmmap {
 namespace {
@@ -97,95 +103,6 @@ TEST(MemMap, BlockContainingRequiresMatchingOrder) {
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->first, kBase);
   EXPECT_EQ(hit->second, 3u);
-}
-
-TEST(MemMap, LinkInsertUpdateErase) {
-  auto m = make();
-  EXPECT_FALSE(m.has_link(7));
-  m.set_link(7, MemMap::Link{11, MemMap::kNil});
-  ASSERT_TRUE(m.has_link(7));
-  EXPECT_EQ(m.link(7).next, 11u);
-  EXPECT_EQ(m.link(7).prev, MemMap::kNil);
-  EXPECT_EQ(m.link_count(), 1u);
-  // set_link on an existing key is an update, not a second entry.
-  m.set_link(7, MemMap::Link{12, 3});
-  EXPECT_EQ(m.link_count(), 1u);
-  EXPECT_EQ(m.link(7).next, 12u);
-  m.set_next(7, 99);
-  m.set_prev(7, 98);
-  EXPECT_EQ(m.link(7).next, 99u);
-  EXPECT_EQ(m.link(7).prev, 98u);
-  m.erase_link(7);
-  EXPECT_FALSE(m.has_link(7));
-  EXPECT_EQ(m.link_count(), 0u);
-}
-
-TEST(MemMap, LinkTableSurvivesCollisionsAndRehash) {
-  auto m = make(512 * MiB);
-  // Differential check against a reference map through enough inserts to
-  // force several rehashes, interleaved with backward-shift deletions.
-  std::unordered_map<std::uint32_t, std::pair<std::uint32_t, std::uint32_t>> ref;
-  Rng rng(0xfeedULL);
-  const std::uint32_t frames = static_cast<std::uint32_t>(m.frame_count());
-  for (int i = 0; i < 20'000; ++i) {
-    const std::uint32_t key = static_cast<std::uint32_t>(rng.uniform(frames));
-    if (rng.uniform(100) < 60 || ref.empty()) {
-      const auto next = static_cast<std::uint32_t>(rng.next_u64());
-      const auto prev = static_cast<std::uint32_t>(rng.next_u64());
-      m.set_link(key, MemMap::Link{next, prev});
-      ref[key] = {next, prev};
-    } else if (ref.contains(key)) {
-      m.erase_link(key);
-      ref.erase(key);
-    } else {
-      EXPECT_FALSE(m.has_link(key));
-    }
-  }
-  EXPECT_EQ(m.link_count(), ref.size());
-  for (const auto& [key, l] : ref) {
-    ASSERT_TRUE(m.has_link(key)) << key;
-    EXPECT_EQ(m.link(key).next, l.first);
-    EXPECT_EQ(m.link(key).prev, l.second);
-  }
-}
-
-TEST(MemMap, AlignedKeysMatchOrderedModelThroughRehashes) {
-  // The owners key the link table by block heads, which are aligned to
-  // their order: keys with up to nine trailing zero bits must still probe
-  // and backward-shift correctly. Grows 64 -> 4096 slots while erasing,
-  // and compares the whole table against the model after every op.
-  auto m = make(512 * MiB);
-  std::map<std::uint32_t, std::pair<std::uint32_t, std::uint32_t>> ref;
-  Rng rng(0xa11cedULL);
-  const std::uint64_t frames = m.frame_count();
-  std::size_t peak = 0;
-  for (int i = 0; i < 8'000; ++i) {
-    const unsigned order = static_cast<unsigned>(rng.uniform(10));
-    const auto key = static_cast<std::uint32_t>(rng.uniform(frames >> order) << order);
-    if (rng.uniform(100) < 65 || ref.empty()) {
-      const auto next = static_cast<std::uint32_t>(rng.next_u64());
-      const auto prev = static_cast<std::uint32_t>(rng.next_u64());
-      m.set_link(key, MemMap::Link{next, prev});
-      ref[key] = {next, prev};
-    } else {
-      // Erase the model's nearest key at or above `key` (wrapping).
-      auto it = ref.lower_bound(key);
-      if (it == ref.end()) {
-        it = ref.begin();
-      }
-      m.erase_link(it->first);
-      EXPECT_FALSE(m.has_link(it->first));
-      ref.erase(it);
-    }
-    ASSERT_EQ(m.link_count(), ref.size()) << "op " << i;
-    peak = std::max(peak, ref.size());
-    for (const auto& [k, l] : ref) {
-      ASSERT_TRUE(m.has_link(k)) << "op " << i << " key " << k;
-      ASSERT_EQ(m.link(k).next, l.first) << "op " << i << " key " << k;
-      ASSERT_EQ(m.link(k).prev, l.second) << "op " << i << " key " << k;
-    }
-  }
-  EXPECT_GE(peak, 1'434u); // past the 2048 -> 4096 rehash threshold
 }
 
 TEST(MemMap, ForEachHeadAscendingAndComplete) {
@@ -352,6 +269,176 @@ TEST(MemMapDifferential, BuddyMatchesSetModel) {
   }
   expect_equivalent(buddy, ref);
   EXPECT_EQ(buddy.free_bytes(), 64 * MiB);
+}
+
+// ---------------------------------------------------------------------------
+// Differential property test: the page-cache FIFO and the hugetlb pool
+// stacks vs std::deque / std::vector models.
+// ---------------------------------------------------------------------------
+
+struct CachedBlock {
+  Addr addr;
+  unsigned order;
+  bool dirty;
+  bool operator==(const CachedBlock&) const = default;
+};
+
+/// The cache's LRU walk must be the model, block for block, and its
+/// counts must follow.
+void expect_lru(const mm::PageCache& cache, const std::deque<CachedBlock>& model, int op) {
+  std::vector<CachedBlock> got;
+  cache.for_each_lru([&](Addr a, unsigned o, bool d) { got.push_back(CachedBlock{a, o, d}); });
+  ASSERT_TRUE(std::equal(got.begin(), got.end(), model.begin(), model.end())) << "op " << op;
+  ASSERT_EQ(cache.block_count(), model.size()) << "op " << op;
+  std::uint64_t bytes = 0;
+  for (const CachedBlock& b : model) {
+    bytes += mm::BuddyAllocator::order_bytes(b.order);
+  }
+  ASSERT_EQ(cache.cached_bytes(), bytes) << "op " << op;
+}
+
+/// Each zone's pool walk must be its model stack read top down, and its
+/// count the model count (which a double free puts above the stack size).
+void expect_pools(const mm::HugetlbPool& pool, const std::vector<std::vector<Addr>>& stacks,
+                  const std::vector<std::uint64_t>& counts, int op) {
+  for (ZoneId z = 0; z < stacks.size(); ++z) {
+    std::vector<Addr> got;
+    pool.for_each_pool_page(z, [&](Addr a) { got.push_back(a); });
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), stacks[z].rbegin(), stacks[z].rend()))
+        << "op " << op << " zone " << z;
+    ASSERT_EQ(pool.free_pages(z), counts[z]) << "op " << op << " zone " << z;
+  }
+}
+
+TEST(MemMapDifferential, CacheFifoAndPoolStacksMatchModels) {
+  hw::PhysicalMemory phys(256 * MiB, 2);
+  hw::BandwidthModel bw(2, 5.6);
+  mm::MemorySystem ms(phys, bw, Rng(11), mm::CostModel{});
+  constexpr std::uint64_t kPoolPerZone = 16 * MiB;
+  mm::HugetlbPool pool(ms, kPoolPerZone);
+  mm::PageCache& cache = ms.cache(0);
+  mm::BuddyAllocator& buddy = ms.buddy(0);
+
+  std::deque<CachedBlock> lru;
+  std::vector<std::vector<Addr>> stacks(2);
+  std::vector<std::uint64_t> counts(2, kPoolPerZone / kLargePageSize);
+  // The boot reservation pushed each zone's pages in allocation order.
+  for (ZoneId z = 0; z < 2; ++z) {
+    pool.for_each_pool_page(z, [&](Addr a) { stacks[z].insert(stacks[z].begin(), a); });
+    ASSERT_EQ(stacks[z].size(), counts[z]);
+  }
+  std::vector<std::pair<Addr, ZoneId>> taken; // pool pages handed out
+
+  Rng rng(0xf1f0ULL);
+  // How often each kind of step did real work, so the walk provably
+  // covers every path.
+  std::uint64_t evicted = 0;
+  std::uint64_t moved = 0;
+  std::uint64_t served = 0;
+  std::uint64_t double_frees = 0;
+  for (int op = 0; op < 4'000; ++op) {
+    const std::uint64_t roll = rng.uniform(100);
+    if (roll < 25) {
+      // grow: the new blocks come from the buddy, so the model learns
+      // their addresses from the walk's tail, after the old prefix held.
+      const auto order = static_cast<unsigned>(rng.uniform(4));
+      const bool dirty = rng.uniform(4) == 0;
+      const std::uint64_t grown = cache.grow(rng.uniform(32) * 4 * KiB << order, order, dirty);
+      const std::size_t added = grown / mm::BuddyAllocator::order_bytes(order);
+      std::vector<CachedBlock> got;
+      cache.for_each_lru([&](Addr a, unsigned o, bool d) { got.push_back(CachedBlock{a, o, d}); });
+      ASSERT_EQ(got.size(), lru.size() + added) << "op " << op;
+      ASSERT_TRUE(std::equal(lru.begin(), lru.end(), got.begin())) << "op " << op;
+      for (std::size_t i = lru.size(); i < got.size(); ++i) {
+        ASSERT_EQ(got[i].order, order) << "op " << op;
+        ASSERT_TRUE(!dirty || got[i].dirty) << "op " << op;
+        lru.push_back(got[i]);
+      }
+    } else if (roll < 40) {
+      const auto order = static_cast<unsigned>(rng.uniform(5));
+      if (const auto a = buddy.alloc(order); a.has_value()) {
+        const bool dirty = rng.uniform(2) == 0;
+        cache.adopt(a->addr, order, dirty);
+        lru.push_back(CachedBlock{a->addr, order, dirty});
+      }
+    } else if (roll < 52) {
+      const std::uint64_t want = rng.uniform(64) * 4 * KiB;
+      const mm::PageCache::ShrinkResult r = cache.shrink(want);
+      mm::PageCache::ShrinkResult expect;
+      while (expect.bytes_freed < want && !lru.empty()) {
+        expect.bytes_freed += mm::BuddyAllocator::order_bytes(lru.front().order);
+        ++(lru.front().dirty ? expect.writeback_blocks : expect.clean_blocks);
+        lru.pop_front();
+        ++evicted;
+      }
+      ASSERT_EQ(r.bytes_freed, expect.bytes_freed) << "op " << op;
+      ASSERT_EQ(r.writeback_blocks, expect.writeback_blocks) << "op " << op;
+      ASSERT_EQ(r.clean_blocks, expect.clean_blocks) << "op " << op;
+    } else if (roll < 54) {
+      cache.clear();
+      lru.clear();
+    } else if (roll < 66 && !lru.empty()) {
+      // A batch of moves onto fresh buddy blocks, in random order; the
+      // vacated frames go back to the buddy, as compaction's would.
+      std::vector<std::size_t> picks;
+      for (std::uint64_t k = 1 + rng.uniform(6); k > 0; --k) {
+        const std::size_t i = rng.uniform(lru.size());
+        if (std::find(picks.begin(), picks.end(), i) == picks.end()) {
+          picks.push_back(i);
+        }
+      }
+      std::vector<mm::PageCache::Move> moves;
+      std::vector<std::pair<std::size_t, Addr>> applied;
+      for (const std::size_t i : picks) {
+        if (const auto t = buddy.alloc(lru[i].order); t.has_value()) {
+          moves.push_back(mm::PageCache::Move{lru[i].addr, t->addr});
+          applied.emplace_back(i, t->addr);
+        }
+      }
+      cache.relocate(moves);
+      for (const auto& [i, to] : applied) {
+        buddy.free(lru[i].addr, lru[i].order);
+        lru[i].addr = to;
+        ++moved;
+      }
+    } else if (roll < 83) {
+      const auto zone = static_cast<ZoneId>(rng.uniform(2));
+      const auto page = pool.alloc_page(zone);
+      std::optional<std::pair<Addr, ZoneId>> expect;
+      for (ZoneId probe = 0; probe < 2 && !expect.has_value(); ++probe) {
+        const ZoneId z = (zone + probe) % 2;
+        if (!stacks[z].empty()) {
+          expect = std::make_pair(stacks[z].back(), z);
+          stacks[z].pop_back();
+          --counts[z];
+        }
+      }
+      ASSERT_EQ(page, expect) << "op " << op;
+      if (page.has_value()) {
+        taken.push_back(*page);
+        ++served;
+      }
+    } else if (roll < 98 && !taken.empty()) {
+      const std::size_t k = rng.uniform(taken.size());
+      const auto [addr, z] = taken[k];
+      taken[k] = taken.back();
+      taken.pop_back();
+      pool.free_page(z, addr);
+      stacks[z].push_back(addr);
+      ++counts[z];
+    } else if (!stacks[1].empty()) {
+      // A double free of a pooled page: re-accounted, never pushed twice.
+      pool.free_page(1, stacks[1].back());
+      ++counts[1];
+      ++double_frees;
+    }
+    expect_lru(cache, lru, op);
+    expect_pools(pool, stacks, counts, op);
+  }
+  EXPECT_GT(evicted, 1'000u);
+  EXPECT_GT(moved, 1'000u);
+  EXPECT_GT(served, 100u);
+  EXPECT_GT(double_frees, 10u);
 }
 
 } // namespace

@@ -73,7 +73,8 @@ TEST(PageCache, BlockContainingAndRelocate) {
       found = true;
       EXPECT_EQ(blk->second, 3u);
       // Relocate it and verify the index moved.
-      cache.relocate(blk->first, blk->first + 32 * MiB);
+      const PageCache::Move move{blk->first, blk->first + 32 * MiB};
+      cache.relocate({&move, 1});
       EXPECT_FALSE(cache.block_containing(blk->first).has_value());
       EXPECT_TRUE(cache.block_containing(blk->first + 32 * MiB).has_value());
     }
@@ -203,6 +204,97 @@ TEST(MemorySystem, CompactionAssemblesContiguous2M) {
   // The block is genuinely ours: freeing it round-trips cleanly.
   f.ms.free_pages(0, out.addr, kLargePageOrder);
   EXPECT_TRUE(f.ms.buddy(0).check_consistency());
+}
+
+/// A one-zone system small enough to lay out window by window: 64 windows
+/// of 2M, where window 0 is the only movable one.
+struct CompactionFixture {
+  hw::PhysicalMemory phys{128 * MiB, 1};
+  hw::BandwidthModel bw{1, 5.6};
+  CostModel costs{};
+  MemorySystem ms{phys, bw, Rng(7), costs};
+  PageCache& cache = ms.cache(0);
+  BuddyAllocator& buddy = ms.buddy(0);
+  Range zone = buddy.range();
+
+  /// Take every page, then fill window 0 with order-4 cache blocks,
+  /// leaving the blocks at the `holes` offsets free.
+  explicit CompactionFixture(const std::vector<Addr>& holes) {
+    cache.set_free_floor(0);
+    while (buddy.alloc(0).has_value()) {
+    }
+    for (Addr off = 0; off < kLargePageSize; off += 64 * KiB) {
+      if (std::find(holes.begin(), holes.end(), off) != holes.end()) {
+        buddy.free(zone.begin + off, 4);
+      } else {
+        cache.adopt(zone.begin + off, 4, false);
+      }
+    }
+  }
+
+  /// Free every other 4K page of windows [first, 64): plenty of free
+  /// memory (no reclaim), none of it order 1 or above, and every window
+  /// keeps unmovable pages.
+  void scatter_small_holes(std::uint64_t first) {
+    for (Addr a = zone.begin + first * kLargePageSize; a < zone.end; a += 8 * KiB) {
+      buddy.free(a, 0);
+    }
+  }
+
+  [[nodiscard]] std::uint64_t free_plus_cached() const {
+    return ms.free_bytes(0) + cache.cached_bytes();
+  }
+};
+
+TEST(MemorySystem, FailedCompactionReturnsVacatedFrames) {
+  // Window 0 is 32 order-4 cache blocks; exactly one order-4 target
+  // exists elsewhere (window 1's first 64K), so the first block migrates
+  // and the second finds no target.
+  CompactionFixture f({});
+  for (Addr a = f.zone.begin + kLargePageSize; a < f.zone.begin + kLargePageSize + 64 * KiB;
+       a += 4 * KiB) {
+    f.buddy.free(a, 0);
+  }
+  f.scatter_small_holes(2);
+  ASSERT_EQ(f.buddy.free_blocks(4), 1u);
+  const std::uint64_t before = f.free_plus_cached();
+  const AllocOutcome out = f.ms.alloc_pages(0, kLargePageOrder, /*allow_reclaim=*/true);
+  EXPECT_FALSE(out.ok);
+  EXPECT_TRUE(out.entered_compaction);
+  EXPECT_EQ(out.compaction_migrated_bytes, 64 * KiB);
+  // No frame is lost: the migrated block's old frames are free again.
+  EXPECT_EQ(f.free_plus_cached(), before);
+  EXPECT_TRUE(f.buddy.check_consistency());
+  EXPECT_EQ(f.cache.block_count(), 32u);
+}
+
+TEST(MemorySystem, CompactionMigratesEachBlockOnce) {
+  // Window 0's only hole is its last 64K. Claimed as the scan reaches
+  // it, that hole would be the lowest order-4 target for the first
+  // block, which would then migrate a second time; claimed up front,
+  // each of the 31 blocks migrates once, out of the window.
+  CompactionFixture f({kLargePageSize - 64 * KiB});
+  // 32 targets elsewhere: the first half of windows 1 and 2, one free
+  // order-8 block each; their second halves stay pinned.
+  for (const std::uint64_t w : {1u, 2u}) {
+    const Addr half = f.zone.begin + w * kLargePageSize;
+    for (Addr a = half; a < half + MiB; a += 4 * KiB) {
+      f.buddy.free(a, 0);
+    }
+  }
+  f.scatter_small_holes(3);
+  ASSERT_FALSE(f.buddy.can_alloc(kLargePageOrder));
+  const std::uint64_t before = f.free_plus_cached();
+  const AllocOutcome out = f.ms.alloc_pages(0, kLargePageOrder, /*allow_reclaim=*/true);
+  ASSERT_TRUE(out.ok);
+  EXPECT_EQ(out.addr, f.zone.begin);
+  EXPECT_EQ(out.compaction_migrated_bytes, 31 * 64 * KiB);
+  EXPECT_EQ(f.cache.block_count(), 31u);
+  f.cache.for_each_lru([&](Addr a, unsigned o, bool) {
+    EXPECT_GE(a, f.zone.begin + kLargePageSize);
+    EXPECT_EQ(o, 4u);
+  });
+  EXPECT_EQ(f.free_plus_cached() + kLargePageSize, before);
 }
 
 TEST(MemorySystem, CompactionFailsAgainstUnmovablePages) {

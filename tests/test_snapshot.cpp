@@ -877,9 +877,9 @@ TEST_F(SnapshotFileDeathTest, CutOffImagesFailWithTheLoaderMessage) {
 
 TEST_F(SnapshotFileDeathTest, OversizedLengthWordsFailWithTheLoaderMessage) {
   // Header: magic u32, version u32, fingerprint count u64 at 8, then the
-  // first fingerprint key's string length at 16. Then number arrays (the
-  // meta run, the shared link-slot length) and lists of records (nodes,
-  // one node's processes, the trace ring), whose unit is derived.
+  // first fingerprint key's string length at 16. Then a number array (the
+  // meta run) and lists of records (a zone's corrupt blocks, nodes, one
+  // node's processes, the trace ring), whose unit is derived.
   const std::size_t meta = meta_length_offset();
   const std::size_t length_words[] = {
       8,
@@ -900,8 +900,8 @@ TEST_F(SnapshotFileDeathTest, OversizedLengthWordsFailWithTheLoaderMessage) {
 
 TEST_F(SnapshotFileDeathTest, OlderImageVersionIsRefused) {
   std::string b = bytes_;
-  const std::uint32_t v3 = 3;
-  std::memcpy(b.data() + 4, &v3, sizeof v3);
+  const std::uint32_t v4 = 4;
+  std::memcpy(b.data() + 4, &v4, sizeof v4);
   write(b);
   EXPECT_DEATH((void)snapshot::load(path_), "snapshot: unsupported image version");
 }
@@ -947,14 +947,14 @@ TEST(SnapshotRestoreDeathTest, EventRecordWithAnUnknownOwnerIsRefused) {
   }
 }
 
-// --- the v4 byte layout -----------------------------------------------------
+// --- the v5 byte layout -----------------------------------------------------
 //
 // The fixpoint tests prove that save and load agree with each other; a
 // change that reordered a field in both would still pass them. This
 // image is built by hand, never captured, so simulator changes cannot
 // move it: every list holds one or two entries, every has_* branch is
 // on, and the trace event carries one argument of each kind. Its saved
-// bytes are pinned in tests/golden/snapshot_v4_small.hex. A deliberate
+// bytes are pinned in tests/golden/snapshot_v5_small.hex. A deliberate
 // format change bumps kVersion and records a new golden.
 
 snapshot::WorldImage hand_built_image() {
@@ -982,14 +982,10 @@ snapshot::WorldImage hand_built_image() {
   z.buddy.lists = {{.bits = {0x5, 0x0}, .summary = {0x1}, .count = 2, .scan_hint = 1}};
   z.buddy.map.range = {0x10000, 0x90000};
   z.buddy.map.meta = {1, 2, 3, 4, 5, 6, 7, 8, 9};
-  z.buddy.map.slot_key = {0xffffffff, 3};
-  z.buddy.map.slot_next = {0xffffffff, 0xfffffffe};
-  z.buddy.map.slot_prev = {0xffffffff, 0xfffffffd};
-  z.buddy.map.link_count = 1;
   z.buddy.corrupt_blocks = {{.addr = 0x20000, .order = 1}};
   z.buddy.stats = {.allocs = 11, .frees = 12, .split_steps = 13, .merge_steps = 14,
                    .failed_allocs = 15};
-  z.cache = {.head = 3, .tail = 4, .count = 2, .cached_bytes = 0x2000, .free_floor = 0x1000,
+  z.cache = {.lru = {3, 4}, .cached_bytes = 0x2000, .free_floor = 0x1000,
              .dirty_fraction = 0.125, .grow_count = 6};
   z.online_bytes = 0x80000;
   z.compact_cursor = 0x30000;
@@ -998,7 +994,7 @@ snapshot::WorldImage hand_built_image() {
   n.memory.zones = {z};
 
   n.has_hugetlb = true;
-  n.hugetlb.pool = {{.head = 1, .count = 2}};
+  n.hugetlb.pool = {{.stack = {5, 1}, .count = 2}};
   n.hugetlb.total = {4};
   n.hugetlb.stats = {.pool_pages_total = 4, .faults_served = 2, .pool_exhausted = 1};
 
@@ -1009,9 +1005,6 @@ snapshot::WorldImage hand_built_image() {
   kitten.range = {0x40000, 0x60000};
   kitten.max_order = 9;
   kitten.map.meta = {7};
-  kitten.map.slot_key = {0xffffffff};
-  kitten.map.slot_next = {0xffffffff};
-  kitten.map.slot_prev = {0xffffffff};
   n.module.kitten_zones = {{kitten}};
   n.module.kitten_stats = {.allocs = 21, .frees = 22, .failed = 23};
   n.module.registry_slots = {{.state = 1, .pid = 1001, .context = 0}};
@@ -1145,15 +1138,15 @@ std::string to_hex(const std::string& bytes) {
   return out;
 }
 
-TEST(SnapshotFileFormat, HandBuiltImageMatchesTheV4Bytes) {
-  const std::string path = temp_path("v4_layout");
+TEST(SnapshotFileFormat, HandBuiltImageMatchesTheV5Bytes) {
+  const std::string path = temp_path("v5_layout");
   snapshot::save(hand_built_image(), path);
   const std::string saved = to_hex(file_bytes(path));
-  const std::string golden = file_bytes(HPMMAP_GOLDEN_DIR "/snapshot_v4_small.hex");
+  const std::string golden = file_bytes(HPMMAP_GOLDEN_DIR "/snapshot_v5_small.hex");
   if (saved != golden) {
-    const std::string actual = temp_path("v4_layout_actual") + ".hex";
+    const std::string actual = temp_path("v5_layout_actual") + ".hex";
     std::ofstream(actual, std::ios::binary) << saved;
-    ADD_FAILURE() << "saved bytes differ from the v4 golden; they are in " << actual;
+    ADD_FAILURE() << "saved bytes differ from the v5 golden; they are in " << actual;
   }
   // The loader reads the pinned bytes back to the same image.
   snapshot::save(snapshot::load(path), path);
