@@ -22,8 +22,8 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "harness/batch.hpp"
 #include "harness/cluster.hpp"
-#include "harness/experiment.hpp"
 #include "workloads/profiles.hpp"
 
 namespace {
@@ -124,9 +124,13 @@ int main(int argc, char** argv) {
   harness::ClusterRunConfig big =
       cluster_cfg(opt, "HPCCG", harness::Manager::kHpmmap, 256, 0);
   big.topology = cluster::Topology::kFatTree;
-  const harness::SeriesPoint hpmmap_pt = harness::run_cluster_trials(big, trials_1024);
-  big.scaling.manager = harness::Manager::kThp;
-  const harness::SeriesPoint thp_pt = harness::run_cluster_trials(big, trials_1024);
+  harness::ClusterRunConfig big_thp = big;
+  big_thp.scaling.manager = harness::Manager::kThp;
+  // Each trial already spreads its nodes over every hardware thread.
+  const std::vector<harness::SeriesPoint> big_pts =
+      harness::run_trials(std::vector{big, big_thp}, trials_1024, /*jobs=*/1);
+  const harness::SeriesPoint& hpmmap_pt = big_pts[0];
+  const harness::SeriesPoint& thp_pt = big_pts[1];
   const double ratio =
       hpmmap_pt.mean_seconds > 0 ? thp_pt.mean_seconds / hpmmap_pt.mean_seconds : 0.0;
   std::printf("1024 ranks (fat-tree): HPMMAP %.2f s, THP %.2f s, THP/HPMMAP = %.3f\n",

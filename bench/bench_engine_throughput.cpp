@@ -198,8 +198,8 @@ Throughput measure_engine(std::uint64_t target_events) {
 // Batch-runner wall-time: the Figure 8 cell shape, serial vs parallel.
 // ---------------------------------------------------------------------------
 
-std::vector<harness::ScalingRunConfig> sweep_configs(bool full) {
-  std::vector<harness::ScalingRunConfig> cfgs;
+std::vector<harness::ClusterRunConfig> sweep_configs(bool full) {
+  std::vector<harness::ClusterRunConfig> cfgs;
   for (const harness::Manager mgr :
        {harness::Manager::kHpmmap, harness::Manager::kThp}) {
     harness::ScalingRunConfig cfg;
@@ -211,7 +211,7 @@ std::vector<harness::ScalingRunConfig> sweep_configs(bool full) {
     cfg.seed = 529;
     cfg.footprint_scale = 1.0;
     cfg.duration_scale = full ? 0.25 : 0.02;
-    cfgs.push_back(cfg);
+    cfgs.push_back({cfg});
   }
   return cfgs;
 }
@@ -221,11 +221,11 @@ struct BatchTiming {
   std::vector<harness::SeriesPoint> points;
 };
 
-BatchTiming time_sweep(const std::vector<harness::ScalingRunConfig>& cfgs,
+BatchTiming time_sweep(const std::vector<harness::ClusterRunConfig>& cfgs,
                        std::uint32_t trials, unsigned jobs) {
   BatchTiming t;
   const auto t0 = std::chrono::steady_clock::now();
-  t.points = harness::run_trials_batch(cfgs, trials, jobs);
+  t.points = harness::run_trials(cfgs, trials, jobs);
   t.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   return t;
@@ -301,7 +301,7 @@ int main(int argc, char** argv) {
   // --- batch runner: serial vs parallel wall-time on a fig8-shaped sweep ---
   const unsigned jobs = opt.jobs == 0 ? harness::hardware_jobs() : opt.jobs;
   const std::uint32_t trials = 4;
-  const std::vector<harness::ScalingRunConfig> cfgs = sweep_configs(opt.full);
+  const std::vector<harness::ClusterRunConfig> cfgs = sweep_configs(opt.full);
   const BatchTiming serial = time_sweep(cfgs, trials, 1);
   const BatchTiming par = time_sweep(cfgs, trials, jobs);
   const bool match = identical(serial.points, par.points);

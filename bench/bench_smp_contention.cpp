@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "harness/experiment.hpp"
+#include "harness/batch.hpp"
 
 namespace {
 
@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
       grid.push_back(c);
     }
   }
-  const std::vector<SmpRunResult> runs = harness::run_smp_batch(grid);
+  const std::vector<SmpRunResult> runs = harness::run_batch(grid);
 
   const auto at = [&](std::size_t core_idx, std::size_t variant_idx) -> const SmpRunResult& {
     return runs[core_idx * std::size(kVariants) + variant_idx];

@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
   const std::vector<harness::SingleNodeRunConfig> cfgs = sweep_configs(opt.full);
 
   const SweepTiming straight =
-      time_sweep([&] { return harness::run_trials_batch(cfgs, trials, jobs); });
+      time_sweep([&] { return harness::run_trials(cfgs, trials, jobs); });
   const SweepTiming snapshotted =
       time_sweep([&] { return harness::run_trials_snapshotted(cfgs, trials, jobs); });
   const bool match = identical(straight.points, snapshotted.points);

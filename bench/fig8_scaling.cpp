@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "harness/experiment.hpp"
+#include "harness/cluster.hpp"
 #include "harness/table.hpp"
 
 int main(int argc, char** argv) {
@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   // the batch runner, then fold the results in enumeration order — the
   // printed table is byte-identical to the serial sweep for any --jobs.
   const std::uint32_t trials = opt.full ? opt.trials : 2;
-  std::vector<harness::ScalingRunConfig> cfgs;
+  std::vector<harness::ClusterRunConfig> cfgs;
   for (const char* app : apps) {
     for (int prof = 0; prof < 2; ++prof) {
       for (const std::uint32_t nodes : node_counts) {
@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
           cfg.seed = 500 + static_cast<std::uint64_t>(prof) * 29 + nodes;
           cfg.footprint_scale = 1.0; // pressure needs real footprints
           cfg.duration_scale = opt.full ? 1.0 : 0.05;
-          cfgs.push_back(cfg);
+          cfgs.push_back({cfg});
         }
       }
     }

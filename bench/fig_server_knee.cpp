@@ -112,10 +112,10 @@ int main(int argc, char** argv) {
       grid.push_back(cell_config(opt, m, mult));
     }
   }
-  std::vector<harness::ServerRunResult> results = harness::run_server_batch(grid, opt.jobs);
+  std::vector<harness::ServerRunResult> results = harness::run_batch(grid, opt.jobs);
 
   // Determinism cross-check: the same grid, strictly serial.
-  const bool deterministic = identical(results, harness::run_server_batch(grid, /*jobs=*/1));
+  const bool deterministic = identical(results, harness::run_batch(grid, /*jobs=*/1));
 
   std::uint64_t residual_errors = 0;
   std::vector<KneeOutcome> knees;

@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
     harness::ServerRunConfig cfg = base_config(opt);
     cfg.manager = m;
     std::vector<harness::ServerRunResult> trials =
-        harness::run_server_trials(cfg, opt.trials, opt.jobs);
+        harness::run_batch(harness::trial_configs(cfg, opt.trials), opt.jobs);
     outcomes.push_back(fold(m, trials));
     if (m == harness::Manager::kHpmmap) {
       hpmmap_parallel = std::move(trials);
@@ -137,7 +137,8 @@ int main(int argc, char** argv) {
   harness::ServerRunConfig recheck = base_config(opt);
   recheck.manager = harness::Manager::kHpmmap;
   const bool deterministic =
-      identical(hpmmap_parallel, harness::run_server_trials(recheck, opt.trials, /*jobs=*/1));
+      identical(hpmmap_parallel,
+                harness::run_batch(harness::trial_configs(recheck, opt.trials), /*jobs=*/1));
 
   std::printf("%-18s %12s %10s %8s %8s %8s %10s %10s\n", "manager", "violations",
               "completed", "shed", "p50us", "p99us", "p99.9us", "xp99us");

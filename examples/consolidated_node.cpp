@@ -9,6 +9,7 @@
 // takeaway mirrors §IV-B: Linux degrades and grows noisy; HPMMAP's
 // isolation keeps both the mean and the spread nearly flat.
 #include <cstdio>
+#include <vector>
 
 #include "harness/batch.hpp"
 #include "harness/experiment.hpp"
@@ -43,7 +44,7 @@ int main() {
       cfg.seed = 7;
       cfg.footprint_scale = 0.25;
       cfg.duration_scale = 0.2;
-      const harness::SeriesPoint p = harness::run_trials(cfg, kTrials);
+      const harness::SeriesPoint p = harness::run_trials(std::vector{cfg}, kTrials).front();
       table.add_row({level.label, std::string(name(manager)),
                      harness::fixed(p.mean_seconds, 2), harness::fixed(p.stdev_seconds, 2)});
     }

@@ -25,6 +25,8 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "cluster/network.hpp"
 #include "harness/batch.hpp"
@@ -59,8 +61,9 @@ using namespace hpmmap;
       "  --nodes N        cluster nodes; >1 selects the 1GbE testbed (default 1)\n"
       "  --cluster-jobs N drive the per-node event engines of each cluster run\n"
       "                   with N worker threads; 0 = all hardware threads.\n"
-      "                   Results are byte-identical for any N. Without it,\n"
-      "                   multi-node trials run one worker each, --jobs at once\n"
+      "                   Results are byte-identical for any N. Trials run\n"
+      "                   --jobs at once at N = 1 (the default), else one at a\n"
+      "                   time. Selects the cluster model even at --nodes 1\n"
       "  --topology T     interconnect for the cluster collectives:\n"
       "                   flat | tree | fat-tree (default flat; flat reproduces\n"
       "                   the paper's single-switch model, tree needs a\n"
@@ -312,33 +315,81 @@ class PerfSummary {
   std::chrono::steady_clock::time_point start_ = std::chrono::steady_clock::now();
 };
 
-/// Trials with introspection on run per-config through run_batch (same
-/// seed derivation as run_trials, same submission-order merge) so the
-/// exported telemetry is byte-identical for any --jobs value.
+/// The hpc experiment's output flags, shared by one node and many.
+struct HpcFlags {
+  std::string trace_out;
+  std::string metrics_out;
+  std::string snapshot_in;
+  bool traced = false;
+  bool introspecting = false;
+  bool procfs_dump = false;
+  bool injecting = false;
+  bool audit = false;
+};
+
+/// The hpc experiment on one node or a cluster. One branch decides what
+/// runs, the same for both: a traced, verified or resumed run is a single
+/// run at the base seed; otherwise `trials` runs at the derived seeds,
+/// as full results through run_batch when they sample or dump procfs
+/// (the export then merges with trial="N" labels, byte-identical for any
+/// --jobs value) or folded by run_trials.
 template <typename Config>
-int run_introspected_trials(const Config& cfg, std::uint32_t trials, unsigned jobs,
-                            const std::string& metrics_out, bool procfs,
-                            PerfSummary& perf) {
-  std::vector<Config> cfgs;
-  for (const std::uint64_t s : harness::trial_seeds(cfg.seed, trials)) {
-    cfgs.push_back(cfg);
-    cfgs.back().seed = s;
-  }
-  const std::vector<harness::RunResult> runs = harness::run_batch(cfgs, jobs);
-  RunningStats stats;
-  for (const harness::RunResult& r : runs) {
-    stats.add(r.runtime_seconds);
+int run_hpc(const Config& cfg, std::uint32_t trials, unsigned jobs, const HpcFlags& flags,
+            PerfSummary& perf) {
+  if (flags.traced || flags.injecting || flags.audit || !flags.snapshot_in.empty()) {
+    harness::RunResult r;
+    if constexpr (std::is_same_v<Config, harness::SingleNodeRunConfig>) {
+      r = flags.snapshot_in.empty()
+              ? harness::run_single_node(cfg)
+              : harness::run_single_node(cfg, snapshot::load(flags.snapshot_in));
+    } else {
+      r = harness::run_cluster(cfg);
+    }
     perf.add_events(r.events_fired);
     perf.add_faults(r.faults);
+    std::printf("runtime: %.2f s\n", r.runtime_seconds);
+    if (flags.traced) {
+      harness::Table t({"Kind", "Count", "Avg cycles", "Stdev cycles"});
+      for (std::size_t k = 0; k < mm::kFaultKindCount; ++k) {
+        const auto kind = static_cast<mm::FaultKind>(k);
+        const auto& row = r.by_kind(kind);
+        t.add_row({std::string(mm::name(kind)), harness::with_commas(row.total_faults),
+                   harness::with_commas(static_cast<std::uint64_t>(row.avg_cycles)),
+                   harness::with_commas(static_cast<std::uint64_t>(row.stdev_cycles))});
+      }
+      t.print();
+      std::printf("khugepaged merges: %llu\n", static_cast<unsigned long long>(r.thp_merges));
+    }
+    report_verification(r, flags.injecting, flags.audit);
+    report_introspection(r, flags.metrics_out, flags.procfs_dump);
+    if (!flags.trace_out.empty()) {
+      dump_trace(r, flags.trace_out);
+    }
+    return r.audit_violations == 0 ? 0 : 1;
   }
-  std::printf("runtime: %.2f s  (stdev %.2f)\n", stats.mean(), stats.stdev());
-  write_metrics(harness::merged_telemetry(runs), metrics_out, runs.front().clock_hz,
-                runs.front().trace_t0);
-  if (procfs) {
-    // The /proc view of trial 0 (each trial tears its node down; later
-    // trials differ only by seed).
-    std::printf("%s", runs.front().procfs_text.c_str());
+  if (flags.introspecting) {
+    const std::vector<harness::RunResult> runs =
+        harness::run_batch(harness::trial_configs(cfg, trials), jobs);
+    RunningStats stats;
+    for (const harness::RunResult& r : runs) {
+      stats.add(r.runtime_seconds);
+      perf.add_events(r.events_fired);
+      perf.add_faults(r.faults);
+    }
+    std::printf("runtime: %.2f s  (stdev %.2f)\n", stats.mean(), stats.stdev());
+    write_metrics(harness::merged_telemetry(runs), flags.metrics_out, runs.front().clock_hz,
+                  runs.front().trace_t0);
+    if (flags.procfs_dump) {
+      // The /proc view of trial 0 (each trial tears its node down; later
+      // trials differ only by seed).
+      std::printf("%s", runs.front().procfs_text.c_str());
+    }
+    return 0;
   }
+  const harness::SeriesPoint p = harness::run_trials(std::vector{cfg}, trials, jobs).front();
+  perf.add_events(p.events);
+  perf.add_series(p);
+  std::printf("runtime: %.2f s  (stdev %.2f)\n", p.mean_seconds, p.stdev_seconds);
   return 0;
 }
 
@@ -365,8 +416,8 @@ std::vector<serving::SloBudget> parse_slo_spec(const std::string& spec, double c
 }
 
 /// The serving experiment: per-trial tail/SLO table plus totals. All
-/// output derives from run_server_trials' submission-order results, so
-/// it is byte-identical for any --jobs value.
+/// output derives from run_batch's submission-order results, so it is
+/// byte-identical for any --jobs value.
 int run_server_mode(const harness::ServerRunConfig& cfg, std::uint32_t trials,
                     unsigned jobs, const std::string& trace_out,
                     const std::string& metrics_out, const std::string& attr_out,
@@ -374,7 +425,7 @@ int run_server_mode(const harness::ServerRunConfig& cfg, std::uint32_t trials,
   const bool single = !trace_out.empty() || procfs_dump;
   const std::vector<harness::ServerRunResult> runs =
       single ? std::vector<harness::ServerRunResult>{harness::run_server(cfg)}
-             : harness::run_server_trials(cfg, trials, jobs);
+             : harness::run_batch(harness::trial_configs(cfg, trials), jobs);
 
   harness::Table t({"Trial", "Completed", "Shed", "p50 us", "p95 us", "p99 us",
                     "p99.9 us", "SLO violations"});
@@ -579,7 +630,6 @@ int main(int argc, char** argv) {
     }
     verify_cfg.inject = *plan;
   }
-  const bool verifying = audit || verify_cfg.inject.any();
 
   const std::optional<cluster::Topology> topo = cluster::topology_from_name(topology);
   if (!topo) {
@@ -626,8 +676,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // --cluster-jobs selects the per-node engines even on one node; this
+  // one predicate picks the cluster model and guards the snapshot flags.
+  const bool cluster_model = nodes > 1 || cluster_jobs.has_value();
   if ((!snapshot_out.empty() || !snapshot_in.empty()) &&
-      (experiment != "hpc" || nodes > 1)) {
+      (experiment != "hpc" || cluster_model)) {
     std::fprintf(stderr, "--snapshot-out/--snapshot-in support single-node hpc runs only\n");
     return 1;
   }
@@ -724,49 +777,39 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (nodes > 1 || cluster_jobs) {
-    harness::ScalingRunConfig cfg;
-    cfg.app = app;
-    cfg.manager = mgr;
-    cfg.commodity = profile == "D"      ? workloads::profile_d()
-                    : profile == "none" ? workloads::no_competition()
-                                        : workloads::profile_c();
-    cfg.nodes = nodes;
-    cfg.seed = seed;
-    cfg.trace = trace_cfg;
-    cfg.footprint_scale = scale;
-    cfg.duration_scale = duration;
-    cfg.verify = verify_cfg;
-    cfg.introspect = introspect_cfg;
-    const harness::ClusterRunConfig ccfg{cfg, *topo, cluster_jobs.value_or(1)};
+  const HpcFlags flags{.trace_out = trace_out,
+                       .metrics_out = metrics_out,
+                       .snapshot_in = snapshot_in,
+                       .traced = trace_cfg.on(),
+                       .introspecting = introspecting,
+                       .procfs_dump = procfs_dump,
+                       .injecting = verify_cfg.inject.any(),
+                       .audit = audit};
+  if (cluster_model) {
+    harness::ClusterRunConfig cfg;
+    cfg.scaling.app = app;
+    cfg.scaling.manager = mgr;
+    cfg.scaling.commodity = profile == "D"      ? workloads::profile_d()
+                            : profile == "none" ? workloads::no_competition()
+                                                : workloads::profile_c();
+    cfg.scaling.nodes = nodes;
+    cfg.scaling.seed = seed;
+    cfg.scaling.trace = trace_cfg;
+    cfg.scaling.footprint_scale = scale;
+    cfg.scaling.duration_scale = duration;
+    cfg.scaling.verify = verify_cfg;
+    cfg.scaling.introspect = introspect_cfg;
+    cfg.topology = *topo;
+    cfg.cluster_jobs = cluster_jobs.value_or(1);
     std::printf("%s on %u nodes (%u ranks), %s, profile %s, %u trials\n", app.c_str(), nodes,
-                nodes * cfg.ranks_per_node, name(mgr).data(), cfg.commodity.name.c_str(),
-                trials);
+                nodes * cfg.scaling.ranks_per_node, name(mgr).data(),
+                cfg.scaling.commodity.name.c_str(), trials);
     if (cluster_jobs) {
       std::printf("pdes: per-node engines, %s topology, %u worker(s)\n",
                   std::string(cluster::name(*topo)).c_str(), *cluster_jobs);
     }
-    if (!trace_out.empty() || verifying || (cluster_jobs && introspecting)) {
-      const harness::RunResult r = harness::run_cluster(ccfg);
-      perf.add_events(r.events_fired);
-      perf.add_faults(r.faults);
-      std::printf("runtime: %.2f s\n", r.runtime_seconds);
-      report_verification(r, verify_cfg.inject.any(), audit);
-      report_introspection(r, metrics_out, procfs_dump);
-      if (!trace_out.empty()) {
-        dump_trace(r, trace_out);
-      }
-      return r.audit_violations == 0 ? 0 : 1;
-    }
-    if (introspecting) {
-      return run_introspected_trials(cfg, trials, jobs, metrics_out, procfs_dump, perf);
-    }
-    const harness::SeriesPoint p = cluster_jobs ? harness::run_cluster_trials(ccfg, trials)
-                                                : harness::run_trials(cfg, trials);
-    perf.add_events(p.events);
-    perf.add_series(p);
-    std::printf("runtime: %.2f s  (stdev %.2f)\n", p.mean_seconds, p.stdev_seconds);
-    return 0;
+    // Trials share the host with the engine workers: one pool, not two.
+    return run_hpc(cfg, trials, cfg.cluster_jobs == 1 ? jobs : 1, flags, perf);
   }
 
   harness::SingleNodeRunConfig cfg;
@@ -793,39 +836,5 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(seed), snapshot_out.c_str());
     return 0;
   }
-  if (cfg.trace.on() || verifying || !snapshot_in.empty()) {
-    const harness::RunResult r =
-        snapshot_in.empty() ? harness::run_single_node(cfg)
-                            : harness::run_single_node(cfg, snapshot::load(snapshot_in));
-    perf.add_events(r.events_fired);
-    perf.add_faults(r.faults);
-    std::printf("runtime: %.2f s\n", r.runtime_seconds);
-    if (cfg.trace.on()) {
-      harness::Table t({"Kind", "Count", "Avg cycles", "Stdev cycles"});
-      for (std::size_t k = 0; k < mm::kFaultKindCount; ++k) {
-        const auto kind = static_cast<mm::FaultKind>(k);
-        const auto& row = r.by_kind(kind);
-        t.add_row({std::string(mm::name(kind)), harness::with_commas(row.total_faults),
-                   harness::with_commas(static_cast<std::uint64_t>(row.avg_cycles)),
-                   harness::with_commas(static_cast<std::uint64_t>(row.stdev_cycles))});
-      }
-      t.print();
-      std::printf("khugepaged merges: %llu\n",
-                  static_cast<unsigned long long>(r.thp_merges));
-    }
-    report_verification(r, verify_cfg.inject.any(), audit);
-    report_introspection(r, metrics_out, procfs_dump);
-    if (!trace_out.empty()) {
-      dump_trace(r, trace_out);
-    }
-    return r.audit_violations == 0 ? 0 : 1;
-  }
-  if (introspecting || !metrics_out.empty()) {
-    return run_introspected_trials(cfg, trials, jobs, metrics_out, procfs_dump, perf);
-  }
-  const harness::SeriesPoint p = harness::run_trials(cfg, trials);
-  perf.add_events(p.events);
-  perf.add_series(p);
-  std::printf("runtime: %.2f s  (stdev %.2f)\n", p.mean_seconds, p.stdev_seconds);
-  return 0;
+  return run_hpc(cfg, trials, jobs, flags, perf);
 }

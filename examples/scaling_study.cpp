@@ -8,9 +8,9 @@
 // *grows* with node count even though per-node contention is constant.
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "harness/batch.hpp"
-#include "harness/experiment.hpp"
 #include "harness/table.hpp"
 
 int main(int argc, char** argv) {
@@ -32,7 +32,8 @@ int main(int argc, char** argv) {
       cfg.seed = 11;
       cfg.footprint_scale = 0.25;
       cfg.duration_scale = 0.2;
-      const harness::SeriesPoint p = harness::run_trials(cfg, 3);
+      const harness::SeriesPoint p =
+          harness::run_trials(std::vector{harness::ClusterRunConfig{cfg}}, 3).front();
       table.add_row({std::to_string(nodes), std::to_string(nodes * 4),
                      std::string(name(manager)), harness::fixed(p.mean_seconds, 2),
                      harness::fixed(p.stdev_seconds, 2)});

@@ -10,7 +10,6 @@
 #include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
-#include "harness/batch.hpp"
 #include "harness/detail.hpp"
 #include "introspect/procfs.hpp"
 #include "introspect/sampler.hpp"
@@ -182,9 +181,29 @@ struct ClusterWorld {
         config.scaling.commodity.builds > 0 ? config.scaling.warmup_seconds : 0.1;
     coord.run_phase_until(machine.cycles(warmup));
   }
+
+  /// One image per node, each captured under its node's context.
+  [[nodiscard]] ClusterImage capture() {
+    ClusterImage image;
+    image.reserve(groups.size());
+    for (auto& g : groups) {
+      Bound b(*g);
+      image.push_back(snapshot::capture_world(g->engine, {&*g->node}, g->build_refs()));
+    }
+    return image;
+  }
+
+  /// Each node is restored under its own context on the worker pool.
+  void restore(const ClusterImage& image) {
+    HPMMAP_ASSERT(image.size() == groups.size(), "cluster image node count mismatch");
+    coord.run_on_groups([this, &image](std::size_t n) {
+      NodeGroup& g = *groups[n];
+      snapshot::restore_world(image[n], g.engine, {&*g.node}, g.build_refs());
+    });
+  }
 };
 
-RunResult measure_cluster(ClusterWorld& w) {
+RunResult measure(ClusterWorld& w) {
   const ScalingRunConfig& sc = w.config.scaling;
   const std::uint32_t nodes = sc.nodes;
   const std::uint64_t total_ranks =
@@ -298,33 +317,19 @@ RunResult measure_cluster(ClusterWorld& w) {
   // Collection: group-order merges everywhere, so the result is one
   // deterministic function of the per-node streams.
   NodeGroup& g0 = *w.groups.front();
-  RunResult result;
-  result.runtime_seconds = g0.job->runtime_seconds();
-  result.clock_hz = w.machine.clock_hz;
+  std::vector<workloads::MpiJob*> jobs;
   for (auto& g : w.groups) {
-    const mm::FaultStats fs = g->job->aggregate_faults();
-    for (std::size_t k = 0; k < mm::kFaultKindCount; ++k) {
-      result.faults.count[k] += fs.count[k];
-      result.faults.total_cycles[k] += fs.total_cycles[k];
-    }
+    jobs.push_back(&*g->job);
   }
-  result.trace_t0 = job_start;
-  for (auto& g : w.groups) {
-    for (std::size_t r = 0; r < g->job->rank_count(); ++r) {
-      result.app_pids.push_back(g->job->rank_process(r).pid());
-    }
-  }
-
+  RunResult result = detail::collect_jobs(jobs, w.machine.clock_hz, job_start);
   if (sc.trace.on()) {
     {
       Bound b(g0);
-      trace::instant(trace::Category::kHarness, "run.end", 0, -1,
-                     {trace::Arg::u64("runtime_cycles", g0.job->runtime_cycles())});
+      detail::end_tracing(result, sc.trace,
+                          trace::Arg::u64("runtime_cycles", g0.job->runtime_cycles()));
     }
-    for (auto& g : w.groups) {
-      const std::vector<trace::Event> events = g->recorder.snapshot();
-      result.events.insert(result.events.end(), events.begin(), events.end());
-      result.trace_dropped += g->recorder.dropped();
+    for (std::size_t n = 1; n < nodes; ++n) {
+      detail::take_ring(result, w.groups[n]->recorder);
     }
   }
   detail::fill_by_kind(result, sc.trace);
@@ -343,30 +348,9 @@ RunResult measure_cluster(ClusterWorld& w) {
       result.procfs_text += introspect::procfs_dump(*g->node);
     }
   }
-
-  // Verification accounting: the first-failure rule of
-  // detail::VerifySession applied across groups in node order.
-  if (sc.verify.inject.any()) {
-    for (auto& g : w.groups) {
-      const auto& stats = g->verify->injected_stats();
-      for (std::size_t i = 0; i < verify::kInjectPointCount; ++i) {
-        result.injected[i].calls += stats[i].calls;
-        result.injected[i].fired += stats[i].fired;
-      }
-    }
-  }
-  bool clean = true;
   for (auto& g : w.groups) {
-    {
-      Bound b(*g);
-      g->verify->run_final_audits({&*g->node});
-    }
-    result.audit_checks += g->verify->checks();
-    result.audit_violations += g->verify->violations();
-    if (result.audit_report.empty() || (!g->verify->clean() && clean)) {
-      result.audit_report = g->verify->report();
-      clean = g->verify->clean();
-    }
+    Bound b(*g);
+    g->verify->finish(result, {&*g->node});
   }
 
   // The caller's registry: node counters summed in node order (the
@@ -387,41 +371,15 @@ RunResult measure_cluster(ClusterWorld& w) {
 } // namespace
 
 RunResult run_cluster(const ClusterRunConfig& config) {
-  ClusterWorld world(config, /*aged=*/true);
-  world.age_to_warmup();
-  return measure_cluster(world);
+  return detail::run_straight<ClusterWorld>(config);
 }
 
 ClusterImage capture_scaling(const ScalingRunConfig& config) {
-  ClusterWorld world(ClusterRunConfig{config}, /*aged=*/true);
-  world.age_to_warmup();
-  ClusterImage image;
-  image.reserve(world.groups.size());
-  for (auto& g : world.groups) {
-    Bound b(*g);
-    image.push_back(snapshot::capture_world(g->engine, {&*g->node}, g->build_refs()));
-  }
-  return image;
+  return detail::capture<ClusterWorld>(ClusterRunConfig{config});
 }
 
 RunResult run_cluster(const ClusterRunConfig& config, const ClusterImage& image) {
-  ClusterWorld world(config, /*aged=*/false);
-  HPMMAP_ASSERT(image.size() == world.groups.size(), "cluster image node count mismatch");
-  world.coord.run_on_groups([&world, &image](std::size_t n) {
-    NodeGroup& g = *world.groups[n];
-    snapshot::restore_world(image[n], g.engine, {&*g.node}, g.build_refs());
-  });
-  return measure_cluster(world);
-}
-
-SeriesPoint run_cluster_trials(ClusterRunConfig config, std::uint32_t trials) {
-  std::vector<detail::TrialOutcome> outcomes;
-  for (const std::uint64_t seed : trial_seeds(config.scaling.seed, trials)) {
-    ClusterRunConfig trial = config;
-    trial.scaling.seed = seed;
-    outcomes.push_back(detail::outcome_of(run_cluster(trial)));
-  }
-  return detail::fold_trials(outcomes);
+  return detail::resume<ClusterWorld>(config, image);
 }
 
 } // namespace hpmmap::harness

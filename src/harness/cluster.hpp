@@ -6,8 +6,11 @@
 // so engines run freely between barriers (the rendezvous specialization
 // of conservative lookahead — see DESIGN.md §13) and the controller
 // resolves each barrier with a single topology-aware collective draw.
-// It is the only multi-node path: run_trials, run_batch and the
-// snapshotted sweeps on ScalingRunConfig run it at one worker per task.
+// It is the only multi-node path: batch.hpp's run_batch, run_trials and
+// run_trials_snapshotted run it on ClusterRunConfig, topology and
+// cluster_jobs included. A caller that drives each cluster with several
+// workers passes those combinators jobs = 1; nested pools are correct,
+// just oversubscribed.
 //
 // Determinism contract:
 //   - any --cluster-jobs value (including 1) produces byte-identical
@@ -57,16 +60,12 @@ using ClusterImage = std::vector<snapshot::WorldImage>;
 /// Boot and age the configured cluster on one worker and capture every
 /// node at the warmup point. Same matching contract as the single-node
 /// pair in experiment.hpp: only the measurement-phase fields — app,
-/// duration_scale, introspect — may differ on resume.
+/// duration_scale, introspect, and the ClusterRunConfig's topology and
+/// cluster_jobs — may differ on resume.
 [[nodiscard]] ClusterImage capture_scaling(const ScalingRunConfig& config);
 
 /// Resume a captured cluster and run the measurement phase; each node
 /// is restored under its own context on the worker pool.
 [[nodiscard]] RunResult run_cluster(const ClusterRunConfig& config, const ClusterImage& image);
-
-/// Trial loop over trial_seeds(scaling.seed, trials), folded exactly like
-/// run_trials. Trials run serially — each trial already spreads its
-/// nodes over the cluster_jobs worker pool.
-[[nodiscard]] SeriesPoint run_cluster_trials(ClusterRunConfig config, std::uint32_t trials);
 
 } // namespace hpmmap::harness

@@ -144,49 +144,23 @@ void fill_node_stats(RunResult& result, os::Node& first_node) {
   }
 }
 
-RunResult collect(workloads::MpiJob& job, os::Node& first_node, const TraceConfig& trace_cfg,
-                  Cycles job_start, double clock_hz) {
+RunResult collect_jobs(const std::vector<workloads::MpiJob*>& jobs, double clock_hz,
+                       Cycles job_start) {
   RunResult result;
-  result.runtime_seconds = job.runtime_seconds();
+  result.runtime_seconds = jobs.front()->runtime_seconds();
   result.clock_hz = clock_hz;
-  result.faults = job.aggregate_faults();
   result.trace_t0 = job_start;
-  for (std::size_t r = 0; r < job.rank_count(); ++r) {
-    result.app_pids.push_back(job.rank_process(r).pid());
-  }
-
-  if (trace_cfg.on()) {
-    trace::instant(trace::Category::kHarness, "run.end", 0, -1,
-                   {trace::Arg::u64("runtime_cycles", job.runtime_cycles())});
-    trace::disable_all();
-    result.events = trace::recorder().snapshot();
-    result.trace_dropped = trace::recorder().dropped();
-  }
-
-  fill_by_kind(result, trace_cfg);
-  fill_node_stats(result, first_node);
-  return result;
-}
-
-TrialOutcome outcome_of(const RunResult& r) {
-  return TrialOutcome{r.runtime_seconds, r.events_fired, r.faults};
-}
-
-SeriesPoint fold_trials(std::span<const TrialOutcome> outcomes) {
-  RunningStats stats;
-  SeriesPoint point;
-  for (const TrialOutcome& o : outcomes) {
-    stats.add(o.runtime_seconds);
-    point.events += o.events_fired;
+  for (const workloads::MpiJob* job : jobs) {
+    const mm::FaultStats fs = job->aggregate_faults();
     for (std::size_t k = 0; k < mm::kFaultKindCount; ++k) {
-      point.fault_counts[k] += o.faults.count[k];
-      point.fault_cycles[k] += o.faults.total_cycles[k];
+      result.faults.count[k] += fs.count[k];
+      result.faults.total_cycles[k] += fs.total_cycles[k];
+    }
+    for (std::size_t r = 0; r < job->rank_count(); ++r) {
+      result.app_pids.push_back(job->rank_process(r).pid());
     }
   }
-  point.mean_seconds = stats.mean();
-  point.stdev_seconds = stats.stdev();
-  point.trials = static_cast<std::uint32_t>(outcomes.size());
-  return point;
+  return result;
 }
 
 } // namespace hpmmap::harness::detail

@@ -1,22 +1,19 @@
-// Shared internals of the experiment harness run shapes.
-//
-// Everything here used to live in experiment.cpp's anonymous namespace;
-// the PDES cluster harness (harness/cluster.cpp) builds per-node worlds
-// out of the same pieces — node configuration, §IV rank pinning, profile
-// scaling, trace bracketing, result collection, verification session —
-// so they moved behind this internal header. Not part of the public
-// harness API; include from harness/*.cpp, and from tests that rebuild a
-// harness world's boot config.
+// Shared internals of the experiment harness run shapes: node
+// configuration, §IV rank pinning, profile scaling, the trace and
+// verification brackets every run shares, and the World sequences that
+// drive every aged world. Not part of the public harness API; include
+// from harness/*.cpp, and from tests that rebuild a harness world's boot
+// config.
 #pragma once
 
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "harness/experiment.hpp"
 #include "os/node.hpp"
+#include "trace/trace.hpp"
 #include "verify/audit.hpp"
 #include "workloads/mpi_app.hpp"
 
@@ -53,24 +50,44 @@ void fill_by_kind(RunResult& result, const TraceConfig& trace_cfg);
 /// THP/hugetlb/HPMMAP service counters from the run's first node.
 void fill_node_stats(RunResult& result, os::Node& first_node);
 
-/// Full collection for a single-node job: runtime, faults, pids, run.end
-/// + trace snapshot, by-kind summaries, node stats.
-[[nodiscard]] RunResult collect(workloads::MpiJob& job, os::Node& first_node,
-                                const TraceConfig& trace_cfg, Cycles job_start,
-                                double clock_hz);
+/// The job's side of an hpc result: runtime, faults and pids from every
+/// job (one per node, in node order).
+[[nodiscard]] RunResult collect_jobs(const std::vector<workloads::MpiJob*>& jobs,
+                                     double clock_hz, Cycles job_start);
 
-/// What one trial contributes to its SeriesPoint.
-struct TrialOutcome {
-  double runtime_seconds = 0.0;
-  std::uint64_t events_fired = 0;
-  mm::FaultStats faults{};
-};
+/// Append `ring`'s events and overwrite count to `result`.
+template <typename R>
+void take_ring(R& result, const trace::FlightRecorder& ring) {
+  const std::vector<trace::Event> events = ring.snapshot();
+  result.events.insert(result.events.end(), events.begin(), events.end());
+  result.trace_dropped += ring.dropped();
+}
 
-[[nodiscard]] TrialOutcome outcome_of(const RunResult& r);
+/// The trace tail every run shape shares: a run.end instant carrying
+/// `arg`, tracing off, and this thread's ring appended to `result`.
+template <typename R>
+void end_tracing(R& result, const TraceConfig& cfg, const trace::Arg& arg) {
+  if (!cfg.on()) {
+    return;
+  }
+  trace::instant(trace::Category::kHarness, "run.end", 0, -1, {arg});
+  trace::disable_all();
+  take_ring(result, trace::recorder());
+}
 
-/// Fold one config's outcomes, in trial order, into its point: every
-/// trial loop folds through here, so equal outcomes give equal bits.
-[[nodiscard]] SeriesPoint fold_trials(std::span<const TrialOutcome> outcomes);
+/// Audit totals under the first-failure rule: the first report is kept
+/// unless it is clean and a failing one arrives, so a transient mid-run
+/// violation is never hidden by a clean final audit. `into` is a run
+/// result, or a VerifySession's own tally.
+template <typename R>
+void tally_audit(R& into, std::uint64_t checks, std::uint64_t violations,
+                 const std::string& report) {
+  if (into.audit_report.empty() || (violations > 0 && into.audit_violations == 0)) {
+    into.audit_report = report;
+  }
+  into.audit_checks += checks;
+  into.audit_violations += violations;
+}
 
 /// Arms a fault injector for one run; the destructor guarantees the next
 /// run's node boots against a disarmed injector even if the run throws.
@@ -117,49 +134,70 @@ class VerifySession {
     }
   }
 
-  [[nodiscard]] bool injecting() const noexcept { return cfg_.inject.any(); }
-  [[nodiscard]] const std::array<verify::PointStats, verify::kInjectPointCount>&
-  injected_stats() const noexcept {
-    return inj_->all_stats();
-  }
-  [[nodiscard]] std::uint64_t checks() const noexcept { return checks_; }
-  [[nodiscard]] std::uint64_t violations() const noexcept { return violations_; }
-  [[nodiscard]] const std::string& report() const noexcept { return report_; }
-  [[nodiscard]] bool clean() const noexcept { return clean_; }
-
-  /// End-of-run accounting into `result`: injector counters, the final
-  /// audit over every node, and whatever the on-fire audits saw.
-  /// Templated over the result shape — RunResult and ServerRunResult
-  /// share the verification fields.
+  /// End-of-run accounting added to `result`: injector counters, the
+  /// final audit over `nodes`, and whatever the on-fire audits saw. The
+  /// sessions of a cluster's nodes finish into one result in node order.
+  /// Templated over the result shape, which all share these fields.
   template <typename R>
   void finish(R& result, const std::vector<os::Node*>& nodes) {
     if (cfg_.inject.any()) {
-      result.injected = inj_->all_stats();
+      for (std::size_t i = 0; i < verify::kInjectPointCount; ++i) {
+        result.injected[i].calls += inj_->all_stats()[i].calls;
+        result.injected[i].fired += inj_->all_stats()[i].fired;
+      }
     }
     run_final_audits(nodes);
-    result.audit_checks = checks_;
-    result.audit_violations = violations_;
-    result.audit_report = std::move(report_);
+    tally_audit(result, tally_.audit_checks, tally_.audit_violations, tally_.audit_report);
   }
 
  private:
   void absorb(const verify::AuditReport& rep) {
-    checks_ += rep.checks;
-    violations_ += rep.violation_count();
-    // Keep the first failing summary (a transient mid-run violation must
-    // not be hidden by a clean final audit), else the latest clean one.
-    if (report_.empty() || (!rep.ok() && clean_)) {
-      report_ = rep.summary();
-      clean_ = rep.ok();
-    }
+    tally_audit(tally_, rep.checks, rep.violation_count(), rep.summary());
   }
 
   const VerifyConfig& cfg_;
   verify::FaultInjector* inj_;
-  std::uint64_t checks_ = 0;
-  std::uint64_t violations_ = 0;
-  std::string report_;
-  bool clean_ = true;
+  struct Tally {
+    std::uint64_t audit_checks = 0;
+    std::uint64_t audit_violations = 0;
+    std::string audit_report;
+  } tally_;
 };
+
+// --- the World concept -------------------------------------------------------
+//
+// Every run shape that ages a world (one node, a serving node, a cluster)
+// is a World type:
+//   - World(config, aged) boots the machine, arms verification and
+//     constructs the commodity builds; `aged` = false skips boot-time
+//     aging for a world that restore() will overwrite;
+//   - age_to_warmup() runs the builds to the warmup quiesce point;
+//   - capture() deep-copies the world there into an image, and
+//     restore(image) overwrites a fresh world with one;
+//   - measure(world), found by argument-dependent lookup, launches the
+//     job and collects the result.
+// These three sequences are the only ways a world is driven; a resumed
+// run is byte-identical to the straight run of the same config.
+
+template <typename World, typename Config>
+auto run_straight(const Config& config) {
+  World world(config, /*aged=*/true);
+  world.age_to_warmup();
+  return measure(world);
+}
+
+template <typename World, typename Config>
+auto capture(const Config& config) {
+  World world(config, /*aged=*/true);
+  world.age_to_warmup();
+  return world.capture();
+}
+
+template <typename World, typename Config, typename Image>
+auto resume(const Config& config, const Image& image) {
+  World world(config, /*aged=*/false);
+  world.restore(image);
+  return measure(world);
+}
 
 } // namespace hpmmap::harness::detail

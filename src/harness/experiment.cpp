@@ -5,7 +5,6 @@
 #include <optional>
 #include <utility>
 
-#include "harness/batch.hpp"
 #include "harness/detail.hpp"
 #include "common/assert.hpp"
 #include "common/units.hpp"
@@ -21,38 +20,38 @@
 namespace hpmmap::harness {
 namespace {
 
-// --- prepared worlds --------------------------------------------------------
+// --- the node world ---------------------------------------------------------
 //
-// Each run shape splits into "prepare" (boot the machine, arm
-// verification, construct the commodity builds) and "measure" (launch
-// the benchmark and collect). The straight path ages the world to the
-// warmup point between the two; the snapshot path either captures at
-// that point or skips aging entirely and overwrites the fresh world
-// with a captured image. Constructing every build before starting any
-// (instead of the old start-in-the-loop) is order-identical on the
-// engine: the constructor schedules nothing.
+// One Dell R415 under either single-node shape (detail.hpp's World
+// concept). The shapes differ only in their reservation and in what
+// measure() launches: the hpc job or the serving window.
 
-struct SingleNodeWorld {
-  SingleNodeRunConfig config;
+/// §IV: 12 of 16 GB reserved/offlined, split across the two zones.
+/// Scaled-down hpc runs (tests) reserve proportionally less so the Linux
+/// side keeps its 4 GB; the serving side always gets the full region.
+std::uint64_t reservation(const SingleNodeRunConfig& config) {
+  return std::min<std::uint64_t>(
+      align_up(static_cast<std::uint64_t>(static_cast<double>(6 * GiB) *
+                                          config.footprint_scale),
+               kMemorySectionSize),
+      6 * GiB);
+}
+std::uint64_t reservation(const ServerRunConfig&) { return 6 * GiB; }
+
+template <typename Config>
+struct NodeWorld {
+  Config config;
   hw::MachineSpec machine = hw::dell_r415();
   sim::Engine engine;
   std::optional<os::Node> node;
   std::optional<detail::VerifySession> verify;
   std::vector<std::unique_ptr<workloads::KernelBuild>> builds;
 
-  SingleNodeWorld(const SingleNodeRunConfig& cfg, bool aged) : config(cfg) {
+  NodeWorld(const Config& cfg, bool aged) : config(cfg) {
     detail::begin_tracing(config.trace, config.seed);
-    // §IV: 12 of 16 GB reserved/offlined, split across the two zones.
-    // Scaled-down runs (tests) reserve proportionally less so the Linux
-    // side keeps its 4 GB.
-    const std::uint64_t pool = std::min<std::uint64_t>(
-        align_up(static_cast<std::uint64_t>(static_cast<double>(6 * GiB) *
-                                            config.footprint_scale),
-                 kMemorySectionSize),
-        6 * GiB);
-    os::NodeConfig nc =
-        detail::node_config_for(config.manager, machine, pool, config.seed, "r415");
-    nc.aged_boot = aged; // a restore target skips aging — it gets overwritten
+    os::NodeConfig nc = detail::node_config_for(config.manager, machine, reservation(config),
+                                                config.seed, "r415");
+    nc.aged_boot = aged;
     node.emplace(engine, std::move(nc));
     // Arm only after boot: the hugetlb reservation and module load assert
     // on allocation success and must never see injected failures.
@@ -85,96 +84,69 @@ struct SingleNodeWorld {
     }
     return refs;
   }
+  [[nodiscard]] snapshot::WorldImage capture() {
+    return snapshot::capture_world(engine, {&*node}, build_refs());
+  }
+  void restore(const snapshot::WorldImage& image) {
+    snapshot::restore_world(image, engine, {&*node}, build_refs());
+  }
+
+  /// Run the launched workload to completion and stop the builds.
+  /// Sampling brackets it: the first sample lands at launch (= trace_t0),
+  /// and daemon scheduling means the sampler never extends the run.
+  template <typename Workload>
+  void run(Workload& workload, introspect::TelemetrySampler& sampler) {
+    if (config.introspect.sampling()) {
+      sampler.start();
+    }
+    workload.start([this] { engine.stop(); });
+    engine.run();
+    HPMMAP_ASSERT(workload.done(), "engine drained before the workload completed");
+    for (auto& build : builds) {
+      build->stop();
+    }
+  }
+
+  /// The result tail both shapes share, after the trace tail.
+  template <typename R>
+  void finish(R& result, introspect::TelemetrySampler& sampler) {
+    result.events_fired = engine.events_fired();
+    result.telemetry = sampler.take();
+    if (config.introspect.procfs_dump) {
+      result.procfs_text = introspect::procfs_dump(*node);
+    }
+    verify->finish(result, {&*node});
+  }
 };
 
-RunResult measure_single_node(SingleNodeWorld& w) {
-  const SingleNodeRunConfig& config = w.config;
-  sim::Engine& engine = w.engine;
-  os::Node& node = *w.node;
+using SingleNodeWorld = NodeWorld<SingleNodeRunConfig>;
+using ServerWorld = NodeWorld<ServerRunConfig>;
 
+RunResult measure(SingleNodeWorld& w) {
+  const SingleNodeRunConfig& config = w.config;
   workloads::MpiJobConfig jc;
   jc.app = detail::scaled_profile(config.app, w.machine.clock_hz, config.footprint_scale,
-                          config.duration_scale);
+                                  config.duration_scale);
   jc.policy = detail::policy_for(config.manager);
-  jc.ranks = detail::placements(node, config.app_cores);
-  workloads::MpiJob job(engine, jc);
-  const Cycles job_start = engine.now();
-  // Sampling brackets the job: the first sample lands at job_start
-  // (= trace_t0), and daemon scheduling means the sampler never extends
-  // the run past job completion.
+  jc.ranks = detail::placements(*w.node, config.app_cores);
+  workloads::MpiJob job(w.engine, jc);
+  const Cycles job_start = w.engine.now();
   introspect::TelemetrySampler sampler(
-      engine, {config.introspect.sample_interval, config.introspect.max_samples});
-  sampler.add_node(node);
-  if (config.introspect.sampling()) {
-    sampler.start();
-  }
-  job.start([&engine] { engine.stop(); });
-  engine.run();
-  HPMMAP_ASSERT(job.done(), "engine drained before the job completed");
+      w.engine, {config.introspect.sample_interval, config.introspect.max_samples});
+  sampler.add_node(*w.node);
+  w.run(job, sampler);
 
-  for (auto& build : w.builds) {
-    build->stop();
-  }
-  RunResult result = detail::collect(job, node, config.trace, job_start, w.machine.clock_hz);
-  result.events_fired = engine.events_fired();
-  result.telemetry = sampler.take();
-  if (config.introspect.procfs_dump) {
-    result.procfs_text = introspect::procfs_dump(node);
-  }
-  w.verify->finish(result, {&node});
+  RunResult result = detail::collect_jobs({&job}, w.machine.clock_hz, job_start);
+  detail::end_tracing(result, config.trace,
+                      trace::Arg::u64("runtime_cycles", job.runtime_cycles()));
+  detail::fill_by_kind(result, config.trace);
+  detail::fill_node_stats(result, *w.node);
+  w.finish(result, sampler);
   return result;
 }
 
-struct ServerWorld {
-  ServerRunConfig config;
-  hw::MachineSpec machine = hw::dell_r415();
-  sim::Engine engine;
-  std::optional<os::Node> node;
-  std::optional<detail::VerifySession> verify;
-  std::vector<std::unique_ptr<workloads::KernelBuild>> builds;
-
-  ServerWorld(const ServerRunConfig& cfg, bool aged) : config(cfg) {
-    detail::begin_tracing(config.trace, config.seed);
-    // Same reservation split as the single-node runs: the serving side
-    // gets the 12 GB pool/offline region, the commodity side keeps 4 GB.
-    const std::uint64_t pool = 6 * GiB;
-    os::NodeConfig nc =
-        detail::node_config_for(config.manager, machine, pool, config.seed, "r415");
-    nc.aged_boot = aged;
-    node.emplace(engine, std::move(nc));
-    verify.emplace(config.verify, config.seed);
-    verify->audit_on_fire(*node);
-
-    Rng rng(config.seed);
-    for (std::uint32_t b = 0; b < config.commodity.builds; ++b) {
-      workloads::KernelBuildConfig bc;
-      bc.jobs = config.commodity.jobs_per_build;
-      builds.push_back(std::make_unique<workloads::KernelBuild>(
-          *node, bc, rng.fork("build").fork(b)));
-    }
-  }
-
-  void age_to_warmup() {
-    for (auto& build : builds) {
-      build->start();
-    }
-    const double warmup = config.commodity.builds > 0 ? config.warmup_seconds : 0.1;
-    engine.run_until(machine.cycles(warmup));
-  }
-
-  [[nodiscard]] std::vector<snapshot::BuildRef> build_refs() {
-    std::vector<snapshot::BuildRef> refs;
-    for (auto& build : builds) {
-      refs.push_back(snapshot::BuildRef{build.get(), 0});
-    }
-    return refs;
-  }
-};
-
-ServerRunResult measure_server(ServerWorld& w) {
+ServerRunResult measure(ServerWorld& w) {
   const ServerRunConfig& config = w.config;
-  sim::Engine& engine = w.engine;
-  os::Node& node = *w.node;
   Rng rng(config.seed);
 
   // The schedule is generated before anything serves: a pure function of
@@ -193,20 +165,20 @@ ServerRunResult measure_server(ServerWorld& w) {
         {"lat<10ms", w.machine.cycles(0.010)},
     };
   }
-  workloads::ServerApp server(engine, node, std::move(service), std::move(schedule),
+  workloads::ServerApp server(w.engine, *w.node, std::move(service), std::move(schedule),
                               rng.fork("server"));
   profile::RequestProfiler profiler;
   if (config.attribution) {
     server.set_profiler(&profiler);
   }
 
-  const Cycles t0 = engine.now();
+  const Cycles t0 = w.engine.now();
   introspect::TelemetrySampler sampler(
-      engine, {config.introspect.sample_interval, config.introspect.max_samples});
-  sampler.add_node(node);
+      w.engine, {config.introspect.sample_interval, config.introspect.max_samples});
+  sampler.add_node(*w.node);
   // Service-side probes: pure observers on the actor, so sampling stays
   // byte-identical-off-vs-on like every other telemetry source.
-  const std::string labels = "node=\"" + node.config().name + "\"";
+  const std::string labels = "node=\"" + w.node->config().name + "\"";
   sampler.add_probe("hpmmap_server_queue_depth", labels, "gauge",
                     [&server] { return server.queue_depth_now(); });
   sampler.add_probe("hpmmap_server_in_flight", labels, "gauge",
@@ -215,24 +187,14 @@ ServerRunResult measure_server(ServerWorld& w) {
                     [&server] { return server.shed_total(); });
   sampler.add_probe("hpmmap_server_completed_total", labels, "counter",
                     [&server] { return server.completed_total(); });
-  if (config.introspect.sampling()) {
-    sampler.start();
-  }
-  server.start([&engine] { engine.stop(); });
-  engine.run();
-  HPMMAP_ASSERT(server.done(), "engine drained before the service completed");
-
-  for (auto& build : w.builds) {
-    build->stop();
-  }
+  w.run(server, sampler);
 
   ServerRunResult result;
-  result.runtime_seconds = w.machine.seconds(engine.now() - t0);
+  result.runtime_seconds = w.machine.seconds(w.engine.now() - t0);
   result.clock_hz = w.machine.clock_hz;
   result.server = server.stats();
   result.faults = server.aggregate_faults();
   result.trace_t0 = t0;
-  result.events_fired = engine.events_fired();
 
   const serving::LatencyRecorder& lat = server.latency();
   result.tail.p50_us = lat.tails().p50();
@@ -256,21 +218,12 @@ ServerRunResult measure_server(ServerWorld& w) {
   }
   result.slo_total = slo.total_violations();
 
-  if (config.trace.on()) {
-    trace::instant(trace::Category::kHarness, "run.end", 0, -1,
-                   {trace::Arg::u64("completed", result.server.completed)});
-    trace::disable_all();
-    result.events = trace::recorder().snapshot();
-    result.trace_dropped = trace::recorder().dropped();
-  }
+  detail::end_tracing(result, config.trace,
+                      trace::Arg::u64("completed", result.server.completed));
   if (config.attribution) {
     result.attribution = profiler.take();
   }
-  result.telemetry = sampler.take();
-  if (config.introspect.procfs_dump) {
-    result.procfs_text = introspect::procfs_dump(node);
-  }
-  w.verify->finish(result, {&node});
+  w.finish(result, sampler);
   return result;
 }
 
@@ -313,41 +266,29 @@ std::vector<FaultSample> app_fault_samples(const RunResult& r) {
 }
 
 RunResult run_single_node(const SingleNodeRunConfig& config) {
-  SingleNodeWorld world(config, /*aged=*/true);
-  world.age_to_warmup();
-  return measure_single_node(world);
+  return detail::run_straight<SingleNodeWorld>(config);
 }
 
 snapshot::WorldImage capture_single_node(const SingleNodeRunConfig& config) {
-  SingleNodeWorld world(config, /*aged=*/true);
-  world.age_to_warmup();
-  return snapshot::capture_world(world.engine, {&*world.node}, world.build_refs());
+  return detail::capture<SingleNodeWorld>(config);
 }
 
 RunResult run_single_node(const SingleNodeRunConfig& config,
                           const snapshot::WorldImage& image) {
-  SingleNodeWorld world(config, /*aged=*/false);
-  snapshot::restore_world(image, world.engine, {&*world.node}, world.build_refs());
-  return measure_single_node(world);
+  return detail::resume<SingleNodeWorld>(config, image);
 }
 
 ServerRunResult run_server(const ServerRunConfig& config) {
-  ServerWorld world(config, /*aged=*/true);
-  world.age_to_warmup();
-  return measure_server(world);
+  return detail::run_straight<ServerWorld>(config);
 }
 
 snapshot::WorldImage capture_server(const ServerRunConfig& config) {
-  ServerWorld world(config, /*aged=*/true);
-  world.age_to_warmup();
-  return snapshot::capture_world(world.engine, {&*world.node}, world.build_refs());
+  return detail::capture<ServerWorld>(config);
 }
 
 ServerRunResult run_server(const ServerRunConfig& config,
                            const snapshot::WorldImage& image) {
-  ServerWorld world(config, /*aged=*/false);
-  snapshot::restore_world(image, world.engine, {&*world.node}, world.build_refs());
-  return measure_server(world);
+  return detail::resume<ServerWorld>(config, image);
 }
 
 std::vector<introspect::TimeSeries> merged_telemetry(const std::vector<RunResult>& runs) {
@@ -424,25 +365,10 @@ SmpRunResult run_smp(const SmpRunConfig& config) {
   result.faults = storm.aggregate_faults();
   result.events_fired = engine.events_fired();
   result.trace_t0 = t0;
-  if (config.trace.on()) {
-    trace::instant(trace::Category::kHarness, "run.end", 0, -1,
-                   {trace::Arg::u64("runtime_cycles", storm.span_cycles())});
-    trace::disable_all();
-    result.events = trace::recorder().snapshot();
-    result.trace_dropped = trace::recorder().dropped();
-  }
+  detail::end_tracing(result, config.trace,
+                      trace::Arg::u64("runtime_cycles", storm.span_cycles()));
   verify.finish(result, {&node});
   return result;
-}
-
-std::vector<SmpRunResult> run_smp_batch(const std::vector<SmpRunConfig>& configs) {
-  BatchRunner runner(default_jobs());
-  std::vector<std::function<SmpRunResult()>> tasks;
-  tasks.reserve(configs.size());
-  for (const SmpRunConfig& c : configs) {
-    tasks.push_back([c] { return run_smp(c); });
-  }
-  return runner.map(std::move(tasks));
 }
 
 } // namespace hpmmap::harness

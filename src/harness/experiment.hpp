@@ -213,25 +213,27 @@ struct ScalingRunConfig {
   IntrospectConfig introspect{};
 };
 
-// Multi-node trials (Sandia Xeon cluster model, 1 GbE) run on per-node
-// engines: run_cluster and capture_scaling in harness/cluster.hpp.
+// Multi-node runs (Sandia Xeon cluster model, 1 GbE) run on per-node
+// engines: run_cluster and capture_scaling in harness/cluster.hpp take a
+// ScalingRunConfig inside a ClusterRunConfig, which adds the topology and
+// the engine worker count.
 
 // --- snapshot/resume (DESIGN.md §12) ---------------------------------------
 //
-// capture_*() boots the configured world, ages it to the warmup quiesce
-// point (builds at steady state, page cache warm, freelists fragmented)
-// and deep-copies everything into a WorldImage. run_*(config, image)
-// boots a structurally identical world with aging skipped, overwrites it
-// with the image, and runs the measurement phase — producing a result
-// byte-identical to the straight run of the same config.
+// Every shape with an aged world has the same three primitives, written
+// once over detail.hpp's World concept: run_*(config) boots, ages to the
+// warmup quiesce point and measures; capture_*(config) boots, ages and
+// deep-copies the world there into an image; run_*(config, image) boots
+// a structurally identical world with aging skipped, overwrites it with
+// the image and measures — byte-identical to the straight run.
 //
 // The resumed config must match the captured one in every field that
 // shapes the world before the job launches (manager, commodity profile,
 // seed, footprint_scale, warmup_seconds, trace, verify); only the
 // measurement-phase fields — app, app_cores, duration_scale, introspect
-// — may differ.
-// That is what makes aging amortizable: one capture fans out to every
-// member of a sweep row (see run_trials_snapshotted in batch.hpp).
+// — may differ. That is what makes aging amortizable: one capture fans
+// out to every member of a sweep row (run_trials_snapshotted in
+// batch.hpp).
 
 [[nodiscard]] snapshot::WorldImage capture_single_node(const SingleNodeRunConfig& config);
 [[nodiscard]] RunResult run_single_node(const SingleNodeRunConfig& config,
@@ -339,7 +341,8 @@ struct ServerRunResult {
 
 /// Snapshot/resume for serving runs: capture at the warmup quiesce point
 /// (before the arrival schedule is generated), resume for measurement.
-/// Same matching contract as the single-node pair above.
+/// Same matching contract as the single-node pair above, with
+/// duration_scale, arrival, service, introspect and attribution free.
 [[nodiscard]] snapshot::WorldImage capture_server(const ServerRunConfig& config);
 [[nodiscard]] ServerRunResult run_server(const ServerRunConfig& config,
                                          const snapshot::WorldImage& image);
@@ -405,12 +408,8 @@ struct SmpRunResult {
 /// `cores`, THP off, pristine boot).
 [[nodiscard]] SmpRunResult run_smp(const SmpRunConfig& config);
 
-/// Run a (cores x variant) grid on the batch runner at
-/// harness::default_jobs() parallelism. Results come back in config
-/// order — byte-identical for any jobs value.
-[[nodiscard]] std::vector<SmpRunResult> run_smp_batch(const std::vector<SmpRunConfig>& configs);
-
-// Trial loops (run_trials) and whole-sweep fan-out live in batch.hpp.
+// Trial loops and whole-sweep fan-out for every shape: run_batch,
+// run_trials and run_trials_snapshotted in batch.hpp.
 
 /// Flatten per-trial telemetry into one export-ready stream: each trial's
 /// series gain a `trial="N"` label (N = submission index), concatenated in

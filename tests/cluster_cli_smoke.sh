@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Multi-node runs end to end through the CLI (DESIGN.md §13): the trial
 # runtime does not depend on how many workers drive the per-node
-# engines, a traced run reports every node's counters from the merged
-# registry, and bad counts are refused with a one-line message.
+# engines, trials honour --topology and --trials with or without
+# --cluster-jobs, a traced run reports every node's counters from the
+# merged registry, and bad counts or snapshot flags on the cluster model
+# are refused with a one-line message.
 #
 # Usage: cluster_cli_smoke.sh <path to run_experiment>
 set -euo pipefail
@@ -21,6 +23,33 @@ if [[ "$one" != "$two" || "$one" != "$pool" ]]; then
   echo "runtime differs: '$one' (--cluster-jobs 1), '$two' (--cluster-jobs 2), '$pool' (--jobs 2)"
   exit 1
 fi
+
+# Flat and tree price a collective alike up to the 32-port switch radix,
+# so the topology check runs 64 nodes.
+wide=(--app HPCCG --manager thp --profile none --nodes 64 --trials 1 --scale 0.05
+      --duration 0.05 --seed 7)
+flat="$("$run_experiment" "${wide[@]}" --topology flat | grep '^runtime:')"
+tree="$("$run_experiment" "${wide[@]}" --topology tree | grep '^runtime:')"
+tree_one="$("$run_experiment" "${wide[@]}" --topology tree --cluster-jobs 1 | grep '^runtime:')"
+echo "flat $flat; tree $tree"
+if [[ "$tree" != "$tree_one" || "$tree" == "$flat" ]]; then
+  echo "topology ignored: '$flat' (flat), '$tree' (tree), '$tree_one' (tree --cluster-jobs 1)"
+  exit 1
+fi
+
+# --cluster-jobs changes who drives the engines, never which runs are
+# made: a sampled run exports every trial either way.
+sampled=(--trials 3 --sample-interval 20000000)
+"$run_experiment" "${args[@]}" "${sampled[@]}" --metrics-out "$out/m.om" > /dev/null
+"$run_experiment" "${args[@]}" "${sampled[@]}" --metrics-out "$out/mj.om" --cluster-jobs 1 \
+  > /dev/null
+for trial in 0 1 2; do
+  if ! grep -qF "trial=\"$trial\"" "$out/mj.om"; then
+    echo "--cluster-jobs 1 dropped trial $trial from the metrics export"
+    exit 1
+  fi
+done
+cmp "$out/m.om" "$out/mj.om"
 
 "$run_experiment" "${args[@]}" --trace-out "$out/t.json" > "$out/trace.txt"
 for prefix in buddy. fault.; do
@@ -45,4 +74,7 @@ refused() {
 refused "--nodes needs an integer >= 1 (got '0')" --nodes 0 --cluster-jobs 1
 refused "--cluster-jobs needs an integer >= 0 (got 'abc')" --nodes 2 --cluster-jobs abc
 refused "--jobs needs an integer >= 0 (got '-1')" --jobs -1
+snapshot_refusal="--snapshot-out/--snapshot-in support single-node hpc runs only"
+refused "$snapshot_refusal" --nodes 1 --cluster-jobs 1 --snapshot-out "$out/x.img"
+refused "$snapshot_refusal" --nodes 1 --cluster-jobs 1 --snapshot-in "$out/missing.img"
 echo "cluster CLI smoke passed"

@@ -110,10 +110,9 @@ TEST(BatchRunner, TrialSeedsMatchTheSerialRecurrence) {
 }
 
 TEST(BatchDeterminism, SingleNodeTrialsIdenticalAcrossJobCounts) {
-  const harness::SeriesPoint serial =
-      harness::run_trials(quick_single(harness::Manager::kThp, 11), 3, 1);
-  const harness::SeriesPoint parallel =
-      harness::run_trials(quick_single(harness::Manager::kThp, 11), 3, 4);
+  const std::vector cfgs{quick_single(harness::Manager::kThp, 11)};
+  const harness::SeriesPoint serial = harness::run_trials(cfgs, 3, 1).front();
+  const harness::SeriesPoint parallel = harness::run_trials(cfgs, 3, 4).front();
   EXPECT_TRUE(bit_identical(serial, parallel));
   EXPECT_GT(serial.mean_seconds, 0.0);
   EXPECT_GT(serial.events, 0u);
@@ -122,17 +121,15 @@ TEST(BatchDeterminism, SingleNodeTrialsIdenticalAcrossJobCounts) {
 TEST(BatchDeterminism, ScalingSweepIdenticalAcrossJobCounts) {
   // A miniature Figure 8 sweep: 2 managers x 2 node counts, fanned out at
   // (config, trial) granularity. Byte-identical at 1 and 4 workers.
-  std::vector<harness::ScalingRunConfig> cfgs;
+  std::vector<harness::ClusterRunConfig> cfgs;
   for (const harness::Manager mgr :
        {harness::Manager::kHpmmap, harness::Manager::kThp}) {
     for (const std::uint32_t nodes : {1u, 2u}) {
-      cfgs.push_back(quick_scaling(mgr, nodes));
+      cfgs.push_back({quick_scaling(mgr, nodes)});
     }
   }
-  const std::vector<harness::SeriesPoint> serial =
-      harness::run_trials_batch(cfgs, 2, 1);
-  const std::vector<harness::SeriesPoint> parallel =
-      harness::run_trials_batch(cfgs, 2, 4);
+  const std::vector<harness::SeriesPoint> serial = harness::run_trials(cfgs, 2, 1);
+  const std::vector<harness::SeriesPoint> parallel = harness::run_trials(cfgs, 2, 4);
   ASSERT_EQ(serial.size(), cfgs.size());
   ASSERT_EQ(parallel.size(), cfgs.size());
   for (std::size_t i = 0; i < cfgs.size(); ++i) {
@@ -142,15 +139,14 @@ TEST(BatchDeterminism, ScalingSweepIdenticalAcrossJobCounts) {
 }
 
 TEST(BatchDeterminism, DefaultJobsRoutesThroughTheSameSeeds) {
-  // run_trials(config, trials) at whatever default_jobs() is set to must
-  // agree with the explicit serial overload.
+  // run_trials(configs, trials) at whatever default_jobs() is set to
+  // must agree with an explicitly serial call.
+  const std::vector cfgs{quick_single(harness::Manager::kHpmmap, 23)};
   const unsigned saved = harness::default_jobs();
   harness::set_default_jobs(4);
-  const harness::SeriesPoint via_default =
-      harness::run_trials(quick_single(harness::Manager::kHpmmap, 23), 2);
+  const harness::SeriesPoint via_default = harness::run_trials(cfgs, 2).front();
   harness::set_default_jobs(saved == 0 ? 1 : saved);
-  const harness::SeriesPoint serial =
-      harness::run_trials(quick_single(harness::Manager::kHpmmap, 23), 2, 1);
+  const harness::SeriesPoint serial = harness::run_trials(cfgs, 2, 1).front();
   EXPECT_TRUE(bit_identical(via_default, serial));
 }
 

@@ -17,9 +17,11 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/network.hpp"
+#include "harness/batch.hpp"
 #include "harness/cluster.hpp"
 #include "harness/experiment.hpp"
 #include "introspect/export.hpp"
@@ -436,15 +438,19 @@ TEST(ClusterTrials, SeriesPointsAreWorkerCountInvariant) {
   harness::ClusterRunConfig cfg;
   cfg.scaling = scaling_quick("LAMMPS", harness::Manager::kThp, 2);
   cfg.cluster_jobs = 1;
-  const harness::SeriesPoint a = harness::run_cluster_trials(cfg, 3);
-  cfg.cluster_jobs = 4;
-  const harness::SeriesPoint b = harness::run_cluster_trials(cfg, 3);
-  EXPECT_EQ(a.mean_seconds, b.mean_seconds);
-  EXPECT_EQ(a.stdev_seconds, b.stdev_seconds);
-  EXPECT_EQ(a.trials, b.trials);
-  EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.fault_counts, b.fault_counts);
-  EXPECT_EQ(a.fault_cycles, b.fault_cycles);
+  const harness::SeriesPoint a = harness::run_trials(std::vector{cfg}, 3, /*jobs=*/1).front();
+  // (trial jobs, cluster_jobs): engine workers alone, then nested pools —
+  // two trials at once, each driving its nodes on two workers.
+  for (const auto& [jobs, cluster_jobs] : {std::pair{1u, 4u}, std::pair{2u, 2u}}) {
+    cfg.cluster_jobs = cluster_jobs;
+    const harness::SeriesPoint b = harness::run_trials(std::vector{cfg}, 3, jobs).front();
+    EXPECT_EQ(a.mean_seconds, b.mean_seconds);
+    EXPECT_EQ(a.stdev_seconds, b.stdev_seconds);
+    EXPECT_EQ(a.trials, b.trials);
+    EXPECT_EQ(a.events, b.events);
+    EXPECT_EQ(a.fault_counts, b.fault_counts);
+    EXPECT_EQ(a.fault_cycles, b.fault_cycles);
+  }
 }
 
 TEST(ClusterTopology, TreeRunsAndIsFasterThanFlatPastTheRadix) {

@@ -83,7 +83,7 @@ TEST(Integration, TraceRecordsFaultTimeline) {
 TEST(Integration, RunTrialsAggregatesSeeds) {
   harness::SingleNodeRunConfig cfg =
       quick("HPCCG", harness::Manager::kThp, workloads::no_competition(), 2);
-  const harness::SeriesPoint p = harness::run_trials(cfg, 3);
+  const harness::SeriesPoint p = harness::run_trials(std::vector{cfg}, 3).front();
   EXPECT_EQ(p.trials, 3u);
   EXPECT_GT(p.mean_seconds, 0.0);
   EXPECT_GE(p.stdev_seconds, 0.0);

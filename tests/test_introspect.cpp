@@ -233,11 +233,7 @@ TEST(SamplerDeterminism, MetricsExportByteIdenticalAcrossJobs) {
   base.duration_scale = 0.05;
   base.introspect.sample_interval = 10'000'000;
 
-  std::vector<harness::SingleNodeRunConfig> cfgs;
-  for (const std::uint64_t s : harness::trial_seeds(base.seed, 3)) {
-    cfgs.push_back(base);
-    cfgs.back().seed = s;
-  }
+  const std::vector<harness::SingleNodeRunConfig> cfgs = harness::trial_configs(base, 3);
   const std::vector<harness::RunResult> serial = harness::run_batch(cfgs, 1);
   const std::vector<harness::RunResult> parallel = harness::run_batch(cfgs, 4);
   ASSERT_EQ(serial.size(), parallel.size());

@@ -305,8 +305,8 @@ TEST(PureObserver, SpannedTrialLoopIsJobsInvariant) {
   cfg.trace.categories = static_cast<std::uint32_t>(trace::Category::kServer);
   cfg.trace.spans = true;
   cfg.attribution = true;
-  const auto serial = harness::run_server_trials(cfg, 3, /*jobs=*/1);
-  const auto parallel = harness::run_server_trials(cfg, 3, /*jobs=*/4);
+  const auto serial = harness::run_batch(harness::trial_configs(cfg, 3), /*jobs=*/1);
+  const auto parallel = harness::run_batch(harness::trial_configs(cfg, 3), /*jobs=*/4);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     expect_same_fingerprint(serial[i], parallel[i]);

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -255,8 +256,8 @@ TEST(ServerRun, RepeatRunsAreIdentical) {
 
 TEST(ServerRun, TrialLoopIsJobsInvariant) {
   const harness::ServerRunConfig cfg = tiny_server(harness::Manager::kThp);
-  const auto serial = harness::run_server_trials(cfg, 3, /*jobs=*/1);
-  const auto parallel = harness::run_server_trials(cfg, 3, /*jobs=*/4);
+  const auto serial = harness::run_batch(harness::trial_configs(cfg, 3), /*jobs=*/1);
+  const auto parallel = harness::run_batch(harness::trial_configs(cfg, 3), /*jobs=*/4);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     expect_identical(serial[i], parallel[i]);
@@ -269,9 +270,14 @@ TEST(ServerRun, SnapshotResumedTrialsAreByteIdenticalForAnyJobs) {
   // reproduce the straight trial loop byte for byte, at any --jobs.
   harness::ServerRunConfig cfg = tiny_server(harness::Manager::kHpmmap);
   cfg.commodity = workloads::profile_a(2);
-  const auto straight = harness::run_server_trials(cfg, 2, /*jobs=*/1);
+  const std::vector<harness::ServerRunConfig> trials = harness::trial_configs(cfg, 2);
+  const auto straight = harness::run_batch(trials, /*jobs=*/1);
   for (const unsigned jobs : {1u, 4u}) {
-    const auto resumed = harness::run_server_trials_resumed(cfg, 2, jobs);
+    std::vector<std::function<harness::ServerRunResult()>> tasks;
+    for (const harness::ServerRunConfig& trial : trials) {
+      tasks.push_back([trial] { return harness::run_server(trial, harness::capture_server(trial)); });
+    }
+    const auto resumed = harness::BatchRunner(jobs).map(std::move(tasks));
     ASSERT_EQ(resumed.size(), straight.size());
     for (std::size_t i = 0; i < straight.size(); ++i) {
       expect_identical(straight[i], resumed[i]);

@@ -175,9 +175,9 @@ TEST(SmpBatch, GridIsByteIdenticalForAnyJobs) {
     }
   }
   harness::set_default_jobs(1);
-  const std::vector<SmpRunResult> serial = harness::run_smp_batch(grid);
+  const std::vector<SmpRunResult> serial = harness::run_batch(grid);
   harness::set_default_jobs(3);
-  const std::vector<SmpRunResult> parallel = harness::run_smp_batch(grid);
+  const std::vector<SmpRunResult> parallel = harness::run_batch(grid);
   harness::set_default_jobs(0);
 
   ASSERT_EQ(serial.size(), grid.size());

@@ -751,7 +751,7 @@ TEST(SnapshotSweep, SnapshottedTrialsMatchPlainBatchBitForBit) {
   // …and a singleton (different manager) that must run straight.
   configs.push_back(quick("miniMD", harness::Manager::kHpmmap, workloads::profile_a(2), 2));
   const std::vector<harness::SeriesPoint> plain =
-      harness::run_trials_batch(configs, /*trials=*/2, /*jobs=*/1);
+      harness::run_trials(configs, /*trials=*/2, /*jobs=*/1);
   const std::vector<harness::SeriesPoint> snap =
       harness::run_trials_snapshotted(configs, /*trials=*/2, /*jobs=*/1);
   expect_points_equal(plain, snap);
@@ -775,16 +775,41 @@ TEST(SnapshotSweep, SnapshottedScalingTrialsMatchPlainBatchBitForBit) {
     cfg.warmup_seconds = 0.3;
     return cfg;
   };
-  std::vector<harness::ScalingRunConfig> configs;
-  configs.push_back(scaling("HPCCG", harness::Manager::kThp));
-  configs.push_back(scaling("miniFE", harness::Manager::kThp));
-  configs.push_back(scaling("LAMMPS", harness::Manager::kThp));
-  configs.back().duration_scale = 0.03;
-  configs.push_back(scaling("HPCCG", harness::Manager::kHpmmap));
+  std::vector<harness::ClusterRunConfig> configs;
+  configs.push_back({scaling("HPCCG", harness::Manager::kThp)});
+  configs.push_back({scaling("miniFE", harness::Manager::kThp)});
+  configs.push_back({scaling("LAMMPS", harness::Manager::kThp)});
+  configs.back().scaling.duration_scale = 0.03;
+  configs.push_back({scaling("HPCCG", harness::Manager::kHpmmap)});
   const std::vector<harness::SeriesPoint> plain =
-      harness::run_trials_batch(configs, /*trials=*/2, /*jobs=*/1);
+      harness::run_trials(configs, /*trials=*/2, /*jobs=*/1);
   expect_points_equal(plain, harness::run_trials_snapshotted(configs, 2, /*jobs=*/1));
   expect_points_equal(plain, harness::run_trials_snapshotted(configs, 2, /*jobs=*/4));
+}
+
+TEST(SnapshotSweep, TopologiesShareOneAgedClusterAndKeepTheirOwn) {
+  // The topology prices only the collectives, which start after the
+  // capture point: a flat and a fat-tree run of one cluster share its
+  // aged world, and each resumed member still runs its own topology.
+  // Past 16 nodes the fat-tree adds an aggregation stage to every hop.
+  harness::ClusterRunConfig flat;
+  flat.scaling.app = "HPCCG";
+  flat.scaling.manager = harness::Manager::kThp;
+  flat.scaling.commodity = workloads::profile_c();
+  flat.scaling.nodes = 17;
+  flat.scaling.ranks_per_node = 2;
+  flat.scaling.seed = 8;
+  flat.scaling.footprint_scale = 0.02;
+  flat.scaling.duration_scale = 0.02;
+  flat.scaling.warmup_seconds = 0.2;
+  harness::ClusterRunConfig fat_tree = flat;
+  fat_tree.topology = cluster::Topology::kFatTree;
+  const std::vector configs{flat, fat_tree};
+  EXPECT_TRUE(harness::detail::same_world(flat, fat_tree));
+  const std::vector<harness::SeriesPoint> plain =
+      harness::run_trials(configs, /*trials=*/1, /*jobs=*/1);
+  EXPECT_NE(plain[0].mean_seconds, plain[1].mean_seconds);
+  expect_points_equal(plain, harness::run_trials_snapshotted(configs, 1, /*jobs=*/1));
 }
 
 // --- corrupt image files ----------------------------------------------------
