@@ -26,7 +26,7 @@ KittenAllocator::KittenAllocator(std::vector<std::vector<Range>> ranges_per_zone
     for (const Range& r : ranges_per_zone[z]) {
       HPMMAP_ASSERT(is_aligned(r.begin, kMemorySectionSize),
                     "offlined ranges are section-aligned");
-      zones_[z].buddies.emplace_back(r, range_max_order(r));
+      zones_[z].buddies.emplace_back(r, range_max_order(r), kMinOrder);
     }
   }
 }
@@ -36,7 +36,7 @@ std::optional<Addr> KittenAllocator::alloc(ZoneId zone, std::uint64_t bytes) {
   HPMMAP_ASSERT(std::has_single_bit(bytes / kSmallPageSize), "block size must be a power of two");
   const unsigned order = mm::BuddyAllocator::order_for_bytes(bytes);
   for (mm::BuddyAllocator& buddy : zones_[zone].buddies) {
-    if (order > buddy.max_order()) {
+    if (order < kMinOrder || order > buddy.max_order()) {
       continue;
     }
     if (auto a = buddy.alloc(order); a.has_value()) {

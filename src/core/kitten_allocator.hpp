@@ -8,6 +8,9 @@
 //     pages can *always* be carved without compaction;
 //   - no watermarks, no reclaim, no page cache: allocation either
 //     succeeds in O(log) or fails immediately;
+//   - nothing below 2 MiB, the smallest page HPMMAP maps: the heaps'
+//     buddies have min order 9, so they keep no 4 KiB-grain freelists
+//     and one mem_map byte per 2 MiB block;
 //   - per-zone instances mirror the offlined split across NUMA zones.
 #pragma once
 
@@ -32,12 +35,16 @@ struct KittenStats {
 
 class KittenAllocator {
  public:
+  /// The heaps' smallest block: order 9, one 2 MiB page.
+  static constexpr unsigned kMinOrder = 9;
+
   /// Adopt a set of offlined physical ranges for `zone_count` zones;
   /// `ranges_per_zone[z]` are the hot-removed ranges of zone z.
   explicit KittenAllocator(std::vector<std::vector<Range>> ranges_per_zone);
 
-  /// Allocate a naturally-aligned block of exactly `bytes`
-  /// (power-of-two multiple of 4K; 2M and 1G are the callers' sizes).
+  /// Allocate a naturally-aligned block of exactly `bytes` (a power-of-two
+  /// multiple of 4K; 2M and 1G are the callers' sizes). Requests below
+  /// 2 MiB are refused like an exhausted heap: nullopt, counted as failed.
   [[nodiscard]] std::optional<Addr> alloc(ZoneId zone, std::uint64_t bytes);
 
   void free(ZoneId zone, Addr addr, std::uint64_t bytes);

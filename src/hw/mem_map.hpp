@@ -2,12 +2,15 @@
 // equivalent of Linux's `struct page` mem_map.
 //
 // Every BuddyAllocator owns one MemMap covering its range. It stores one
-// byte per 4 KiB frame, dense. Only the *head* frame of a tracked block is
-// marked (state in the low 3 bits, block order in the high 5); blocks are
-// naturally aligned, so the block containing an address is found by
-// aligning down at each order and probing the head — O(max_order) with no
-// search structure. At 1 byte/frame a 12 GiB zone costs 3 MiB, against
-// hundreds of megabytes for a struct-per-frame layout.
+// byte per block of the allocator's smallest order, dense: per 4 KiB frame
+// for a Linux zone (min order 0), per 2 MiB block for a Kitten heap (min
+// order 9, the smallest page HPMMAP maps). Only the *head* of a tracked
+// block is marked (state in the low 3 bits, block order in the high 5;
+// orders count 4 KiB pages at any granularity); blocks are naturally
+// aligned, so the block containing an address is found by aligning down
+// at each order and probing the head — O(max_order) with no search
+// structure. At 1 byte/frame a 12 GiB zone costs 3 MiB, against hundreds
+// of megabytes for a struct-per-frame layout.
 //
 // The lists over these blocks live with their owners as plain arrays of
 // 32-bit frame indices (a range is < 2^32 frames): the page-cache LRU is a
@@ -54,26 +57,32 @@ inline constexpr std::uint8_t kCacheStates =
 
 class MemMap {
  public:
-  explicit MemMap(Range range) : range_(range) {
+  /// One meta byte per (4 KiB << min_order) block of `range`.
+  explicit MemMap(Range range, unsigned min_order = 0) : range_(range), shift_(12 + min_order) {
     HPMMAP_ASSERT(!range_.empty(), "mem_map range must be non-empty");
     HPMMAP_ASSERT(is_aligned(range_.begin, kSmallPageSize) && is_aligned(range_.end, kSmallPageSize),
                   "mem_map range must be page-aligned");
-    HPMMAP_ASSERT(range_.size() >> 12 <= std::uint64_t{1} << 32,
+    HPMMAP_ASSERT(is_aligned(range_.size(), std::uint64_t{1} << shift_),
+                  "mem_map range must be a whole number of min-order blocks");
+    HPMMAP_ASSERT(range_.size() >> shift_ <= std::uint64_t{1} << 32,
                   "range too large for 32-bit frame indices");
-    meta_.assign(static_cast<std::size_t>(range_.size() >> 12), 0);
+    meta_.assign(static_cast<std::size_t>(range_.size() >> shift_), 0);
   }
 
   [[nodiscard]] Range range() const noexcept { return range_; }
+  /// Meta entries: one per min-order block (per 4 KiB frame at order 0).
   [[nodiscard]] std::uint64_t frame_count() const noexcept { return meta_.size(); }
+  [[nodiscard]] unsigned min_order() const noexcept { return shift_ - 12; }
   [[nodiscard]] bool contains(Addr addr) const noexcept { return range_.contains(addr); }
 
+  /// Index of the min-order block containing `addr`.
   [[nodiscard]] std::uint32_t index_of(Addr addr) const noexcept {
     HPMMAP_ASSERT(range_.contains(addr), "address outside mem_map");
-    return static_cast<std::uint32_t>((addr - range_.begin) >> 12);
+    return static_cast<std::uint32_t>((addr - range_.begin) >> shift_);
   }
   [[nodiscard]] Addr addr_of(std::uint32_t idx) const noexcept {
     HPMMAP_ASSERT(idx < meta_.size(), "frame index out of range");
-    return range_.begin + (static_cast<Addr>(idx) << 12);
+    return range_.begin + (static_cast<Addr>(idx) << shift_);
   }
 
   [[nodiscard]] FrameState state(std::uint32_t idx) const noexcept {
@@ -106,9 +115,9 @@ class MemMap {
       return std::nullopt;
     }
     const std::uint64_t off = addr - range_.begin;
-    for (unsigned o = 0; o <= max_order; ++o) {
+    for (unsigned o = min_order(); o <= max_order; ++o) {
       const std::uint64_t base = align_down(off, kSmallPageSize << o);
-      const std::uint8_t m = meta_[base >> 12];
+      const std::uint8_t m = meta_[base >> shift_];
       if ((states & static_cast<std::uint8_t>(1u << (m & 0x7u))) != 0 && (m >> 3) == o) {
         return std::make_pair(range_.begin + base, o);
       }
@@ -144,6 +153,7 @@ class MemMap {
   friend struct hpmmap::snapshot::Access;
 
   Range range_;
+  unsigned shift_; // log2 of the bytes one meta byte covers
   std::vector<std::uint8_t> meta_;
 };
 

@@ -7,14 +7,18 @@
 
 namespace hpmmap::mm {
 
-BuddyAllocator::BuddyAllocator(Range phys_range, unsigned max_order)
-    : range_(phys_range), max_order_(max_order), map_(phys_range) {
+BuddyAllocator::BuddyAllocator(Range phys_range, unsigned max_order, unsigned min_order)
+    : range_(phys_range),
+      max_order_(max_order),
+      min_order_(min_order),
+      map_(phys_range, min_order) {
   HPMMAP_ASSERT(!range_.empty(), "buddy range must be non-empty");
   HPMMAP_ASSERT(is_aligned(range_.begin, kSmallPageSize) && is_aligned(range_.end, kSmallPageSize),
                 "buddy range must be page-aligned");
   HPMMAP_ASSERT(max_order_ < 32, "implausible max order");
+  HPMMAP_ASSERT(min_order_ <= max_order_, "min order above max order");
   lists_.resize(max_order_ + 1);
-  for (unsigned o = 0; o <= max_order_; ++o) {
+  for (unsigned o = min_order_; o <= max_order_; ++o) {
     const std::uint64_t blocks = (range_.size() + order_bytes(o) - 1) / order_bytes(o);
     const std::size_t words = static_cast<std::size_t>((blocks + 63) / 64);
     lists_[o].bits.assign(words, 0);
@@ -26,7 +30,7 @@ BuddyAllocator::BuddyAllocator(Range phys_range, unsigned max_order)
   Addr cursor = range_.begin;
   while (cursor < range_.end) {
     unsigned order = max_order_;
-    while (order > 0 &&
+    while (order > min_order_ &&
            (!is_aligned(cursor - range_.begin, order_bytes(order)) ||
             cursor + order_bytes(order) > range_.end)) {
       --order;
@@ -94,6 +98,7 @@ std::optional<std::uint64_t> BuddyAllocator::first_block(unsigned order) {
 
 std::optional<BuddyAllocator::Allocation> BuddyAllocator::alloc(unsigned order) {
   HPMMAP_ASSERT(order <= max_order_, "order above max_order");
+  HPMMAP_ASSERT(order >= min_order_, "order below min_order");
   unsigned found = order;
   while (found <= max_order_ && lists_[found].count == 0) {
     ++found;
@@ -129,6 +134,7 @@ std::optional<BuddyAllocator::Allocation> BuddyAllocator::alloc(unsigned order) 
 
 unsigned BuddyAllocator::free(Addr addr, unsigned order) {
   HPMMAP_ASSERT(order <= max_order_, "order above max_order");
+  HPMMAP_ASSERT(order >= min_order_, "order below min_order");
   HPMMAP_ASSERT(range_.contains(addr), "free outside buddy range");
   HPMMAP_ASSERT(is_aligned(addr - range_.begin, order_bytes(order)),
                 "freed block misaligned for its order");
@@ -163,6 +169,7 @@ unsigned BuddyAllocator::free(Addr addr, unsigned order) {
 
 bool BuddyAllocator::reserve_exact(Addr addr, unsigned order) {
   HPMMAP_ASSERT(order <= max_order_, "order above max_order");
+  HPMMAP_ASSERT(order >= min_order_, "order below min_order");
   const Range want{addr, addr + order_bytes(order)};
   if (!range_.contains(want.begin) || want.end > range_.end) {
     return false;
@@ -200,7 +207,7 @@ bool BuddyAllocator::reserve_exact(Addr addr, unsigned order) {
   };
   std::vector<Piece> cover;
   std::uint64_t covered = 0;
-  for (unsigned o = 0; o <= max_order_; ++o) {
+  for (unsigned o = min_order_; o <= max_order_; ++o) {
     const std::uint64_t ob = order_bytes(o);
     // Free blocks intersecting [want) at this order: the block whose
     // range contains want.begin through the one containing want.end-1.
@@ -234,7 +241,7 @@ std::optional<std::pair<Addr, unsigned>> BuddyAllocator::free_block_containing(A
     return std::nullopt;
   }
   const std::uint64_t off = addr - range_.begin;
-  for (unsigned o = 0; o <= max_order_; ++o) {
+  for (unsigned o = min_order_; o <= max_order_; ++o) {
     const std::uint64_t idx = off >> (12 + o);
     if (test_bit(o, idx)) {
       return std::make_pair(range_.begin + (idx << (12 + o)), o);
@@ -245,6 +252,7 @@ std::optional<std::pair<Addr, unsigned>> BuddyAllocator::free_block_containing(A
 
 bool BuddyAllocator::take_free_block(Addr addr, unsigned order) {
   HPMMAP_ASSERT(order <= max_order_, "order above max_order");
+  HPMMAP_ASSERT(order >= min_order_, "order below min_order");
   if (!is_free_block(addr, order)) {
     return false;
   }
@@ -306,7 +314,7 @@ bool BuddyAllocator::can_alloc(unsigned order) const {
 void BuddyAllocator::corrupt_insert_free_block(Addr addr, unsigned order) {
   HPMMAP_ASSERT(order <= max_order_, "order above max_order");
   free_bytes_ += order_bytes(order);
-  const bool representable = range_.contains(addr) &&
+  const bool representable = order >= min_order_ && range_.contains(addr) &&
                              addr + order_bytes(order) <= range_.end &&
                              is_aligned(addr - range_.begin, order_bytes(order));
   if (!representable) {
@@ -332,7 +340,7 @@ bool BuddyAllocator::check_consistency() const {
       ok = false;
       return;
     }
-    if (!is_aligned(a - range_.begin, order_bytes(o))) {
+    if (o < min_order_ || !is_aligned(a - range_.begin, order_bytes(o))) {
       ok = false;
       return;
     }

@@ -8,7 +8,11 @@
 //
 // Order 0 is one 4 KiB frame. kMaxOrder covers 4 KiB << kMaxOrder; Linux
 // uses 11 (4 MiB); the Kitten instance uses a larger maximum so whole
-// 128 MiB+ offlined blocks stay coalesced.
+// 128 MiB+ offlined blocks stay coalesced. An instance may also have a
+// floor, `min_order`: it hands out no block below it, keeps no freelist
+// bitmaps below it, and its mem_map holds one byte per min-order block.
+// Orders stay in 4 KiB units either way. The Kitten instance's floor is
+// order 9 (2 MiB), the smallest page HPMMAP maps; Linux zones have none.
 //
 // The freelists are per-order bitmaps (bit i = block i of that order is
 // free) with a one-level summary (bit j = word j is non-zero), not node
@@ -56,8 +60,10 @@ class BuddyAllocator {
     unsigned split_steps = 0;
   };
 
-  /// `max_order`: largest block this instance manages, as a page order.
-  BuddyAllocator(Range phys_range, unsigned max_order);
+  /// `max_order`: largest block this instance manages, as a page order;
+  /// `min_order`: smallest. The range must be a whole number of
+  /// min-order blocks.
+  BuddyAllocator(Range phys_range, unsigned max_order, unsigned min_order = 0);
 
   BuddyAllocator(const BuddyAllocator&) = delete;
   BuddyAllocator& operator=(const BuddyAllocator&) = delete;
@@ -104,6 +110,7 @@ class BuddyAllocator {
 
   [[nodiscard]] const BuddyStats& stats() const noexcept { return stats_; }
   [[nodiscard]] unsigned max_order() const noexcept { return max_order_; }
+  [[nodiscard]] unsigned min_order() const noexcept { return min_order_; }
   [[nodiscard]] Range range() const noexcept { return range_; }
 
   /// The frame-metadata array for this range. The page cache and hugetlb
@@ -154,9 +161,10 @@ class BuddyAllocator {
   friend struct hpmmap::snapshot::Access;
 
   /// Per-order free bitmap: bit i = block [begin + i*order_bytes(o),
-  /// +order_bytes(o)) is free. `summary` has one bit per bits-word;
-  /// `scan_hint` bounds the summary scan from below (monotone under
-  /// pops, reset by inserts), making repeated pops amortized O(1).
+  /// +order_bytes(o)) is free; empty below min_order. `summary` has one
+  /// bit per bits-word; `scan_hint` bounds the summary scan from below
+  /// (monotone under pops, reset by inserts), making repeated pops
+  /// amortized O(1).
   struct OrderList {
     std::vector<std::uint64_t> bits;
     std::vector<std::uint64_t> summary;
@@ -180,6 +188,7 @@ class BuddyAllocator {
 
   Range range_;
   unsigned max_order_;
+  unsigned min_order_;
   std::uint64_t free_bytes_ = 0;
   std::vector<OrderList> lists_;
   hw::MemMap map_;

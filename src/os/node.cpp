@@ -574,7 +574,7 @@ Cycles Node::touch_range(Process& proc, Range range, std::int32_t core) {
     proc.record_fault(engine_.now() + cost, fr.kind, fr.cost);
     cost += fr.cost;
     if (fr.err == Errno::kOk && fr.used == PageSize::k4K && !is_hpmmap_addr) {
-      remember_anon_page(proc, align_down(va, kSmallPageSize));
+      anon_lru_.push(proc.pid(), align_down(va, kSmallPageSize));
       if (fr.entered_reclaim) {
         maybe_swap(as.zone_for(va));
       }
@@ -623,12 +623,12 @@ std::optional<Addr> Node::kernel_alloc(ZoneId zone, unsigned order) {
   return out.addr;
 }
 
-void Node::remember_anon_page(Process& proc, Addr page) {
-  constexpr std::size_t kLruCap = 1'000'000;
-  if (anon_lru_.size() >= kLruCap) {
-    return; // newest pages are the hottest; forgetting them is LRU-safe
+Process* Node::find_process(Pid pid) const noexcept {
+  const std::size_t i = pid - kFirstPid;
+  if (pid < kFirstPid || i >= processes_.size() || processes_[i]->pid() != pid) {
+    return nullptr;
   }
-  anon_lru_.emplace_back(&proc, page);
+  return processes_[i].get();
 }
 
 void Node::maybe_swap(ZoneId zone) {
@@ -641,8 +641,9 @@ void Node::maybe_swap(ZoneId zone) {
   }
   unsigned evicted = 0;
   while (evicted < 128 && !anon_lru_.empty()) {
-    auto [proc, va] = anon_lru_.front();
-    anon_lru_.pop_front();
+    const auto [pid, va] = anon_lru_.pop();
+    Process* proc = find_process(pid);
+    HPMMAP_ASSERT(proc != nullptr, "anon LRU names a pid this node never spawned");
     if (!proc->alive()) {
       continue;
     }

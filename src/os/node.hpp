@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -31,6 +30,7 @@
 #include "linux_mm/memory_system.hpp"
 #include "linux_mm/smp.hpp"
 #include "linux_mm/thp.hpp"
+#include "os/anon_lru.hpp"
 #include "os/process.hpp"
 #include "os/scheduler.hpp"
 #include "sim/engine.hpp"
@@ -163,7 +163,9 @@ class Node {
   /// with a disk read. HPMMAP-backed memory lives in offlined frames
   /// reclaim never sees — the isolation claim of §III-A.
   void maybe_swap(ZoneId zone);
-  void remember_anon_page(Process& proc, Addr page);
+  /// The process spawned with `pid`, or nullptr. O(1): pids are handed
+  /// out densely from kFirstPid and processes_ never shrinks.
+  [[nodiscard]] Process* find_process(Pid pid) const noexcept;
   SysOut linux_mmap(Process& proc, std::uint64_t len, Prot prot, Segment seg,
                     std::int32_t core = -1);
   SysOut linux_brk(Process& proc, Addr new_break);
@@ -190,11 +192,13 @@ class Node {
   Scheduler scheduler_;
   Rng rng_;
   std::vector<std::unique_ptr<Process>> processes_;
-  Pid next_pid_ = 1000;
+  static constexpr Pid kFirstPid = 1000;
+  Pid next_pid_ = kFirstPid;
   sim::EventId kswapd_event_{};
-  // Sampled anon LRU for the swap model: oldest remembered pages are the
-  // eviction victims. Bounded; self-cleans as entries go stale.
-  std::deque<std::pair<Process*, Addr>> anon_lru_;
+  // Anon LRU for the swap model: oldest remembered pages are the eviction
+  // victims. Bounded at AnonLru::kCap pages. Pages of exited or unmapped
+  // processes stay until maybe_swap pops and skips them.
+  AnonLru anon_lru_;
   std::uint64_t swapped_out_total_ = 0;
   // Failed-fault warnings are per-fault under memory exhaustion; budget
   // them so pathological configs don't flood benchmark output.

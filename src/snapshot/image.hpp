@@ -42,6 +42,14 @@ struct PidAddr {
   Addr addr = 0;
 };
 
+/// `pages` consecutive 4 KiB pages of process `pid` from `first` up: one
+/// run of the swap model's anon LRU (os::AnonLru).
+struct AnonRunImage {
+  Pid pid = 0;
+  Addr first = 0;
+  std::uint32_t pages = 0;
+};
+
 // --- engine ---------------------------------------------------------------
 
 struct EngineImage {
@@ -294,7 +302,7 @@ struct NodeImage {
   SmpImage smp;
   std::vector<ProcessImage> processes;
   Pid next_pid = 1000;
-  std::vector<PidAddr> anon_lru;
+  std::vector<AnonRunImage> anon_lru; // oldest run first
   std::uint64_t swapped_out_total = 0;
 };
 

@@ -45,8 +45,10 @@ static_assert(std::endian::native == std::endian::little,
 constexpr std::uint32_t kMagic = 0x4e535048; // "HPSN"
 // v3: trace::Event carries a causal span id. v4: the mem_map link table
 // is laid out by Fibonacci hashing. v5: no link table; the page-cache LRU
-// and the hugetlb pools are stored as arrays of frame indices.
-constexpr std::uint32_t kVersion = 5;
+// and the hugetlb pools are stored as arrays of frame indices. v6: the
+// anon LRU is stored as (pid, first, pages) runs, and a Kitten heap's
+// mem_map holds one meta byte per 2 MiB block.
+constexpr std::uint32_t kVersion = 6;
 
 /// Loaded trace strings live until process exit; std::set node stability
 /// keeps every handed-out c_str() valid as the pool grows.
@@ -276,6 +278,11 @@ void fields(Ar& ar, mm::Vma& v) {
 template <class Ar>
 void fields(Ar& ar, PidAddr& pa) {
   ar(pa.pid, pa.addr);
+}
+
+template <class Ar>
+void fields(Ar& ar, AnonRunImage& r) {
+  ar(r.pid, r.first, r.pages);
 }
 
 // hw / linux_mm

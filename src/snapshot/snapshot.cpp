@@ -415,6 +415,9 @@ struct Access {
 
     void transfer(Img<D, MemMapImage>& img, Live<D, hw::MemMap>& m) const {
       d.same(img.range, m.range_, "snapshot: mem_map range mismatch");
+      if constexpr (D::kRestores) {
+        d.same(img.meta.size(), m.meta_.size(), "snapshot: mem_map meta length mismatch");
+      }
       d(img.meta, m.meta_);
     }
 
@@ -423,6 +426,10 @@ struct Access {
       d.same(img.max_order, b.max_order_, "snapshot: buddy layout mismatch");
       d(img.free_bytes, b.free_bytes_);
       d.fixed(img.lists, b.lists_, "snapshot: buddy order count mismatch", [&](auto& li, auto& l) {
+        if constexpr (D::kRestores) {
+          d.same(li.bits.size(), l.bits.size(), "snapshot: buddy bitmap length mismatch");
+          d.same(li.summary.size(), l.summary.size(), "snapshot: buddy summary length mismatch");
+        }
         d(li.bits, l.bits);
         d(li.summary, l.summary);
         d(li.count, l.count);
@@ -673,7 +680,19 @@ struct Access {
         transfer(img.smp, *n.smp_);
       }
       d(img.next_pid, n.next_pid_);
-      d.each(img.anon_lru, n.anon_lru_, pid_addr(n));
+      if constexpr (D::kRestores) {
+        n.anon_lru_.pages_ = 0; // recounted from the runs
+      }
+      d.each(img.anon_lru, n.anon_lru_.runs_, [&](auto& ri, auto& r) {
+        d(ri.pid, r.pid);
+        d(ri.first, r.first);
+        d(ri.pages, r.pages);
+        if constexpr (D::kRestores) {
+          HPMMAP_ASSERT(n.find_process(r.pid) != nullptr && r.pages > 0,
+                        "snapshot: anon LRU run names an unknown pid or no pages");
+          n.anon_lru_.pages_ += r.pages;
+        }
+      });
       d(img.swapped_out_total, n.swapped_out_total_);
       if constexpr (D::kRestores) {
         n.kswapd_event_ = sim::EventId{}; // re-armed from the event records

@@ -32,7 +32,11 @@ ServerApp::ServerApp(sim::Engine& engine, os::Node& node, ServerConfig config,
       config_(std::move(config)),
       schedule_(std::move(schedule)),
       slo_(config_.budgets),
-      latency_(rng.fork("latency")) {
+      latency_(rng.fork("latency")),
+      log_alloc_min_(
+          std::log(static_cast<double>(std::max<std::uint64_t>(config_.request_alloc_min, 1)))),
+      log_alloc_max_(std::log(static_cast<double>(
+          std::max(config_.request_alloc_max, config_.request_alloc_min)))) {
   HPMMAP_ASSERT(config_.workers > 0, "service needs at least one worker");
   HPMMAP_ASSERT(config_.object_count > 0, "service needs an object set");
   workers_.resize(config_.workers);
@@ -80,10 +84,8 @@ std::size_t ServerApp::zipf_object(std::uint64_t key) const {
 }
 
 std::uint64_t ServerApp::request_bytes(double quantile) const {
-  const double lo = std::log(static_cast<double>(std::max<std::uint64_t>(config_.request_alloc_min, 1)));
-  const double hi = std::log(static_cast<double>(
-      std::max(config_.request_alloc_max, config_.request_alloc_min)));
-  return static_cast<std::uint64_t>(std::exp(lo + quantile * (hi - lo)));
+  return static_cast<std::uint64_t>(
+      std::exp(log_alloc_min_ + quantile * (log_alloc_max_ - log_alloc_min_)));
 }
 
 void ServerApp::start(std::function<void()> on_complete) {

@@ -184,6 +184,9 @@ class ServerApp {
   serving::LatencyRecorder latency_;
   std::function<void()> on_complete_;
   profile::RequestProfiler* profiler_ = nullptr;
+  // request_bytes()'s log-uniform bounds, taken once from the config.
+  double log_alloc_min_;
+  double log_alloc_max_;
   bool started_ = false;
   bool completed_ = false;
 };

@@ -23,13 +23,16 @@ if "$run_experiment" "${args[@]}" --snapshot-in "$snap/cut.snap" > /dev/null 2> 
 fi
 cat "$snap/cut.err"
 grep -q "snapshot: truncated image file" "$snap/cut.err"
-# The version word follows the 4-byte magic; 4 is the previous format.
-cp "$snap/a.snap" "$snap/v4.snap"
-printf '\x04\x00\x00\x00' | dd of="$snap/v4.snap" bs=1 seek=4 conv=notrunc status=none
-if "$run_experiment" "${args[@]}" --snapshot-in "$snap/v4.snap" > /dev/null 2> "$snap/v4.err"; then
-  echo "a version-4 image was accepted"
-  exit 1
-fi
-cat "$snap/v4.err"
-grep -q "snapshot: unsupported image version" "$snap/v4.err"
+# The version word follows the 4-byte magic; 5 is the previous format
+# and 4 the one before it.
+for v in 4 5; do
+  cp "$snap/a.snap" "$snap/v$v.snap"
+  printf "\\x0$v\\x00\\x00\\x00" | dd of="$snap/v$v.snap" bs=1 seek=4 conv=notrunc status=none
+  if "$run_experiment" "${args[@]}" --snapshot-in "$snap/v$v.snap" > /dev/null 2> "$snap/v$v.err"; then
+    echo "a version-$v image was accepted"
+    exit 1
+  fi
+  cat "$snap/v$v.err"
+  grep -q "snapshot: unsupported image version" "$snap/v$v.err"
+done
 echo "snapshot CLI smoke passed"

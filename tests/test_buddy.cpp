@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -190,6 +192,93 @@ TEST(Buddy, TakeFreeBlockRemovesExactBlock) {
 }
 
 // --- property tests ------------------------------------------------------------
+
+// --- min_order: a floor below which nothing is tracked -------------------
+
+constexpr unsigned kFloor = 9; // 2 MiB, the Kitten heaps' floor
+
+TEST(BuddyMinOrder, KeepsNoStateBelowTheFloor) {
+  BuddyAllocator b(Range{0, 64 * MiB}, 14, kFloor);
+  EXPECT_EQ(b.min_order(), kFloor);
+  EXPECT_EQ(b.mem_map().frame_count(), 64 * MiB / (2 * MiB));
+  EXPECT_EQ(b.mem_map().min_order(), kFloor);
+  EXPECT_EQ(b.free_bytes(), 64 * MiB);
+  EXPECT_EQ(b.largest_free_order(), 14u);
+  for (unsigned o = 0; o < kFloor; ++o) {
+    EXPECT_EQ(b.free_blocks(o), 0u) << "order " << o;
+    EXPECT_FALSE(b.is_free_block(0, o)) << "order " << o;
+  }
+  EXPECT_TRUE(b.check_consistency());
+}
+
+TEST(BuddyMinOrder, SplitsStopAtTheFloorAndFourKiBProbesStillResolve) {
+  BuddyAllocator b(Range{0, 16 * MiB}, 12, kFloor);
+  const auto a = b.alloc(kFloor);
+  ASSERT_TRUE(a.has_value());
+  EXPECT_EQ(a->addr, 0u);
+  EXPECT_EQ(a->split_steps, 3u); // 16 MiB -> 8 -> 4 -> 2
+  EXPECT_EQ(b.free_blocks(kFloor), 1u);
+  // A 4 KiB address inside a free 2 MiB block resolves to that block.
+  EXPECT_EQ(b.free_block_containing(2 * MiB + 4 * KiB),
+            std::make_optional(std::make_pair(Addr{2 * MiB}, kFloor)));
+  EXPECT_EQ(b.free_block_containing(4 * KiB), std::nullopt);
+  // The mem_map has one entry per 2 MiB block; orders stay in 4 KiB units.
+  const hw::MemMap& map = b.mem_map();
+  EXPECT_EQ(map.index_of(2 * MiB + 4 * KiB), 1u);
+  EXPECT_EQ(map.addr_of(1), 2 * MiB);
+  EXPECT_EQ(map.state(1), hw::FrameState::kBuddyFree);
+  EXPECT_EQ(map.order(1), kFloor);
+  const std::uint8_t free_mask = hw::state_mask(hw::FrameState::kBuddyFree);
+  EXPECT_EQ(map.block_containing(8 * MiB + 12 * KiB, free_mask, 12),
+            std::make_optional(std::make_pair(Addr{8 * MiB}, 11u)));
+  EXPECT_TRUE(b.check_consistency());
+  b.free(a->addr, kFloor);
+  EXPECT_EQ(b.free_blocks(12), 1u);
+  EXPECT_TRUE(b.check_consistency());
+}
+
+TEST(BuddyMinOrder, RandomOpsAboveTheFloorPreserveInvariants) {
+  constexpr std::uint64_t kArena = 256 * MiB;
+  BuddyAllocator b(Range{0, kArena}, 15, kFloor);
+  Rng rng(11);
+  std::vector<std::pair<Addr, unsigned>> held;
+  for (int step = 0; step < 2000; ++step) {
+    if (held.empty() || rng.chance(0.55)) {
+      const unsigned order = kFloor + static_cast<unsigned>(rng.uniform(4));
+      if (auto a = b.alloc(order)) {
+        ASSERT_TRUE(is_aligned(a->addr, BuddyAllocator::order_bytes(order)));
+        held.emplace_back(a->addr, order);
+      }
+    } else {
+      const std::size_t idx = static_cast<std::size_t>(rng.uniform(held.size()));
+      b.free(held[idx].first, held[idx].second);
+      held[idx] = held.back();
+      held.pop_back();
+    }
+  }
+  ASSERT_TRUE(b.check_consistency());
+  for (const auto& [addr, order] : held) {
+    b.free(addr, order);
+  }
+  EXPECT_EQ(b.free_bytes(), kArena);
+  EXPECT_EQ(b.free_blocks(15), kArena / BuddyAllocator::order_bytes(15));
+  EXPECT_TRUE(b.check_consistency());
+}
+
+TEST(BuddyMinOrderDeath, AllocAndFreeBelowTheFloorAbort) {
+  BuddyAllocator b(Range{0, 16 * MiB}, 12, kFloor);
+  EXPECT_DEATH((void)b.alloc(0), "order below min_order");
+  EXPECT_DEATH((void)b.alloc(kFloor - 1), "order below min_order");
+  const auto a = b.alloc(kFloor);
+  ASSERT_TRUE(a.has_value());
+  EXPECT_DEATH(b.free(a->addr, kFloor - 1), "order below min_order");
+  EXPECT_DEATH((void)b.take_free_block(4 * MiB, 0), "order below min_order");
+}
+
+TEST(BuddyMinOrderDeath, RangeMustHoldWholeFloorBlocks) {
+  EXPECT_DEATH(BuddyAllocator(Range{0, 3 * MiB}, 12, kFloor),
+               "whole number of min-order blocks");
+}
 
 struct BuddyPropertyParams {
   std::uint64_t arena_bytes;

@@ -91,6 +91,54 @@ TEST(KittenDeath, ForeignFreeAborts) {
   EXPECT_DEATH(k.free(0, 64 * MiB, 2 * MiB), "no Kitten range owns");
 }
 
+TEST(Kitten, HeapsKeepNothingBelowTwoMiB) {
+  std::vector<std::vector<Range>> ranges{
+      {Range{0, 512 * MiB}, Range{1 * GiB, 1 * GiB + kMemorySectionSize}},
+      {Range{2 * GiB, 3 * GiB}}};
+  KittenAllocator k(std::move(ranges));
+  std::size_t buddies = 0;
+  k.for_each_buddy([&](ZoneId z, const mm::BuddyAllocator& buddy) {
+    ++buddies;
+    EXPECT_EQ(buddy.min_order(), KittenAllocator::kMinOrder) << "zone " << z;
+    EXPECT_EQ(buddy.mem_map().frame_count(), buddy.range().size() / (2 * MiB)) << "zone " << z;
+    for (unsigned o = 0; o < KittenAllocator::kMinOrder; ++o) {
+      EXPECT_EQ(buddy.free_blocks(o), 0u) << "zone " << z << " order " << o;
+    }
+  });
+  EXPECT_EQ(buddies, 3u);
+  EXPECT_TRUE(k.check_consistency());
+}
+
+TEST(Kitten, RefusesRequestsBelowTwoMiB) {
+  std::vector<std::vector<Range>> ranges{{Range{0, 16 * MiB}}};
+  KittenAllocator k(std::move(ranges));
+  EXPECT_FALSE(k.alloc(0, kSmallPageSize).has_value());
+  EXPECT_FALSE(k.alloc(0, 1 * MiB).has_value());
+  EXPECT_EQ(k.stats().failed, 2u);
+  EXPECT_EQ(k.stats().allocs, 0u);
+  EXPECT_TRUE(k.all_free());
+  EXPECT_TRUE(k.alloc(0, 2 * MiB).has_value());
+}
+
+TEST(Kitten, FourKiBFramesInsideAFreeBlockAreFree) {
+  std::vector<std::vector<Range>> ranges{{Range{0, 16 * MiB}}};
+  KittenAllocator k(std::move(ranges));
+  EXPECT_TRUE(k.frame_is_free(0, 4 * KiB));
+  const auto a = k.alloc(0, 2 * MiB);
+  ASSERT_TRUE(a.has_value());
+  EXPECT_FALSE(k.frame_is_free(0, *a + 4 * KiB));
+  EXPECT_TRUE(k.frame_is_free(0, *a + 2 * MiB + 4 * KiB));
+  EXPECT_TRUE(k.frame_is_free(0, 16 * MiB - 4 * KiB));
+}
+
+TEST(KittenDeath, FreeBelowTwoMiBAborts) {
+  std::vector<std::vector<Range>> ranges{{Range{0, 16 * MiB}}};
+  KittenAllocator k(std::move(ranges));
+  const auto a = k.alloc(0, 2 * MiB);
+  ASSERT_TRUE(a.has_value());
+  EXPECT_DEATH(k.free(0, *a, kSmallPageSize), "order below min_order");
+}
+
 // --- module lifecycle ----------------------------------------------------------
 
 TEST(Module, LoadOfflinesConfiguredMemory) {

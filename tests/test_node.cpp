@@ -2,7 +2,12 @@
 // memory conservation, mlock, swapping, and process lifecycle.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <utility>
+
+#include "common/rng.hpp"
 #include "common/units.hpp"
+#include "os/anon_lru.hpp"
 #include "os/node.hpp"
 #include "sim/engine.hpp"
 
@@ -305,6 +310,110 @@ TEST(Node, AgedBootFragmentsAndFillsCache) {
   // Slab stays allocated: free + cache < online.
   EXPECT_LT(node.memory().free_bytes(0) + node.memory().cache(0).cached_bytes(),
             node.memory().buddy(0).total_bytes());
+}
+
+// --- the swap model's anon LRU -------------------------------------------
+//
+// AnonLru stores runs of consecutive pages; it must pop exactly the page
+// sequence a per-page FIFO of (pid, page) pairs would, with the same cap.
+
+struct LruModel {
+  AnonLru lru;
+  std::deque<std::pair<Pid, Addr>> model;
+
+  void push(Pid pid, Addr page) {
+    lru.push(pid, page);
+    if (model.size() < AnonLru::kCap) {
+      model.emplace_back(pid, page);
+    }
+  }
+  /// Pop one page from both; false (after recording a failure) on a
+  /// mismatch.
+  bool pop() {
+    const std::pair<Pid, Addr> got = lru.pop();
+    const std::pair<Pid, Addr> want = model.front();
+    model.pop_front();
+    if (got != want) {
+      ADD_FAILURE() << "popped pid " << got.first << " page 0x" << std::hex << got.second
+                    << ", the FIFO model pid " << std::dec << want.first << " page 0x"
+                    << std::hex << want.second;
+      return false;
+    }
+    return true;
+  }
+  [[nodiscard]] bool sizes_agree() const {
+    return lru.size() == model.size() && lru.empty() == model.empty();
+  }
+};
+
+TEST(AnonLruDifferential, MixedPushesAndPopsMatchAPageFifo) {
+  LruModel m;
+  Rng rng(17);
+  // Ranks of one job share a virtual layout, so pids 1000 and 1002 fault
+  // the same addresses.
+  constexpr Pid kPids = 4;
+  Addr cursor[kPids] = {0x100000, 0x40000000, 0x100000, 0x7f0000000};
+  Pid pid = 0;
+  Addr newest = 0;
+  for (int step = 0; step < 50'000; ++step) {
+    const std::uint64_t r = rng.uniform(100);
+    if (r < 40) { // the next page of the same process
+      cursor[pid] += kSmallPageSize;
+    } else if (r < 50) { // another process interleaves
+      pid = static_cast<Pid>(rng.uniform(kPids));
+      cursor[pid] += kSmallPageSize;
+    } else if (r < 55) { // another process faults the page after the newest
+      pid = (pid + 1 + static_cast<Pid>(rng.uniform(kPids - 1))) % kPids;
+      cursor[pid] = newest + kSmallPageSize;
+    } else if (r < 65) { // a gap in the same process
+      cursor[pid] += kSmallPageSize * rng.uniform(2, 9);
+    } else if (r < 70) { // backwards, or the same page again
+      cursor[pid] -= kSmallPageSize * rng.uniform(0, 2);
+    } else {
+      for (std::uint64_t k = rng.uniform(1, 4); k > 0 && !m.model.empty(); --k) {
+        ASSERT_TRUE(m.pop()) << "at step " << step;
+      }
+      ASSERT_TRUE(m.sizes_agree()) << "at step " << step;
+      continue;
+    }
+    m.push(1000 + pid, cursor[pid]);
+    newest = cursor[pid];
+    ASSERT_TRUE(m.sizes_agree()) << "at step " << step;
+  }
+  EXPECT_LT(m.lru.run_count(), m.lru.size()); // consecutive pages did share runs
+  while (!m.model.empty()) {
+    ASSERT_TRUE(m.pop());
+    ASSERT_TRUE(m.sizes_agree());
+  }
+  EXPECT_TRUE(m.lru.empty());
+  EXPECT_EQ(m.lru.run_count(), 0u);
+}
+
+TEST(AnonLruDifferential, TheCapCountsPages) {
+  LruModel m;
+  // Four processes faulting 1000-page stretches in turn, past the cap.
+  Addr cursor[4] = {0x100000, 0x100000, 0x200000000, 0x300000000};
+  std::size_t pushed = 0;
+  while (pushed < AnonLru::kCap + 5000) {
+    const Pid pid = static_cast<Pid>((pushed / 1000) % 4);
+    for (int i = 0; i < 1000; ++i, ++pushed) {
+      m.push(1000 + pid, cursor[pid]);
+      cursor[pid] += kSmallPageSize;
+    }
+    ASSERT_TRUE(m.sizes_agree()) << "after " << pushed << " pushes";
+  }
+  EXPECT_EQ(m.lru.size(), AnonLru::kCap);
+  EXPECT_EQ(m.lru.run_count(), AnonLru::kCap / 1000);
+  // Popping one page makes room for exactly one more.
+  ASSERT_TRUE(m.pop());
+  m.push(1000, cursor[0]);
+  m.push(1000, cursor[0] + kSmallPageSize);
+  ASSERT_TRUE(m.sizes_agree());
+  EXPECT_EQ(m.lru.size(), AnonLru::kCap);
+  while (!m.model.empty()) {
+    ASSERT_TRUE(m.pop());
+  }
+  ASSERT_TRUE(m.sizes_agree());
 }
 
 } // namespace

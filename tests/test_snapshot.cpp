@@ -972,14 +972,72 @@ TEST(SnapshotRestoreDeathTest, EventRecordWithAnUnknownOwnerIsRefused) {
   }
 }
 
-// --- the v5 byte layout -----------------------------------------------------
+// A Kitten heap's mem_map and bitmaps are sized by its min order, which
+// the image does not record: restore must refuse arrays whose lengths
+// differ from the fresh world's rather than install them. So must an anon
+// LRU run that names a pid the world never spawned.
+TEST(SnapshotRestoreDeathTest, MisSizedKittenArraysAndUnknownLruPidsAreRefused) {
+  sim::Engine engine;
+  os::Node node(engine, node_config(5, /*aged=*/false));
+  os::Process& p = node.spawn("lru", os::MmPolicy::kLinuxPlain, 0, 1.0,
+                              mm::AddressSpace::ZonePolicy::kSingle, 0);
+  const auto out = node.sys_mmap(p, 64 * KiB, kProtRW, os::Node::Segment::kHeapData);
+  ASSERT_EQ(out.err, Errno::kOk);
+  (void)node.touch_range(p, Range{out.addr, out.addr + 64 * KiB});
+  const snapshot::WorldImage image = snapshot::capture_world(engine, {&node});
+  ASSERT_FALSE(image.nodes.at(0).anon_lru.empty());
+  ASSERT_EQ(image.nodes.at(0).module.kitten_zones.at(0).at(0).map.meta.size(),
+            node.hpmmap_module()->allocator().total_bytes(0) / (2 * MiB));
+
+  struct Case {
+    const char* stem;
+    void (*edit)(snapshot::WorldImage&);
+    const char* message;
+  };
+  const Case cases[] = {
+      {"kitten_meta_long",
+       [](snapshot::WorldImage& w) {
+         w.nodes.at(0).module.kitten_zones.at(0).at(0).map.meta.push_back(0);
+       },
+       "snapshot: mem_map meta length mismatch"},
+      {"kitten_bits_long",
+       [](snapshot::WorldImage& w) {
+         w.nodes.at(0).module.kitten_zones.at(0).at(0).lists.at(0).bits.push_back(0);
+       },
+       "snapshot: buddy bitmap length mismatch"},
+      {"kitten_summary_short",
+       [](snapshot::WorldImage& w) {
+         w.nodes.at(0).module.kitten_zones.at(0).at(0).lists.at(9).summary.clear();
+       },
+       "snapshot: buddy summary length mismatch"},
+      {"lru_unknown_pid",
+       [](snapshot::WorldImage& w) { w.nodes.at(0).anon_lru.at(0).pid = 4242; },
+       "snapshot: anon LRU run names an unknown pid or no pages"},
+  };
+  for (const Case& c : cases) {
+    snapshot::WorldImage edited = image;
+    c.edit(edited);
+    // Through the file, so the v6 loader accepts what restore refuses.
+    const std::string path = temp_path(c.stem);
+    snapshot::save(edited, path);
+    const snapshot::WorldImage loaded = snapshot::load(path);
+    std::remove(path.c_str());
+
+    sim::Engine target_engine;
+    os::Node target(target_engine, node_config(5, /*aged=*/false));
+    EXPECT_DEATH(snapshot::restore_world(loaded, target_engine, {&target}), c.message)
+        << c.stem;
+  }
+}
+
+// --- the v6 byte layout -----------------------------------------------------
 //
 // The fixpoint tests prove that save and load agree with each other; a
 // change that reordered a field in both would still pass them. This
 // image is built by hand, never captured, so simulator changes cannot
 // move it: every list holds one or two entries, every has_* branch is
 // on, and the trace event carries one argument of each kind. Its saved
-// bytes are pinned in tests/golden/snapshot_v5_small.hex. A deliberate
+// bytes are pinned in tests/golden/snapshot_v6_small.hex. A deliberate
 // format change bumps kVersion and records a new golden.
 
 snapshot::WorldImage hand_built_image() {
@@ -1094,7 +1152,7 @@ snapshot::WorldImage hand_built_image() {
   hpc.alive = false;
   n.processes = {app, hpc};
   n.next_pid = 1002;
-  n.anon_lru = {{.pid = 1000, .addr = 0x140000}};
+  n.anon_lru = {{.pid = 1000, .first = 0x140000, .pages = 1}};
   n.swapped_out_total = 1;
   w.nodes = {n};
 
@@ -1163,15 +1221,15 @@ std::string to_hex(const std::string& bytes) {
   return out;
 }
 
-TEST(SnapshotFileFormat, HandBuiltImageMatchesTheV5Bytes) {
-  const std::string path = temp_path("v5_layout");
+TEST(SnapshotFileFormat, HandBuiltImageMatchesTheV6Bytes) {
+  const std::string path = temp_path("v6_layout");
   snapshot::save(hand_built_image(), path);
   const std::string saved = to_hex(file_bytes(path));
-  const std::string golden = file_bytes(HPMMAP_GOLDEN_DIR "/snapshot_v5_small.hex");
+  const std::string golden = file_bytes(HPMMAP_GOLDEN_DIR "/snapshot_v6_small.hex");
   if (saved != golden) {
-    const std::string actual = temp_path("v5_layout_actual") + ".hex";
+    const std::string actual = temp_path("v6_layout_actual") + ".hex";
     std::ofstream(actual, std::ios::binary) << saved;
-    ADD_FAILURE() << "saved bytes differ from the v5 golden; they are in " << actual;
+    ADD_FAILURE() << "saved bytes differ from the v6 golden; they are in " << actual;
   }
   // The loader reads the pinned bytes back to the same image.
   snapshot::save(snapshot::load(path), path);
