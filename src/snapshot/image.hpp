@@ -3,13 +3,14 @@
 //
 // The contract is verbatim capture: each image field is a bit-for-bit
 // copy of the live structure's field, with exactly two translations —
-// raw pointers (AddressSpace*/Process*) become pids, and armed engine
-// events become EventRecords naming their owner, firing time and
-// sequence number so restore can re-arm the identical callback. Sets
-// whose order carries no meaning (swap sets, THP's in-flight merges) are
-// stored sorted. Restore overwrites a freshly booted world with these
-// images; nothing is re-derived, so a resumed run replays the exact event
-// stream the uninterrupted run would have produced.
+// raw pointers (AddressSpace*/Process*) become pids, and an owner's armed
+// engine event handle becomes an EventImage (firing time, sequence number,
+// daemon flag) in that owner's image, so restore can re-arm the identical
+// callback. Sets whose order carries no meaning (swap sets, THP's
+// in-flight merges) are stored sorted. Restore overwrites a freshly booted
+// world with these images; nothing is re-derived, so a resumed run
+// replays the exact event stream the uninterrupted run would have
+// produced.
 #pragma once
 
 #include <array>
@@ -60,27 +61,12 @@ struct EngineImage {
   bool stopped = false;
 };
 
-/// Every armed event belongs to a known owner; the kind names the member
-/// function the original lambda called, so restore re-arms a callback
-/// with identical behavior.
-enum class EventKind : std::uint8_t {
-  kKswapd,      // Node::kswapd_tick
-  kThpScan,     // ThpService::scan_tick
-  kThpWake,     // ThpService::wake_tick
-  kThpCollapse, // ThpService::collapse_tick(token)
-  kThpMerge,    // ThpService::finish_merge(token)
-  kBuildSpawn,  // KernelBuild::spawn_job(slot)
-  kBuildStep,   // KernelBuild::job_step(slot)
-};
-
-struct EventRecord {
+/// One owner's engine event handle. The engine numbers events from 1, so
+/// seq 0 means nothing is pending.
+struct EventImage {
   Cycles when = 0;
   std::uint64_t seq = 0;
   bool daemon = false;
-  EventKind kind = EventKind::kKswapd;
-  std::uint32_t node_index = 0;
-  std::uint32_t build_index = 0;
-  std::uint64_t aux = 0; // THP token or build job slot
 };
 
 // --- hw / linux_mm --------------------------------------------------------
@@ -194,6 +180,7 @@ struct ThpCollapseImage {
   Pid pid = 0;
   Addr region = 0;
   std::uint32_t mapped_small = 0;
+  EventImage event;
 };
 
 struct ThpMergeImage {
@@ -201,6 +188,7 @@ struct ThpMergeImage {
   Pid pid = 0;
   Addr region = 0;
   Addr huge_phys = 0;
+  EventImage event;
 };
 
 struct ThpImage {
@@ -212,6 +200,8 @@ struct ThpImage {
   Cycles scan_period = 0;
   Cycles last_scan = 0;
   bool running = false;
+  EventImage pending_scan;
+  EventImage wake_pending;
   std::vector<ThpCollapseImage> pending_collapses;
   std::vector<ThpMergeImage> pending_merges;
   std::uint64_t next_token = 1;
@@ -288,6 +278,7 @@ struct ProcessImage {
 };
 
 struct NodeImage {
+  double clock_hz = 0.0;
   std::array<std::uint64_t, 4> rng{};
   SchedulerImage scheduler;
   BandwidthImage bw;
@@ -304,6 +295,7 @@ struct NodeImage {
   Pid next_pid = 1000;
   std::vector<AnonRunImage> anon_lru; // oldest run first
   std::uint64_t swapped_out_total = 0;
+  EventImage kswapd;
 };
 
 // --- workloads ------------------------------------------------------------
@@ -322,6 +314,7 @@ struct BuildJobImage {
   ZoneId home = 0;
   std::uint32_t phase = 0;
   bool live = false;
+  EventImage pending; // spawn_job while !live, else job_step
 };
 
 struct BuildImage {
@@ -385,13 +378,9 @@ struct InjectorImage {
 /// Copyable: the amortized-aging sweep captures once and restores the
 /// same image into many worlds.
 struct WorldImage {
-  /// Structural identity of the world this image came from; restore
-  /// asserts the target world matches before overwriting anything.
-  std::vector<std::pair<std::string, std::uint64_t>> fingerprint;
   EngineImage engine;
   std::vector<NodeImage> nodes;
   std::vector<BuildImage> builds;
-  std::vector<EventRecord> events;
   TraceImage trace;
   MetricsImage metrics;
   InjectorImage injector;

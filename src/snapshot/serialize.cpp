@@ -16,10 +16,11 @@
 // the version word refuses images from older builds. save() streams to
 // the file through a small staging buffer; load() reads the file in one
 // sized read and checks every length word against the bytes that remain
-// before allocating for it. Trace events are the one pointer-bearing
-// type: their name/argument strings are written out as strings and
-// interned into a process-lifetime pool on load, preserving the
-// recorder's "names outlive the recorder" contract.
+// before allocating for it. No record names another by index: a pending
+// engine event is an EventImage inside its owner's record. Trace events
+// are the one pointer-bearing type: their name/argument strings are
+// written out as strings and interned into a process-lifetime pool on
+// load, preserving the recorder's "names outlive the recorder" contract.
 
 #include "snapshot/snapshot.hpp"
 
@@ -47,8 +48,10 @@ constexpr std::uint32_t kMagic = 0x4e535048; // "HPSN"
 // is laid out by Fibonacci hashing. v5: no link table; the page-cache LRU
 // and the hugetlb pools are stored as arrays of frame indices. v6: the
 // anon LRU is stored as (pid, first, pages) runs, and a Kitten heap's
-// mem_map holds one meta byte per 2 MiB block.
-constexpr std::uint32_t kVersion = 6;
+// mem_map holds one meta byte per 2 MiB block. v7: no fingerprint and no
+// event list; each owner's image holds its pending events and a node its
+// clock.
+constexpr std::uint32_t kVersion = 7;
 
 /// Loaded trace strings live until process exit; std::set node stability
 /// keeps every handed-out c_str() valid as the pool grows.
@@ -285,6 +288,11 @@ void fields(Ar& ar, AnonRunImage& r) {
   ar(r.pid, r.first, r.pages);
 }
 
+template <class Ar>
+void fields(Ar& ar, EventImage& e) {
+  ar(e.when, e.seq, e.daemon);
+}
+
 // hw / linux_mm
 
 template <class Ar>
@@ -338,18 +346,19 @@ void fields(Ar& ar, AddressSpaceImage& a) {
 
 template <class Ar>
 void fields(Ar& ar, ThpCollapseImage& c) {
-  ar(c.token, c.pid, c.region, c.mapped_small);
+  ar(c.token, c.pid, c.region, c.mapped_small, c.event);
 }
 
 template <class Ar>
 void fields(Ar& ar, ThpMergeImage& m) {
-  ar(m.token, m.pid, m.region, m.huge_phys);
+  ar(m.token, m.pid, m.region, m.huge_phys, m.event);
 }
 
 template <class Ar>
 void fields(Ar& ar, ThpImage& t) {
   ar(t.processes, t.enter_queue, t.inflight, t.scan_rr, t.scan_cursor, t.scan_period,
-     t.last_scan, t.running, t.pending_collapses, t.pending_merges, t.next_token);
+     t.last_scan, t.running, t.pending_scan, t.wake_pending, t.pending_collapses,
+     t.pending_merges, t.next_token);
   ar.pod(t.stats);
 }
 
@@ -427,7 +436,7 @@ void fields(Ar& ar, ProcessImage& p) {
 /// The flag is read before its branch, so one list serves both ways.
 template <class Ar>
 void fields(Ar& ar, NodeImage& n) {
-  ar(n.rng, n.scheduler, n.bw, n.memory, n.has_hugetlb);
+  ar(n.clock_hz, n.rng, n.scheduler, n.bw, n.memory, n.has_hugetlb);
   if (n.has_hugetlb) {
     ar(n.hugetlb);
   }
@@ -443,7 +452,7 @@ void fields(Ar& ar, NodeImage& n) {
   if (n.has_smp) {
     ar(n.smp);
   }
-  ar(n.next_pid, n.anon_lru, n.swapped_out_total);
+  ar(n.next_pid, n.anon_lru, n.swapped_out_total, n.kswapd);
 }
 
 // workloads
@@ -455,7 +464,7 @@ void fields(Ar& ar, BuildBlockImage& b) {
 
 template <class Ar>
 void fields(Ar& ar, BuildJobImage& j) {
-  ar(j.blocks, j.sched_id, j.sched_gen, j.bw_id, j.home, j.phase, j.live);
+  ar(j.blocks, j.sched_id, j.sched_gen, j.bw_id, j.home, j.phase, j.live, j.pending);
 }
 
 template <class Ar>
@@ -470,11 +479,6 @@ void fields(Ar& ar, BuildImage& b) {
 template <class Ar>
 void fields(Ar& ar, EngineImage& e) {
   ar(e.now, e.next_seq, e.fired, e.cancelled, e.stopped);
-}
-
-template <class Ar>
-void fields(Ar& ar, EventRecord& e) {
-  ar(e.when, e.seq, e.daemon, e.kind, e.node_index, e.build_index, e.aux);
 }
 
 /// The union member is picked by `kind`, which is read first.
@@ -540,7 +544,7 @@ void fields(Ar& ar, InjectorImage& i) {
 /// Everything after the magic and version words.
 template <class Ar>
 void fields(Ar& ar, WorldImage& w) {
-  ar(w.fingerprint, w.engine, w.nodes, w.builds, w.events, w.trace, w.metrics, w.injector);
+  ar(w.engine, w.nodes, w.builds, w.trace, w.metrics, w.injector);
 }
 
 } // namespace

@@ -4,13 +4,14 @@
 // Each image type has one transfer list, `Transfer<D>::transfer(img, live)`,
 // naming every field once; the direction D, Capture (live -> image) or
 // Restore (image -> live), decides through its primitives on the member `d`
-// which way each field moves. Steps with no image field (clearing event
-// handles, dirtying caches) sit under `if constexpr (D::kRestores)`.
-// Restore overwrites a freshly booted world (same config, aged_boot off,
-// builds constructed but not started); what boot derives from the
-// configuration (zone ranges, list lengths, the module's offlined ranges)
-// is asserted equal rather than copied, the cheap cross-check that the
-// fresh boot reproduced the captured topology.
+// which way each field moves; an owner's pending engine event moves with
+// it through d.event. Steps with no image field (clearing the engine,
+// dirtying caches) sit under `if constexpr (D::kRestores)`. Restore
+// overwrites a freshly booted world (same config, aged_boot off, builds
+// constructed but not started); what boot derives from the configuration
+// (node and build counts, clock, zone ranges, list lengths, the module's
+// offlined ranges) is asserted equal at its owner rather than copied, the
+// cheap cross-check that the fresh boot reproduced the captured topology.
 
 #include "snapshot/snapshot.hpp"
 
@@ -18,7 +19,6 @@
 #include <bit>
 #include <cstring>
 #include <iterator>
-#include <optional>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -103,28 +103,22 @@ struct Entry<C> {
 struct Access {
   // --- engine primitives -------------------------------------------------
 
-  struct EventInfo {
-    Cycles when = 0;
-    std::uint64_t seq = 0;
-    bool daemon = false;
-  };
-
-  /// (when, seq, daemon) of a live armed event, or nullopt for a stale
+  /// (when, seq, daemon) of a live armed event, or seq 0 for a stale
   /// handle (fired or cancelled since it was stored).
-  static std::optional<EventInfo> event_info(const sim::Engine& e, sim::EventId id) {
+  static EventImage event_info(const sim::Engine& e, sim::EventId id) {
     if (!id.valid()) {
-      return std::nullopt;
+      return {};
     }
     const std::uint32_t slot = id.slot - 1;
     if (slot >= e.slots_.size() || e.slots_[slot].gen != id.gen) {
-      return std::nullopt;
+      return {};
     }
     for (const sim::Engine::Entry& entry : e.heap_) {
       if (entry.slot == slot && entry.gen == id.gen) {
-        return EventInfo{entry.when, entry.seq, e.slots_[slot].daemon};
+        return {entry.when, entry.seq, e.slots_[slot].daemon};
       }
     }
-    return std::nullopt;
+    return {};
   }
 
   static void clear_events(sim::Engine& e) {
@@ -163,182 +157,22 @@ struct Access {
 
   static bool step(sim::Engine& e) { return e.fire_next(~Cycles{0}); }
 
-  // --- fingerprint --------------------------------------------------------
-
-  static std::vector<std::pair<std::string, std::uint64_t>>
-  fingerprint(const std::vector<os::Node*>& nodes, const std::vector<BuildRef>& builds) {
-    std::vector<std::pair<std::string, std::uint64_t>> fp;
-    fp.emplace_back("nodes", nodes.size());
-    fp.emplace_back("builds", builds.size());
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      os::Node& n = *nodes[i];
-      const std::string p = "node" + std::to_string(i);
-      fp.emplace_back(p + ".zones", n.memory_->zone_count());
-      fp.emplace_back(p + ".cores", n.config_.machine.total_cores());
-      fp.emplace_back(p + ".ram", n.config_.machine.ram_bytes);
-      fp.emplace_back(p + ".clock_khz",
-                      static_cast<std::uint64_t>(n.config_.machine.clock_hz / 1000.0));
-      fp.emplace_back(p + ".module", n.module_ ? 1 : 0);
-      fp.emplace_back(p + ".hugetlb", n.hugetlb_ ? 1 : 0);
-      fp.emplace_back(p + ".thp", n.thp_ ? 1 : 0);
-      fp.emplace_back(p + ".smp_cores", n.smp_ ? n.smp_->config().cores : 0);
-      for (ZoneId z = 0; z < n.memory_->zone_count(); ++z) {
-        const Range r = n.memory_->buddy(z).range();
-        fp.emplace_back(p + ".zone" + std::to_string(z) + ".begin", r.begin);
-        fp.emplace_back(p + ".zone" + std::to_string(z) + ".end", r.end);
-      }
-    }
-    for (std::size_t b = 0; b < builds.size(); ++b) {
-      const std::string p = "build" + std::to_string(b);
-      fp.emplace_back(p + ".node", builds[b].node_index);
-      fp.emplace_back(p + ".jobs", builds[b].build->config_.jobs);
-    }
-    return fp;
-  }
-
-  // --- events ---------------------------------------------------------------
-
-  static void capture_events(WorldImage& img, const sim::Engine& e,
-                             const std::vector<os::Node*>& nodes,
-                             const std::vector<BuildRef>& builds) {
-    auto record = [&](sim::EventId id, EventKind kind, std::uint32_t node_index,
-                      std::uint32_t build_index, std::uint64_t aux) {
-      const std::optional<EventInfo> info = event_info(e, id);
-      if (!info) {
-        return; // stale handle: fired or cancelled, nothing pending
-      }
-      img.events.push_back(EventRecord{info->when, info->seq, info->daemon, kind,
-                                       node_index, build_index, aux});
-    };
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      const auto ni = static_cast<std::uint32_t>(i);
-      os::Node& n = *nodes[i];
-      record(n.kswapd_event_, EventKind::kKswapd, ni, 0, 0);
-      if (n.thp_) {
-        record(n.thp_->pending_scan_, EventKind::kThpScan, ni, 0, 0);
-        record(n.thp_->wake_pending_, EventKind::kThpWake, ni, 0, 0);
-        for (const mm::ThpService::PendingCollapse& pc : n.thp_->pending_collapses_) {
-          record(pc.event, EventKind::kThpCollapse, ni, 0, pc.token);
-        }
-        for (const mm::ThpService::PendingMerge& pm : n.thp_->pending_merges_) {
-          record(pm.event, EventKind::kThpMerge, ni, 0, pm.token);
-        }
-      }
-    }
-    for (std::size_t b = 0; b < builds.size(); ++b) {
-      const workloads::KernelBuild& kb = *builds[b].build;
-      for (std::size_t slot = 0; slot < kb.jobs_.size(); ++slot) {
-        const workloads::KernelBuild::Job& j = kb.jobs_[slot];
-        record(j.pending, j.live ? EventKind::kBuildStep : EventKind::kBuildSpawn,
-               builds[b].node_index, static_cast<std::uint32_t>(b), slot);
-      }
-    }
-    // Every live engine event must have been claimed by an owner above;
-    // an unclaimed event would silently vanish from the resumed run.
-    HPMMAP_ASSERT(img.events.size() == e.live_,
-                  "snapshot: engine holds events no owner accounted for");
-  }
-
-  /// Whether the owner a record names exists in the target world. The
-  /// indices come from the image file, which the fingerprint does not cover.
-  static bool owner_exists(const EventRecord& r, const std::vector<os::Node*>& nodes,
-                           const std::vector<BuildRef>& builds) {
-    switch (r.kind) {
-      case EventKind::kKswapd:
-        return r.node_index < nodes.size();
-      case EventKind::kThpScan:
-      case EventKind::kThpWake:
-      case EventKind::kThpCollapse:
-      case EventKind::kThpMerge:
-        return r.node_index < nodes.size() && nodes[r.node_index]->thp_ != nullptr;
-      case EventKind::kBuildSpawn:
-      case EventKind::kBuildStep:
-        return r.build_index < builds.size() &&
-               r.aux < builds[r.build_index].build->jobs_.size();
-    }
-    return false; // not a known EventKind
-  }
-
-  static void rearm_events(const WorldImage& img, sim::Engine& e,
-                           const std::vector<os::Node*>& nodes,
-                           const std::vector<BuildRef>& builds) {
-    for (const EventRecord& r : img.events) {
-      HPMMAP_ASSERT(owner_exists(r, nodes, builds),
-                    "snapshot: event record names an unknown owner");
-      switch (r.kind) {
-        case EventKind::kKswapd: {
-          os::Node* n = nodes[r.node_index];
-          n->kswapd_event_ =
-              schedule_raw(e, r.when, r.seq, r.daemon, [n] { n->kswapd_tick(); });
-          break;
-        }
-        case EventKind::kThpScan: {
-          mm::ThpService* t = nodes[r.node_index]->thp_.get();
-          t->pending_scan_ =
-              schedule_raw(e, r.when, r.seq, r.daemon, [t] { t->scan_tick(); });
-          break;
-        }
-        case EventKind::kThpWake: {
-          mm::ThpService* t = nodes[r.node_index]->thp_.get();
-          t->wake_pending_ =
-              schedule_raw(e, r.when, r.seq, r.daemon, [t] { t->wake_tick(); });
-          break;
-        }
-        case EventKind::kThpCollapse: {
-          mm::ThpService* t = nodes[r.node_index]->thp_.get();
-          const std::uint64_t token = r.aux;
-          auto it = std::find_if(
-              t->pending_collapses_.begin(), t->pending_collapses_.end(),
-              [token](const mm::ThpService::PendingCollapse& pc) { return pc.token == token; });
-          HPMMAP_ASSERT(it != t->pending_collapses_.end(),
-                        "snapshot: collapse event without a registry entry");
-          it->event = schedule_raw(e, r.when, r.seq, r.daemon,
-                                   [t, token] { t->collapse_tick(token); });
-          break;
-        }
-        case EventKind::kThpMerge: {
-          mm::ThpService* t = nodes[r.node_index]->thp_.get();
-          const std::uint64_t token = r.aux;
-          auto it = std::find_if(
-              t->pending_merges_.begin(), t->pending_merges_.end(),
-              [token](const mm::ThpService::PendingMerge& pm) { return pm.token == token; });
-          HPMMAP_ASSERT(it != t->pending_merges_.end(),
-                        "snapshot: merge event without a registry entry");
-          it->event = schedule_raw(e, r.when, r.seq, r.daemon,
-                                   [t, token] { t->finish_merge(token); });
-          break;
-        }
-        case EventKind::kBuildSpawn: {
-          workloads::KernelBuild* kb = builds[r.build_index].build;
-          const auto slot = static_cast<std::size_t>(r.aux);
-          kb->jobs_[slot].pending =
-              schedule_raw(e, r.when, r.seq, r.daemon, [kb, slot] { kb->spawn_job(slot); });
-          break;
-        }
-        case EventKind::kBuildStep: {
-          workloads::KernelBuild* kb = builds[r.build_index].build;
-          const auto slot = static_cast<std::size_t>(r.aux);
-          kb->jobs_[slot].pending =
-              schedule_raw(e, r.when, r.seq, r.daemon, [kb, slot] { kb->job_step(slot); });
-          break;
-        }
-      }
-    }
-    HPMMAP_ASSERT(e.live_ == img.events.size(), "snapshot: re-arm count mismatch");
-  }
-
   // --- directions ------------------------------------------------------------
   //
   // d(img, live) moves one field. d.same(img, live, what) captures layout a
   // fresh boot reproduces and asserts it on restore. d.each(img, live, fn)
   // moves a list entry by entry; restore rebuilds the list from
-  // value-initialised entries, so entry fields with no image field (pending
-  // events) start cleared. d.fixed(img, live, what, fn) moves a list whose
-  // length a fresh boot fixes, asserted on restore. d.pid(img, ptr, node)
-  // moves a Process*/AddressSpace* as its pid.
+  // value-initialised entries. d.fixed(img, live, what, fn) moves a list
+  // whose length a fresh boot fixes, asserted on restore. d.pid(img, ptr,
+  // node) moves a Process*/AddressSpace* as its pid. d.event(img, handle,
+  // owner, &Owner::member, args...) moves a pending event: restore re-arms
+  // owner.member(args...) at the captured (when, seq), or clears the handle.
 
   struct Capture {
     static constexpr bool kRestores = false;
+
+    const sim::Engine* engine = nullptr;
+    mutable std::size_t claimed = 0; // armed events seen, checked against the engine
 
     template <class I, class L>
     void operator()(I& img, const L& live) const { put(img, live); }
@@ -353,10 +187,18 @@ struct Access {
     void fixed(I& img, const L& live, const char* /*what*/, F&& fn) const { each(img, live, fn); }
     template <class P>
     void pid(Pid& pid, const P* ptr, const os::Node& /*node*/) const { pid = ptr->pid(); }
+    template <class O, class M, class... A>
+    void event(EventImage& img, sim::EventId id, const O& /*owner*/, M /*member*/,
+               const A&... /*args*/) const {
+      img = event_info(*engine, id);
+      claimed += img.seq != 0 ? 1 : 0;
+    }
   };
 
   struct Restore {
     static constexpr bool kRestores = true;
+
+    sim::Engine* engine = nullptr;
 
     template <class I, class L>
     void operator()(const I& img, L& live) const { put(live, img); }
@@ -385,15 +227,19 @@ struct Access {
     }
     template <class P>
     void pid(Pid pid, P*& ptr, os::Node& node) const {
-      const auto it =
-          std::ranges::find(node.processes_, pid, [](const auto& p) { return p->pid(); });
-      HPMMAP_ASSERT(it != node.processes_.end(),
-                    "snapshot: image references a pid the world does not hold");
+      os::Process* p = node.find_process(pid);
+      HPMMAP_ASSERT(p != nullptr, "snapshot: image references a pid the world does not hold");
       if constexpr (std::is_same_v<P, os::Process>) {
-        ptr = it->get();
+        ptr = p;
       } else {
-        ptr = &(*it)->as_;
+        ptr = &p->as_;
       }
+    }
+    template <class O, class M, class... A>
+    void event(const EventImage& img, sim::EventId& id, O& owner, M member, A... args) const {
+      id = img.seq == 0 ? sim::EventId{}
+                        : schedule_raw(*engine, img.when, img.seq, img.daemon,
+                                       [o = &owner, member, args...] { (o->*member)(args...); });
     }
   };
 
@@ -545,24 +391,24 @@ struct Access {
       d(img.scan_period, t.scan_period_);
       d(img.last_scan, t.last_scan_);
       d(img.running, t.running_);
+      d.event(img.pending_scan, t.pending_scan_, t, &mm::ThpService::scan_tick);
+      d.event(img.wake_pending, t.wake_pending_, t, &mm::ThpService::wake_tick);
       d.each(img.pending_collapses, t.pending_collapses_, [&](auto& ci, auto& c) {
         d(ci.token, c.token);
         d.pid(ci.pid, c.as, node);
         d(ci.region, c.region);
         d(ci.mapped_small, c.mapped_small);
+        d.event(ci.event, c.event, t, &mm::ThpService::collapse_tick, c.token);
       });
       d.each(img.pending_merges, t.pending_merges_, [&](auto& mi, auto& m) {
         d(mi.token, m.token);
         d.pid(mi.pid, m.as, node);
         d(mi.region, m.region);
         d(mi.huge_phys, m.huge_phys);
+        d.event(mi.event, m.event, t, &mm::ThpService::finish_merge, m.token);
       });
       d(img.next_token, t.next_token_);
       d(img.stats, t.stats_);
-      if constexpr (D::kRestores) {
-        t.pending_scan_ = sim::EventId{}; // re-armed from the event records
-        t.wake_pending_ = sim::EventId{};
-      }
     }
 
     void transfer(Img<D, ModuleImage>& img, Live<D, core::HpmmapModule>& m,
@@ -624,7 +470,7 @@ struct Access {
       });
       d(img.free_slots, s.free_slots_);
       d(img.live_count, s.live_count_);
-      d(img.pinned_weight, s.pinned_weight_);
+      d.fixed(img.pinned_weight, s.pinned_weight_, "snapshot: scheduler core count mismatch", d);
       d(img.unpinned_weight, s.unpinned_weight_);
       if constexpr (D::kRestores) {
         s.dirty_ = true; // mutable caches recompute lazily
@@ -643,11 +489,15 @@ struct Access {
     }
 
     void transfer(Img<D, NodeImage>& img, Live<D, os::Node>& n) const {
+      d.same(img.clock_hz, n.config_.machine.clock_hz, "snapshot: node clock mismatch");
+      d.same(img.has_hugetlb, n.hugetlb_ != nullptr, "snapshot: hugetlb presence mismatch");
+      d.same(img.has_module, n.module_ != nullptr, "snapshot: module presence mismatch");
+      d.same(img.has_thp, n.thp_ != nullptr, "snapshot: thp presence mismatch");
+      d.same(img.has_smp, n.smp_ != nullptr, "snapshot: smp presence mismatch");
       d(img.rng, n.rng_);
       transfer(img.scheduler, n.scheduler_);
       transfer(img.bw, n.bw_);
       transfer(img.memory, *n.memory_);
-      d.same(img.has_hugetlb, n.hugetlb_ != nullptr, "snapshot: hugetlb presence mismatch");
       if (img.has_hugetlb) {
         transfer(img.hugetlb, *n.hugetlb_);
       }
@@ -667,15 +517,12 @@ struct Access {
         d(pi.fault_stats, p->fault_stats_);
         d(pi.alive, p->alive_);
       });
-      d.same(img.has_module, n.module_ != nullptr, "snapshot: module presence mismatch");
       if (img.has_module) {
         transfer(img.module, *n.module_, n);
       }
-      d.same(img.has_thp, n.thp_ != nullptr, "snapshot: thp presence mismatch");
       if (img.has_thp) {
         transfer(img.thp, *n.thp_, n);
       }
-      d.same(img.has_smp, n.smp_ != nullptr, "snapshot: smp presence mismatch");
       if (img.has_smp) {
         transfer(img.smp, *n.smp_);
       }
@@ -694,14 +541,12 @@ struct Access {
         }
       });
       d(img.swapped_out_total, n.swapped_out_total_);
-      if constexpr (D::kRestores) {
-        n.kswapd_event_ = sim::EventId{}; // re-armed from the event records
-      }
+      d.event(img.kswapd, n.kswapd_event_, n, &os::Node::kswapd_tick);
     }
 
     void transfer(Img<D, BuildImage>& img, Live<D, workloads::KernelBuild>& kb) const {
       d(img.rng, kb.rng_);
-      d.each(img.jobs, kb.jobs_, [&](auto& ji, auto& j) {
+      d.fixed(img.jobs, kb.jobs_, "snapshot: build job count mismatch", [&](auto& ji, auto& j) {
         d.each(ji.blocks, j.blocks, [&](auto& bi, auto& b) {
           d(bi.zone, b.zone);
           d(bi.addr, b.addr);
@@ -713,6 +558,10 @@ struct Access {
         d(ji.home, j.home);
         d(ji.phase, j.phase);
         d(ji.live, j.live);
+        const auto slot = static_cast<std::size_t>(&j - kb.jobs_.data());
+        d.event(ji.pending, j.pending, kb,
+                j.live ? &workloads::KernelBuild::job_step : &workloads::KernelBuild::spawn_job,
+                slot);
       });
       d(img.stats, kb.stats_);
       d(img.running, kb.running_);
@@ -764,11 +613,9 @@ struct Access {
       d(img.armed, inj.armed_);
     }
 
-    void transfer(Img<D, WorldImage>& img, Live<D, sim::Engine>& e,
-                  const std::vector<os::Node*>& nodes,
+    void transfer(Img<D, WorldImage>& img, const std::vector<os::Node*>& nodes,
                   const std::vector<BuildRef>& builds) const {
-      constexpr const char* kLayout = "snapshot: image does not match the target world's layout";
-      d.same(img.fingerprint, fingerprint(nodes, builds), kLayout);
+      Live<D, sim::Engine>& e = *d.engine;
       if constexpr (D::kRestores) {
         clear_events(e);
       }
@@ -780,13 +627,13 @@ struct Access {
       d.fixed(img.nodes, nodes, "snapshot: node count mismatch",
               [&](auto& ni, os::Node* n) { transfer(ni, *n); });
       d.fixed(img.builds, builds, "snapshot: build count mismatch", [&](auto& bi, auto& b) {
-        d.same(bi.node_index, b.node_index, kLayout);
+        d.same(bi.node_index, b.node_index, "snapshot: build node mismatch");
         transfer(bi, *b.build);
       });
-      if constexpr (D::kRestores) {
-        rearm_events(img, e, nodes, builds);
-      } else {
-        capture_events(img, e, nodes, builds);
+      if constexpr (!D::kRestores) {
+        // An event no owner claimed would silently vanish from the resumed run.
+        HPMMAP_ASSERT(d.claimed == e.live_,
+                      "snapshot: engine holds events no owner accounted for");
       }
       transfer(img.trace, trace::recorder());
       transfer(img.metrics, trace::metrics());
@@ -798,14 +645,14 @@ struct Access {
 WorldImage capture_world(sim::Engine& engine, const std::vector<os::Node*>& nodes,
                          const std::vector<BuildRef>& builds) {
   WorldImage image;
-  Access::Transfer<Access::Capture>{}.transfer(image, engine, nodes, builds);
+  Access::Transfer<Access::Capture>{{.engine = &engine}}.transfer(image, nodes, builds);
   return image;
 }
 
 void restore_world(const WorldImage& image, sim::Engine& engine,
                    const std::vector<os::Node*>& nodes,
                    const std::vector<BuildRef>& builds) {
-  Access::Transfer<Access::Restore>{}.transfer(image, engine, nodes, builds);
+  Access::Transfer<Access::Restore>{{.engine = &engine}}.transfer(image, nodes, builds);
 }
 
 bool step_one(sim::Engine& engine) { return Access::step(engine); }

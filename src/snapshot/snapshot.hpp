@@ -6,9 +6,9 @@
 // VMA trees, the PID registry, module state, the flight recorder,
 // metrics and the fault injector — into a WorldImage.
 // restore_world() overwrites a freshly booted world (same configuration,
-// aging skipped) with the image and re-arms the captured events, after
-// which the resumed run is event-for-event identical to the run that
-// never stopped. The harness uses this to age a node once and fan many
+// aging skipped) with the image and re-arms each owner's captured events,
+// after which the resumed run is event-for-event identical to the run
+// that never stopped. The harness uses this to age a node once and fan many
 // measurement configurations out from the same aged state.
 #pragma once
 
@@ -49,8 +49,9 @@ struct BuildRef {
                                        const std::vector<BuildRef>& builds = {});
 
 /// Overwrite a freshly constructed world with `image`. The target must
-/// be structurally identical to the captured one (same node/zone layout,
-/// same builds constructed but not started); the fingerprint is asserted.
+/// be structurally identical to the captured one (same node/zone layout
+/// and clock, same builds constructed but not started); each owner
+/// asserts its layout before its state is overwritten.
 /// Also restores this thread's flight recorder, metrics and injector
 /// counters (the injector's on_fire hook is left untouched).
 void restore_world(const WorldImage& image, sim::Engine& engine,

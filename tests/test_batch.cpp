@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstring>
 #include <functional>
 #include <stdexcept>
 #include <vector>
@@ -13,14 +12,10 @@
 #include "harness/batch.hpp"
 #include "harness/experiment.hpp"
 
+#include "result_equality.hpp"
+
 namespace hpmmap {
 namespace {
-
-bool bit_identical(const harness::SeriesPoint& a, const harness::SeriesPoint& b) {
-  return std::memcmp(&a.mean_seconds, &b.mean_seconds, sizeof(double)) == 0 &&
-         std::memcmp(&a.stdev_seconds, &b.stdev_seconds, sizeof(double)) == 0 &&
-         a.trials == b.trials && a.events == b.events;
-}
 
 harness::SingleNodeRunConfig quick_single(harness::Manager mgr, std::uint64_t seed) {
   harness::SingleNodeRunConfig cfg;
@@ -113,7 +108,7 @@ TEST(BatchDeterminism, SingleNodeTrialsIdenticalAcrossJobCounts) {
   const std::vector cfgs{quick_single(harness::Manager::kThp, 11)};
   const harness::SeriesPoint serial = harness::run_trials(cfgs, 3, 1).front();
   const harness::SeriesPoint parallel = harness::run_trials(cfgs, 3, 4).front();
-  EXPECT_TRUE(bit_identical(serial, parallel));
+  expect_point_equal(serial, parallel);
   EXPECT_GT(serial.mean_seconds, 0.0);
   EXPECT_GT(serial.events, 0u);
 }
@@ -133,7 +128,7 @@ TEST(BatchDeterminism, ScalingSweepIdenticalAcrossJobCounts) {
   ASSERT_EQ(serial.size(), cfgs.size());
   ASSERT_EQ(parallel.size(), cfgs.size());
   for (std::size_t i = 0; i < cfgs.size(); ++i) {
-    EXPECT_TRUE(bit_identical(serial[i], parallel[i])) << "config " << i;
+    expect_point_equal(serial[i], parallel[i], i);
     EXPECT_GT(serial[i].mean_seconds, 0.0);
   }
 }
@@ -147,7 +142,7 @@ TEST(BatchDeterminism, DefaultJobsRoutesThroughTheSameSeeds) {
   const harness::SeriesPoint via_default = harness::run_trials(cfgs, 2).front();
   harness::set_default_jobs(saved == 0 ? 1 : saved);
   const harness::SeriesPoint serial = harness::run_trials(cfgs, 2, 1).front();
-  EXPECT_TRUE(bit_identical(via_default, serial));
+  expect_point_equal(via_default, serial);
 }
 
 TEST(BatchRunner, RunBatchReturnsFullResultsInOrder) {

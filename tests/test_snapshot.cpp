@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -34,7 +35,10 @@
 #include "trace/export.hpp"
 #include "trace/trace.hpp"
 #include "verify/audit.hpp"
+#include "verify/fault_inject.hpp"
 #include "workloads/kernel_build.hpp"
+
+#include "result_equality.hpp"
 
 namespace hpmmap {
 namespace {
@@ -51,92 +55,6 @@ harness::SingleNodeRunConfig quick(const std::string& app, harness::Manager mgr,
   cfg.footprint_scale = 0.08;
   cfg.duration_scale = 0.05;
   return cfg;
-}
-
-void expect_args_equal(const trace::Event& a, const trace::Event& b, std::size_t i) {
-  ASSERT_EQ(a.arg_count, b.arg_count) << "event " << i;
-  for (std::uint8_t k = 0; k < a.arg_count; ++k) {
-    const trace::Arg& x = a.args[k];
-    const trace::Arg& y = b.args[k];
-    ASSERT_STREQ(x.name, y.name) << "event " << i << " arg " << int{k};
-    ASSERT_EQ(static_cast<int>(x.kind), static_cast<int>(y.kind)) << "event " << i;
-    switch (x.kind) {
-      case trace::Arg::Kind::kNone: break;
-      case trace::Arg::Kind::kU64:
-        EXPECT_EQ(x.value.u64, y.value.u64) << "event " << i << " arg " << int{k};
-        break;
-      case trace::Arg::Kind::kF64:
-        EXPECT_EQ(x.value.f64, y.value.f64) << "event " << i << " arg " << int{k};
-        break;
-      case trace::Arg::Kind::kStr:
-        EXPECT_STREQ(x.value.str, y.value.str) << "event " << i << " arg " << int{k};
-        break;
-    }
-  }
-}
-
-void expect_events_equal(const std::vector<trace::Event>& a,
-                         const std::vector<trace::Event>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].ts, b[i].ts) << "event " << i;
-    EXPECT_EQ(a[i].dur, b[i].dur) << "event " << i;
-    EXPECT_EQ(a[i].name(), b[i].name()) << "event " << i;
-    EXPECT_EQ(static_cast<std::uint32_t>(a[i].cat), static_cast<std::uint32_t>(b[i].cat));
-    EXPECT_EQ(static_cast<char>(a[i].phase), static_cast<char>(b[i].phase));
-    EXPECT_EQ(a[i].pid, b[i].pid) << "event " << i;
-    EXPECT_EQ(a[i].core, b[i].core) << "event " << i;
-    expect_args_equal(a[i], b[i], i);
-    if (::testing::Test::HasFatalFailure()) {
-      return;
-    }
-  }
-}
-
-/// Full-result equality: every field exact, doubles compared with ==.
-/// The resumed run must replay the straight run's event stream, so
-/// nothing — not even a stdev in the last ulp — may differ.
-void expect_run_equal(const harness::RunResult& a, const harness::RunResult& b) {
-  EXPECT_EQ(a.runtime_seconds, b.runtime_seconds);
-  EXPECT_EQ(a.clock_hz, b.clock_hz);
-  for (std::size_t k = 0; k < mm::kFaultKindCount; ++k) {
-    EXPECT_EQ(a.faults.count[k], b.faults.count[k]) << "kind " << k;
-    EXPECT_EQ(a.faults.total_cycles[k], b.faults.total_cycles[k]) << "kind " << k;
-    EXPECT_EQ(a.by_kind_summaries[k].total_faults, b.by_kind_summaries[k].total_faults);
-    EXPECT_EQ(a.by_kind_summaries[k].avg_cycles, b.by_kind_summaries[k].avg_cycles);
-    EXPECT_EQ(a.by_kind_summaries[k].stdev_cycles, b.by_kind_summaries[k].stdev_cycles);
-  }
-  EXPECT_EQ(a.trace_dropped, b.trace_dropped);
-  EXPECT_EQ(a.app_pids, b.app_pids);
-  EXPECT_EQ(a.trace_t0, b.trace_t0);
-  EXPECT_EQ(a.thp_merges, b.thp_merges);
-  EXPECT_EQ(a.hpmmap_spurious_faults, b.hpmmap_spurious_faults);
-  EXPECT_EQ(a.events_fired, b.events_fired);
-  for (std::size_t i = 0; i < verify::kInjectPointCount; ++i) {
-    EXPECT_EQ(a.injected[i].calls, b.injected[i].calls) << "point " << i;
-    EXPECT_EQ(a.injected[i].fired, b.injected[i].fired) << "point " << i;
-  }
-  EXPECT_EQ(a.audit_checks, b.audit_checks);
-  EXPECT_EQ(a.audit_violations, b.audit_violations);
-  EXPECT_EQ(a.audit_report, b.audit_report);
-  EXPECT_EQ(a.thp_fault_fallbacks, b.thp_fault_fallbacks);
-  EXPECT_EQ(a.thp_merges_aborted, b.thp_merges_aborted);
-  EXPECT_EQ(a.hugetlb_pool_exhausted, b.hugetlb_pool_exhausted);
-  EXPECT_EQ(a.procfs_text, b.procfs_text);
-  expect_events_equal(a.events, b.events);
-}
-
-void expect_points_equal(const std::vector<harness::SeriesPoint>& a,
-                         const std::vector<harness::SeriesPoint>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].mean_seconds, b[i].mean_seconds) << "point " << i;
-    EXPECT_EQ(a[i].stdev_seconds, b[i].stdev_seconds) << "point " << i;
-    EXPECT_EQ(a[i].trials, b[i].trials) << "point " << i;
-    EXPECT_EQ(a[i].events, b[i].events) << "point " << i;
-    EXPECT_EQ(a[i].fault_counts, b[i].fault_counts) << "point " << i;
-    EXPECT_EQ(a[i].fault_cycles, b[i].fault_cycles) << "point " << i;
-  }
 }
 
 // --- straight run vs snapshot-resumed run, all three managers -------------
@@ -542,8 +460,8 @@ TEST(SnapshotSmp, MidContentionImageIsASaveLoadFixpoint) {
 /// node config with the profile's kernel builds constructed but not
 /// started (their seeds do not matter; restore overwrites them). The
 /// configs below mirror the harness worlds' boots (harness/
-/// experiment.cpp, harness/cluster.cpp); a drift trips restore's
-/// fingerprint or offlined-range assert.
+/// experiment.cpp, harness/cluster.cpp); a drift trips one of restore's
+/// layout asserts.
 struct RestoreTarget {
   sim::Engine engine;
   os::Node node;
@@ -685,6 +603,89 @@ TEST(SnapshotRestoreFixpointWorlds, ClusterNodeImagesRecaptureTheirOwnBytes) {
                          cfg.commodity);
     expect_restore_capture_fixpoint(image[n], target, "recapture_xeon" + std::to_string(n));
   }
+}
+
+// --- every event handle armed at once ---------------------------------------
+//
+// A world's pending events live in seven handles: kswapd, khugepaged's
+// scan and wake, a pending collapse, a pending merge, and a kernel-build
+// job's spawn (before it runs) or step (while it runs). Each moves through
+// one d.event call in its owner's transfer list, so a capture holding all
+// seven exercises every call: each must be armed in the image, the image
+// must recapture its own bytes after restore, and the resumed world must
+// reach the bytes the uninterrupted world reaches.
+
+/// Whether each handle kind is armed in `image`, in the order above.
+std::array<bool, 7> armed_handles(const snapshot::WorldImage& image) {
+  const snapshot::NodeImage& n = image.nodes.at(0);
+  std::array<bool, 7> armed{n.kswapd.seq != 0, n.thp.pending_scan.seq != 0,
+                            n.thp.wake_pending.seq != 0};
+  for (const snapshot::ThpCollapseImage& c : n.thp.pending_collapses) {
+    armed[3] = armed[3] || c.event.seq != 0;
+  }
+  for (const snapshot::ThpMergeImage& m : n.thp.pending_merges) {
+    armed[4] = armed[4] || m.event.seq != 0;
+  }
+  for (const snapshot::BuildJobImage& j : image.builds.at(0).jobs) {
+    armed[j.live ? 6 : 5] = armed[j.live ? 6 : 5] || j.pending.seq != 0;
+  }
+  return armed;
+}
+
+TEST(SnapshotEvents, AllSevenHandlesArmedRestoreAndResumeExactly) {
+  // A 1 ms khugepaged period: a scan's collapses (1-9 ms of PTE scanning
+  // each) outlive it, so a fault fallback past the period wakes the daemon
+  // while collapses and merges are still pending. Every huge fault falls
+  // back, so each touched region becomes a collapse candidate.
+  os::NodeConfig cfg = node_config(17, /*aged=*/false);
+  cfg.costs.khugepaged_scan_period_ms = 1;
+  verify::InjectionPlan plan;
+  plan[verify::InjectPoint::kThpHugeAlloc] = {.first = 1, .period = 1, .count = ~0ull};
+  verify::injector().arm(plan, 1);
+  const workloads::CommodityProfile commodity{.name = "events", .builds = 1, .jobs_per_build = 8};
+
+  sim::Engine engine;
+  os::Node node(engine, cfg);
+  workloads::KernelBuildConfig bc;
+  bc.jobs = commodity.jobs_per_build;
+  workloads::KernelBuild build(node, bc, Rng(5));
+  const std::vector<snapshot::BuildRef> refs{{&build, 0}};
+  os::Process& p = node.spawn("thp", os::MmPolicy::kLinuxThp, 0, 1.0,
+                              mm::AddressSpace::ZonePolicy::kSingle, 0);
+  build.start();
+  // Fault a fresh region in every quarter millisecond until one capture
+  // holds all seven; the build's staggered starts keep spawns pending for
+  // the first 0.14 s.
+  snapshot::WorldImage image;
+  bool all_armed = false;
+  for (int step = 0; step < 400 && !all_armed; ++step) {
+    const auto out = node.sys_mmap(p, 4 * MiB, kProtRW, os::Node::Segment::kHeapData);
+    ASSERT_EQ(out.err, Errno::kOk);
+    (void)node.touch_range(p, Range{out.addr, out.addr + 4 * MiB});
+    image = snapshot::capture_world(engine, {&node}, refs);
+    const std::array<bool, 7> armed = armed_handles(image);
+    all_armed = std::ranges::all_of(armed, [](bool a) { return a; });
+    engine.run_until(engine.now() + node.spec().cycles(0.25e-3));
+  }
+  ASSERT_TRUE(all_armed) << "no capture held all seven event handles";
+
+  // Resumed == straight: the source runs on from the capture...
+  const Cycles horizon = engine.now() + node.spec().cycles(0.05);
+  engine.run_until(horizon);
+  const std::string straight = temp_path("events_straight");
+  snapshot::save(snapshot::capture_world(engine, {&node}, refs), straight);
+  build.stop();
+
+  // ...and so does a fresh world restored from it.
+  RestoreTarget target(cfg, commodity);
+  expect_restore_capture_fixpoint(image, target, "recapture_events");
+  target.engine.run_until(horizon);
+  const std::string resumed = temp_path("events_resumed");
+  snapshot::save(snapshot::capture_world(target.engine, {&target.node}, target.refs()), resumed);
+  verify::injector().disarm();
+  EXPECT_TRUE(file_bytes(straight) == file_bytes(resumed));
+  std::remove(straight.c_str());
+  std::remove(resumed.c_str());
 }
 
 // --- causal spans ----------------------------------------------------------
@@ -868,9 +869,10 @@ class SnapshotFileDeathTest : public ::testing::Test {
     const std::vector<std::uint8_t>& meta = image_.nodes.at(0).memory.zones.at(0).buddy.map.meta;
     return find_word(meta.size(), std::string(reinterpret_cast<const char*>(meta.data()), 64));
   }
-  /// The node count, followed by the first node's RNG state.
+  /// The node count, followed by the first node's clock and RNG state.
   [[nodiscard]] std::size_t node_count_offset() const {
-    return find_word(image_.nodes.size(), raw(image_.nodes.at(0).rng));
+    const snapshot::NodeImage& n = image_.nodes.at(0);
+    return find_word(image_.nodes.size(), raw(n.clock_hz) + raw(n.rng));
   }
   /// The process count, followed by the first process's pid and name.
   [[nodiscard]] std::size_t process_count_offset() const {
@@ -901,15 +903,14 @@ TEST_F(SnapshotFileDeathTest, CutOffImagesFailWithTheLoaderMessage) {
 }
 
 TEST_F(SnapshotFileDeathTest, OversizedLengthWordsFailWithTheLoaderMessage) {
-  // Header: magic u32, version u32, fingerprint count u64 at 8, then the
-  // first fingerprint key's string length at 16. Then a number array (the
-  // meta run) and lists of records (a zone's corrupt blocks, nodes, one
-  // node's processes, the trace ring), whose unit is derived.
+  // One length word of each kind: a number array (the meta run), a
+  // string (the first process's name, after the process count and its
+  // pid) and lists of records (a zone's corrupt blocks, nodes, one node's
+  // processes, the trace ring), whose unit is derived.
   const std::size_t meta = meta_length_offset();
   const std::size_t length_words[] = {
-      8,
-      16,
       meta,
+      process_count_offset() + 8 + sizeof(Pid),
       meta + 8 + image_.nodes.at(0).memory.zones.at(0).buddy.map.meta.size(),
       node_count_offset(),
       process_count_offset(),
@@ -924,51 +925,12 @@ TEST_F(SnapshotFileDeathTest, OversizedLengthWordsFailWithTheLoaderMessage) {
 }
 
 TEST_F(SnapshotFileDeathTest, OlderImageVersionIsRefused) {
-  std::string b = bytes_;
-  const std::uint32_t v4 = 4;
-  std::memcpy(b.data() + 4, &v4, sizeof v4);
-  write(b);
-  EXPECT_DEATH((void)snapshot::load(path_), "snapshot: unsupported image version");
-}
-
-// An event record's owner indices come from the file, and the fingerprint
-// does not cover them: restore must refuse a record naming a node, build
-// or job slot the target world does not have, not index past a vector.
-TEST(SnapshotRestoreDeathTest, EventRecordWithAnUnknownOwnerIsRefused) {
-  for (const bool build_step : {false, true}) {
-    sim::Engine engine;
-    os::Node node(engine, node_config(5, /*aged=*/false));
-    workloads::KernelBuildConfig bc;
-    bc.jobs = 2;
-    workloads::KernelBuild build(node, bc, Rng(3));
-    build.start();
-    engine.run_until(node.spec().cycles(0.5));
-    snapshot::WorldImage image = snapshot::capture_world(engine, {&node}, {{&build, 0}});
-    build.stop();
-    // A node-owned record (kswapd or khugepaged), or a live job's step.
-    const auto it = std::find_if(image.events.begin(), image.events.end(),
-                                 [build_step](const snapshot::EventRecord& r) {
-                                   return build_step ? r.kind == snapshot::EventKind::kBuildStep
-                                                     : r.kind < snapshot::EventKind::kBuildSpawn;
-                                 });
-    ASSERT_NE(it, image.events.end());
-    if (build_step) {
-      it->aux = image.builds.at(0).jobs.size();
-    } else {
-      it->node_index = static_cast<std::uint32_t>(image.nodes.size());
-    }
-    const std::string path = temp_path(build_step ? "bad_job_slot" : "bad_node_index");
-    snapshot::save(image, path);
-    const snapshot::WorldImage loaded = snapshot::load(path);
-    std::remove(path.c_str());
-
-    sim::Engine target_engine;
-    os::Node target(target_engine, node_config(5, /*aged=*/false));
-    workloads::KernelBuild target_build(target, bc, Rng(3));
-    EXPECT_DEATH(
-        snapshot::restore_world(loaded, target_engine, {&target}, {{&target_build, 0}}),
-        "snapshot: event record names an unknown owner")
-        << (build_step ? "job slot" : "node index");
+  for (const std::uint32_t version : {4u, 6u}) {
+    std::string b = bytes_;
+    std::memcpy(b.data() + 4, &version, sizeof version);
+    write(b);
+    EXPECT_DEATH((void)snapshot::load(path_), "snapshot: unsupported image version")
+        << "version " << version;
   }
 }
 
@@ -1017,7 +979,7 @@ TEST(SnapshotRestoreDeathTest, MisSizedKittenArraysAndUnknownLruPidsAreRefused) 
   for (const Case& c : cases) {
     snapshot::WorldImage edited = image;
     c.edit(edited);
-    // Through the file, so the v6 loader accepts what restore refuses.
+    // Through the file, so the loader accepts what restore refuses.
     const std::string path = temp_path(c.stem);
     snapshot::save(edited, path);
     const snapshot::WorldImage loaded = snapshot::load(path);
@@ -1030,23 +992,85 @@ TEST(SnapshotRestoreDeathTest, MisSizedKittenArraysAndUnknownLruPidsAreRefused) 
   }
 }
 
-// --- the v6 byte layout -----------------------------------------------------
+// Each piece of layout a fresh boot fixes is checked where its owner's
+// transfer list moves it: a target booted differently in any one respect
+// is refused with that owner's message before its state is overwritten.
+TEST(SnapshotRestoreDeathTest, TargetsWithADifferentLayoutAreRefusedByTheOwner) {
+  sim::Engine engine;
+  os::Node node(engine, node_config(5, /*aged=*/false));
+  workloads::KernelBuildConfig bc;
+  bc.jobs = 2;
+  workloads::KernelBuild build(node, bc, Rng(3));
+  const snapshot::WorldImage image = snapshot::capture_world(engine, {&node}, {{&build, 0}});
+
+  struct Case {
+    const char* what;
+    void (*boot)(os::NodeConfig&);
+    std::uint32_t nodes;
+    std::uint32_t builds;
+    std::uint32_t jobs;
+    std::uint32_t build_node;
+    const char* message;
+  };
+  const auto same = [](os::NodeConfig&) {};
+  const Case cases[] = {
+      {"node count", same, 2, 1, 2, 0, "snapshot: node count mismatch"},
+      {"build count", same, 1, 0, 2, 0, "snapshot: build count mismatch"},
+      {"cores", [](os::NodeConfig& c) { c.machine.cores_per_socket = 4; }, 1, 1, 2, 0,
+       "snapshot: scheduler core count mismatch"},
+      {"clock", [](os::NodeConfig& c) { c.machine.clock_hz = 2.0e9; }, 1, 1, 2, 0,
+       "snapshot: node clock mismatch"},
+      {"zones", [](os::NodeConfig& c) { c.machine.numa_zones = 1; }, 1, 1, 2, 0,
+       "snapshot: zone count mismatch"},
+      {"zone extents", [](os::NodeConfig& c) { c.machine.ram_bytes = 8 * GiB; }, 1, 1, 2, 0,
+       "snapshot: buddy layout mismatch"},
+      {"module", [](os::NodeConfig& c) { c.hpmmap.reset(); }, 1, 1, 2, 0,
+       "snapshot: module presence mismatch"},
+      {"hugetlb", [](os::NodeConfig& c) { c.hugetlb_pool_per_zone = 0; }, 1, 1, 2, 0,
+       "snapshot: hugetlb presence mismatch"},
+      {"thp", [](os::NodeConfig& c) { c.thp_enabled = false; }, 1, 1, 2, 0,
+       "snapshot: thp presence mismatch"},
+      {"build jobs", same, 1, 1, 3, 0, "snapshot: build job count mismatch"},
+      {"build node", same, 1, 1, 2, 1, "snapshot: build node mismatch"},
+  };
+  for (const Case& c : cases) {
+    os::NodeConfig cfg = node_config(5, /*aged=*/false);
+    c.boot(cfg);
+    sim::Engine target_engine;
+    std::vector<std::unique_ptr<os::Node>> targets;
+    std::vector<os::Node*> nodes;
+    for (std::uint32_t n = 0; n < c.nodes; ++n) {
+      nodes.push_back(targets.emplace_back(std::make_unique<os::Node>(target_engine, cfg)).get());
+    }
+    workloads::KernelBuildConfig target_bc;
+    target_bc.jobs = c.jobs;
+    workloads::KernelBuild target_build(*nodes.front(), target_bc, Rng(3));
+    std::vector<snapshot::BuildRef> refs;
+    if (c.builds == 1) {
+      refs.push_back({&target_build, c.build_node});
+    }
+    EXPECT_DEATH(snapshot::restore_world(image, target_engine, nodes, refs), c.message) << c.what;
+  }
+}
+
+// --- the v7 byte layout -----------------------------------------------------
 //
 // The fixpoint tests prove that save and load agree with each other; a
 // change that reordered a field in both would still pass them. This
 // image is built by hand, never captured, so simulator changes cannot
 // move it: every list holds one or two entries, every has_* branch is
-// on, and the trace event carries one argument of each kind. Its saved
-// bytes are pinned in tests/golden/snapshot_v6_small.hex. A deliberate
+// on, every event handle is armed, and the trace event carries one
+// argument of each kind. Its saved
+// bytes are pinned in tests/golden/snapshot_v7_small.hex. A deliberate
 // format change bumps kVersion and records a new golden.
 
 snapshot::WorldImage hand_built_image() {
   using namespace snapshot;
   WorldImage w;
-  w.fingerprint = {{"nodes", 1}, {"zones", 1}};
   w.engine = {.now = 5000, .next_seq = 9, .fired = 7, .cancelled = 1, .stopped = true};
 
   NodeImage n;
+  n.clock_hz = 2.2e9;
   n.rng = {1, 2, 3, 4};
   n.scheduler.threads = {{.core = 2, .weight = 1.5, .gen = 3, .live = true}};
   n.scheduler.free_slots = {4};
@@ -1106,9 +1130,12 @@ snapshot::WorldImage hand_built_image() {
   n.thp.scan_period = 100;
   n.thp.last_scan = 4000;
   n.thp.running = true;
-  n.thp.pending_collapses = {
-      {.token = 1, .pid = 1000, .region = 0x200000, .mapped_small = 3}};
-  n.thp.pending_merges = {{.token = 2, .pid = 1000, .region = 0x400000, .huge_phys = 0x70000}};
+  n.thp.pending_scan = {.when = 5200, .seq = 4, .daemon = false};
+  n.thp.wake_pending = {.when = 5050, .seq = 5, .daemon = false};
+  n.thp.pending_collapses = {{.token = 1, .pid = 1000, .region = 0x200000, .mapped_small = 3,
+                              .event = {.when = 5300, .seq = 6, .daemon = false}}};
+  n.thp.pending_merges = {{.token = 2, .pid = 1000, .region = 0x400000, .huge_phys = 0x70000,
+                           .event = {.when = 5400, .seq = 7, .daemon = false}}};
   n.thp.next_token = 3;
   n.thp.stats.merges_completed = 5;
 
@@ -1154,19 +1181,18 @@ snapshot::WorldImage hand_built_image() {
   n.next_pid = 1002;
   n.anon_lru = {{.pid = 1000, .first = 0x140000, .pages = 1}};
   n.swapped_out_total = 1;
+  n.kswapd = {.when = 5100, .seq = 3, .daemon = true};
   w.nodes = {n};
 
   BuildImage b;
   b.node_index = 0;
   b.rng = {13, 14, 15, 16};
   b.jobs = {{.blocks = {{.zone = 0, .addr = 0x50000, .order = 2}}, .sched_id = 1,
-             .sched_gen = 4, .bw_id = 1, .home = 0, .phase = 2, .live = true}};
+             .sched_gen = 4, .bw_id = 1, .home = 0, .phase = 2, .live = true,
+             .pending = {.when = 6000, .seq = 8, .daemon = true}}};
   b.stats = {.jobs_completed = 3, .alloc_failures = 1, .bytes_churned = 0x10000};
   b.running = true;
   w.builds = {b};
-
-  w.events = {{.when = 6000, .seq = 8, .daemon = true, .kind = EventKind::kBuildStep,
-               .node_index = 0, .build_index = 0, .aux = 0}};
 
   trace::Event e;
   e.ts = 4500;
@@ -1221,15 +1247,15 @@ std::string to_hex(const std::string& bytes) {
   return out;
 }
 
-TEST(SnapshotFileFormat, HandBuiltImageMatchesTheV6Bytes) {
-  const std::string path = temp_path("v6_layout");
+TEST(SnapshotFileFormat, HandBuiltImageMatchesTheV7Bytes) {
+  const std::string path = temp_path("v7_layout");
   snapshot::save(hand_built_image(), path);
   const std::string saved = to_hex(file_bytes(path));
-  const std::string golden = file_bytes(HPMMAP_GOLDEN_DIR "/snapshot_v6_small.hex");
+  const std::string golden = file_bytes(HPMMAP_GOLDEN_DIR "/snapshot_v7_small.hex");
   if (saved != golden) {
-    const std::string actual = temp_path("v6_layout_actual") + ".hex";
+    const std::string actual = temp_path("v7_layout_actual") + ".hex";
     std::ofstream(actual, std::ios::binary) << saved;
-    ADD_FAILURE() << "saved bytes differ from the v6 golden; they are in " << actual;
+    ADD_FAILURE() << "saved bytes differ from the v7 golden; they are in " << actual;
   }
   // The loader reads the pinned bytes back to the same image.
   snapshot::save(snapshot::load(path), path);
