@@ -8,10 +8,13 @@
 // is a failure — a bench that stopped reporting is a regression too).
 //
 // Gated metrics (keys ending in improvement_ratio / speedup, or the
-// --gate list) fail the run when current < baseline * (1 - threshold);
-// absolute throughput numbers are reported but not gated, since they
-// measure the runner as much as the code. Exit 0 = pass, 1 = regression,
-// 2 = usage/parse error.
+// --gate list) fail the run when current < baseline * (1 - threshold).
+// The default improvement_ratio keys are ratios of simulated time, so
+// they reproduce on any host. Absolute throughput numbers are reported
+// but not gated by default, since they measure the runner as much as the
+// code; CI gates them with --gate only between two builds run on the
+// same runner. Each threshold must be a number in [0, 1). Exit 0 = pass,
+// 1 = regression, 2 = usage/parse error.
 //
 // --threshold-for overrides the threshold for one file name (repeatable),
 // so a noisy bench can run with a looser gate without loosening the rest:
@@ -23,6 +26,7 @@
 #include <cstring>
 #include <dirent.h>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <sys/stat.h>
@@ -40,12 +44,24 @@ using namespace hpmmap;
                "                  [--gate KEY[,KEY...]] BASELINE CURRENT\n"
                "  BASELINE/CURRENT: two BENCH_*.json files, or two directories\n"
                "                    (every BENCH_*.json in BASELINE is compared)\n"
-               "  --threshold F     allowed relative drop in gated metrics (default 0.10)\n"
+               "  --threshold F     allowed relative drop in gated metrics, in [0, 1)\n"
+               "                    (default 0.10)\n"
                "  --threshold-for NAME=F  override the threshold for one bench file\n"
                "                    (matched by file name; repeatable)\n"
                "  --gate KEYS       gate exactly these dotted keys instead of the\n"
                "                    default improvement_ratio/speedup set\n");
   std::exit(2);
+}
+
+/// introspect::parse_threshold, or exit 2 naming the flag.
+double threshold_arg(const char* flag, std::string_view text) {
+  const std::optional<double> t = introspect::parse_threshold(text);
+  if (!t) {
+    std::fprintf(stderr, "bench_diff: %s wants a number in [0, 1), got '%.*s'\n", flag,
+                 static_cast<int>(text.size()), text.data());
+    std::exit(2);
+  }
+  return *t;
 }
 
 bool is_dir(const std::string& path) {
@@ -133,7 +149,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> paths;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--threshold") && i + 1 < argc) {
-      threshold = std::atof(argv[++i]);
+      threshold = threshold_arg("--threshold", argv[++i]);
     } else if (!std::strcmp(argv[i], "--threshold-for") && i + 1 < argc) {
       const std::string spec = argv[++i];
       const std::size_t eq = spec.find('=');
@@ -142,7 +158,9 @@ int main(int argc, char** argv) {
                      spec.c_str());
         usage();
       }
-      overrides.push_back({spec.substr(0, eq), std::atof(spec.c_str() + eq + 1)});
+      overrides.push_back(
+          {spec.substr(0, eq),
+           threshold_arg("--threshold-for", std::string_view(spec).substr(eq + 1))});
     } else if (!std::strcmp(argv[i], "--gate") && i + 1 < argc) {
       std::string list = argv[++i];
       std::size_t start = 0;

@@ -2,12 +2,13 @@
 //
 // Two measurements, two files (under --out-dir, default ./results):
 //
-//   BENCH_engine.json — raw event-loop throughput (events/sec) of the
-//   current sim::Engine on a self-rescheduling actor workload with
-//   cancel churn, against a live-measured `baseline`: the pre-optimization
-//   engine (std::function callbacks, std::priority_queue, tombstone-set
-//   cancellation) compiled into this binary verbatim. Measuring the
-//   baseline in-process makes the improvement ratio machine-independent.
+//   BENCH_engine.json — raw event-loop throughput (events/sec) of
+//   sim::Engine on a self-rescheduling actor workload with cancel churn.
+//   After a warmup the loop is timed bench::kTimedRuns times; the median
+//   is `events_per_sec`, with the min and max beside it. It is host time,
+//   so it is compared only against another build run on the same host:
+//   CI's bench-smoke job builds the base commit and gates this key with
+//   bench_diff.
 //
 //   BENCH_batch.json — wall-time of a Figure-8-shaped sweep (2 managers
 //   x 4 trials of 8-node HPCCG under profile C) through the batch runner
@@ -18,10 +19,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <functional>
-#include <queue>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -36,106 +34,16 @@ namespace {
 using namespace hpmmap;
 
 // ---------------------------------------------------------------------------
-// The pre-optimization engine, embedded as the measured baseline. This is
-// the shipped implementation before the SBO-callback/slot-generation/arena
-// rework: type-erased std::function callbacks (one heap allocation per
-// capture that outgrows the SSO), std::priority_queue (copy out of top()),
-// and an unordered_set of cancelled sequence numbers consulted on every pop.
-// ---------------------------------------------------------------------------
-
-namespace legacy {
-
-struct EventId {
-  std::uint64_t seq = 0;
-  [[nodiscard]] bool valid() const noexcept { return seq != 0; }
-};
-
-class Engine {
- public:
-  using Callback = std::function<void()>;
-
-  [[nodiscard]] Cycles now() const noexcept { return now_; }
-
-  EventId schedule(Cycles delay, Callback fn) {
-    return schedule_at(now_ + delay, std::move(fn));
-  }
-
-  EventId schedule_at(Cycles when, Callback fn) {
-    HPMMAP_ASSERT(when >= now_, "cannot schedule an event in the past");
-    HPMMAP_ASSERT(fn != nullptr, "event callback must be callable");
-    const std::uint64_t seq = next_seq_++;
-    heap_.push(Entry{when, seq, std::move(fn)});
-    return EventId{seq};
-  }
-
-  void cancel(EventId id) {
-    if (id.valid()) {
-      cancelled_.insert(id.seq);
-    }
-  }
-
-  void run() {
-    stopped_ = false;
-    while (!stopped_ && fire_next(~Cycles{0})) {
-    }
-  }
-
-  void stop() noexcept { stopped_ = true; }
-  [[nodiscard]] std::uint64_t events_fired() const noexcept { return fired_; }
-
- private:
-  struct Entry {
-    Cycles when;
-    std::uint64_t seq;
-    Callback fn;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
-      return a.when != b.when ? a.when > b.when : a.seq > b.seq;
-    }
-  };
-
-  bool fire_next(Cycles limit) {
-    while (!heap_.empty()) {
-      if (heap_.top().when > limit) {
-        return false;
-      }
-      Entry e = heap_.top();
-      heap_.pop();
-      if (auto it = cancelled_.find(e.seq); it != cancelled_.end()) {
-        cancelled_.erase(it);
-        continue;
-      }
-      now_ = e.when;
-      ++fired_;
-      e.fn();
-      return true;
-    }
-    return false;
-  }
-
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  std::unordered_set<std::uint64_t> cancelled_;
-  Cycles now_ = 0;
-  std::uint64_t next_seq_ = 1;
-  std::uint64_t fired_ = 0;
-  bool stopped_ = false;
-};
-
-} // namespace legacy
-
-// ---------------------------------------------------------------------------
 // Workload: kActors self-rescheduling actors with deterministic xorshift
 // delays; every 4th firing schedules a decoy event and immediately cancels
 // it. This is the shape of the simulator's real load (compute-burst
-// reschedules + timer cancellations), so both engines are compared on
-// exactly the traffic they serve in the figures.
+// reschedules + timer cancellations), the traffic the engine serves in
+// the figures.
 // ---------------------------------------------------------------------------
 
-template <typename EngineT>
 class ChurnDriver {
  public:
-  ChurnDriver(EngineT& eng, std::uint64_t target) : eng_(eng), target_(target) {}
+  ChurnDriver(sim::Engine& eng, std::uint64_t target) : eng_(eng), target_(target) {}
 
   void start(unsigned actors) {
     for (unsigned a = 0; a < actors; ++a) {
@@ -165,33 +73,23 @@ class ChurnDriver {
     return 1 + (rng_ & 0xFF);
   }
 
-  EngineT& eng_;
+  sim::Engine& eng_;
   std::uint64_t target_;
   std::uint64_t done_ = 0;
   std::uint64_t stray_ = 0;
   std::uint64_t rng_ = 0x243F6A8885A308D3ull;
 };
 
-struct Throughput {
-  std::uint64_t events = 0;
-  double wall_seconds = 0.0;
-  [[nodiscard]] double events_per_sec() const noexcept {
-    return wall_seconds > 0 ? static_cast<double>(events) / wall_seconds : 0.0;
-  }
-};
-
-template <typename EngineT>
-Throughput measure_engine(std::uint64_t target_events) {
-  EngineT eng;
-  ChurnDriver<EngineT> driver(eng, target_events);
+/// Events per host second of one churn run of `target_events` steps.
+double measure_engine(std::uint64_t target_events) {
+  sim::Engine eng;
+  ChurnDriver driver(eng, target_events);
   driver.start(64);
   const auto t0 = std::chrono::steady_clock::now();
   eng.run();
-  const auto t1 = std::chrono::steady_clock::now();
-  Throughput t;
-  t.events = eng.events_fired();
-  t.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  return t;
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  return static_cast<double>(eng.events_fired()) / wall;
 }
 
 // ---------------------------------------------------------------------------
@@ -241,7 +139,8 @@ bool identical(const std::vector<harness::SeriesPoint>& a,
     // approximate equality.
     if (std::memcmp(&a[i].mean_seconds, &b[i].mean_seconds, sizeof(double)) != 0 ||
         std::memcmp(&a[i].stdev_seconds, &b[i].stdev_seconds, sizeof(double)) != 0 ||
-        a[i].trials != b[i].trials || a[i].events != b[i].events) {
+        a[i].trials != b[i].trials || a[i].events != b[i].events ||
+        a[i].fault_counts != b[i].fault_counts || a[i].fault_cycles != b[i].fault_cycles) {
       return false;
     }
   }
@@ -260,39 +159,28 @@ int main(int argc, char** argv) {
   const bench::BenchOptions opt = bench::parse_options(argc, argv);
   bench::print_mode(opt, "Engine + batch-runner throughput (JSON self-report)");
 
-  // --- engine hot path: current vs embedded-baseline implementation ---
+  // --- engine hot path ---
   const std::uint64_t target = opt.full ? 10'000'000 : 2'000'000;
-  // Warm both allocators once so first-touch noise lands outside timing.
-  (void)measure_engine<sim::Engine>(target / 20);
-  (void)measure_engine<legacy::Engine>(target / 20);
-  const Throughput current = measure_engine<sim::Engine>(target);
-  const Throughput baseline = measure_engine<legacy::Engine>(target);
-  const double ratio = baseline.events_per_sec() > 0
-                           ? current.events_per_sec() / baseline.events_per_sec()
-                           : 0.0;
-  std::printf("engine:   %10.0f events/sec  (%llu events, %.3f s wall)\n",
-              current.events_per_sec(),
-              static_cast<unsigned long long>(current.events), current.wall_seconds);
-  std::printf("baseline: %10.0f events/sec  (std::function + priority_queue + "
-              "tombstones)\n",
-              baseline.events_per_sec());
-  std::printf("improvement: %.2fx\n\n", ratio);
+  // Warm the allocator once so first-touch noise lands outside timing.
+  (void)measure_engine(target / 20);
+  std::vector<double> rates;
+  for (int r = 0; r < bench::kTimedRuns; ++r) {
+    rates.push_back(measure_engine(target));
+  }
+  const bench::Spread rate = bench::spread(rates);
+  std::printf("engine: %10.0f events/sec median of %d (min %.0f, max %.0f; %llu events)\n\n",
+              rate.median, bench::kTimedRuns, rate.min, rate.max,
+              static_cast<unsigned long long>(target));
 
   std::string ej;
   ej += "{\n";
   ej += "  \"bench\": \"engine_throughput\",\n";
   ej += "  \"workload\": \"64 self-rescheduling actors, 1-in-4 cancel churn\",\n";
-  ej += "  \"events\": " + std::to_string(current.events) + ",\n";
-  ej += "  \"wall_seconds\": " + num(current.wall_seconds) + ",\n";
-  ej += "  \"events_per_sec\": " + num(current.events_per_sec()) + ",\n";
-  ej += "  \"baseline\": {\n";
-  ej += "    \"impl\": \"std::function + std::priority_queue + tombstone set "
-        "(pre-optimization engine, measured live)\",\n";
-  ej += "    \"events\": " + std::to_string(baseline.events) + ",\n";
-  ej += "    \"wall_seconds\": " + num(baseline.wall_seconds) + ",\n";
-  ej += "    \"events_per_sec\": " + num(baseline.events_per_sec()) + "\n";
-  ej += "  },\n";
-  ej += "  \"improvement_ratio\": " + num(ratio) + "\n";
+  ej += "  \"events\": " + std::to_string(target) + ",\n";
+  ej += "  \"runs\": " + std::to_string(bench::kTimedRuns) + ",\n";
+  ej += "  \"events_per_sec\": " + num(rate.median) + ",\n";
+  ej += "  \"events_per_sec_min\": " + num(rate.min) + ",\n";
+  ej += "  \"events_per_sec_max\": " + num(rate.max) + "\n";
   ej += "}\n";
   if (!bench::write_bench_json(opt, "BENCH_engine.json", ej)) {
     return 1;

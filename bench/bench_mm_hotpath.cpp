@@ -2,30 +2,20 @@
 //
 // Runs the Figure-2-shaped fault storm — sequential 4K anonymous faults
 // over an aged zone, with khugepaged-style 2M merges, occasional THP
-// splits, page-cache grow/shrink churn and page-walk storms — through
-// two complete mm stacks compiled into this binary:
+// splits, page-cache grow/shrink churn and page-walk storms — through the
+// mm structures shipped in src/linux_mm (bitmap buddy freelists, page-cache
+// LRU, packed radix page table).
 //
-//   current:  the mem_map-backed structures shipped in src/linux_mm
-//             (bitmap buddy freelists, intrusive LRU, packed radix
-//             page table — zero heap traffic per operation);
-//   baseline: the pre-optimization structures (std::set freelists,
-//             std::list + std::map LRU, unique_ptr-chained page-table
-//             nodes), embedded verbatim in bench/legacy_mm.hpp and
-//             measured live, so the improvement ratio is
-//             machine-independent.
-//
-// Both stacks execute the identical operation sequence; because the
-// allocator determinism contract (always pop the lowest-addressed free
-// block) holds for both, every allocation returns the same address and
-// the run fingerprints — an FNV hash over every allocated address plus
-// final allocator/cache/page-table state — must match exactly. A
-// mismatch fails the bench (exit 1): a speedup measured over divergent
-// work would be meaningless.
+// After a warmup the storm is timed bench::kTimedRuns times; the median
+// is `faults_per_sec`, with the min and max beside it. The number is host
+// time, so it is compared only against another build run on the same
+// host: CI's bench-smoke job builds the base commit and gates this key
+// with bench_diff. Every run must fold its allocated addresses and walk
+// results into the same work digest, or the bench fails (exit 1).
 //
 // Usage: bench_mm_hotpath [--full] [--out-dir DIR]
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,7 +24,6 @@
 #include "common/assert.hpp"
 #include "common/types.hpp"
 #include "common/units.hpp"
-#include "legacy_mm.hpp"
 #include "linux_mm/buddy_allocator.hpp"
 #include "linux_mm/page_cache.hpp"
 #include "linux_mm/page_table.hpp"
@@ -47,49 +36,14 @@ constexpr unsigned kMaxOrder = 10;      // Linux zone allocator
 constexpr unsigned kMergeOrder = 9;     // 2M
 constexpr Addr kVBase = Addr{1} << 32;  // fault region base (2M-aligned)
 
-struct CurrentStack {
-  using Buddy = mm::BuddyAllocator;
-  using Cache = mm::PageCache;
-  using Pt = mm::PageTable;
-};
-
-struct LegacyStack {
-  using Buddy = bench::legacy::BuddyAllocator;
-  using Cache = bench::legacy::PageCache;
-  using Pt = bench::legacy::PageTable;
-};
-
-/// Everything the storm's outcome depends on, folded into comparable
-/// state. Equal fingerprints <=> both stacks did the same work.
-struct Fingerprint {
-  std::uint64_t addr_hash = 0xcbf29ce484222325ull; // FNV-1a over alloc addrs
-  std::uint64_t free_bytes = 0;
-  std::uint64_t cached_bytes = 0;
-  std::uint64_t cache_blocks = 0;
-  std::uint64_t mix_4k = 0;
-  std::uint64_t mix_2m = 0;
-  std::uint64_t allocs = 0;
-  std::uint64_t frees = 0;
-  std::uint64_t split_steps = 0;
-  std::uint64_t merge_steps = 0;
-
-  void mix(std::uint64_t v) noexcept {
-    addr_hash = (addr_hash ^ v) * 1099511628211ull;
-  }
-  [[nodiscard]] bool operator==(const Fingerprint&) const = default;
-};
-
 struct StormResult {
-  Fingerprint fp;
-  std::uint64_t faults = 0;
+  std::uint64_t digest = 0xcbf29ce484222325ull; // FNV-1a over alloc/walk addrs
   double wall_seconds = 0.0;
-  [[nodiscard]] double faults_per_sec() const noexcept {
-    return wall_seconds > 0 ? static_cast<double>(faults) / wall_seconds : 0.0;
-  }
+
+  void mix(std::uint64_t v) noexcept { digest = (digest ^ v) * 1099511628211ull; }
 };
 
-/// xorshift64* — deterministic churn schedule, identical on both stacks
-/// (control flow never diverges, so both consume the same stream).
+/// xorshift64* — deterministic churn schedule.
 struct Rng {
   std::uint64_t s;
   std::uint64_t next() noexcept {
@@ -100,12 +54,11 @@ struct Rng {
   }
 };
 
-template <typename Stack>
 StormResult run_storm(std::uint64_t faults, std::uint64_t zone_bytes) {
   const Range zone{0, zone_bytes};
-  typename Stack::Buddy buddy(zone, kMaxOrder);
-  typename Stack::Cache cache(buddy, 0.3);
-  typename Stack::Pt pt;
+  mm::BuddyAllocator buddy(zone, kMaxOrder);
+  mm::PageCache cache(buddy, 0.3);
+  mm::PageTable pt;
 
   // --- setup (untimed): age the zone the way a booted, loaded node is
   // aged — long-lived slab-style allocations at mixed orders with churn,
@@ -131,7 +84,7 @@ StormResult run_storm(std::uint64_t faults, std::uint64_t zone_bytes) {
   cache.grow(zone_bytes * 45 / 100, 0, false);
 
   // --- the timed fault storm ---
-  Fingerprint fp;
+  StormResult out;
   std::vector<Addr> region_phys(kSmallPagesPerLarge, 0);
   struct MergedRegion {
     Addr vbase;
@@ -154,7 +107,7 @@ StormResult run_storm(std::uint64_t faults, std::uint64_t zone_bytes) {
       frame = buddy.alloc(0);
       HPMMAP_ASSERT(frame.has_value(), "order-0 alloc failed after reclaim");
     }
-    fp.mix(frame->addr);
+    out.mix(frame->addr);
     region_phys[i % kSmallPagesPerLarge] = frame->addr;
     HPMMAP_ASSERT(pt.map(vaddr, frame->addr, PageSize::k4K, kProtRW) == Errno::kOk,
                   "4K map failed");
@@ -177,7 +130,7 @@ StormResult run_storm(std::uint64_t faults, std::uint64_t zone_bytes) {
         HPMMAP_ASSERT(r.bytes_freed > 0, "storm wedged assembling a 2M block");
         big = buddy.alloc(kMergeOrder);
       }
-      fp.mix(big->addr);
+      out.mix(big->addr);
       HPMMAP_ASSERT(pt.map(vregion, big->addr, PageSize::k2M, kProtRW) == Errno::kOk,
                     "2M collapse map failed");
       merged.push_back(MergedRegion{vregion, big->addr, false});
@@ -215,7 +168,7 @@ StormResult run_storm(std::uint64_t faults, std::uint64_t zone_bytes) {
       for (int k = 0; k < 8; ++k) {
         const Addr probe = kVBase + ((rng.next() % (i + 1)) << 12);
         if (const auto t = pt.walk(probe); t.has_value()) {
-          fp.mix(t->phys);
+          out.mix(t->phys);
         }
       }
     }
@@ -223,24 +176,11 @@ StormResult run_storm(std::uint64_t faults, std::uint64_t zone_bytes) {
       cache.shrink(MiB);
     }
   }
-  const auto t1 = std::chrono::steady_clock::now();
-
-  fp.free_bytes = buddy.free_bytes();
-  fp.cached_bytes = cache.cached_bytes();
-  fp.cache_blocks = cache.block_count();
-  const hw::MappingMix mix = pt.mapping_mix();
-  fp.mix_4k = mix.bytes_4k;
-  fp.mix_2m = mix.bytes_2m;
-  fp.allocs = buddy.stats().allocs;
-  fp.frees = buddy.stats().frees;
-  fp.split_steps = buddy.stats().split_steps;
-  fp.merge_steps = buddy.stats().merge_steps;
-
-  StormResult result;
-  result.fp = fp;
-  result.faults = faults;
-  result.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  return result;
+  out.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  out.mix(buddy.free_bytes());
+  out.mix(cache.cached_bytes());
+  return out;
 }
 
 std::string num(double v) {
@@ -258,55 +198,36 @@ int main(int argc, char** argv) {
   const std::uint64_t faults = opt.full ? 4'000'000 : 1'000'000;
   const std::uint64_t zone_bytes = opt.full ? 2 * GiB : 512 * MiB;
 
-  // Warm both heaps so first-touch noise lands outside the timed loops.
-  (void)run_storm<CurrentStack>(faults / 20, zone_bytes);
-  (void)run_storm<LegacyStack>(faults / 20, zone_bytes);
-
-  const StormResult current = run_storm<CurrentStack>(faults, zone_bytes);
-  const StormResult baseline = run_storm<LegacyStack>(faults, zone_bytes);
-
-  if (!(current.fp == baseline.fp)) {
-    std::fprintf(stderr,
-                 "FAIL: fingerprint divergence between current and baseline "
-                 "stacks\n  addr_hash  %016llx vs %016llx\n  free_bytes %llu "
-                 "vs %llu\n  cached     %llu vs %llu\n",
-                 static_cast<unsigned long long>(current.fp.addr_hash),
-                 static_cast<unsigned long long>(baseline.fp.addr_hash),
-                 static_cast<unsigned long long>(current.fp.free_bytes),
-                 static_cast<unsigned long long>(baseline.fp.free_bytes),
-                 static_cast<unsigned long long>(current.fp.cached_bytes),
-                 static_cast<unsigned long long>(baseline.fp.cached_bytes));
-    return 1;
+  // Warm the heap so first-touch noise lands outside the timed loops.
+  const std::uint64_t digest = run_storm(faults, zone_bytes).digest;
+  std::vector<double> rates;
+  for (int r = 0; r < bench::kTimedRuns; ++r) {
+    const StormResult run = run_storm(faults, zone_bytes);
+    if (run.digest != digest) {
+      std::fprintf(stderr, "FAIL: storm run %d did different work (digest %016llx vs %016llx)\n",
+                   r, static_cast<unsigned long long>(run.digest),
+                   static_cast<unsigned long long>(digest));
+      return 1;
+    }
+    rates.push_back(static_cast<double>(faults) / run.wall_seconds);
   }
-
-  const double ratio = baseline.faults_per_sec() > 0
-                           ? current.faults_per_sec() / baseline.faults_per_sec()
-                           : 0.0;
-  std::printf("mm:       %10.0f faults/sec  (%llu faults, %.3f s wall)\n",
-              current.faults_per_sec(),
-              static_cast<unsigned long long>(current.faults), current.wall_seconds);
-  std::printf("baseline: %10.0f faults/sec  (std::set freelists + list/map LRU + "
-              "pointer-chased page table)\n",
-              baseline.faults_per_sec());
-  std::printf("improvement: %.2fx   (fingerprints identical: %016llx)\n\n", ratio,
-              static_cast<unsigned long long>(current.fp.addr_hash));
+  const bench::Spread rate = bench::spread(rates);
+  std::printf("mm: %10.0f faults/sec median of %d (min %.0f, max %.0f; %llu faults, "
+              "digest %016llx)\n\n",
+              rate.median, bench::kTimedRuns, rate.min, rate.max,
+              static_cast<unsigned long long>(faults),
+              static_cast<unsigned long long>(digest));
 
   std::string j;
   j += "{\n";
   j += "  \"bench\": \"mm_hotpath\",\n";
   j += "  \"workload\": \"fig2-style fault storm: sequential 4K faults, khugepaged "
        "2M merges, THP splits, page-cache churn over an aged zone\",\n";
-  j += "  \"faults\": " + std::to_string(current.faults) + ",\n";
-  j += "  \"wall_seconds\": " + num(current.wall_seconds) + ",\n";
-  j += "  \"faults_per_sec\": " + num(current.faults_per_sec()) + ",\n";
-  j += "  \"baseline\": {\n";
-  j += "    \"impl\": \"std::set freelists + std::list/std::map LRU + "
-       "unique_ptr-chained page table (pre-optimization mm, measured live)\",\n";
-  j += "    \"faults\": " + std::to_string(baseline.faults) + ",\n";
-  j += "    \"wall_seconds\": " + num(baseline.wall_seconds) + ",\n";
-  j += "    \"faults_per_sec\": " + num(baseline.faults_per_sec()) + "\n";
-  j += "  },\n";
-  j += "  \"improvement_ratio\": " + num(ratio) + "\n";
+  j += "  \"faults\": " + std::to_string(faults) + ",\n";
+  j += "  \"runs\": " + std::to_string(bench::kTimedRuns) + ",\n";
+  j += "  \"faults_per_sec\": " + num(rate.median) + ",\n";
+  j += "  \"faults_per_sec_min\": " + num(rate.min) + ",\n";
+  j += "  \"faults_per_sec_max\": " + num(rate.max) + "\n";
   j += "}\n";
   if (!bench::write_bench_json(opt, "BENCH_mm.json", j)) {
     return 1;

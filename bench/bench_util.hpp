@@ -6,11 +6,15 @@
 // ./results/ for replotting.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <sys/stat.h>
+#include <thread>
+#include <vector>
 
+#include "common/assert.hpp"
 #include "harness/batch.hpp"
 
 namespace hpmmap::bench {
@@ -55,11 +59,29 @@ inline BenchOptions parse_options(int argc, char** argv) {
   return opt;
 }
 
+/// The `"env"` object every BENCH_*.json carries: absolute host numbers
+/// (events/sec, wall seconds) mean nothing without the compiler, build
+/// type and thread count that produced them.
+inline std::string env_stamp() {
+  return std::string("  \"env\": {\n") + "    \"compiler\": \"" +
+#if defined(__clang__)
+         "clang "
+#else
+         "gcc "
+#endif
+         __VERSION__ + "\",\n" + "    \"build_type\": \"" + HPMMAP_BENCH_BUILD_TYPE +
+         "\",\n" + "    \"hardware_concurrency\": " +
+         std::to_string(std::thread::hardware_concurrency()) + "\n  },\n";
+}
+
 /// Write a BENCH_*.json self-report into --out-dir and mirror it at the
 /// current directory (the repo root in CI), which is where the committed
 /// regression baselines live and where the CI gate and bench_diff read.
+/// `body` is one JSON object; the environment stamp becomes its first key.
 inline bool write_bench_json(const BenchOptions& opt, const std::string& name,
-                             const std::string& body) {
+                             std::string body) {
+  HPMMAP_ASSERT(body.starts_with("{\n"), "bench JSON body must open with {\\n");
+  body.insert(2, env_stamp());
   const auto write = [&](const std::string& path) {
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {
@@ -86,6 +108,26 @@ inline bool write_bench_json(const BenchOptions& opt, const std::string& name,
 /// other as `null`, which bench_diff neither compares nor gates.
 inline bool speedup_measured(unsigned workers) {
   return workers >= 2 && harness::hardware_jobs() >= workers;
+}
+
+/// Host-time benches time their loop this many times after a warmup and
+/// report the median, with the min and max beside it. The median has to
+/// span seconds of runs: on a shared 4-vCPU VM the host's speed drifts
+/// in phases of seconds (one storm run read 6-13M faults/s within a
+/// minute), and medians of 5 or 15 runs of one binary differed by up to
+/// 1.8x, past the 25% the same-runner A/B gate allows.
+inline constexpr int kTimedRuns = 101;
+
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+inline Spread spread(std::vector<double> v) {
+  HPMMAP_ASSERT(!v.empty(), "spread of no samples");
+  std::sort(v.begin(), v.end());
+  return {v[v.size() / 2], v.front(), v.back()};
 }
 
 inline void print_mode(const BenchOptions& opt, const char* what) {

@@ -1,6 +1,7 @@
 #include "introspect/bench_diff.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
@@ -227,6 +228,16 @@ DiffResult diff_bench(const BenchDoc& baseline, const BenchDoc& current, double 
     }
   }
   return result;
+}
+
+std::optional<double> parse_threshold(std::string_view text) {
+  double v = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || ptr != end || !(v >= 0.0 && v < 1.0)) {
+    return std::nullopt;
+  }
+  return v;
 }
 
 std::string format_diff(const DiffResult& result, std::string_view title) {

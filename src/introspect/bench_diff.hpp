@@ -9,10 +9,12 @@
 //
 // The gate logic is machine-independence-aware: absolute throughput
 // numbers (events/sec, wall seconds) vary wildly across runners, so by
-// default only the self-relative `improvement_ratio` keys — measured
-// against baselines compiled into the same binary — are gated, and a
-// false `deterministic_match` flag fails outright. Everything shared
-// and numeric is still reported as an informational delta.
+// default only the `improvement_ratio` keys — ratios of simulated time
+// (BENCH_smp, BENCH_server, BENCH_cluster), identical on any host — and
+// the `speedup` keys are gated, and a false `deterministic_match` flag
+// fails outright. Host throughput is gated only with an explicit key
+// list, between two builds run on the same host. Everything shared and
+// numeric is still reported as an informational delta.
 #pragma once
 
 #include <map>
@@ -61,7 +63,7 @@ struct DiffResult {
 };
 
 /// Keys gated by default: every key ending in `improvement_ratio` or
-/// `speedup` (higher is better, self-relative, machine-independent).
+/// `speedup` (higher is better, and a ratio, not an absolute host rate).
 [[nodiscard]] bool gated_by_default(std::string_view key);
 
 /// Compare `current` against `baseline`. A gated metric regresses when
@@ -72,6 +74,12 @@ struct DiffResult {
 [[nodiscard]] DiffResult diff_bench(const BenchDoc& baseline, const BenchDoc& current,
                                     double threshold,
                                     const std::vector<std::string>& gate_keys = {});
+
+/// A gate threshold as given on the command line: the text must parse
+/// completely as a number in [0, 1). A threshold of 1 or more would put
+/// the floor baseline * (1 - t) at or below zero, so nothing could ever
+/// regress. nullopt on anything else.
+[[nodiscard]] std::optional<double> parse_threshold(std::string_view text);
 
 /// Human-readable report of a diff (one line per delta plus notes).
 [[nodiscard]] std::string format_diff(const DiffResult& result, std::string_view title);

@@ -4,6 +4,7 @@
 
 #include <map>
 #include <optional>
+#include <ostream>
 #include <utility>
 #include <vector>
 
@@ -285,6 +286,13 @@ struct BuddyPropertyParams {
   unsigned max_order;
   std::uint64_t seed;
 };
+
+// gtest names each instance by printing its param; without this it dumps
+// the raw bytes, padding after max_order included.
+void PrintTo(const BuddyPropertyParams& p, std::ostream* os) {
+  *os << "arena_bytes=" << p.arena_bytes << ",max_order=" << p.max_order
+      << ",seed=" << p.seed;
+}
 
 class BuddyProperty : public ::testing::TestWithParam<BuddyPropertyParams> {};
 

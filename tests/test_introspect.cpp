@@ -412,5 +412,16 @@ TEST(BenchDiff, ExplicitGateKeysOverrideDefaults) {
   }
 }
 
+TEST(BenchDiff, ThresholdMustParseCompletelyInsideZeroToOne) {
+  EXPECT_FALSE(introspect::parse_threshold("abc").has_value());
+  EXPECT_FALSE(introspect::parse_threshold("-0.1").has_value());
+  EXPECT_FALSE(introspect::parse_threshold("1").has_value());
+  EXPECT_FALSE(introspect::parse_threshold("10").has_value()); // 10% as 10 gates nothing
+  EXPECT_FALSE(introspect::parse_threshold("0.1x").has_value());
+  EXPECT_FALSE(introspect::parse_threshold("").has_value());
+  EXPECT_EQ(introspect::parse_threshold("0"), 0.0);
+  EXPECT_EQ(introspect::parse_threshold("0.25"), 0.25);
+}
+
 } // namespace
 } // namespace hpmmap
