@@ -17,13 +17,13 @@
 // the count actually used.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "harness/batch.hpp"
 #include "harness/cluster.hpp"
+#include "harness/result_fields.hpp"
 #include "workloads/profiles.hpp"
 
 namespace {
@@ -44,20 +44,6 @@ harness::ClusterRunConfig cluster_cfg(const bench::BenchOptions& opt, const char
   cfg.scaling.duration_scale = opt.full ? 1.0 : 0.05;
   cfg.cluster_jobs = cluster_jobs;
   return cfg;
-}
-
-bool tables_equal(const harness::RunResult& a, const harness::RunResult& b) {
-  if (std::memcmp(&a.runtime_seconds, &b.runtime_seconds, sizeof(double)) != 0 ||
-      a.app_pids != b.app_pids) {
-    return false;
-  }
-  for (std::size_t k = 0; k < mm::kFaultKindCount; ++k) {
-    if (a.faults.count[k] != b.faults.count[k] ||
-        a.faults.total_cycles[k] != b.faults.total_cycles[k]) {
-      return false;
-    }
-  }
-  return true;
 }
 
 double timed_run(const harness::ClusterRunConfig& cfg, harness::RunResult* out) {
@@ -94,7 +80,7 @@ int main(int argc, char** argv) {
     cN.cluster_jobs = workers;
     const harness::RunResult r1 = harness::run_cluster(c1);
     const harness::RunResult rN = harness::run_cluster(cN);
-    match = tables_equal(r1, rN) && r1.events_fired == rN.events_fired;
+    match = !harness::first_difference(r1, rN);
     std::printf("determinism: jobs=1 vs jobs=%u at 8 nodes: %s\n", workers,
                 match ? "identical" : "DIVERGED");
   }
@@ -113,7 +99,7 @@ int main(int argc, char** argv) {
   std::printf("256 ranks, %u workers: %.3f s wall\n", workers, par_wall);
   const double speedup = par_wall > 0 ? seq_wall / par_wall : 0.0;
   const bool measured = bench::speedup_measured(workers);
-  match = match && tables_equal(seq_result, par_result);
+  match = match && !harness::first_difference(seq_result, par_result);
   std::printf("speedup: %.2fx on %u hardware thread(s)%s, identical=%s\n", speedup, hw,
               measured ? "" : " (not a measurement: recorded as null)", match ? "yes" : "NO");
 

@@ -18,7 +18,6 @@
 // Usage: bench_engine_throughput [--full] [--jobs N] [--out-dir DIR]
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -27,6 +26,7 @@
 #include "common/types.hpp"
 #include "harness/batch.hpp"
 #include "harness/experiment.hpp"
+#include "harness/result_fields.hpp"
 #include "sim/engine.hpp"
 
 namespace {
@@ -129,24 +129,6 @@ BatchTiming time_sweep(const std::vector<harness::ClusterRunConfig>& cfgs,
   return t;
 }
 
-bool identical(const std::vector<harness::SeriesPoint>& a,
-               const std::vector<harness::SeriesPoint>& b) {
-  if (a.size() != b.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    // Bitwise comparison: the determinism contract is byte-identity, not
-    // approximate equality.
-    if (std::memcmp(&a[i].mean_seconds, &b[i].mean_seconds, sizeof(double)) != 0 ||
-        std::memcmp(&a[i].stdev_seconds, &b[i].stdev_seconds, sizeof(double)) != 0 ||
-        a[i].trials != b[i].trials || a[i].events != b[i].events ||
-        a[i].fault_counts != b[i].fault_counts || a[i].fault_cycles != b[i].fault_cycles) {
-      return false;
-    }
-  }
-  return true;
-}
-
 std::string num(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.6g", v);
@@ -192,7 +174,7 @@ int main(int argc, char** argv) {
   const std::vector<harness::ClusterRunConfig> cfgs = sweep_configs(opt.full);
   const BatchTiming serial = time_sweep(cfgs, trials, 1);
   const BatchTiming par = time_sweep(cfgs, trials, jobs);
-  const bool match = identical(serial.points, par.points);
+  const bool match = !harness::first_difference(serial.points, par.points);
   const double speedup =
       par.wall_seconds > 0 ? serial.wall_seconds / par.wall_seconds : 0.0;
   std::printf("batch:    %zu tasks  jobs=1 %.3f s   jobs=%u %.3f s   speedup "

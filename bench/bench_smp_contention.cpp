@@ -18,12 +18,12 @@
 // Self-report: BENCH_smp.json (gated in CI by bench_diff with a
 // per-bench threshold; see .github/workflows).
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "harness/batch.hpp"
+#include "harness/result_fields.hpp"
 
 namespace {
 
@@ -50,17 +50,6 @@ constexpr Ablation kAblations[] = {
     {"no PT sharding", "pt_sharding", std::nullopt, false, std::nullopt},
     {"no IPI batching", "ipi_batching", std::nullopt, std::nullopt, false},
 };
-
-/// Bit-exact run fingerprint for the determinism recheck.
-bool same_run(const SmpRunResult& a, const SmpRunResult& b) {
-  return a.pages_touched == b.pages_touched && a.events_fired == b.events_fired &&
-         std::memcmp(&a.seconds, &b.seconds, sizeof(double)) == 0 &&
-         a.smp.mmap_sem_wait == b.smp.mmap_sem_wait &&
-         a.smp.pt_lock_wait == b.smp.pt_lock_wait &&
-         a.smp.zone_lock_wait == b.smp.zone_lock_wait &&
-         a.smp.ipi_stall == b.smp.ipi_stall && a.smp.pcp_hits == b.smp.pcp_hits &&
-         a.smp.shootdown_ipis == b.smp.shootdown_ipis;
-}
 
 } // namespace
 
@@ -202,7 +191,7 @@ int main(int argc, char** argv) {
     c.slab_bytes = slab;
     const SmpRunResult serial = harness::run_smp(c);
     const std::size_t vi = v == SmpVariant::kLinux1999 ? 0 : v == SmpVariant::kLinuxToday ? 1 : 2;
-    deterministic = deterministic && same_run(serial, at(2, vi));
+    deterministic = deterministic && !harness::first_difference(serial, at(2, vi));
   }
   std::printf("determinism (parallel batch vs serial replay @16 cores): %s\n\n",
               deterministic ? "MATCH" : "MISMATCH");

@@ -15,13 +15,13 @@
 // to false fails the bench directly.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "harness/batch.hpp"
 #include "harness/experiment.hpp"
+#include "harness/result_fields.hpp"
 #include "workloads/profiles.hpp"
 
 namespace {
@@ -76,29 +76,6 @@ SweepTiming time_sweep(Fn&& run) {
   return t;
 }
 
-bool identical(const std::vector<harness::SeriesPoint>& a,
-               const std::vector<harness::SeriesPoint>& b) {
-  if (a.size() != b.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    // Bitwise comparison: the determinism contract is byte-identity, not
-    // approximate equality.
-    if (std::memcmp(&a[i].mean_seconds, &b[i].mean_seconds, sizeof(double)) != 0 ||
-        std::memcmp(&a[i].stdev_seconds, &b[i].stdev_seconds, sizeof(double)) != 0 ||
-        a[i].trials != b[i].trials || a[i].events != b[i].events) {
-      return false;
-    }
-    for (std::size_t k = 0; k < mm::kFaultKindCount; ++k) {
-      if (a[i].fault_counts[k] != b[i].fault_counts[k] ||
-          a[i].fault_cycles[k] != b[i].fault_cycles[k]) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 std::string num(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.6g", v);
@@ -119,7 +96,7 @@ int main(int argc, char** argv) {
       time_sweep([&] { return harness::run_trials(cfgs, trials, jobs); });
   const SweepTiming snapshotted =
       time_sweep([&] { return harness::run_trials_snapshotted(cfgs, trials, jobs); });
-  const bool match = identical(straight.points, snapshotted.points);
+  const bool match = !harness::first_difference(straight.points, snapshotted.points);
   const double speedup = snapshotted.wall_seconds > 0
                              ? straight.wall_seconds / snapshotted.wall_seconds
                              : 0.0;

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/flags.hpp"
 #include "harness/batch.hpp"
 
 namespace hpmmap::bench {
@@ -39,9 +40,9 @@ inline BenchOptions parse_options(int argc, char** argv) {
       opt.footprint_scale = 1.0;
       opt.duration_scale = 1.0;
     } else if (std::strcmp(argv[i], "--trials") == 0 && i + 1 < argc) {
-      opt.trials = static_cast<std::uint32_t>(std::atoi(argv[++i]));
+      opt.trials = parse_count("--trials", argv[++i], 1);
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      opt.jobs = static_cast<unsigned>(std::atoi(argv[++i]));
+      opt.jobs = parse_count("--jobs", argv[++i], 0);
     } else if (std::strcmp(argv[i], "--out-dir") == 0 && i + 1 < argc) {
       opt.out_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--help") == 0) {

@@ -28,6 +28,7 @@
 
 #include "bench_util.hpp"
 #include "harness/batch.hpp"
+#include "harness/result_fields.hpp"
 #include "hw/machine.hpp"
 #include "profile/attribution.hpp"
 #include "workloads/profiles.hpp"
@@ -74,26 +75,6 @@ struct KneeOutcome {
   std::vector<CellOutcome> cells;
 };
 
-bool identical(const std::vector<harness::ServerRunResult>& a,
-               const std::vector<harness::ServerRunResult>& b) {
-  if (a.size() != b.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const harness::ServerRunResult& x = a[i];
-    const harness::ServerRunResult& y = b[i];
-    if (x.slo_total != y.slo_total || x.server.completed != y.server.completed ||
-        x.tail.exact_p99_us != y.tail.exact_p99_us || x.tail.p99_us != y.tail.p99_us ||
-        x.runtime_seconds != y.runtime_seconds || x.events_fired != y.events_fired ||
-        x.attribution.completed != y.attribution.completed ||
-        x.attribution.residual_errors != y.attribution.residual_errors ||
-        x.attribution.totals.sum() != y.attribution.totals.sum()) {
-      return false;
-    }
-  }
-  return true;
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
@@ -115,7 +96,8 @@ int main(int argc, char** argv) {
   std::vector<harness::ServerRunResult> results = harness::run_batch(grid, opt.jobs);
 
   // Determinism cross-check: the same grid, strictly serial.
-  const bool deterministic = identical(results, harness::run_batch(grid, /*jobs=*/1));
+  const bool deterministic =
+      !harness::first_difference(results, harness::run_batch(grid, /*jobs=*/1));
 
   std::uint64_t residual_errors = 0;
   std::vector<KneeOutcome> knees;

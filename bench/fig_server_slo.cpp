@@ -28,6 +28,7 @@
 
 #include "bench_util.hpp"
 #include "harness/batch.hpp"
+#include "harness/result_fields.hpp"
 #include "hw/machine.hpp"
 #include "workloads/profiles.hpp"
 
@@ -91,27 +92,6 @@ BackendOutcome fold(harness::Manager manager,
   return out;
 }
 
-bool identical(const std::vector<harness::ServerRunResult>& a,
-               const std::vector<harness::ServerRunResult>& b) {
-  if (a.size() != b.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const harness::ServerRunResult& x = a[i];
-    const harness::ServerRunResult& y = b[i];
-    if (x.slo_total != y.slo_total || x.server.completed != y.server.completed ||
-        x.server.shed_queue != y.server.shed_queue ||
-        x.server.shed_timeout != y.server.shed_timeout ||
-        x.tail.p50_us != y.tail.p50_us || x.tail.p95_us != y.tail.p95_us ||
-        x.tail.p99_us != y.tail.p99_us || x.tail.p999_us != y.tail.p999_us ||
-        x.tail.exact_p99_us != y.tail.exact_p99_us ||
-        x.runtime_seconds != y.runtime_seconds || x.events_fired != y.events_fired) {
-      return false;
-    }
-  }
-  return true;
-}
-
 } // namespace
 
 int main(int argc, char** argv) {
@@ -136,9 +116,9 @@ int main(int argc, char** argv) {
   // Determinism cross-check: the HPMMAP trial loop again, strictly serial.
   harness::ServerRunConfig recheck = base_config(opt);
   recheck.manager = harness::Manager::kHpmmap;
-  const bool deterministic =
-      identical(hpmmap_parallel,
-                harness::run_batch(harness::trial_configs(recheck, opt.trials), /*jobs=*/1));
+  const bool deterministic = !harness::first_difference(
+      hpmmap_parallel,
+      harness::run_batch(harness::trial_configs(recheck, opt.trials), /*jobs=*/1));
 
   std::printf("%-18s %12s %10s %8s %8s %8s %10s %10s\n", "manager", "violations",
               "completed", "shed", "p50us", "p99us", "p99.9us", "xp99us");

@@ -25,6 +25,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/flags.hpp"
 #include "profile/attribution.hpp"
 #include "profile/contention.hpp"
 #include "trace/export.hpp"
@@ -72,9 +73,9 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--folded") && i + 1 < argc) {
       folded_path = argv[++i];
     } else if (!std::strcmp(argv[i], "--top") && i + 1 < argc) {
-      top_n = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
+      top_n = parse_count<std::size_t>("--top", argv[++i], 0);
     } else if (!std::strcmp(argv[i], "--clock-hz") && i + 1 < argc) {
-      clock_hz = std::atof(argv[++i]);
+      clock_hz = parse_real("--clock-hz", argv[++i]);
     } else if (argv[i][0] == '-') {
       usage();
     } else if (trace_path.empty()) {

@@ -18,7 +18,6 @@
 // OpenMetrics text + CSV twin on disk, and Perfetto counter tracks
 // spliced into the --trace-out JSON when both are given. --procfs-dump
 // prints the kernel-style /proc view of every node at run end.
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -29,6 +28,7 @@
 #include <vector>
 
 #include "cluster/network.hpp"
+#include "common/flags.hpp"
 #include "harness/batch.hpp"
 #include "harness/cluster.hpp"
 #include "hw/machine.hpp"
@@ -128,19 +128,6 @@ using namespace hpmmap;
       "                   e.g. --inject thp_huge_alloc@100+50x20,net_delay~0.02*16\n",
       argv0);
   std::exit(0);
-}
-
-/// A count flag's value: digits only, at least `min`. Anything else exits
-/// 1 with a one-line message (atoi would read "abc" as 0).
-unsigned parse_count(const char* flag, const char* text, unsigned min) {
-  unsigned value = 0;
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc{} || ptr != end || value < min) {
-    std::fprintf(stderr, "%s needs an integer >= %u (got '%s')\n", flag, min, text);
-    std::exit(1);
-  }
-  return value;
 }
 
 harness::Manager parse_manager(const std::string& s) {
@@ -550,13 +537,13 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--smp-variant")) {
       smp_variant = next();
     } else if (!std::strcmp(argv[i], "--rate")) {
-      rate = std::atof(next());
+      rate = parse_real("--rate", next());
     } else if (!std::strcmp(argv[i], "--shape")) {
       shape = next();
     } else if (!std::strcmp(argv[i], "--workers")) {
-      workers = static_cast<std::uint32_t>(std::atoi(next()));
+      workers = parse_count("--workers", next(), 1);
     } else if (!std::strcmp(argv[i], "--queue-depth")) {
-      queue_depth = static_cast<std::uint32_t>(std::atoi(next()));
+      queue_depth = parse_count("--queue-depth", next(), 0);
     } else if (!std::strcmp(argv[i], "--slo")) {
       slo_spec = next();
     } else if (!std::strcmp(argv[i], "--manager")) {
@@ -564,7 +551,7 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--profile")) {
       profile = next();
     } else if (!std::strcmp(argv[i], "--cores")) {
-      cores = static_cast<std::uint32_t>(std::atoi(next()));
+      cores = parse_count("--cores", next(), 1);
     } else if (!std::strcmp(argv[i], "--nodes")) {
       nodes = parse_count("--nodes", next(), 1);
     } else if (!std::strcmp(argv[i], "--cluster-jobs")) {
@@ -572,13 +559,13 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--topology")) {
       topology = next();
     } else if (!std::strcmp(argv[i], "--trials")) {
-      trials = static_cast<std::uint32_t>(std::atoi(next()));
+      trials = parse_count("--trials", next(), 1);
     } else if (!std::strcmp(argv[i], "--scale")) {
-      scale = std::atof(next());
+      scale = parse_real("--scale", next());
     } else if (!std::strcmp(argv[i], "--duration")) {
-      duration = std::atof(next());
+      duration = parse_real("--duration", next());
     } else if (!std::strcmp(argv[i], "--seed")) {
-      seed = static_cast<std::uint64_t>(std::atoll(next()));
+      seed = parse_count<std::uint64_t>("--seed", next(), 0);
     } else if (!std::strcmp(argv[i], "--jobs")) {
       jobs = parse_count("--jobs", next(), 0);
     } else if (!std::strcmp(argv[i], "--perf-summary")) {
@@ -600,7 +587,7 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--inject")) {
       inject_spec = next();
     } else if (!std::strcmp(argv[i], "--sample-interval")) {
-      sample_interval = static_cast<std::uint64_t>(std::atoll(next()));
+      sample_interval = parse_count<std::uint64_t>("--sample-interval", next(), 0);
     } else if (!std::strcmp(argv[i], "--metrics-out")) {
       metrics_out = next();
     } else if (!std::strcmp(argv[i], "--procfs-dump")) {

@@ -56,9 +56,7 @@ Errno PageTable::map(Addr vaddr, Addr paddr, PageSize size, Prot prot, PtOpStats
   const unsigned target = leaf_level(size);
   std::uint32_t node = kRoot;
   unsigned level = 3;
-  if (target != 0) {
-    forget_pt(); // a 2M/1G install may free the region's empty PT below
-  } else if (pt_cached(vaddr)) {
+  if (target == 0 && pt_cached(vaddr)) {
     node = cached_pt_;
     level = 0;
   }

@@ -24,8 +24,9 @@
 // once rather than once per call. It only ever caches a PD entry that
 // points at a child PT, and such an entry changes in exactly these
 // places, each of which drops the cache:
-//   - free_node() (the freed index may be recycled for another region);
-//   - 2M/1G map() (the khugepaged collapse frees the region's empty PT);
+//   - free_node() (the freed index may be recycled for another region;
+//     a 2M/1G map() over a khugepaged collapse frees the region's empty
+//     PT only through it);
 //   - split_large() (installs a fresh PT in place of a 2M leaf);
 //   - snapshot restore (replaces every node).
 // unmap() never frees nodes, so it leaves the cache valid. A hit reports

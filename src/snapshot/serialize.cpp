@@ -1,26 +1,24 @@
 // Binary save/load for WorldImage (--snapshot-out / --snapshot-in).
 //
 // Each image type has one field list, `fields(ar, x)`, naming its fields
-// once in file order. Three archives walk the same lists: Writer saves,
-// Reader loads, and Sizer writes nothing and counts bytes — walked over a
-// value-initialised record it gives the fewest bytes that record encodes
-// to, which is how the loader bounds a record count (DESIGN.md §12.6).
-// `ar(x, ...)` picks each value's encoding from its type: scalars and
-// enums as their raw little-endian bytes; arrays of numbers (and strings)
-// as one run copied with a single memcpy, behind a length word when they
-// can grow; lists of records as a length word and then each record's
-// fields. Plain-old-data stats structs are written as raw object bytes
-// with `ar.pod(x)`. That is a same-architecture contract — a snapshot
-// file is a local artifact for resuming sweeps, not an interchange
-// format or an archive; the static_assert below pins the byte order and
-// the version word refuses images from older builds. save() streams to
-// the file through a small staging buffer; load() reads the file in one
-// sized read and checks every length word against the bytes that remain
-// before allocating for it. No record names another by index: a pending
-// engine event is an EventImage inside its owner's record. Trace events
-// are the one pointer-bearing type: their name/argument strings are
-// written out as strings and interned into a process-lifetime pool on
-// load, preserving the recorder's "names outlive the recorder" contract.
+// once in file order; snapshot/archive.hpp holds the walker that reads
+// them and says how each type is encoded, together with the lists the
+// harness's result comparison shares (trace events and arguments,
+// injector counters, std::pair). Three archives walk the lists: Writer
+// saves, Reader loads, and Sizer writes nothing and counts bytes —
+// walked over a value-initialised record it gives the fewest bytes that
+// record encodes to, which is how the loader bounds a record count
+// (DESIGN.md §12.6). Raw runs and `ar.pod(x)` stats structs are a
+// same-architecture contract — a snapshot file is a local artifact for
+// resuming sweeps, not an interchange format or an archive; the
+// static_assert below pins the byte order and the version word refuses
+// images from older builds. save() streams to the file through a small
+// staging buffer; load() reads the file in one sized read and checks
+// every length word against the bytes that remain before allocating for
+// it. No record names another by index: a pending engine event is an
+// EventImage inside its owner's record. Trace strings are interned into
+// a process-lifetime pool on load, preserving the recorder's "names
+// outlive the recorder" contract.
 
 #include "snapshot/snapshot.hpp"
 
@@ -30,12 +28,10 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
-#include <ranges>
 #include <set>
-#include <string_view>
-#include <type_traits>
 
 #include "common/assert.hpp"
+#include "snapshot/archive.hpp"
 
 namespace hpmmap::snapshot {
 namespace {
@@ -65,81 +61,8 @@ const char* intern(const std::string& s) {
   return pool->insert(s).first->c_str();
 }
 
-/// A contiguous array of numbers (std::string included): one raw run.
-template <typename R>
-concept NumberArray = std::ranges::contiguous_range<R> &&
-                      std::is_arithmetic_v<std::ranges::range_value_t<R>>;
-
-/// A list whose length is stored in the file (std::vector, std::string).
-template <typename R>
-concept Growable = requires(R& r, std::size_t n) { r.resize(n); };
-
 template <typename T>
 std::size_t min_bytes();
-
-/// The encoding shared by every archive. An archive supplies `bytes(p, n)`
-/// for a raw run, `length(n, unit)` for a length word counting elements
-/// of at least `unit` bytes, `cstr(s)` for a trace string, and `kLoads`.
-/// Saving walks the image through a const_cast; nothing below writes to
-/// a value unless `kLoads`.
-template <class Self>
-class Archive {
- public:
-  template <class... Ts>
-  void operator()(Ts&... xs) {
-    (item(xs), ...);
-  }
-
-  /// A trivially copyable struct as its raw object bytes.
-  template <class T>
-  void pod(T& x) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    self().bytes(&x, sizeof(T));
-  }
-
- private:
-  Self& self() { return static_cast<Self&>(*this); }
-
-  template <class R>
-  void list_length(R& r, std::size_t unit) {
-    std::size_t n = r.size();
-    self().length(n, unit);
-    if constexpr (Self::kLoads) {
-      r.resize(n);
-    }
-  }
-
-  template <class T>
-  void item(T& x) {
-    if constexpr (std::is_same_v<T, bool>) {
-      // One byte; a loaded byte other than 0 or 1 must not become a bool.
-      std::uint8_t b = x ? 1 : 0;
-      self().bytes(&b, 1);
-      if constexpr (Self::kLoads) {
-        x = b != 0;
-      }
-    } else if constexpr (std::is_arithmetic_v<T> || std::is_enum_v<T>) {
-      self().bytes(&x, sizeof(T));
-    } else if constexpr (std::is_same_v<T, const char*>) {
-      self().cstr(x);
-    } else if constexpr (NumberArray<T>) {
-      using V = std::ranges::range_value_t<T>;
-      if constexpr (Growable<T>) {
-        list_length(x, sizeof(V));
-      }
-      self().bytes(std::ranges::data(x), std::ranges::size(x) * sizeof(V));
-    } else if constexpr (std::ranges::range<T>) {
-      if constexpr (Growable<T>) {
-        list_length(x, min_bytes<std::ranges::range_value_t<T>>());
-      }
-      for (auto& e : x) {
-        item(e);
-      }
-    } else {
-      fields(self(), x);
-    }
-  }
-};
 
 /// Streams the encoding to the file: small fields gather in a fixed
 /// staging buffer, and a run too large for it is written straight out.
@@ -161,15 +84,6 @@ class Writer : public Archive<Writer> {
       std::memcpy(stage_.get() + used_, p, n);
       used_ += n;
     }
-  }
-  void length(std::size_t n, std::size_t /*unit*/) {
-    const std::uint64_t v = n;
-    bytes(&v, sizeof v);
-  }
-  void cstr(const char* s) {
-    const std::string_view sv = s != nullptr ? s : "";
-    length(sv.size(), sizeof(char));
-    bytes(sv.data(), sv.size());
   }
   void flush() {
     out_.write(stage_.get(), static_cast<std::streamsize>(used_));
@@ -203,10 +117,11 @@ class Reader : public Archive<Reader> {
     pos_ += n;
   }
   /// More elements than the remaining bytes can hold is a cut-off file.
-  void length(std::size_t& n, std::size_t unit) {
+  template <class E>
+  void length(std::size_t& n) {
     std::uint64_t v = 0;
     bytes(&v, sizeof v);
-    HPMMAP_ASSERT(v <= (size_ - pos_) / unit, "snapshot: truncated image file");
+    HPMMAP_ASSERT(v <= (size_ - pos_) / min_bytes<E>(), "snapshot: truncated image file");
     n = static_cast<std::size_t>(v);
   }
   void cstr(const char*& s) {
@@ -228,10 +143,6 @@ class Sizer : public Archive<Sizer> {
   static constexpr bool kLoads = false;
 
   void bytes(const void* /*p*/, std::size_t n) { total_ += n; }
-  void length(std::size_t /*n*/, std::size_t /*unit*/) { total_ += sizeof(std::uint64_t); }
-  void cstr(const char* s) {
-    total_ += sizeof(std::uint64_t) + (s != nullptr ? std::strlen(s) : 0);
-  }
   [[nodiscard]] std::size_t total() const noexcept { return total_; }
 
  private:
@@ -253,11 +164,6 @@ std::size_t min_bytes() {
 }
 
 // --- field lists, each in file order ----------------------------------------
-
-template <class Ar, class A, class B>
-void fields(Ar& ar, std::pair<A, B>& p) {
-  ar(p.first, p.second);
-}
 
 template <class Ar>
 void fields(Ar& ar, Range& r) {
@@ -481,30 +387,6 @@ void fields(Ar& ar, EngineImage& e) {
   ar(e.now, e.next_seq, e.fired, e.cancelled, e.stopped);
 }
 
-/// The union member is picked by `kind`, which is read first.
-template <class Ar>
-void fields(Ar& ar, trace::Arg& a) {
-  ar(a.name, a.kind);
-  switch (a.kind) {
-    case trace::Arg::Kind::kNone:
-      break;
-    case trace::Arg::Kind::kU64:
-      ar(a.value.u64);
-      break;
-    case trace::Arg::Kind::kF64:
-      ar(a.value.f64);
-      break;
-    case trace::Arg::Kind::kStr:
-      ar(a.value.str);
-      break;
-  }
-}
-
-template <class Ar>
-void fields(Ar& ar, trace::Event& e) {
-  ar(e.ts, e.dur, e.event_name, e.cat, e.phase, e.pid, e.core, e.span, e.arg_count, e.args);
-}
-
 template <class Ar>
 void fields(Ar& ar, TraceImage& t) {
   ar(t.ring, t.capacity, t.head, t.dropped, t.recorded);
@@ -528,11 +410,6 @@ void fields(Ar& ar, HistogramImage& h) {
 template <class Ar>
 void fields(Ar& ar, MetricsImage& m) {
   ar(m.counters, m.histograms);
-}
-
-template <class Ar>
-void fields(Ar& ar, verify::PointStats& s) {
-  ar(s.calls, s.fired);
 }
 
 template <class Ar>

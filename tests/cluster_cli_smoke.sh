@@ -3,8 +3,9 @@
 # runtime does not depend on how many workers drive the per-node
 # engines, trials honour --topology and --trials with or without
 # --cluster-jobs, a traced run reports every node's counters from the
-# merged registry, and bad counts or snapshot flags on the cluster model
-# are refused with a one-line message.
+# merged registry, and a bad number for any numeric flag, or a snapshot
+# flag on the cluster model, is refused with a one-line message that
+# names the flag.
 #
 # Usage: cluster_cli_smoke.sh <path to run_experiment>
 set -euo pipefail
@@ -74,6 +75,12 @@ refused() {
 refused "--nodes needs an integer >= 1 (got '0')" --nodes 0 --cluster-jobs 1
 refused "--cluster-jobs needs an integer >= 0 (got 'abc')" --nodes 2 --cluster-jobs abc
 refused "--jobs needs an integer >= 0 (got '-1')" --jobs -1
+refused "--trials needs an integer >= 1 (got 'abc')" --trials abc
+refused "--cores needs an integer >= 1 (got 'abc')" --cores abc
+refused "--seed needs an integer >= 0 (got '7x')" --seed 7x
+refused "--scale needs a number > 0 (got '0')" --scale 0
+refused "--duration needs a number > 0 (got 'abc')" --duration abc
+refused "--rate needs a number > 0 (got '1e400')" --experiment server --rate 1e400
 snapshot_refusal="--snapshot-out/--snapshot-in support single-node hpc runs only"
 refused "$snapshot_refusal" --nodes 1 --cluster-jobs 1 --snapshot-out "$out/x.img"
 refused "$snapshot_refusal" --nodes 1 --cluster-jobs 1 --snapshot-in "$out/missing.img"

@@ -11,8 +11,7 @@
 
 #include "harness/batch.hpp"
 #include "harness/experiment.hpp"
-
-#include "result_equality.hpp"
+#include "harness/result_fields.hpp"
 
 namespace hpmmap {
 namespace {
@@ -108,7 +107,7 @@ TEST(BatchDeterminism, SingleNodeTrialsIdenticalAcrossJobCounts) {
   const std::vector cfgs{quick_single(harness::Manager::kThp, 11)};
   const harness::SeriesPoint serial = harness::run_trials(cfgs, 3, 1).front();
   const harness::SeriesPoint parallel = harness::run_trials(cfgs, 3, 4).front();
-  expect_point_equal(serial, parallel);
+  EXPECT_EQ(harness::first_difference(serial, parallel), std::nullopt);
   EXPECT_GT(serial.mean_seconds, 0.0);
   EXPECT_GT(serial.events, 0u);
 }
@@ -127,9 +126,9 @@ TEST(BatchDeterminism, ScalingSweepIdenticalAcrossJobCounts) {
   const std::vector<harness::SeriesPoint> parallel = harness::run_trials(cfgs, 2, 4);
   ASSERT_EQ(serial.size(), cfgs.size());
   ASSERT_EQ(parallel.size(), cfgs.size());
-  for (std::size_t i = 0; i < cfgs.size(); ++i) {
-    expect_point_equal(serial[i], parallel[i], i);
-    EXPECT_GT(serial[i].mean_seconds, 0.0);
+  EXPECT_EQ(harness::first_difference(serial, parallel), std::nullopt);
+  for (const harness::SeriesPoint& p : serial) {
+    EXPECT_GT(p.mean_seconds, 0.0);
   }
 }
 
@@ -142,7 +141,7 @@ TEST(BatchDeterminism, DefaultJobsRoutesThroughTheSameSeeds) {
   const harness::SeriesPoint via_default = harness::run_trials(cfgs, 2).front();
   harness::set_default_jobs(saved == 0 ? 1 : saved);
   const harness::SeriesPoint serial = harness::run_trials(cfgs, 2, 1).front();
-  expect_point_equal(via_default, serial);
+  EXPECT_EQ(harness::first_difference(via_default, serial), std::nullopt);
 }
 
 TEST(BatchRunner, RunBatchReturnsFullResultsInOrder) {

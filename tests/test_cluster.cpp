@@ -24,14 +24,13 @@
 #include "harness/batch.hpp"
 #include "harness/cluster.hpp"
 #include "harness/experiment.hpp"
+#include "harness/result_fields.hpp"
 #include "introspect/export.hpp"
 #include "sim/engine.hpp"
 #include "sim/parallel.hpp"
 #include "trace/export.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
-
-#include "result_equality.hpp"
 
 namespace hpmmap {
 namespace {
@@ -319,11 +318,8 @@ TEST_P(ClusterManagers, AnyWorkerCountIsByteIdentical) {
   // 4 workers on 4 nodes boots every node on its own thread.
   for (unsigned jobs : {2u, 4u, 5u}) {
     cfg.cluster_jobs = jobs;
-    const harness::RunResult par = harness::run_cluster(cfg);
-    expect_run_equal(par, inline_ref);
-    if (::testing::Test::HasFatalFailure()) {
-      return;
-    }
+    EXPECT_EQ(harness::first_difference(harness::run_cluster(cfg), inline_ref), std::nullopt)
+        << "cluster_jobs " << jobs;
   }
 }
 
@@ -338,10 +334,8 @@ TEST_P(ClusterManagers, ResumedRunIsByteIdenticalAtAnyWorkerCount) {
   ASSERT_EQ(image.size(), 3u);
   for (unsigned jobs : {1u, 3u}) {
     cfg.cluster_jobs = jobs;
-    expect_run_equal(harness::run_cluster(cfg, image), straight);
-    if (::testing::Test::HasFatalFailure()) {
-      return;
-    }
+    EXPECT_EQ(harness::first_difference(harness::run_cluster(cfg, image), straight), std::nullopt)
+        << "cluster_jobs " << jobs;
   }
 }
 
@@ -360,7 +354,7 @@ TEST(ClusterTrials, SeriesPointsAreWorkerCountInvariant) {
   for (const auto& [jobs, cluster_jobs] : {std::pair{1u, 4u}, std::pair{2u, 2u}}) {
     cfg.cluster_jobs = cluster_jobs;
     const harness::SeriesPoint b = harness::run_trials(std::vector{cfg}, 3, jobs).front();
-    expect_point_equal(a, b);
+    EXPECT_EQ(harness::first_difference(a, b), std::nullopt);
   }
 }
 

@@ -17,6 +17,7 @@
 #include "common/units.hpp"
 #include "harness/batch.hpp"
 #include "harness/experiment.hpp"
+#include "harness/result_fields.hpp"
 #include "hw/mem_map.hpp"
 #include "introspect/bench_diff.hpp"
 #include "introspect/export.hpp"
@@ -199,28 +200,18 @@ TEST(SamplerDeterminism, SamplingLeavesTraceAndTablesUnchanged) {
   on.introspect.sample_interval = 10'000'000;
 
   const harness::RunResult r_off = harness::run_single_node(off);
-  const harness::RunResult r_on = harness::run_single_node(on);
+  harness::RunResult r_on = harness::run_single_node(on);
 
   EXPECT_TRUE(r_off.telemetry.empty());
   EXPECT_FALSE(r_on.telemetry.empty());
 
-  // Same simulation: runtime, fault accounting, golden-table inputs.
-  EXPECT_EQ(r_off.runtime_seconds, r_on.runtime_seconds);
-  for (std::size_t k = 0; k < mm::kFaultKindCount; ++k) {
-    EXPECT_EQ(r_off.faults.count[k], r_on.faults.count[k]);
-    EXPECT_EQ(r_off.faults.total_cycles[k], r_on.faults.total_cycles[k]);
-    EXPECT_EQ(r_off.by_kind_summaries[k].total_faults,
-              r_on.by_kind_summaries[k].total_faults);
-    EXPECT_EQ(r_off.by_kind_summaries[k].avg_cycles, r_on.by_kind_summaries[k].avg_cycles);
-  }
-
-  // Byte-identical trace streams (the fig4/fig5 scatter source).
-  trace::ExportOptions eopt;
-  eopt.clock_hz = r_off.clock_hz;
-  eopt.t0 = r_off.trace_t0;
-  EXPECT_EQ(r_off.trace_t0, r_on.trace_t0);
-  EXPECT_EQ(trace::chrome_json(r_off.events, eopt), trace::chrome_json(r_on.events, eopt));
-  EXPECT_EQ(trace::csv(r_off.events), trace::csv(r_on.events));
+  // Same simulation, trace stream (the fig4/fig5 scatter source) and
+  // tables once what sampling adds is taken out: its series, and its
+  // daemon's ticks as engine events.
+  r_on.telemetry.clear();
+  EXPECT_GT(r_on.events_fired, r_off.events_fired);
+  r_on.events_fired = r_off.events_fired;
+  EXPECT_EQ(harness::first_difference(r_off, r_on), std::nullopt);
 }
 
 TEST(SamplerDeterminism, MetricsExportByteIdenticalAcrossJobs) {

@@ -11,6 +11,7 @@
 #include "common/units.hpp"
 #include "harness/batch.hpp"
 #include "harness/experiment.hpp"
+#include "harness/result_fields.hpp"
 #include "profile/attribution.hpp"
 #include "profile/contention.hpp"
 #include "trace/export.hpp"
@@ -99,20 +100,7 @@ TEST(Attribution, CsvRoundTripsAndFromRecordsRebuildsTotals) {
   const std::string csv = profile::attr_csv(t.requests);
   const profile::TrialAttribution back =
       profile::from_records(profile::parse_attr_csv(csv));
-  ASSERT_EQ(back.completed, t.completed);
-  EXPECT_EQ(back.residual_errors, 0u);
-  EXPECT_EQ(back.totals.sum(), t.totals.sum());
-  for (std::size_t i = 0; i < t.requests.size(); ++i) {
-    const profile::RequestRecord& a = t.requests[i];
-    const profile::RequestRecord& b = back.requests[i];
-    EXPECT_EQ(a.index, b.index);
-    EXPECT_EQ(a.span, b.span);
-    EXPECT_EQ(a.arrival, b.arrival);
-    EXPECT_EQ(a.latency, b.latency);
-    EXPECT_EQ(a.sum(), b.sum());
-    EXPECT_EQ(a.lock_pt, b.lock_pt);
-    EXPECT_EQ(a.miss_disk, b.miss_disk);
-  }
+  EXPECT_EQ(harness::first_difference(t, back), std::nullopt);
   // Fixpoint: re-serializing the parsed records reproduces the bytes.
   EXPECT_EQ(profile::attr_csv(back.requests), csv);
 }
@@ -213,19 +201,6 @@ harness::ServerRunConfig tiny_server(harness::Manager manager) {
   return cfg;
 }
 
-void expect_same_fingerprint(const harness::ServerRunResult& a,
-                             const harness::ServerRunResult& b) {
-  EXPECT_EQ(a.server.completed, b.server.completed);
-  EXPECT_EQ(a.server.shed_queue, b.server.shed_queue);
-  EXPECT_EQ(a.server.shed_timeout, b.server.shed_timeout);
-  EXPECT_EQ(a.slo_total, b.slo_total);
-  EXPECT_EQ(a.tail.p50_us, b.tail.p50_us);
-  EXPECT_EQ(a.tail.p99_us, b.tail.p99_us);
-  EXPECT_EQ(a.tail.exact_p99_us, b.tail.exact_p99_us);
-  EXPECT_EQ(a.runtime_seconds, b.runtime_seconds);
-  EXPECT_EQ(a.events_fired, b.events_fired);
-}
-
 TEST(PureObserver, ServerRunDecomposesEveryRequestExactly) {
   harness::ServerRunConfig cfg = tiny_server(harness::Manager::kThp);
   cfg.attribution = true;
@@ -249,10 +224,11 @@ TEST(PureObserver, AttributionOnOffLeavesResultsIdentical) {
   harness::ServerRunConfig on = off;
   on.attribution = true;
   const harness::ServerRunResult a = harness::run_server(off);
-  const harness::ServerRunResult b = harness::run_server(on);
-  expect_same_fingerprint(a, b);
+  harness::ServerRunResult b = harness::run_server(on);
   EXPECT_TRUE(a.attribution.requests.empty());
   EXPECT_EQ(b.attribution.completed, b.server.completed);
+  b.attribution = {}; // what attribution adds
+  EXPECT_EQ(harness::first_difference(a, b), std::nullopt);
 }
 
 /// Strip the trailing `span:u=N` CSV token (always appended last) so a
@@ -286,9 +262,7 @@ TEST(PureObserver, SpansOnOffIsByteIdenticalUpToSpanTokens) {
   on.trace.spans = true;
 
   const harness::ServerRunResult a = harness::run_server(off);
-  const harness::ServerRunResult b = harness::run_server(on);
-  expect_same_fingerprint(a, b);
-  ASSERT_EQ(a.events.size(), b.events.size());
+  harness::ServerRunResult b = harness::run_server(on);
 
   const std::string csv_off = trace::csv(a.events);
   const std::string csv_on = trace::csv(b.events);
@@ -298,6 +272,11 @@ TEST(PureObserver, SpansOnOffIsByteIdenticalUpToSpanTokens) {
   EXPECT_NE(csv_on.find("span:u="), std::string::npos);
   // ...and that is the ONLY difference between the two exports.
   EXPECT_EQ(strip_span_tokens(csv_on), csv_off);
+  // Nor does any other output differ: spans add only each event's span id.
+  for (trace::Event& e : b.events) {
+    e.span = 0;
+  }
+  EXPECT_EQ(harness::first_difference(a, b), std::nullopt);
 }
 
 TEST(PureObserver, SpannedTrialLoopIsJobsInvariant) {
@@ -307,14 +286,8 @@ TEST(PureObserver, SpannedTrialLoopIsJobsInvariant) {
   cfg.attribution = true;
   const auto serial = harness::run_batch(harness::trial_configs(cfg, 3), /*jobs=*/1);
   const auto parallel = harness::run_batch(harness::trial_configs(cfg, 3), /*jobs=*/4);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    expect_same_fingerprint(serial[i], parallel[i]);
-    // Trace streams (spans included) and attribution merge identically.
-    EXPECT_EQ(trace::csv(parallel[i].events), trace::csv(serial[i].events));
-    EXPECT_EQ(profile::attr_csv(parallel[i].attribution.requests),
-              profile::attr_csv(serial[i].attribution.requests));
-  }
+  // Trace streams (spans included) and attribution merge identically.
+  EXPECT_EQ(harness::first_difference(serial, parallel), std::nullopt);
 }
 
 } // namespace

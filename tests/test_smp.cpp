@@ -7,12 +7,12 @@
 // for any batch-runner jobs value.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <string_view>
 #include <vector>
 
 #include "harness/batch.hpp"
 #include "harness/experiment.hpp"
+#include "harness/result_fields.hpp"
 #include "linux_mm/smp.hpp"
 #include "trace/trace.hpp"
 
@@ -158,14 +158,6 @@ TEST(SmpRun, LockWaitTracepointsFeedFlightRecorder) {
 
 // --- batch determinism ------------------------------------------------------
 
-bool same_result(const SmpRunResult& a, const SmpRunResult& b) {
-  return a.cores == b.cores && a.pages_touched == b.pages_touched &&
-         std::memcmp(&a.seconds, &b.seconds, sizeof(double)) == 0 &&
-         std::memcmp(&a.faults_per_sec, &b.faults_per_sec, sizeof(double)) == 0 &&
-         std::memcmp(&a.smp, &b.smp, sizeof(mm::SmpStats)) == 0 &&
-         a.events_fired == b.events_fired;
-}
-
 TEST(SmpBatch, GridIsByteIdenticalForAnyJobs) {
   std::vector<SmpRunConfig> grid;
   for (const SmpVariant v :
@@ -181,10 +173,7 @@ TEST(SmpBatch, GridIsByteIdenticalForAnyJobs) {
   harness::set_default_jobs(0);
 
   ASSERT_EQ(serial.size(), grid.size());
-  ASSERT_EQ(parallel.size(), grid.size());
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    EXPECT_TRUE(same_result(serial[i], parallel[i])) << "config " << i << " diverged";
-  }
+  EXPECT_EQ(harness::first_difference(serial, parallel), std::nullopt);
 }
 
 } // namespace

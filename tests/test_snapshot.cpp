@@ -27,6 +27,7 @@
 #include "harness/cluster.hpp"
 #include "harness/detail.hpp"
 #include "harness/experiment.hpp"
+#include "harness/result_fields.hpp"
 #include "introspect/procfs.hpp"
 #include "linux_mm/smp.hpp"
 #include "os/node.hpp"
@@ -37,8 +38,6 @@
 #include "verify/audit.hpp"
 #include "verify/fault_inject.hpp"
 #include "workloads/kernel_build.hpp"
-
-#include "result_equality.hpp"
 
 namespace hpmmap {
 namespace {
@@ -67,7 +66,7 @@ TEST_P(SnapshotManagers, ResumedRunIsByteIdenticalToStraightRun) {
   const harness::RunResult straight = harness::run_single_node(cfg);
   const snapshot::WorldImage image = harness::capture_single_node(cfg);
   const harness::RunResult resumed = harness::run_single_node(cfg, image);
-  expect_run_equal(straight, resumed);
+  EXPECT_EQ(harness::first_difference(straight, resumed), std::nullopt);
 }
 
 INSTANTIATE_TEST_SUITE_P(Managers, SnapshotManagers,
@@ -85,7 +84,7 @@ TEST(SnapshotResume, TracedRunReplaysTheExactEventStream) {
   const snapshot::WorldImage image = harness::capture_single_node(cfg);
   const harness::RunResult resumed = harness::run_single_node(cfg, image);
   ASSERT_FALSE(straight.events.empty());
-  expect_run_equal(straight, resumed);
+  EXPECT_EQ(harness::first_difference(straight, resumed), std::nullopt);
 }
 
 TEST(SnapshotResume, OneCaptureFansOutToDifferentMeasurementConfigs) {
@@ -99,9 +98,12 @@ TEST(SnapshotResume, OneCaptureFansOutToDifferentMeasurementConfigs) {
   other.app = "HPCCG";
   other.app_cores = 4;
   other.duration_scale = 0.03;
-  expect_run_equal(harness::run_single_node(base), harness::run_single_node(base, image));
-  expect_run_equal(harness::run_single_node(other),
-                   harness::run_single_node(other, image));
+  EXPECT_EQ(harness::first_difference(harness::run_single_node(base),
+                                      harness::run_single_node(base, image)),
+            std::nullopt);
+  EXPECT_EQ(harness::first_difference(harness::run_single_node(other),
+                                      harness::run_single_node(other, image)),
+            std::nullopt);
 }
 
 TEST(SnapshotResume, ScalingRunResumesExactly) {
@@ -117,7 +119,7 @@ TEST(SnapshotResume, ScalingRunResumesExactly) {
   const harness::RunResult straight = harness::run_cluster({cfg});
   const harness::ClusterImage image = harness::capture_scaling(cfg);
   const harness::RunResult resumed = harness::run_cluster({cfg}, image);
-  expect_run_equal(straight, resumed);
+  EXPECT_EQ(harness::first_difference(straight, resumed), std::nullopt);
 }
 
 // --- node-level structural equality ---------------------------------------
@@ -719,14 +721,9 @@ TEST(SnapshotTrace, SpanCarryingEventsRoundTripThroughSaveLoad) {
   const snapshot::WorldImage loaded = snapshot::load(path);
   std::remove(path.c_str());
 
-  ASSERT_EQ(loaded.trace.ring.size(), image.trace.ring.size());
+  EXPECT_EQ(harness::first_difference(loaded.trace.ring, image.trace.ring), std::nullopt);
   std::uint32_t outer_span = 0, inner_span = 0, none_span = 99;
-  for (std::size_t i = 0; i < loaded.trace.ring.size(); ++i) {
-    const trace::Event& got = loaded.trace.ring[i];
-    const trace::Event& want = image.trace.ring[i];
-    EXPECT_EQ(got.span, want.span) << trace::describe(want);
-    EXPECT_EQ(got.ts, want.ts);
-    EXPECT_EQ(got.name(), want.name());
+  for (const trace::Event& got : loaded.trace.ring) {
     if (got.name() == "span.outer") {
       outer_span = got.span;
     } else if (got.name() == "span.inner") {
@@ -755,9 +752,11 @@ TEST(SnapshotSweep, SnapshottedTrialsMatchPlainBatchBitForBit) {
       harness::run_trials(configs, /*trials=*/2, /*jobs=*/1);
   const std::vector<harness::SeriesPoint> snap =
       harness::run_trials_snapshotted(configs, /*trials=*/2, /*jobs=*/1);
-  expect_points_equal(plain, snap);
+  EXPECT_EQ(harness::first_difference(plain, snap), std::nullopt);
   // Parallel fan-out folds identically too (the BatchRunner contract).
-  expect_points_equal(plain, harness::run_trials_snapshotted(configs, 2, /*jobs=*/4));
+  EXPECT_EQ(harness::first_difference(
+                plain, harness::run_trials_snapshotted(configs, 2, /*jobs=*/4)),
+            std::nullopt);
 }
 
 TEST(SnapshotSweep, SnapshottedScalingTrialsMatchPlainBatchBitForBit) {
@@ -784,8 +783,11 @@ TEST(SnapshotSweep, SnapshottedScalingTrialsMatchPlainBatchBitForBit) {
   configs.push_back({scaling("HPCCG", harness::Manager::kHpmmap)});
   const std::vector<harness::SeriesPoint> plain =
       harness::run_trials(configs, /*trials=*/2, /*jobs=*/1);
-  expect_points_equal(plain, harness::run_trials_snapshotted(configs, 2, /*jobs=*/1));
-  expect_points_equal(plain, harness::run_trials_snapshotted(configs, 2, /*jobs=*/4));
+  for (const unsigned jobs : {1u, 4u}) {
+    EXPECT_EQ(harness::first_difference(plain, harness::run_trials_snapshotted(configs, 2, jobs)),
+              std::nullopt)
+        << "jobs " << jobs;
+  }
 }
 
 TEST(SnapshotSweep, TopologiesShareOneAgedClusterAndKeepTheirOwn) {
@@ -810,7 +812,9 @@ TEST(SnapshotSweep, TopologiesShareOneAgedClusterAndKeepTheirOwn) {
   const std::vector<harness::SeriesPoint> plain =
       harness::run_trials(configs, /*trials=*/1, /*jobs=*/1);
   EXPECT_NE(plain[0].mean_seconds, plain[1].mean_seconds);
-  expect_points_equal(plain, harness::run_trials_snapshotted(configs, 1, /*jobs=*/1));
+  EXPECT_EQ(harness::first_difference(
+                plain, harness::run_trials_snapshotted(configs, 1, /*jobs=*/1)),
+            std::nullopt);
 }
 
 // --- corrupt image files ----------------------------------------------------
@@ -1393,10 +1397,10 @@ TEST(SnapshotTimeTravel, SingleSteppingFromRestoreReproducesTheAnomalyEvent) {
     for (std::size_t i = replay_start; i < replay.size(); ++i) {
       const trace::Event& e = replay[i];
       if (e.ts == want.ts && e.name() == want.name() && e.pid == want.pid) {
-        expect_args_equal(e, want, i);
-        // Causal context must replay too: the restored world re-emits
-        // the event under the same span (or span-free, like here).
-        EXPECT_EQ(e.span, want.span) << trace::describe(e);
+        // Arguments and causal context must replay too: the restored
+        // world re-emits the event under the same span (or span-free,
+        // like here).
+        EXPECT_EQ(harness::first_difference(e, want), std::nullopt) << trace::describe(e);
         replayed = true;
       }
     }

@@ -9,6 +9,7 @@
 
 #include "common/log.hpp"
 #include "harness/experiment.hpp"
+#include "harness/result_fields.hpp"
 #include "sim/engine.hpp"
 #include "trace/export.hpp"
 #include "trace/metrics.hpp"
@@ -290,17 +291,16 @@ TEST_F(TraceTest, TracingDoesNotChangeResults) {
 
   const harness::RunResult off = harness::run_single_node(cfg);
   cfg.trace.categories = trace::kAllCategories;
-  const harness::RunResult on = harness::run_single_node(cfg);
+  harness::RunResult on = harness::run_single_node(cfg);
 
-  EXPECT_DOUBLE_EQ(on.runtime_seconds, off.runtime_seconds);
-  for (std::size_t k = 0; k < mm::kFaultKindCount; ++k) {
-    EXPECT_EQ(on.faults.count[k], off.faults.count[k]) << "kind " << k;
-    EXPECT_EQ(on.faults.total_cycles[k], off.faults.total_cycles[k]) << "kind " << k;
-  }
-  EXPECT_EQ(on.thp_merges, off.thp_merges);
-  EXPECT_EQ(on.hpmmap_spurious_faults, off.hpmmap_spurious_faults);
   EXPECT_FALSE(on.events.empty());
   EXPECT_TRUE(off.events.empty());
+  // What tracing adds: the event stream, and per-kind distributions
+  // rebuilt from it (a running mean, which can differ from the untraced
+  // total/count in the last bits).
+  on.events.clear();
+  on.by_kind_summaries = off.by_kind_summaries;
+  EXPECT_EQ(harness::first_difference(off, on), std::nullopt);
 }
 
 TEST_F(TraceTest, TracedRunExportsValidStreams) {
