@@ -31,6 +31,12 @@ struct BenchOptions {
   std::string out_dir = "results";
 };
 
+inline void print_usage(std::FILE* out, const char* argv0) {
+  std::fprintf(out, "usage: %s [--full] [--trials N] [--jobs N] [--out-dir DIR]\n", argv0);
+}
+
+/// Exits 0 on --help, and 1 with the usage line on a flag it does not
+/// know or one missing its value.
 inline BenchOptions parse_options(int argc, char** argv) {
   BenchOptions opt;
   for (int i = 1; i < argc; ++i) {
@@ -46,13 +52,16 @@ inline BenchOptions parse_options(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--out-dir") == 0 && i + 1 < argc) {
       opt.out_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--help") == 0) {
-      std::printf("usage: %s [--full] [--trials N] [--jobs N] [--out-dir DIR]\n"
-                  "  --full   paper scale (12 GB footprints, 10 trials); default is a\n"
+      print_usage(stdout, argv[0]);
+      std::printf("  --full   paper scale (12 GB footprints, 10 trials); default is a\n"
                   "           reduced scale that preserves the figure's shape\n"
                   "  --jobs   parallel simulation workers (default: all hardware\n"
-                  "           threads; output is identical for any value)\n",
-                  argv[0]);
+                  "           threads; output is identical for any value)\n");
       std::exit(0);
+    } else {
+      std::fprintf(stderr, "%s: unknown flag or missing value '%s'\n", argv[0], argv[i]);
+      print_usage(stderr, argv[0]);
+      std::exit(1);
     }
   }
   ::mkdir(opt.out_dir.c_str(), 0755);

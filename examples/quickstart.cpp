@@ -9,9 +9,9 @@
 // every region with large pages at allocation time, and the app stops
 // taking page faults.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common/flags.hpp"
 #include "harness/experiment.hpp"
 #include "harness/table.hpp"
 
@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   using namespace hpmmap;
 
   const std::string app = argc > 1 ? argv[1] : "HPCCG";
-  const std::uint32_t cores = argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 4;
+  const std::uint32_t cores = argc > 2 ? parse_count<std::uint32_t>("cores", argv[2], 1) : 4;
 
   std::printf("HPMMAP quickstart: %s on %u cores, one competing kernel build\n\n", app.c_str(),
               cores);

@@ -11,11 +11,11 @@
 // harness), this composes the pieces by hand — engine, node, schedule,
 // ServerApp, KernelBuild — so it doubles as a tour of the serving API.
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/flags.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "harness/experiment.hpp"
@@ -139,7 +139,7 @@ DemoResult run_backend(harness::Manager manager, double mean_rps) {
 } // namespace
 
 int main(int argc, char** argv) {
-  const double mean_rps = argc > 1 ? std::atof(argv[1]) : 60'000.0;
+  const double mean_rps = argc > 1 ? parse_real("mean_rps", argv[1]) : 60'000.0;
 
   std::printf("Serving demo: diurnal wave @ %.0f rps mean (2x peak), 4 workers,\n"
               "kernel build (-j8) ambushes the node at t=0.5s of a 1s window\n\n",

@@ -104,29 +104,26 @@ std::optional<mm::FaultKind> kind_from_label(std::string_view label) {
 }
 
 void fill_by_kind(RunResult& result, const TraceConfig& trace_cfg) {
-  // Per-kind distributions need per-fault samples: reconstruct them from
-  // the trace stream when the fault category was recorded.
-  const bool fault_traced =
-      (trace_cfg.categories & static_cast<std::uint32_t>(trace::Category::kFault)) != 0;
-  if (fault_traced) {
-    std::array<RunningStats, mm::kFaultKindCount> stats;
-    for (const FaultSample& s : app_fault_samples(result)) {
-      stats[static_cast<std::size_t>(s.kind)].add(static_cast<double>(s.cost));
-    }
-    for (std::size_t k = 0; k < mm::kFaultKindCount; ++k) {
-      result.by_kind_summaries[k].total_faults = stats[k].count();
-      result.by_kind_summaries[k].avg_cycles = stats[k].mean();
-      result.by_kind_summaries[k].stdev_cycles = stats[k].stdev();
-    }
-  } else {
-    for (std::size_t k = 0; k < mm::kFaultKindCount; ++k) {
-      result.by_kind_summaries[k].total_faults = result.faults.count[k];
-      result.by_kind_summaries[k].avg_cycles =
-          result.faults.count[k] > 0
-              ? static_cast<double>(result.faults.total_cycles[k]) /
-                    static_cast<double>(result.faults.count[k])
-              : 0.0;
-    }
+  // Counts and means come from the kernel's counters, traced or not, so
+  // tracing cannot move them; a spread needs per-fault samples, which are
+  // reconstructed from the trace stream when the fault category was
+  // recorded.
+  for (std::size_t k = 0; k < mm::kFaultKindCount; ++k) {
+    FaultKindSummary& s = result.by_kind_summaries[k];
+    s.total_faults = result.faults.count[k];
+    s.avg_cycles = s.total_faults > 0 ? static_cast<double>(result.faults.total_cycles[k]) /
+                                            static_cast<double>(s.total_faults)
+                                      : 0.0;
+  }
+  if ((trace_cfg.categories & static_cast<std::uint32_t>(trace::Category::kFault)) == 0) {
+    return;
+  }
+  std::array<RunningStats, mm::kFaultKindCount> stats;
+  for (const FaultSample& s : app_fault_samples(result)) {
+    stats[static_cast<std::size_t>(s.kind)].add(static_cast<double>(s.cost));
+  }
+  for (std::size_t k = 0; k < mm::kFaultKindCount; ++k) {
+    result.by_kind_summaries[k].stdev_cycles = stats[k].stdev();
   }
 }
 

@@ -42,9 +42,9 @@ void begin_tracing(const TraceConfig& cfg, std::uint64_t seed);
 /// Fault kinds round-trip through event args as their display names.
 [[nodiscard]] std::optional<mm::FaultKind> kind_from_label(std::string_view label);
 
-/// Per-kind fault distributions from the trace stream when the fault
-/// category was recorded (result.events/app_pids must be filled), else
-/// from the aggregate counters.
+/// Per-kind fault counts and means from the aggregate counters; the
+/// spreads from the trace stream when the fault category was recorded
+/// (result.events/app_pids must be filled), else 0.
 void fill_by_kind(RunResult& result, const TraceConfig& trace_cfg);
 
 /// THP/hugetlb/HPMMAP service counters from the run's first node.

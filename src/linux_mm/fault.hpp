@@ -71,6 +71,13 @@ struct FaultStats {
   }
 };
 
+/// Walked as its raw bytes: the probe behind the default field list
+/// (snapshot/archive.hpp) counts each C-array element as a member.
+template <class Ar>
+void fields(Ar& ar, FaultStats& s) {
+  ar.pod(s);
+}
+
 class FaultHandler {
  public:
   /// `thp` may be null (THP disabled); `hugetlb` may be null (no pools).

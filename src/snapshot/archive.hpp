@@ -2,16 +2,19 @@
 // (serialize.cpp) and the harness's result comparison
 // (harness/result_fields.hpp).
 //
-// A type names its fields once, in order, in a `fields(ar, x)` list;
-// an archive derived from Archive<Self> walks that list and picks each
-// value's encoding from its type: scalars and enums as their raw
-// little-endian bytes; arrays of numbers (and strings) as one run behind
-// a length word when they can grow; lists of records as a length word
-// and then each record's fields; trace strings (`const char*`) as a
-// length word and their characters. `ar.pod(x)` takes a plain stats
-// struct as its raw object bytes. The lists below are the ones both
-// users need: trace events and their arguments, injector counters and
-// std::pair.
+// A record's fields are walked in the order of a `fields(ar, x)` list.
+// Every aggregate has one by default: its members in declaration order,
+// counted by a brace-init probe and bound by a structured binding, so a
+// member added to a struct is walked with no other edit. A type whose
+// encoding is not its declaration keeps a hand list that overloads the
+// default (std::pair and trace::Arg below, NodeImage and mm::Vma in
+// image.hpp, mm::FaultStats beside its type). An archive derived from
+// Archive<Self> picks each value's encoding from its type: scalars and
+// enums as their raw little-endian bytes; arrays of numbers (and
+// strings) as one run behind a length word when they can grow; lists of
+// records as a length word and then each record's fields; trace strings
+// (`const char*`) as a length word and their characters. `ar.pod(x)`
+// takes a plain struct as its raw object bytes.
 #pragma once
 
 #include <cstddef>
@@ -22,7 +25,6 @@
 #include <utility>
 
 #include "trace/trace.hpp"
-#include "verify/fault_inject.hpp"
 
 namespace hpmmap::snapshot {
 
@@ -117,6 +119,95 @@ class Archive {
   }
 };
 
+/// Converts to any member type, so `T{AnyMember{}...}` probes how many
+/// members brace-initialise T. A C-array member is counted per element
+/// (brace elision); the binding below then names too many members and
+/// fails to compile, so such a type needs a hand list.
+struct AnyMember {
+  template <class T>
+  constexpr operator T() const noexcept;
+};
+
+template <class T, class... Probe>
+consteval std::size_t member_count() {
+  if constexpr (requires { T{Probe{}..., AnyMember{}}; }) {
+    return member_count<T, Probe..., AnyMember>();
+  } else {
+    return sizeof...(Probe);
+  }
+}
+
+/// The default list: an aggregate's members in declaration order.
+template <class Ar, class T>
+  requires std::is_aggregate_v<T>
+void fields(Ar& ar, T& x) {
+  constexpr std::size_t kMembers = member_count<T>();
+  if constexpr (kMembers == 1) {
+    auto& [a] = x;
+    ar(a);
+  } else if constexpr (kMembers == 2) {
+    auto& [a, b] = x;
+    ar(a, b);
+  } else if constexpr (kMembers == 3) {
+    auto& [a, b, c] = x;
+    ar(a, b, c);
+  } else if constexpr (kMembers == 4) {
+    auto& [a, b, c, d] = x;
+    ar(a, b, c, d);
+  } else if constexpr (kMembers == 5) {
+    auto& [a, b, c, d, e] = x;
+    ar(a, b, c, d, e);
+  } else if constexpr (kMembers == 6) {
+    auto& [a, b, c, d, e, f] = x;
+    ar(a, b, c, d, e, f);
+  } else if constexpr (kMembers == 7) {
+    auto& [a, b, c, d, e, f, g] = x;
+    ar(a, b, c, d, e, f, g);
+  } else if constexpr (kMembers == 8) {
+    auto& [a, b, c, d, e, f, g, h] = x;
+    ar(a, b, c, d, e, f, g, h);
+  } else if constexpr (kMembers == 9) {
+    auto& [a, b, c, d, e, f, g, h, i] = x;
+    ar(a, b, c, d, e, f, g, h, i);
+  } else if constexpr (kMembers == 10) {
+    auto& [a, b, c, d, e, f, g, h, i, j] = x;
+    ar(a, b, c, d, e, f, g, h, i, j);
+  } else if constexpr (kMembers == 11) {
+    auto& [a, b, c, d, e, f, g, h, i, j, k] = x;
+    ar(a, b, c, d, e, f, g, h, i, j, k);
+  } else if constexpr (kMembers == 12) {
+    auto& [a, b, c, d, e, f, g, h, i, j, k, l] = x;
+    ar(a, b, c, d, e, f, g, h, i, j, k, l);
+  } else if constexpr (kMembers == 13) {
+    auto& [a, b, c, d, e, f, g, h, i, j, k, l, m] = x;
+    ar(a, b, c, d, e, f, g, h, i, j, k, l, m);
+  } else if constexpr (kMembers == 14) {
+    auto& [a, b, c, d, e, f, g, h, i, j, k, l, m, n] = x;
+    ar(a, b, c, d, e, f, g, h, i, j, k, l, m, n);
+  } else if constexpr (kMembers == 15) {
+    auto& [a, b, c, d, e, f, g, h, i, j, k, l, m, n, o] = x;
+    ar(a, b, c, d, e, f, g, h, i, j, k, l, m, n, o);
+  } else if constexpr (kMembers == 16) {
+    auto& [a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p] = x;
+    ar(a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p);
+  } else if constexpr (kMembers == 17) {
+    auto& [a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p, q] = x;
+    ar(a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p, q);
+  } else if constexpr (kMembers == 18) {
+    auto& [a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p, q, r] = x;
+    ar(a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p, q, r);
+  } else if constexpr (kMembers == 19) {
+    auto& [a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p, q, r, s] = x;
+    ar(a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p, q, r, s);
+  } else if constexpr (kMembers == 20) {
+    auto& [a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p, q, r, s, t] = x;
+    ar(a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p, q, r, s, t);
+  } else {
+    static_assert(kMembers == 0, "fields: no binding rung for this member count");
+  }
+}
+
+/// std::pair is not an aggregate, so it has no default list.
 template <class Ar, class A, class B>
 void fields(Ar& ar, std::pair<A, B>& p) {
   ar(p.first, p.second);
@@ -139,16 +230,6 @@ void fields(Ar& ar, trace::Arg& a) {
       ar(a.value.str);
       break;
   }
-}
-
-template <class Ar>
-void fields(Ar& ar, trace::Event& e) {
-  ar(e.ts, e.dur, e.event_name, e.cat, e.phase, e.pid, e.core, e.span, e.arg_count, e.args);
-}
-
-template <class Ar>
-void fields(Ar& ar, verify::PointStats& s) {
-  ar(s.calls, s.fired);
 }
 
 } // namespace hpmmap::snapshot

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -152,6 +153,21 @@ struct SmpImage {
   std::vector<std::vector<Addr>> pcp; // [cpu * zones + zone], list order
   mm::SmpStats stats{};
 };
+
+/// A hand list: a VMA record keeps the object's old 32-byte layout, but
+/// field by field — the padding byte after `locked` is indeterminate in a
+/// live VMA, so a zero is written in its place and the loaded byte is
+/// dropped.
+static_assert(sizeof(mm::Vma) == 32 && offsetof(mm::Vma, prot) == 16 &&
+                  offsetof(mm::Vma, kind) == 20 && offsetof(mm::Vma, thp_eligible) == 21 &&
+                  offsetof(mm::Vma, locked) == 22 && offsetof(mm::Vma, hugetlb_size) == 24,
+              "the v4 VMA record mirrors the mm::Vma layout");
+
+template <class Ar>
+void fields(Ar& ar, mm::Vma& v) {
+  std::uint8_t pad = 0;
+  ar(v.range, v.prot, v.kind, v.thp_eligible, v.locked, pad, v.hugetlb_size);
+}
 
 struct PageTableImage {
   // nodes_ flattened: node i occupies slots [512*i, 512*(i+1)).
@@ -297,6 +313,30 @@ struct NodeImage {
   std::uint64_t swapped_out_total = 0;
   EventImage kswapd;
 };
+
+/// A hand list (snapshot/archive.hpp): each presence flag is read before
+/// its image, which is absent from the file when the flag is off, and the
+/// file holds `processes` before the module.
+template <class Ar>
+void fields(Ar& ar, NodeImage& n) {
+  ar(n.clock_hz, n.rng, n.scheduler, n.bw, n.memory, n.has_hugetlb);
+  if (n.has_hugetlb) {
+    ar(n.hugetlb);
+  }
+  ar(n.processes, n.has_module);
+  if (n.has_module) {
+    ar(n.module);
+  }
+  ar(n.has_thp);
+  if (n.has_thp) {
+    ar(n.thp);
+  }
+  ar(n.has_smp);
+  if (n.has_smp) {
+    ar(n.smp);
+  }
+  ar(n.next_pid, n.anon_lru, n.swapped_out_total, n.kswapd);
+}
 
 // --- workloads ------------------------------------------------------------
 

@@ -1,14 +1,13 @@
 // Binary save/load for WorldImage (--snapshot-out / --snapshot-in).
 //
-// Each image type has one field list, `fields(ar, x)`, naming its fields
-// once in file order; snapshot/archive.hpp holds the walker that reads
-// them and says how each type is encoded, together with the lists the
-// harness's result comparison shares (trace events and arguments,
-// injector counters, std::pair). Three archives walk the lists: Writer
-// saves, Reader loads, and Sizer writes nothing and counts bytes —
-// walked over a value-initialised record it gives the fewest bytes that
-// record encodes to, which is how the loader bounds a record count
-// (DESIGN.md §12.6). Raw runs and `ar.pod(x)` stats structs are a
+// The file is the image's fields in declaration order, walked by
+// snapshot/archive.hpp: every image struct is an aggregate and takes the
+// default field list; image.hpp holds the two hand lists (NodeImage's
+// presence flags, mm::Vma's pad byte). Three archives walk the lists:
+// Writer saves, Reader loads, and Sizer writes nothing and counts bytes
+// — walked over a value-initialised record it gives the fewest bytes
+// that record encodes to, which is how the loader bounds a record count
+// (DESIGN.md §12.6). Raw runs and mm::FaultStats' object bytes are a
 // same-architecture contract — a snapshot file is a local artifact for
 // resuming sweeps, not an interchange format or an archive; the
 // static_assert below pins the byte order and the version word refuses
@@ -161,267 +160,6 @@ std::size_t min_bytes() {
     return s.total();
   }();
   return n;
-}
-
-// --- field lists, each in file order ----------------------------------------
-
-template <class Ar>
-void fields(Ar& ar, Range& r) {
-  ar.pod(r);
-}
-
-// A VMA record keeps the object's old 32-byte layout, but field by field:
-// the padding byte after `locked` is indeterminate in a live VMA, so a
-// zero is written in its place and the loaded byte is dropped.
-static_assert(sizeof(mm::Vma) == 32 && offsetof(mm::Vma, prot) == 16 &&
-                  offsetof(mm::Vma, kind) == 20 && offsetof(mm::Vma, thp_eligible) == 21 &&
-                  offsetof(mm::Vma, locked) == 22 && offsetof(mm::Vma, hugetlb_size) == 24,
-              "the v4 VMA record mirrors the mm::Vma layout");
-
-template <class Ar>
-void fields(Ar& ar, mm::Vma& v) {
-  std::uint8_t pad = 0;
-  ar(v.range, v.prot, v.kind, v.thp_eligible, v.locked, pad, v.hugetlb_size);
-}
-
-template <class Ar>
-void fields(Ar& ar, PidAddr& pa) {
-  ar(pa.pid, pa.addr);
-}
-
-template <class Ar>
-void fields(Ar& ar, AnonRunImage& r) {
-  ar(r.pid, r.first, r.pages);
-}
-
-template <class Ar>
-void fields(Ar& ar, EventImage& e) {
-  ar(e.when, e.seq, e.daemon);
-}
-
-// hw / linux_mm
-
-template <class Ar>
-void fields(Ar& ar, MemMapImage& m) {
-  ar(m.range, m.meta);
-}
-
-template <class Ar>
-void fields(Ar& ar, OrderListImage& l) {
-  ar(l.bits, l.summary, l.count, l.scan_hint);
-}
-
-template <class Ar>
-void fields(Ar& ar, CorruptBlockImage& c) {
-  ar(c.addr, c.order);
-}
-
-template <class Ar>
-void fields(Ar& ar, BuddyImage& b) {
-  ar(b.range, b.max_order, b.free_bytes, b.lists, b.map, b.corrupt_blocks);
-  ar.pod(b.stats);
-}
-
-template <class Ar>
-void fields(Ar& ar, CacheImage& c) {
-  ar(c.lru, c.cached_bytes, c.free_floor, c.dirty_fraction, c.grow_count);
-}
-
-template <class Ar>
-void fields(Ar& ar, ZoneImage& z) {
-  ar(z.buddy, z.cache, z.online_bytes, z.compact_cursor, z.compact_defer);
-}
-
-template <class Ar>
-void fields(Ar& ar, MemoryImage& m) {
-  ar(m.rng, m.zones);
-}
-
-template <class Ar>
-void fields(Ar& ar, PageTableImage& pt) {
-  ar(pt.slots, pt.used, pt.free_nodes);
-  ar.pod(pt.mix);
-  ar(pt.table_pages);
-}
-
-template <class Ar>
-void fields(Ar& ar, AddressSpaceImage& a) {
-  ar(a.pid, a.vmas, a.pt, a.heap_base, a.heap_end, a.locked_until, a.swapped, a.zone_policy,
-     a.home_zone, a.zone_count);
-}
-
-template <class Ar>
-void fields(Ar& ar, ThpCollapseImage& c) {
-  ar(c.token, c.pid, c.region, c.mapped_small, c.event);
-}
-
-template <class Ar>
-void fields(Ar& ar, ThpMergeImage& m) {
-  ar(m.token, m.pid, m.region, m.huge_phys, m.event);
-}
-
-template <class Ar>
-void fields(Ar& ar, ThpImage& t) {
-  ar(t.processes, t.enter_queue, t.inflight, t.scan_rr, t.scan_cursor, t.scan_period,
-     t.last_scan, t.running, t.pending_scan, t.wake_pending, t.pending_collapses,
-     t.pending_merges, t.next_token);
-  ar.pod(t.stats);
-}
-
-template <class Ar>
-void fields(Ar& ar, HugetlbZonePoolImage& zp) {
-  ar(zp.stack, zp.count);
-}
-
-template <class Ar>
-void fields(Ar& ar, HugetlbImage& h) {
-  ar(h.pool, h.total);
-  ar.pod(h.stats);
-}
-
-template <class Ar>
-void fields(Ar& ar, SmpMmImage& m) {
-  ar(m.pid, m.writer_free_at, m.readers_free_at, m.pt_shard_free_at, m.pending_shootdown_pages);
-}
-
-template <class Ar>
-void fields(Ar& ar, SmpImage& s) {
-  ar(s.zone_lock_free_at, s.cpu_stall, s.mms, s.pcp);
-  ar.pod(s.stats);
-}
-
-// core (the HPMMAP module)
-
-template <class Ar>
-void fields(Ar& ar, RegistrySlotImage& s) {
-  ar(s.state, s.pid, s.context);
-}
-
-template <class Ar>
-void fields(Ar& ar, ModuleContextImage& c) {
-  ar(c.pid, c.vmas, c.mmap_cursor, c.heap_base, c.heap_break, c.live);
-}
-
-template <class Ar>
-void fields(Ar& ar, ModuleImage& m) {
-  ar(m.rng, m.offlined, m.kitten_zones);
-  ar.pod(m.kitten_stats);
-  ar(m.registry_slots, m.registry_size, m.registry_tombstones, m.contexts);
-  ar.pod(m.stats);
-}
-
-// os
-
-template <class Ar>
-void fields(Ar& ar, SchedulerThreadImage& t) {
-  ar(t.core, t.weight, t.gen, t.live);
-}
-
-template <class Ar>
-void fields(Ar& ar, SchedulerImage& s) {
-  ar(s.threads, s.free_slots, s.live_count, s.pinned_weight, s.unpinned_weight);
-}
-
-template <class Ar>
-void fields(Ar& ar, BandwidthEntryImage& e) {
-  ar(e.consumer, e.zone, e.demand);
-}
-
-template <class Ar>
-void fields(Ar& ar, BandwidthImage& b) {
-  ar(b.entries, b.zone_demand, b.capacity, b.next_id);
-}
-
-template <class Ar>
-void fields(Ar& ar, ProcessImage& p) {
-  ar(p.pid, p.name, p.policy, p.as, p.core, p.sched_id, p.sched_gen);
-  ar.pod(p.fault_stats);
-  ar(p.alive);
-}
-
-/// The flag is read before its branch, so one list serves both ways.
-template <class Ar>
-void fields(Ar& ar, NodeImage& n) {
-  ar(n.clock_hz, n.rng, n.scheduler, n.bw, n.memory, n.has_hugetlb);
-  if (n.has_hugetlb) {
-    ar(n.hugetlb);
-  }
-  ar(n.processes, n.has_module);
-  if (n.has_module) {
-    ar(n.module);
-  }
-  ar(n.has_thp);
-  if (n.has_thp) {
-    ar(n.thp);
-  }
-  ar(n.has_smp);
-  if (n.has_smp) {
-    ar(n.smp);
-  }
-  ar(n.next_pid, n.anon_lru, n.swapped_out_total, n.kswapd);
-}
-
-// workloads
-
-template <class Ar>
-void fields(Ar& ar, BuildBlockImage& b) {
-  ar(b.zone, b.addr, b.order);
-}
-
-template <class Ar>
-void fields(Ar& ar, BuildJobImage& j) {
-  ar(j.blocks, j.sched_id, j.sched_gen, j.bw_id, j.home, j.phase, j.live, j.pending);
-}
-
-template <class Ar>
-void fields(Ar& ar, BuildImage& b) {
-  ar(b.node_index, b.rng, b.jobs);
-  ar.pod(b.stats);
-  ar(b.running);
-}
-
-// engine and per-run context
-
-template <class Ar>
-void fields(Ar& ar, EngineImage& e) {
-  ar(e.now, e.next_seq, e.fired, e.cancelled, e.stopped);
-}
-
-template <class Ar>
-void fields(Ar& ar, TraceImage& t) {
-  ar(t.ring, t.capacity, t.head, t.dropped, t.recorded);
-}
-
-template <class Ar>
-void fields(Ar& ar, RunningStatsImage& s) {
-  ar(s.n, s.mean, s.m2, s.min, s.max, s.sum);
-}
-
-template <class Ar>
-void fields(Ar& ar, P2QuantileImage& p) {
-  ar(p.q, p.n, p.heights, p.positions, p.desired, p.increments);
-}
-
-template <class Ar>
-void fields(Ar& ar, HistogramImage& h) {
-  ar(h.stats, h.p50, h.p95, h.p99);
-}
-
-template <class Ar>
-void fields(Ar& ar, MetricsImage& m) {
-  ar(m.counters, m.histograms);
-}
-
-template <class Ar>
-void fields(Ar& ar, InjectorImage& i) {
-  ar.pod(i.plan);
-  ar(i.stats, i.rng, i.armed);
-}
-
-/// Everything after the magic and version words.
-template <class Ar>
-void fields(Ar& ar, WorldImage& w) {
-  ar(w.engine, w.nodes, w.builds, w.trace, w.metrics, w.injector);
 }
 
 } // namespace

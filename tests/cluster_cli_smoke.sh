@@ -5,12 +5,17 @@
 # --cluster-jobs, a traced run reports every node's counters from the
 # merged registry, and a bad number for any numeric flag, or a snapshot
 # flag on the cluster model, is refused with a one-line message that
-# names the flag.
+# names the flag. The examples refuse a bad positional argument the same
+# way, and a figure bench refuses a flag it does not know.
 #
-# Usage: cluster_cli_smoke.sh <path to run_experiment>
+# Usage: cluster_cli_smoke.sh <run_experiment> <quickstart> <serving_demo>
+#                             [<fig2_thp_fault_table>]
 set -euo pipefail
 
 run_experiment="$1"
+quickstart="$2"
+serving_demo="$3"
+fig2="${4:-}"
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
 args=(--nodes 2 --scale 0.05 --duration 0.05 --trials 1)
@@ -61,17 +66,18 @@ for prefix in buddy. fault.; do
   fi
 done
 
-refused() {
-  local message="$1"
-  shift
+refused_by() {
+  local binary="$1" message="$2"
+  shift 2
   local rc=0
-  "$run_experiment" "$@" > /dev/null 2> "$out/err.txt" || rc=$?
+  "$binary" "$@" > /dev/null 2> "$out/err.txt" || rc=$?
   cat "$out/err.txt"
   if [[ $rc -ne 1 ]] || ! grep -qF -e "$message" "$out/err.txt"; then
-    echo "expected exit 1 with '$message' for: $* (rc $rc)"
+    echo "expected exit 1 with '$message' for: $(basename "$binary") $* (rc $rc)"
     exit 1
   fi
 }
+refused() { refused_by "$run_experiment" "$@"; }
 refused "--nodes needs an integer >= 1 (got '0')" --nodes 0 --cluster-jobs 1
 refused "--cluster-jobs needs an integer >= 0 (got 'abc')" --nodes 2 --cluster-jobs abc
 refused "--jobs needs an integer >= 0 (got '-1')" --jobs -1
@@ -84,4 +90,10 @@ refused "--rate needs a number > 0 (got '1e400')" --experiment server --rate 1e4
 snapshot_refusal="--snapshot-out/--snapshot-in support single-node hpc runs only"
 refused "$snapshot_refusal" --nodes 1 --cluster-jobs 1 --snapshot-out "$out/x.img"
 refused "$snapshot_refusal" --nodes 1 --cluster-jobs 1 --snapshot-in "$out/missing.img"
+refused_by "$quickstart" "cores needs an integer >= 1 (got 'abc')" HPCCG abc
+refused_by "$serving_demo" "mean_rps needs a number > 0 (got 'abc')" abc
+if [[ -n "$fig2" ]]; then
+  refused_by "$fig2" "unknown flag or missing value '--cores'" --cores 4
+  refused_by "$fig2" "unknown flag or missing value '--trials'" --trials
+fi
 echo "cluster CLI smoke passed"

@@ -286,27 +286,23 @@ TEST(SnapshotSmp, MidContentionCaptureRoundTripsByteIdentical) {
   ASSERT_GT(smp.pcp_cached_bytes(0), 0u);
 
   const snapshot::WorldImage image = snapshot::capture_world(engine, {&node});
-  const std::string path_a = "/tmp/hpmmap_test_smp_a.img";
-  const std::string path_b = "/tmp/hpmmap_test_smp_b.img";
-  snapshot::save(image, path_a);
-  const snapshot::WorldImage loaded = snapshot::load(path_a);
+  const std::string path = "/tmp/hpmmap_test_smp.img";
+  snapshot::save(image, path);
+  const snapshot::WorldImage loaded = snapshot::load(path);
+  std::remove(path.c_str());
 
   sim::Engine engine2;
   os::Node node2(engine2, smp_node_config(41));
   snapshot::restore_world(loaded, engine2, {&node2});
 
-  // Re-capturing the restored world serializes to the same bytes: every
+  // Re-capturing the restored world gives the saved image back: every
   // release stamp, list entry and counter survived the round trip. (The
-  // audit comes after the save — it bumps telemetry counters that the
+  // audit comes after the capture — it bumps telemetry counters that the
   // snapshot captures.)
-  snapshot::save(snapshot::capture_world(engine2, {&node2}), path_b);
-  EXPECT_EQ(file_bytes(path_a), file_bytes(path_b));
+  EXPECT_EQ(harness::first_difference(image, snapshot::capture_world(engine2, {&node2})),
+            std::nullopt);
   const verify::AuditReport report = verify::MmAuditor(node2).run();
   EXPECT_TRUE(report.ok()) << report.summary();
-  if (!::testing::Test::HasFailure()) {
-    std::remove(path_a.c_str());
-    std::remove(path_b.c_str());
-  }
 }
 
 TEST(SnapshotSmp, CaptureCyclesInterleavedWithPcpChurnStayExact) {
@@ -321,8 +317,6 @@ TEST(SnapshotSmp, CaptureCyclesInterleavedWithPcpChurnStayExact) {
   os::Process& p = node.spawn("smp", os::MmPolicy::kLinuxPlain, 0, 1.0,
                               mm::AddressSpace::ZonePolicy::kSingle, 0);
   std::vector<Addr> slabs;
-  const std::string path_a = "/tmp/hpmmap_test_smp_walk_a.img";
-  const std::string path_b = "/tmp/hpmmap_test_smp_walk_b.img";
   for (int round = 0; round < 5; ++round) {
     smp_churn_round(node, p, slabs, round);
     if (::testing::Test::HasFatalFailure()) {
@@ -348,15 +342,14 @@ TEST(SnapshotSmp, CaptureCyclesInterleavedWithPcpChurnStayExact) {
     if (::testing::Test::HasFatalFailure()) {
       return;
     }
-    snapshot::save(snapshot::capture_world(engine, {&node}), path_a);
-    snapshot::save(snapshot::capture_world(engine2, {&node2}), path_b);
-    ASSERT_EQ(file_bytes(path_a), file_bytes(path_b)) << "diverged after round " << round;
+    ASSERT_EQ(harness::first_difference(snapshot::capture_world(engine, {&node}),
+                                        snapshot::capture_world(engine2, {&node2})),
+              std::nullopt)
+        << "diverged after round " << round;
 
     // The walk continues on the original only; restored worlds are
     // discarded, so the original now leads by one round.
   }
-  std::remove(path_a.c_str());
-  std::remove(path_b.c_str());
 }
 
 // --- the image file: save/load fixpoint and corrupt-file rejection --------
@@ -453,9 +446,10 @@ TEST(SnapshotSmp, MidContentionImageIsASaveLoadFixpoint) {
 
 // --- restore -> capture fixpoint --------------------------------------------
 //
-// Capturing a freshly restored world must save to the restored image's
-// bytes. A field that restore drops, or that capture reads from somewhere
-// restore does not write, shows up here as a differing byte; the
+// Capturing a freshly restored world must give back the restored image,
+// compared field by field in memory (harness::first_difference). A field
+// that restore drops, or that capture reads from somewhere restore does
+// not write, shows up here as the path of the differing field; the
 // save/load fixpoints above never run capture or restore and cannot see it.
 
 /// A fresh, unaged restore target shaped like a captured world: the same
@@ -493,18 +487,10 @@ struct RestoreTarget {
 void expect_restore_capture_fixpoint(const snapshot::WorldImage& image, RestoreTarget& target,
                                      const std::string& stem) {
   snapshot::restore_world(image, target.engine, {&target.node}, target.refs());
-  const std::string restored = temp_path(stem + "_restored");
-  const std::string recaptured = temp_path(stem + "_recaptured");
-  snapshot::save(image, restored);
-  snapshot::save(snapshot::capture_world(target.engine, {&target.node}, target.refs()),
-                 recaptured);
-  const std::string a = file_bytes(restored);
-  const std::string b = file_bytes(recaptured);
-  const auto diverge = std::mismatch(a.begin(), a.end(), b.begin(), b.end());
-  EXPECT_TRUE(a == b) << stem << ": " << a.size() << " vs " << b.size()
-                      << " bytes, first difference at byte " << (diverge.first - a.begin());
-  std::remove(restored.c_str());
-  std::remove(recaptured.c_str());
+  EXPECT_EQ(harness::first_difference(
+                image, snapshot::capture_world(target.engine, {&target.node}, target.refs())),
+            std::nullopt)
+      << stem;
 }
 
 /// The single-node and server harness boots: an r415 with the §IV
@@ -674,20 +660,17 @@ TEST(SnapshotEvents, AllSevenHandlesArmedRestoreAndResumeExactly) {
   // Resumed == straight: the source runs on from the capture...
   const Cycles horizon = engine.now() + node.spec().cycles(0.05);
   engine.run_until(horizon);
-  const std::string straight = temp_path("events_straight");
-  snapshot::save(snapshot::capture_world(engine, {&node}, refs), straight);
+  const snapshot::WorldImage straight = snapshot::capture_world(engine, {&node}, refs);
   build.stop();
 
   // ...and so does a fresh world restored from it.
   RestoreTarget target(cfg, commodity);
   expect_restore_capture_fixpoint(image, target, "recapture_events");
   target.engine.run_until(horizon);
-  const std::string resumed = temp_path("events_resumed");
-  snapshot::save(snapshot::capture_world(target.engine, {&target.node}, target.refs()), resumed);
+  const snapshot::WorldImage resumed =
+      snapshot::capture_world(target.engine, {&target.node}, target.refs());
   verify::injector().disarm();
-  EXPECT_TRUE(file_bytes(straight) == file_bytes(resumed));
-  std::remove(straight.c_str());
-  std::remove(resumed.c_str());
+  EXPECT_EQ(harness::first_difference(straight, resumed), std::nullopt);
 }
 
 // --- causal spans ----------------------------------------------------------
