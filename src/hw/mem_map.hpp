@@ -104,6 +104,12 @@ class MemMap {
     HPMMAP_ASSERT(idx < meta_.size(), "frame index out of range");
     meta_[idx] = 0;
   }
+  /// clear_head() on each of the `count` entries from `first`.
+  void clear_heads(std::uint32_t first, std::uint32_t count) noexcept {
+    HPMMAP_ASSERT(first <= meta_.size() && count <= meta_.size() - first,
+                  "frame index out of range");
+    std::memset(meta_.data() + first, 0, count);
+  }
 
   /// The tracked block containing `addr` whose state is selected by
   /// `states` (OR of state_mask), as (block base, order). O(max_order)

@@ -59,7 +59,7 @@ class AddressSpace {
   void mark_swapped(Addr page) { swapped_out_.insert(page); }
   /// If `page` was swapped out, clear the mark and return true (the
   /// fault handler charges the swap-in).
-  bool take_swapped(Addr page) { return swapped_out_.erase(page) > 0; }
+  bool take_swapped(Addr page) { return !swapped_out_.empty() && swapped_out_.erase(page) > 0; }
   [[nodiscard]] std::size_t swapped_pages() const noexcept { return swapped_out_.size(); }
   [[nodiscard]] bool is_swapped(Addr page) const { return swapped_out_.contains(page); }
   [[nodiscard]] const std::unordered_set<Addr>& swapped_set() const noexcept {

@@ -380,4 +380,53 @@ bool BuddyAllocator::check_consistency() const {
   return true;
 }
 
+BuddyAllocator::FrameRun BuddyAllocator::alloc_frames(std::uint64_t max_frames) {
+  HPMMAP_ASSERT(min_order_ == 0, "order-0 frames from an instance with a floor");
+  HPMMAP_ASSERT(!trace::on(trace::Category::kBuddy), "bulk frames would hide buddy.split events");
+  unsigned k = 0;
+  while (k <= max_order_ && lists_[k].count == 0) {
+    ++k;
+  }
+  if (max_frames == 0 || k > max_order_) {
+    return FrameRun{};
+  }
+  const Addr block = range_.begin + (*first_block(k) << (12 + k));
+  remove_block(k, block);
+  const std::uint64_t pages = std::uint64_t{1} << k;
+  const std::uint64_t m = std::min(max_frames, pages);
+  const FrameRun run{block, k, m};
+  // Frames 1..m-1 were each inserted by an earlier frame's split and
+  // popped in turn: their heads end cleared.
+  map_.clear_heads(map_.index_of(block) + 1, static_cast<std::uint32_t>(m - 1));
+  // What alloc(0) leaves of the block: the maximal aligned pieces of
+  // [m, pages), one per order, each inserted by the split that made it.
+  for (std::uint64_t p = m; p < pages; p += p & (~p + 1)) {
+    insert_block(static_cast<unsigned>(std::countr_zero(p)), block + p * kSmallPageSize);
+  }
+  // Each order o < k saw, in turn, insert(p), pop(p) for the odd
+  // multiples p of 2^o: an insert lowers the hint to p's summary word, a
+  // pop sets it there. The last p touched is the largest one below
+  // m + 2^o; where it was popped (p < m) the hint sits on it, where it
+  // is still free the hint sits on the previous one popped, and where it
+  // was the only one, insert_block() above already lowered the hint.
+  for (unsigned o = 0; o < k; ++o) {
+    std::uint64_t t = (m + (std::uint64_t{1} << o) - 1) >> o;
+    t -= (t & 1) == 0 ? 1 : 0;
+    const std::uint64_t p = t << o;
+    const auto summary_word = [&](std::uint64_t q) {
+      return static_cast<std::size_t>(block_index(block + q * kSmallPageSize, o) >> 12);
+    };
+    if (p < m) {
+      lists_[o].scan_hint = summary_word(p);
+    } else if (t > 1) {
+      lists_[o].scan_hint = summary_word(p - (std::uint64_t{2} << o));
+    }
+  }
+  free_bytes_ -= m * kSmallPageSize;
+  stats_.allocs += m;
+  // sum of ctz(j) over 0 < j < m is (m - 1) - popcount(m - 1).
+  stats_.split_steps += k + (m - 1) - static_cast<std::uint64_t>(std::popcount(m - 1));
+  return run;
+}
+
 } // namespace hpmmap::mm

@@ -75,6 +75,30 @@ class BuddyAllocator {
   /// reclaim/compact and retry).
   [[nodiscard]] std::optional<Allocation> alloc(unsigned order);
 
+  /// Consecutive order-0 frames cut from one free block: frame j is
+  /// `base + j * 4 KiB`, j < `frames`.
+  struct FrameRun {
+    Addr base = 0;
+    unsigned order = 0; // of the block they were cut from
+    std::uint64_t frames = 0;
+    /// The split steps alloc(0) would have reported for frame j: the
+    /// first frame splits the block `order` times, and frame j > 0 pops
+    /// the order-ctz(j) block those splits left at j.
+    [[nodiscard]] unsigned split_steps(std::uint64_t j) const noexcept {
+      return j == 0 ? order : static_cast<unsigned>(std::countr_zero(j));
+    }
+  };
+
+  /// Up to `max_frames` order-0 frames from the block alloc(0) would
+  /// split next, popped once: the frames, their split steps, the
+  /// bitmaps, the mem_map heads, free_bytes(), stats() and every list's
+  /// scan hint end up exactly as after `frames` calls to alloc(0).
+  /// Returns no frames (and, unlike alloc(), records no failure) when
+  /// nothing is free. Emits no trace events: callers with the buddy
+  /// category on use alloc(0), which reports each split. Order-0
+  /// instances only (min_order() == 0).
+  [[nodiscard]] FrameRun alloc_frames(std::uint64_t max_frames);
+
   /// Free a previously allocated block; returns coalesce step count.
   unsigned free(Addr addr, unsigned order);
 

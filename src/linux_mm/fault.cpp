@@ -1,5 +1,9 @@
 #include "linux_mm/fault.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <optional>
+
 #include "common/assert.hpp"
 #include "linux_mm/smp.hpp"
 #include "trace/metrics.hpp"
@@ -20,7 +24,7 @@ struct FaultSpans {
     Cycles dur;
   };
   bool active = false;
-  std::array<Span, 6> spans{};
+  std::array<Span, 6> spans; // [0, n) set; left unset, since it is built per fault
   std::size_t n = 0;
 
   void add(const char* span_name, Cycles dur) {
@@ -66,16 +70,30 @@ FaultResult emit_fault(const AddressSpace& as, Cycles now, std::int32_t core, Fa
 
 } // namespace
 
+double FaultRun::jitter(Rng& rng, Cycles service, double cv) {
+  if (service == 0) {
+    return 0.0; // lognormal_from_moments() with a zero mean: no draw
+  }
+  Jitter& memo = jitter_[service % jitter_.size()];
+  if (memo.service != service) {
+    // The transforms of Rng::lognormal_from_moments(), on the same doubles.
+    const double mean = static_cast<double>(service);
+    const double stdev = cv * mean;
+    const double cv2 = (stdev / mean) * (stdev / mean);
+    const double sigma2 = std::log1p(cv2);
+    memo = Jitter{service, std::log(mean) - 0.5 * sigma2, std::sqrt(sigma2)};
+  }
+  return std::exp(memo.mu + memo.sigma * rng.normal());
+}
+
 FaultHandler::FaultHandler(MemorySystem& memory, ThpService* thp, HugetlbPool* hugetlb)
     : memory_(memory), thp_(thp), hugetlb_(hugetlb) {}
 
-FaultResult FaultHandler::finish(FaultResult result, ZoneId zone) {
+FaultResult FaultHandler::finish(FaultRun& run, FaultResult result, ZoneId zone) {
   // Lognormal jitter on the service portion (not the queueing wait):
   // cache state, IRQ arrivals, sibling interference.
   const Cycles service = result.cost - result.lock_wait;
-  const double cv = memory_.costs().fault_jitter_cv;
-  const double jittered = memory_.rng().lognormal_from_moments(
-      static_cast<double>(service), cv * static_cast<double>(service));
+  const double jittered = run.jitter(memory_.rng(), service, memory_.costs().fault_jitter_cv);
   result.cost = result.lock_wait + static_cast<Cycles>(jittered);
   // Bandwidth contention already shaped the zeroing terms; the handler's
   // pointer-chasing parts also degrade a little on a saturated node.
@@ -85,6 +103,45 @@ FaultResult FaultHandler::finish(FaultResult result, ZoneId zone) {
 }
 
 FaultResult FaultHandler::handle(AddressSpace& as, Addr vaddr, Cycles now, std::int32_t core) {
+  FaultRun run = begin_run(as, vaddr, vaddr + 1);
+  return fault(run, as, now, core);
+}
+
+FaultRun FaultHandler::begin_run(const AddressSpace& as, Addr vaddr, Addr end) const {
+  FaultRun run;
+  const Addr page = align_down(vaddr, kSmallPageSize);
+  run.next_ = vaddr;
+  run.end_ = page + kSmallPageSize;
+  run.vma_ = as.vmas().find(vaddr);
+  if (run.vma_ == nullptr || run.vma_->prot == Prot::kNone) {
+    return run;
+  }
+  run.zone_ = as.zone_for(vaddr);
+  Addr limit = run.end_;
+  if (run.vma_->kind != VmaKind::kHugetlb) {
+    limit = std::max(limit, std::min({align_up(end, kSmallPageSize),
+                                      align_down(page, kLargePageSize) + kLargePageSize,
+                                      run.vma_->range.end}));
+  }
+  run.unmapped_end_ = as.page_table().unmapped_until(page, limit);
+  run.end_ = std::max(run.end_, run.unmapped_end_);
+  return run;
+}
+
+FaultResult FaultHandler::fault(FaultRun& run, AddressSpace& as, Cycles now, std::int32_t core) {
+  HPMMAP_ASSERT(!run.done(), "fault past the end of its run");
+  const Addr vaddr = run.next_;
+  run.next_ = align_down(vaddr, kSmallPageSize) + kSmallPageSize;
+  const FaultResult result = fault_page(run, as, vaddr, now, core);
+  if (result.err != Errno::kOk || result.used != PageSize::k4K || result.entered_reclaim) {
+    HPMMAP_ASSERT(run.frames_used_ == run.frames_.frames, "a run is cut holding frames");
+    run.end_ = run.next_;
+  }
+  return result;
+}
+
+FaultResult FaultHandler::fault_page(FaultRun& run, AddressSpace& as, Addr vaddr, Cycles now,
+                                     std::int32_t core) {
   const CostModel& costs = memory_.costs();
   FaultResult result;
   FaultSpans ft;
@@ -105,32 +162,38 @@ FaultResult FaultHandler::handle(AddressSpace& as, Addr vaddr, Cycles now, std::
   ft.add("fault.pt_lock", result.lock_wait);
   ft.add("fault.entry", costs.fault_entry + costs.vma_lookup);
 
-  const Vma* vma = as.vmas().find(vaddr);
+  const Vma* vma = run.vma_;
   if (vma == nullptr || vma->prot == Prot::kNone) {
     result.err = Errno::kFault;
     result.kind = FaultKind::kInvalid;
     return emit_fault(as, now, core, result, ft);
   }
 
-  const ZoneId zone = as.zone_for(vaddr);
+  const ZoneId zone = run.zone_;
+  const Addr page = align_down(vaddr, kSmallPageSize);
 
   // After waiting out a merge the region may now be huge-mapped; the
   // fault then only re-checks and returns (cost already dominated by the
   // wait). Also covers benign races on already-mapped pages.
-  if (const auto t = as.page_table().walk(vaddr); t.has_value()) {
+  if (page >= run.unmapped_end_) {
+    const auto t = as.page_table().walk(vaddr);
+    HPMMAP_ASSERT(t.has_value(), "begin_run() found this page mapped");
     result.kind = merge_wait > 0 ? FaultKind::kMergeFollower : FaultKind::kSmall;
     result.used = t->size;
     result.cost += costs.pte_install;
     ft.add("fault.pt", costs.pte_install);
-    return emit_fault(as, now, core, finish(result, zone), ft);
+    return emit_fault(as, now, core, finish(run, result, zone), ft);
   }
 
   if (vma->kind == VmaKind::kHugetlb) {
-    return handle_hugetlb(as, *vma, vaddr, now, result.cost, result.lock_wait, merge_wait, core);
+    return handle_hugetlb(run, as, *vma, vaddr, now, result.cost, result.lock_wait, merge_wait,
+                          core);
   }
 
   // --- THP fault path: try a 2M mapping first (§II-B) -------------------
-  if (thp_ != nullptr) {
+  if (thp_ != nullptr && run.small_mapped_) {
+    thp_->fallback_in_small_region();
+  } else if (thp_ != nullptr) {
     ThpService::HugeFaultResult huge = thp_->try_fault_huge(as, *vma, vaddr);
     if (huge.ok) {
       const Addr base = align_down(vaddr, kLargePageSize);
@@ -156,7 +219,7 @@ FaultResult FaultHandler::handle(AddressSpace& as, Addr vaddr, Cycles now, std::
       ft.add("fault.alloc", alloc_cost);
       ft.add("fault.zero", zero);
       ft.add("fault.pt", pt);
-      return emit_fault(as, now, core, finish(result, zone), ft);
+      return emit_fault(as, now, core, finish(run, result, zone), ft);
     }
     const Cycles failed_alloc = huge.alloc.entered_reclaim || huge.alloc.entered_compaction
                                     ? memory_.alloc_cycles(huge.alloc, zone)
@@ -168,9 +231,7 @@ FaultResult FaultHandler::handle(AddressSpace& as, Addr vaddr, Cycles now, std::
   // --- small-page fallback ------------------------------------------------
   // Major fault? Reclaim may have pushed this page to swap; the refault
   // pays a disk read on top of the normal path.
-  const Addr page_addr = align_down(vaddr, kSmallPageSize);
-  const bool swapped_in = as.take_swapped(page_addr);
-  if (swapped_in) {
+  if (as.take_swapped(page)) {
     const CostModel& cm = memory_.costs();
     const auto swap_cost = static_cast<Cycles>(memory_.rng().lognormal_from_moments(
         static_cast<double>(cm.swap_in_mean),
@@ -200,6 +261,11 @@ FaultResult FaultHandler::handle(AddressSpace& as, Addr vaddr, Cycles now, std::
     frame = sa.addr;
     alloc_ok = sa.ok;
     entered_reclaim = sa.entered_reclaim;
+  } else if (const std::optional<AllocOutcome> bulk = run_frame(run, zone, page);
+             bulk.has_value()) {
+    frame = bulk->addr;
+    alloc_ok = true;
+    alloc_cost = memory_.alloc_cycles(*bulk, zone);
   } else {
     AllocOutcome out = memory_.alloc_pages(alloc_zone, 0, /*allow_reclaim=*/true);
     if (!out.ok) {
@@ -223,14 +289,17 @@ FaultResult FaultHandler::handle(AddressSpace& as, Addr vaddr, Cycles now, std::
     result.cost += alloc_wait + alloc_cost;
     return emit_fault(as, now, core, result, ft);
   }
-  const Addr page = align_down(vaddr, kSmallPageSize);
   PtOpStats pt_stats;
   const Errno err = as.page_table().map(page, frame, PageSize::k4K, vma->prot, &pt_stats);
-  HPMMAP_ASSERT(err == Errno::kOk, "walk() said this page was unmapped");
+  HPMMAP_ASSERT(err == Errno::kOk, "begin_run() found this page unmapped");
+  run.small_mapped_ = true;
   // khugepaged_enter: a THP-eligible region just went small; the daemon
-  // will revisit it (and inject merge noise right here, Figure 4).
-  if (thp_ != nullptr && vma->thp_eligible) {
+  // will revisit it (and inject merge noise right here, Figure 4). Once
+  // per run: the region stays the newest queue entry, so a repeat call
+  // would return at its dedup check.
+  if (thp_ != nullptr && vma->thp_eligible && !run.noted_) {
     thp_->note_fallback(&as, vaddr);
+    run.noted_ = true;
   }
   result.kind = merge_wait > 0 ? FaultKind::kMergeFollower : FaultKind::kSmall;
   result.used = PageSize::k4K;
@@ -250,12 +319,31 @@ FaultResult FaultHandler::handle(AddressSpace& as, Addr vaddr, Cycles now, std::
   ft.add("fault.alloc", alloc_cost);
   ft.add("fault.zero", zero);
   ft.add("fault.pt", pt);
-  return emit_fault(as, now, core, finish(result, alloc_zone), ft);
+  return emit_fault(as, now, core, finish(run, result, alloc_zone), ft);
 }
 
-FaultResult FaultHandler::handle_hugetlb(AddressSpace& as, const Vma& vma, Addr vaddr, Cycles now,
-                                         Cycles base_cost, Cycles lock_wait, Cycles merge_wait,
-                                         std::int32_t core) {
+std::optional<AllocOutcome> FaultHandler::run_frame(FaultRun& run, ZoneId zone, Addr page) {
+  if (run.frames_used_ == run.frames_.frames) {
+    // Frames for the rest of the run, as far as the zone's fast path
+    // reaches; every one is used, since only a page that went through
+    // alloc_pages() can cut the run.
+    run.frames_ = memory_.alloc_small_frames(zone, (run.end_ - page) / kSmallPageSize);
+    run.frames_used_ = 0;
+    if (run.frames_.frames == 0) {
+      return std::nullopt;
+    }
+  }
+  const std::uint64_t j = run.frames_used_++;
+  AllocOutcome out;
+  out.addr = run.frames_.base + j * kSmallPageSize;
+  out.ok = true;
+  out.split_steps = run.frames_.split_steps(j);
+  return out;
+}
+
+FaultResult FaultHandler::handle_hugetlb(FaultRun& run, AddressSpace& as, const Vma& vma,
+                                         Addr vaddr, Cycles now, Cycles base_cost,
+                                         Cycles lock_wait, Cycles merge_wait, std::int32_t core) {
   const CostModel& costs = memory_.costs();
   FaultResult result;
   result.cost = base_cost;
@@ -291,7 +379,7 @@ FaultResult FaultHandler::handle_hugetlb(AddressSpace& as, const Vma& vma, Addr 
   ft.add("fault.hugetlb_pool", costs.hugetlb_fault_overhead);
   ft.add("fault.zero", zero);
   ft.add("fault.pt", pt);
-  return emit_fault(as, now, core, finish(result, got_zone), ft);
+  return emit_fault(as, now, core, finish(run, result, got_zone), ft);
 }
 
 } // namespace hpmmap::mm

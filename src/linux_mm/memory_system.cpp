@@ -1,6 +1,7 @@
 #include "linux_mm/memory_system.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/assert.hpp"
 #include "trace/metrics.hpp"
@@ -322,6 +323,30 @@ std::uint64_t MemorySystem::kswapd_balance(ZoneId zone) {
     ++trace::metrics().counter("mm.kswapd_wakeups");
   }
   return freed;
+}
+
+BuddyAllocator::FrameRun MemorySystem::alloc_small_frames(ZoneId zone,
+                                                         std::uint64_t max_frames) {
+  HPMMAP_ASSERT(zone < zones_.size(), "zone out of range");
+  if (verify::injector().armed() || trace::on(trace::Category::kBuddy)) {
+    return {};
+  }
+  ZoneState& z = zones_[zone];
+  // alloc_pages() takes its fast path while the free bytes before the
+  // call are not below the low watermark, nor below the min one while
+  // the cache holds anything. Free bytes are whole pages (exact in a
+  // double), so "not below w" is "at least ceil(w)".
+  double floor = costs_.watermark_low * static_cast<double>(z.online_bytes);
+  if (z.cache.cached_bytes() > 0) {
+    floor = std::max(floor, costs_.watermark_min * static_cast<double>(z.online_bytes));
+  }
+  const auto least = static_cast<std::uint64_t>(std::ceil(floor));
+  const std::uint64_t have = z.buddy.free_bytes();
+  if (have < least) {
+    return {};
+  }
+  const std::uint64_t fast = (have - least) / kSmallPageSize + 1;
+  return z.buddy.alloc_frames(std::min(max_frames, fast));
 }
 
 } // namespace hpmmap::mm

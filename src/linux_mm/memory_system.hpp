@@ -62,6 +62,17 @@ class MemorySystem {
   /// `allow_reclaim` is false for opportunistic callers.
   AllocOutcome alloc_pages(ZoneId zone, unsigned order, bool allow_reclaim = true);
 
+  /// Up to `max_frames` order-0 frames from `zone`, exactly as that many
+  /// successive alloc_pages(zone, 0) calls would hand them out on their
+  /// fast path, popped as one buddy block (BuddyAllocator::alloc_frames).
+  /// Bounded to the frames that keep the zone off its low and min
+  /// watermarks, so none of them would have entered reclaim. Returns no
+  /// frames when the zone is at a watermark, the fault injector is armed
+  /// or the buddy trace category is on: the caller then takes each frame
+  /// from alloc_pages(), which draws, reclaims and traces per call.
+  [[nodiscard]] BuddyAllocator::FrameRun alloc_small_frames(ZoneId zone,
+                                                            std::uint64_t max_frames);
+
   /// Fast free back to the zone buddy. Returns merge steps.
   unsigned free_pages(ZoneId zone, Addr addr, unsigned order);
 

@@ -269,4 +269,34 @@ std::uint64_t PageTable::mapped_bytes(Range vrange) const {
   return total;
 }
 
+Addr PageTable::unmapped_until(Addr vaddr, Addr limit) const {
+  HPMMAP_ASSERT(is_aligned(vaddr, kSmallPageSize) && vaddr < limit &&
+                    region_of(limit - 1) == region_of(vaddr),
+                "unmapped_until scans page-aligned addresses of one 2 MiB region");
+  std::uint32_t node = kRoot;
+  if (pt_cached(vaddr)) {
+    node = cached_pt_;
+  } else {
+    for (unsigned level = 3; level > 0; --level) {
+      const std::uint64_t e = nodes_[node].slots[index_at(vaddr, level)];
+      if (is_leaf(e)) {
+        return vaddr; // a 2M/1G leaf maps the whole region
+      }
+      if (!has_child(e)) {
+        return limit; // no table below: nothing in the region is mapped
+      }
+      node = child_index(e);
+    }
+    remember_pt(vaddr, node);
+  }
+  const auto& slots = nodes_[node].slots;
+  const unsigned last = index_at(limit - 1, 0);
+  for (unsigned i = index_at(vaddr, 0); i <= last; ++i) {
+    if (is_leaf(slots[i])) {
+      return align_down(vaddr, kLargePageSize) + (Addr{i} << 12);
+    }
+  }
+  return limit;
+}
+
 } // namespace hpmmap::mm

@@ -19,9 +19,10 @@
 //
 // A one-entry paging-structure cache remembers the last 2 MiB region
 // resolved to its PT (level-0) node, the way a CPU's PDE cache skips the
-// upper levels. walk(), small_count_in_2m() and 4K map()/unmap() consult
-// it, so a demand-fault storm through one region descends the table
-// once rather than once per call. It only ever caches a PD entry that
+// upper levels. walk(), small_count_in_2m(), unmapped_until() and 4K
+// map()/unmap() consult it, so a demand-fault storm through one region
+// descends the table once rather than once per call (a fault run installs
+// every PTE of its region through the one cached PT node). It only ever caches a PD entry that
 // points at a child PT, and such an entry changes in exactly these
 // places, each of which drops the cache:
 //   - free_node() (the freed index may be recycled for another region;
@@ -86,6 +87,11 @@ class PageTable {
 
   /// Translate. nullopt when unmapped.
   [[nodiscard]] std::optional<Translation> walk(Addr vaddr) const;
+
+  /// The first mapped page in [vaddr, limit), or `limit` when none is:
+  /// the extent of the unmapped stretch a fault run covers. `vaddr` is
+  /// page-aligned and [vaddr, limit) lies in one 2 MiB region.
+  [[nodiscard]] Addr unmapped_until(Addr vaddr, Addr limit) const;
 
   /// Split a 2M leaf into 512 4K leaves covering the same physical range
   /// (what THP does when a large page must be mlocked, §II-B). Returns

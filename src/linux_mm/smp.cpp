@@ -303,20 +303,6 @@ Cycles SmpDomain::flush_shootdowns(Pid pid, std::int32_t core, Cycles now) {
   return ipi_round(core, pages, now);
 }
 
-void SmpDomain::drain_all(MemorySystem& mem) {
-  for (std::uint32_t cpu = 0; cpu < config_.cores; ++cpu) {
-    for (std::uint32_t z = 0; z < zones_; ++z) {
-      PcpList& list = pcp_[pcp_index(cpu, z)];
-      hw::MemMap& map = mem.buddy(z).mem_map();
-      for (const Addr addr : list.frames) {
-        map.clear_head(map.index_of(addr));
-        mem.free_pages(z, addr, 0);
-      }
-      list.frames.clear();
-    }
-  }
-}
-
 std::uint64_t SmpDomain::pcp_cached_bytes(ZoneId zone) const {
   std::uint64_t frames = 0;
   for (std::uint32_t cpu = 0; cpu < config_.cores; ++cpu) {

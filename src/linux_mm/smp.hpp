@@ -186,10 +186,6 @@ class SmpDomain {
   /// Forget a dead process's lock state and pending shootdowns.
   void drop_mm(Pid pid);
 
-  /// Spill every pcp list back into its zone buddy (quiesce points:
-  /// pre-audit conservation checks, module hot-remove, teardown).
-  void drain_all(MemorySystem& mem);
-
   [[nodiscard]] const SmpConfig& config() const noexcept { return config_; }
   [[nodiscard]] const SmpStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::uint32_t zone_count() const noexcept { return zones_; }

@@ -61,6 +61,11 @@ class ThpService {
   /// Try to satisfy a fault at `vaddr` inside `vma` with a 2M page.
   HugeFaultResult try_fault_huge(AddressSpace& as, const Vma& vma, Addr vaddr);
 
+  /// A fault in a region that already holds one of its own 4K pages:
+  /// try_fault_huge() would find the region ineligible and count the
+  /// fallback, and this counts it without the page-table probe.
+  void fallback_in_small_region() noexcept { ++stats_.fault_huge_fallback; }
+
   /// Whether the 2M region around `vaddr` is even eligible (alignment +
   /// VMA coverage + no prior mappings). Split out for tests.
   [[nodiscard]] bool region_eligible(const AddressSpace& as, const Vma& vma, Addr vaddr) const;

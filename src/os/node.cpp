@@ -543,34 +543,9 @@ Cycles Node::touch_range(Process& proc, Range range, std::int32_t core) {
   const std::int32_t c = core >= 0 ? core : proc.core();
   const bool is_hpmmap_addr =
       module_ != nullptr && module_->handles(proc.pid()) && core::HpmmapModule::in_window(range.begin);
-  Addr va = align_down(range.begin, kSmallPageSize);
-  while (va < range.end) {
-    const auto t = as.page_table().walk(va);
-    if (t.has_value()) {
-      va = align_down(va, bytes(t->size)) + bytes(t->size);
-      continue;
-    }
-    mm::FaultResult fr;
-    if (is_hpmmap_addr) {
-      fr = module_->fault(proc.pid(), va, engine_.now() + cost, c);
-    } else if (smp_ != nullptr && c >= 0) {
-      // The fault path runs under mmap_sem for reading: wait out any
-      // mmap/munmap writer, handle the fault, then release at the
-      // handler's exit so a writer arriving meanwhile queues behind us.
-      // Acquires are stamped at engine time plus this slice's *work*
-      // only — folding suffered waits into the stamp would let diverged
-      // worker timelines charge each other compounding phantom wait
-      // (stamping discipline, linux_mm/smp.hpp).
-      const Cycles t0 = engine_.now() + work;
-      const Cycles sem_wait = smp_->mmap_sem_read_enter(proc.pid(), t0, c);
-      fr = fault_handler_->handle(as, va, t0, c);
-      fr.lock_wait += sem_wait;
-      fr.cost += sem_wait;
-      smp_->mmap_sem_read_exit(proc.pid(), engine_.now() + cost + fr.cost);
-      work += fr.cost - fr.lock_wait;
-    } else {
-      fr = fault_handler_->handle(as, va, engine_.now() + cost, c);
-    }
+  // Charge the fault at `va` to the process and remember a new 4K page
+  // on the anon LRU; returns the next address to touch.
+  const auto account = [&](Addr va, const mm::FaultResult& fr) -> Addr {
     proc.record_fault(engine_.now() + cost, fr.kind, fr.cost);
     cost += fr.cost;
     if (fr.err == Errno::kOk && fr.used == PageSize::k4K && !is_hpmmap_addr) {
@@ -583,10 +558,45 @@ Cycles Node::touch_range(Process& proc, Range range, std::int32_t core) {
       HPMMAP_LOG_WARN_LIMITED(fault_warn_limiter_, "node", "fault failed at %llx for pid %u: %s",
                               static_cast<unsigned long long>(va), proc.pid(),
                               name(fr.err).data());
-      va += kSmallPageSize; // skip; workload generators treat it as lost work
+      return va + kSmallPageSize; // skip; workload generators treat it as lost work
+    }
+    return align_down(va, bytes(fr.used)) + bytes(fr.used);
+  };
+  Addr va = align_down(range.begin, kSmallPageSize);
+  while (va < range.end) {
+    const auto t = as.page_table().walk(va);
+    if (t.has_value()) {
+      va = align_down(va, bytes(t->size)) + bytes(t->size);
       continue;
     }
-    va = align_down(va, bytes(fr.used)) + bytes(fr.used);
+    if (is_hpmmap_addr) {
+      va = account(va, module_->fault(proc.pid(), va, engine_.now() + cost, c));
+    } else if (smp_ != nullptr && c >= 0) {
+      // The fault path runs under mmap_sem for reading: wait out any
+      // mmap/munmap writer, handle the fault, then release at the
+      // handler's exit so a writer arriving meanwhile queues behind us.
+      // Acquires are stamped at engine time plus this slice's *work*
+      // only — folding suffered waits into the stamp would let diverged
+      // worker timelines charge each other compounding phantom wait
+      // (stamping discipline, linux_mm/smp.hpp).
+      const Cycles t0 = engine_.now() + work;
+      const Cycles sem_wait = smp_->mmap_sem_read_enter(proc.pid(), t0, c);
+      mm::FaultResult fr = fault_handler_->handle(as, va, t0, c);
+      fr.lock_wait += sem_wait;
+      fr.cost += sem_wait;
+      smp_->mmap_sem_read_exit(proc.pid(), engine_.now() + cost + fr.cost);
+      work += fr.cost - fr.lock_wait;
+      va = account(va, fr);
+    } else {
+      // Single-core faults go a run at a time: the unmapped pages up to
+      // the next mapped one, inside one VMA and one 2 MiB region.
+      mm::FaultRun run = fault_handler_->begin_run(as, va, range.end);
+      do {
+        const Addr page = run.next();
+        const mm::FaultResult fr = fault_handler_->fault(run, as, engine_.now() + cost, c);
+        va = account(page, fr);
+      } while (!run.done());
+    }
   }
   return cost;
 }

@@ -167,17 +167,6 @@ bool Engine::fire_next(Cycles limit) {
   return false;
 }
 
-Cycles Engine::next_event_time() const noexcept {
-  Cycles min = kNoEvent;
-  for (const Entry& e : heap_) {
-    const Slot& s = slots_[e.slot];
-    if (s.gen == e.gen && !s.daemon && e.when < min) {
-      min = e.when;
-    }
-  }
-  return min;
-}
-
 void Engine::run() {
   stopped_ = false;
   while (!stopped_ && fire_next(~Cycles{0})) {

@@ -106,12 +106,9 @@ class Engine {
   void stop() noexcept { stopped_ = true; }
   [[nodiscard]] bool stopped() const noexcept { return stopped_; }
 
-  /// Earliest pending non-daemon event time, or kNoEvent when only
-  /// daemons (or nothing) remain. The parallel coordinator's horizon
-  /// computation reads this between windows; a linear scan over the
-  /// heap is fine at that cadence (never on the event hot path).
+  /// A time no event reaches: "nothing pending" for callers that keep
+  /// per-engine event times (the cluster coordinator's arrival slots).
   static constexpr Cycles kNoEvent = ~Cycles{0};
-  [[nodiscard]] Cycles next_event_time() const noexcept;
 
   /// True when run() would return immediately: nothing pending but
   /// daemon events (which never keep a run alive).

@@ -667,4 +667,10 @@ void restore_page_table(const PageTableImage& image, mm::PageTable& pt) {
   Access::Transfer<Access::Restore>{}.transfer(image, pt);
 }
 
+BuddyImage capture_buddy(const mm::BuddyAllocator& buddy) {
+  BuddyImage image;
+  Access::Transfer<Access::Capture>{}.transfer(image, buddy);
+  return image;
+}
+
 } // namespace hpmmap::snapshot

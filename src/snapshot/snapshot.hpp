@@ -19,6 +19,7 @@
 #include "snapshot/image.hpp"
 
 namespace hpmmap::mm {
+class BuddyAllocator;
 class PageTable;
 }
 namespace hpmmap::os {
@@ -63,6 +64,10 @@ void restore_world(const WorldImage& image, sim::Engine& engine,
 /// dropped). Exposed for the page-table differential test.
 [[nodiscard]] PageTableImage capture_page_table(const mm::PageTable& pt);
 void restore_page_table(const PageTableImage& image, mm::PageTable& pt);
+
+/// The buddy piece of capture_world(): image one allocator, scan hints
+/// included. Exposed for the buddy property tests.
+[[nodiscard]] BuddyImage capture_buddy(const mm::BuddyAllocator& buddy);
 
 /// Fire exactly the next pending event (time-travel single-stepping for
 /// the replay-to-anomaly harness). Returns false when nothing fired.

@@ -104,7 +104,6 @@ std::vector<Event> FlightRecorder::snapshot() const {
 
 void enable(std::uint32_t mask) noexcept { detail::g_enabled_mask = mask; }
 void disable_all() noexcept { detail::g_enabled_mask = 0; }
-std::uint32_t enabled_mask() noexcept { return detail::g_enabled_mask; }
 
 void enable_spans(bool on) noexcept {
   detail::g_spans_enabled = on;
@@ -112,8 +111,6 @@ void enable_spans(bool on) noexcept {
     detail::g_current_span = 0;
   }
 }
-bool spans_on() noexcept { return detail::g_spans_enabled; }
-std::uint32_t current_span() noexcept { return detail::g_current_span; }
 
 namespace {
 thread_local FlightRecorder* g_recorder_override = nullptr;

@@ -207,15 +207,11 @@ extern thread_local bool g_spans_enabled;
 /// Enable exactly the categories in `mask` (0 disables everything).
 void enable(std::uint32_t mask) noexcept;
 void disable_all() noexcept;
-[[nodiscard]] std::uint32_t enabled_mask() noexcept;
 
 /// Enable/disable causal span stamping for this run context. Off (the
 /// default) every event carries span 0, which exporters render exactly
 /// as before spans existed — the pure-observer contract (DESIGN.md §15).
 void enable_spans(bool on) noexcept;
-[[nodiscard]] bool spans_on() noexcept;
-/// The span emit() would stamp right now (0 = none active).
-[[nodiscard]] std::uint32_t current_span() noexcept;
 
 /// RAII causal-span context. The serving layer opens one per request
 /// callback (span = request index + 1), SmpStorm one per fault actor, so

@@ -120,6 +120,26 @@ TEST(Audit, ScalingRunIsClean) {
   EXPECT_GT(r.audit_checks, 0u);
 }
 
+TEST(Audit, ServerRunIsClean) {
+  // A HugeTLBfs serving trial: the session tables that spill to 4K
+  // anonymous memory fault in runs, taking their frames from the buddy
+  // in bulk.
+  harness::ServerRunConfig cfg;
+  cfg.manager = harness::Manager::kHugetlbfs;
+  cfg.seed = 77;
+  cfg.arrival.mean_rps = 4000.0;
+  cfg.arrival.duration_seconds = 0.1;
+  cfg.service.workers = 2;
+  cfg.service.session_table_bytes = 64 * MiB;
+  cfg.service.object_count = 64;
+  cfg.commodity = workloads::profile_c(); // a kernel build fragments the zones
+  cfg.verify.audit = true;
+  const harness::ServerRunResult r = harness::run_server(cfg);
+  EXPECT_GT(r.faults.count[static_cast<std::size_t>(mm::FaultKind::kSmall)], 0u);
+  EXPECT_EQ(r.audit_violations, 0u) << r.audit_report;
+  EXPECT_GT(r.audit_checks, 0u);
+}
+
 // --- corrupted state -----------------------------------------------------
 
 TEST(Audit, DetectsLeakedFrameMappedWhileFree) {

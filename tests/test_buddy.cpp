@@ -10,7 +10,9 @@
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
+#include "harness/result_fields.hpp"
 #include "linux_mm/buddy_allocator.hpp"
+#include "snapshot/snapshot.hpp"
 
 namespace hpmmap::mm {
 namespace {
@@ -338,6 +340,85 @@ TEST_P(BuddyProperty, RandomOpsPreserveInvariants) {
   }
   EXPECT_EQ(b.free_bytes(), params.arena_bytes);
   EXPECT_TRUE(b.check_consistency());
+}
+
+/// alloc_frames() pops one block for many order-0 frames. After random
+/// alloc/free histories it must hand out the frames, with the split
+/// steps, that as many alloc(0) calls on a twin allocator return, and
+/// leave the twin's exact state: stats, free blocks, bitmaps, mem_map
+/// and every list's scan hint (the snapshot image holds them all).
+TEST_P(BuddyProperty, BulkFramesMatchOneAllocAtATime) {
+  const auto params = GetParam();
+  BuddyAllocator bulk(Range{0, params.arena_bytes}, params.max_order);
+  BuddyAllocator twin(Range{0, params.arena_bytes}, params.max_order);
+  Rng rng(params.seed);
+  std::vector<std::pair<Addr, unsigned>> held;
+  std::uint64_t handed_out = 0;
+
+  for (int round = 0; round < 300; ++round) {
+    // The same random history on both allocators.
+    for (int step = 0; step < 20; ++step) {
+      if (held.empty() || rng.chance(0.5)) {
+        const unsigned order = static_cast<unsigned>(rng.uniform(params.max_order + 1));
+        const auto a = bulk.alloc(order);
+        const auto b = twin.alloc(order);
+        ASSERT_EQ(a.has_value(), b.has_value());
+        if (a.has_value()) {
+          ASSERT_EQ(a->addr, b->addr);
+          held.emplace_back(a->addr, order);
+        }
+      } else {
+        const std::size_t i = static_cast<std::size_t>(rng.uniform(held.size()));
+        bulk.free(held[i].first, held[i].second);
+        twin.free(held[i].first, held[i].second);
+        held[i] = held.back();
+        held.pop_back();
+      }
+    }
+    // Stale heads inside free blocks: alloc(0) sets and clears the head
+    // of every frame it hands out, so the bulk handout must clear them.
+    for (int k = 0; k < 32; ++k) {
+      const Addr stale = rng.uniform(params.arena_bytes / kSmallPageSize) * kSmallPageSize;
+      const auto blk = twin.free_block_containing(stale);
+      if (blk.has_value() && blk->first != stale) {
+        for (BuddyAllocator* b : {&bulk, &twin}) {
+          b->mem_map().set_head(b->mem_map().index_of(stale), hw::FrameState::kCacheClean, 0);
+        }
+      }
+    }
+    // n frames: in bulk, one block at a time, and one alloc(0) each.
+    const std::uint64_t free_frames = twin.free_bytes() / kSmallPageSize;
+    const std::uint64_t n = std::min<std::uint64_t>(rng.uniform(1, 1100), free_frames);
+    std::uint64_t got = 0;
+    while (got < n) {
+      const BuddyAllocator::FrameRun run = bulk.alloc_frames(n - got);
+      ASSERT_GT(run.frames, 0u) << "free frames left but no block handed out";
+      ASSERT_LE(run.frames, n - got);
+      for (std::uint64_t j = 0; j < run.frames; ++j) {
+        const auto one = twin.alloc(0);
+        ASSERT_TRUE(one.has_value());
+        ASSERT_EQ(run.base + j * kSmallPageSize, one->addr) << "round " << round;
+        ASSERT_EQ(run.split_steps(j), one->split_steps) << "round " << round << " frame " << j;
+        held.emplace_back(one->addr, 0);
+      }
+      got += run.frames;
+    }
+    handed_out += n;
+    const auto diff =
+        harness::first_difference(snapshot::capture_buddy(bulk), snapshot::capture_buddy(twin));
+    ASSERT_FALSE(diff.has_value()) << "round " << round << ": " << *diff;
+  }
+  EXPECT_GT(handed_out, 1000u);
+  EXPECT_TRUE(bulk.check_consistency());
+  // With nothing free, no frames and no recorded failure.
+  while (twin.alloc(0).has_value()) {
+  }
+  BuddyAllocator::FrameRun rest = bulk.alloc_frames(~std::uint64_t{0});
+  while (rest.frames > 0) {
+    rest = bulk.alloc_frames(~std::uint64_t{0});
+  }
+  EXPECT_EQ(bulk.stats().failed_allocs + 1, twin.stats().failed_allocs);
+  EXPECT_EQ(bulk.free_bytes(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,9 +2,13 @@
 // mlock splitting), HugeTLBfs pools, and the swap path.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/units.hpp"
+#include "harness/result_fields.hpp"
 #include "hw/bandwidth.hpp"
 #include "hw/phys_mem.hpp"
 #include "linux_mm/address_space.hpp"
@@ -12,7 +16,9 @@
 #include "linux_mm/hugetlbfs.hpp"
 #include "linux_mm/memory_system.hpp"
 #include "linux_mm/thp.hpp"
+#include "os/node.hpp"
 #include "sim/engine.hpp"
+#include "snapshot/snapshot.hpp"
 
 namespace hpmmap::mm {
 namespace {
@@ -126,6 +132,113 @@ TEST(FaultHandler, SwappedPagePaysDiskRead) {
   EXPECT_GT(r.cost, 1'000'000u); // disk, not DRAM
   // One-shot: the mark is consumed.
   EXPECT_EQ(f.as.swapped_pages(), 0u);
+}
+
+// --- fault runs ------------------------------------------------------------
+//
+// os::Node::touch_range faults a run of pages at a time (FaultRun). Touching
+// the same pages one 4 KiB call at a time makes every run one page long:
+// the one-page semantics of FaultHandler::handle(). Both must leave the
+// same world behind, byte for byte.
+
+/// An aged THP node whose zone 0 is a few MiB above its low watermark,
+/// with a process holding a THP-eligible heap. In three of every four
+/// 2 MiB regions one read-only page splits the VMA, so those regions
+/// fall back to 4K and their runs end at VMA boundaries; the fourth
+/// stays THP-eligible. A scatter of pages already touched in every other
+/// region cuts the heap into runs of every length.
+struct RunWorld {
+  static constexpr std::uint64_t kHeapBytes = 64 * MiB;
+
+  sim::Engine engine;
+  os::Node node;
+  os::Process* proc = nullptr;
+  Addr heap = 0;
+
+  static os::NodeConfig config() {
+    os::NodeConfig cfg;
+    cfg.machine.ram_bytes = 2 * GiB;
+    cfg.seed = 11;
+    cfg.boot_cache_fraction = 0.02; // little cache: reclaim soon turns to swap
+    return cfg;
+  }
+
+  RunWorld() : node(engine, config()) {
+    proc = &node.spawn("app", os::MmPolicy::kLinuxThp, 0, 1.0, AddressSpace::ZonePolicy::kSingle,
+                       0);
+    const auto out = node.sys_mmap(*proc, kHeapBytes, kProtRW, os::Node::Segment::kHeapData);
+    EXPECT_EQ(out.err, Errno::kOk);
+    heap = out.addr;
+    for (std::uint64_t r = 0; r < kHeapBytes / kLargePageSize; ++r) {
+      const Addr region = heap + r * kLargePageSize;
+      if (r % 4 != 3) {
+        EXPECT_EQ(node.sys_mprotect(*proc, region + 5 * kSmallPageSize, kSmallPageSize, Prot::kRead)
+                      .err,
+                  Errno::kOk);
+      }
+      if (r % 2 == 0) {
+        for (Addr va = region; va < region + kLargePageSize; va += 37 * kSmallPageSize) {
+          (void)node.touch_range(*proc, Range{va, va + kSmallPageSize});
+        }
+      }
+    }
+    // Hold kernel memory until zone 0 sits 6 MiB above its low watermark.
+    const auto low = static_cast<std::uint64_t>(
+        node.config().costs.watermark_low *
+        static_cast<double>(node.memory().buddy(0).total_bytes()));
+    while (node.memory().free_bytes(0) > low + 6 * MiB) {
+      EXPECT_TRUE(node.kernel_alloc(0, 0).has_value());
+    }
+  }
+
+  /// Every leaf as (vaddr, phys, size, prot).
+  [[nodiscard]] std::vector<std::array<std::uint64_t, 4>> leaves() const {
+    std::vector<std::array<std::uint64_t, 4>> out;
+    proc->address_space().page_table().for_each_leaf([&](Addr va, const Translation& t) {
+      out.push_back({va, t.phys, static_cast<std::uint64_t>(t.size),
+                     static_cast<std::uint64_t>(t.prot)});
+    });
+    return out;
+  }
+};
+
+TEST(FaultRun, MatchesOnePageAtATime) {
+  RunWorld run;
+  RunWorld paged;
+  const std::uint64_t cache_before = run.node.memory().cache(0).cached_bytes();
+
+  const Cycles run_cost =
+      run.node.touch_range(*run.proc, Range{run.heap, run.heap + RunWorld::kHeapBytes});
+  Cycles paged_cost = 0;
+  for (Addr va = paged.heap; va < paged.heap + RunWorld::kHeapBytes; va += kSmallPageSize) {
+    paged_cost += paged.node.touch_range(*paged.proc, Range{va, va + kSmallPageSize});
+  }
+
+  // The touch crossed into direct reclaim, and past it into swap, with
+  // THP falling back to 4K.
+  EXPECT_LT(run.node.memory().cache(0).cached_bytes(), cache_before);
+  EXPECT_GT(run.node.swapped_out_total(), 0u);
+  EXPECT_GT(run.node.thp()->stats().fault_huge_fallback, 1000u);
+  // Some runs began with a 2 MiB THP fault; some pages swapped back in.
+  EXPECT_GT(run.node.thp()->stats().fault_huge_success, 0u);
+  EXPECT_GT(run.node.swapped_out_total(), run.proc->address_space().swapped_pages());
+
+  EXPECT_EQ(run_cost, paged_cost);
+  EXPECT_FALSE(harness::first_difference(run.proc->fault_stats(), paged.proc->fault_stats())
+                   .has_value());
+  EXPECT_FALSE(
+      harness::first_difference(run.node.thp()->stats(), paged.node.thp()->stats()).has_value());
+  EXPECT_TRUE(run.leaves() == paged.leaves());
+  for (ZoneId z = 0; z < run.node.memory().zone_count(); ++z) {
+    const auto diff = harness::first_difference(snapshot::capture_buddy(run.node.memory().buddy(z)),
+                                                snapshot::capture_buddy(paged.node.memory().buddy(z)));
+    EXPECT_FALSE(diff.has_value()) << "zone " << z << ": " << *diff;
+  }
+  EXPECT_EQ(run.node.memory().rng().next_u64(), paged.node.memory().rng().next_u64());
+  const auto world =
+      harness::first_difference(snapshot::capture_world(run.engine, {&run.node}),
+                                snapshot::capture_world(paged.engine, {&paged.node}));
+  EXPECT_FALSE(world.has_value()) << *world;
 }
 
 TEST(FaultStats, RecordsByKind) {

@@ -287,13 +287,17 @@ TEST(Node, SwapNeverTouchesOfflinedFrames) {
   const auto region = node.sys_mmap(hpc, 256 * MiB, kProtRW, Node::Segment::kHeapData);
   ASSERT_EQ(region.err, Errno::kOk);
 
-  // Linux-side process creates pressure: fill the rest with anon pages.
+  // Linux-side process creates pressure: anon pages past zone 0's low
+  // watermark (4% of its 1 GiB), with no page cache left to reclaim, so
+  // reclaim evicts the hog's oldest pages to swap.
   Process& hog = node.spawn("hog", MmPolicy::kLinuxPlain, 1, 1.0,
                             mm::AddressSpace::ZonePolicy::kSingle, 0);
-  const auto hog_mem = node.sys_mmap(hog, 800 * MiB, kProtRW, Node::Segment::kHeapData);
-  (void)node.touch_range(hog, Range{hog_mem.addr, hog_mem.addr + 800 * MiB});
+  constexpr std::uint64_t kHogBytes = 1000 * MiB;
+  const auto hog_mem = node.sys_mmap(hog, kHogBytes, kProtRW, Node::Segment::kHeapData);
+  (void)node.touch_range(hog, Range{hog_mem.addr, hog_mem.addr + kHogBytes});
+  EXPECT_GT(hog.address_space().swapped_pages(), 0u);
 
-  // Whatever swapping occurred, HPMMAP mappings are intact.
+  // The swapping never reached the HPMMAP mappings.
   for (Addr va = region.addr; va < region.addr + 256 * MiB; va += kLargePageSize) {
     EXPECT_TRUE(hpc.address_space().page_table().walk(va).has_value());
   }

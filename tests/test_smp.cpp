@@ -13,7 +13,11 @@
 #include "harness/batch.hpp"
 #include "harness/experiment.hpp"
 #include "harness/result_fields.hpp"
+#include "hw/bandwidth.hpp"
+#include "hw/phys_mem.hpp"
+#include "linux_mm/fault.hpp"
 #include "linux_mm/smp.hpp"
+#include "sim/engine.hpp"
 #include "trace/trace.hpp"
 
 namespace hpmmap {
@@ -54,6 +58,40 @@ TEST(SimRwSem, ReadersOverlapWritersSerialize) {
   // queues behind the first.
   EXPECT_EQ(sem.read_wait(200), 20u);
   EXPECT_EQ(sem.write_acquire(200, 10), 20u);
+}
+
+// --- the 2 MiB THP fault under SMP --------------------------------------------
+
+TEST(SmpFault, HugeFaultsQueueOnTheZoneLock) {
+  hw::PhysicalMemory phys{2 * GiB, 1};
+  hw::BandwidthModel bw{1, 5.6};
+  const mm::CostModel costs{};
+  mm::MemorySystem memory{phys, bw, Rng(3), costs};
+  sim::Engine engine;
+  mm::ThpService thp{memory, engine, [] { return 1.0; }};
+  mm::FaultHandler handler{memory, &thp, nullptr};
+  mm::SmpConfig smp_cfg;
+  smp_cfg.cores = 2;
+  mm::SmpDomain smp{smp_cfg, costs, 1};
+  handler.attach_smp(&smp);
+  mm::AddressSpace as{1};
+  constexpr Addr kBase = 0x5000'0000'0000ull;
+  mm::Vma vma;
+  vma.range = Range{kBase, kBase + 4 * MiB};
+  vma.thp_eligible = true;
+  ASSERT_EQ(as.vmas().insert(vma), Errno::kOk);
+
+  // Two cores take 2 MiB faults in two regions at the same instant: the
+  // order-9 allocations bypass the pcp lists, so the second core queues
+  // behind the first one's zone-lock hold.
+  const mm::FaultResult first = handler.handle(as, kBase, 1000, 0);
+  const mm::FaultResult second = handler.handle(as, kBase + 2 * MiB, 1000, 1);
+  ASSERT_EQ(first.used, PageSize::k2M);
+  ASSERT_EQ(second.used, PageSize::k2M);
+  EXPECT_EQ(thp.stats().fault_huge_success, 2u);
+  EXPECT_GT(smp.stats().zone_lock_wait, 0u);
+  EXPECT_GE(second.lock_wait, smp.stats().zone_lock_wait);
+  EXPECT_EQ(smp.stats().pcp_hits + smp.stats().pcp_misses, 0u);
 }
 
 // --- executed contention ----------------------------------------------------
