@@ -65,4 +65,11 @@ class Rng {
   std::uint64_t s_[4];
 };
 
+/// Walked as its 32 raw state bytes: Rng is no aggregate, so the default
+/// field list (snapshot/archive.hpp) cannot walk it.
+template <class Ar>
+void fields(Ar& ar, Rng& r) {
+  ar.pod(r);
+}
+
 } // namespace hpmmap

@@ -3,47 +3,48 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 
 #include "common/assert.hpp"
 
 namespace hpmmap {
 
 void RunningStats::add(double x) noexcept {
-  if (n_ == 0) {
-    min_ = max_ = x;
+  if (state_.n == 0) {
+    state_.min = state_.max = x;
   } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
+    state_.min = std::min(state_.min, x);
+    state_.max = std::max(state_.max, x);
   }
-  ++n_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
+  ++state_.n;
+  state_.sum += x;
+  const double delta = x - state_.mean;
+  state_.mean += delta / static_cast<double>(state_.n);
+  state_.m2 += delta * (x - state_.mean);
 }
 
 void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.n_ == 0) {
+  if (other.state_.n == 0) {
     return;
   }
-  if (n_ == 0) {
+  if (state_.n == 0) {
     *this = other;
     return;
   }
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
+  const auto na = static_cast<double>(state_.n);
+  const auto nb = static_cast<double>(other.state_.n);
+  const double delta = other.state_.mean - state_.mean;
   const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
+  state_.mean += delta * nb / total;
+  state_.m2 += other.state_.m2 + delta * delta * na * nb / total;
+  state_.n += other.state_.n;
+  state_.sum += other.state_.sum;
+  state_.min = std::min(state_.min, other.state_.min);
+  state_.max = std::max(state_.max, other.state_.max);
 }
 
 double RunningStats::variance() const noexcept {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
+  return state_.n > 1 ? state_.m2 / static_cast<double>(state_.n - 1) : 0.0;
 }
 
 double RunningStats::stdev() const noexcept { return std::sqrt(variance()); }
@@ -105,98 +106,92 @@ double Samples::percentile(double p) const {
   return sorted_[lo] + frac * (sorted_[lo + 1] - sorted_[lo]);
 }
 
-P2Quantile::P2Quantile(double q) : q_(q) {
+P2Quantile::P2Quantile(double q)
+    : state_{.q = q,
+             .desired = {1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0},
+             .increments = {0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0}} {
   HPMMAP_ASSERT(q > 0.0 && q < 1.0, "quantile must be in (0, 1)");
-  desired_[0] = 1.0;
-  desired_[1] = 1.0 + 2.0 * q;
-  desired_[2] = 1.0 + 4.0 * q;
-  desired_[3] = 3.0 + 2.0 * q;
-  desired_[4] = 5.0;
-  increments_[0] = 0.0;
-  increments_[1] = q / 2.0;
-  increments_[2] = q;
-  increments_[3] = (1.0 + q) / 2.0;
-  increments_[4] = 1.0;
 }
 
 void P2Quantile::add(double x) noexcept {
-  if (n_ < 5) {
-    heights_[n_] = x;
-    ++n_;
-    if (n_ == 5) {
-      std::sort(heights_, heights_ + 5);
-      for (int i = 0; i < 5; ++i) {
-        positions_[i] = static_cast<double>(i + 1);
+  auto& [q, n, heights, positions, desired, increments] = state_;
+  if (n < 5) {
+    heights[n] = x;
+    ++n;
+    if (n == 5) {
+      std::sort(heights.begin(), heights.end());
+      for (std::size_t i = 0; i < 5; ++i) {
+        positions[i] = static_cast<double>(i + 1);
       }
     }
     return;
   }
-  ++n_;
+  ++n;
 
   // Locate the cell containing x and clamp the extreme markers.
-  int k;
-  if (x < heights_[0]) {
-    heights_[0] = x;
+  std::size_t k;
+  if (x < heights[0]) {
+    heights[0] = x;
     k = 0;
-  } else if (x >= heights_[4]) {
-    heights_[4] = x;
+  } else if (x >= heights[4]) {
+    heights[4] = x;
     k = 3;
   } else {
     k = 0;
-    while (k < 3 && x >= heights_[k + 1]) {
+    while (k < 3 && x >= heights[k + 1]) {
       ++k;
     }
   }
-  for (int i = k + 1; i < 5; ++i) {
-    positions_[i] += 1.0;
+  for (std::size_t i = k + 1; i < 5; ++i) {
+    positions[i] += 1.0;
   }
-  for (int i = 0; i < 5; ++i) {
-    desired_[i] += increments_[i];
+  for (std::size_t i = 0; i < 5; ++i) {
+    desired[i] += increments[i];
   }
 
   // Adjust the interior markers toward their desired positions with
   // piecewise-parabolic (P²) interpolation, falling back to linear when
   // the parabola would leave the bracket.
-  for (int i = 1; i <= 3; ++i) {
-    const double d = desired_[i] - positions_[i];
-    const double dp = positions_[i + 1] - positions_[i];
-    const double dm = positions_[i - 1] - positions_[i];
+  for (std::size_t i = 1; i <= 3; ++i) {
+    const double d = desired[i] - positions[i];
+    const double dp = positions[i + 1] - positions[i];
+    const double dm = positions[i - 1] - positions[i];
     if ((d >= 1.0 && dp > 1.0) || (d <= -1.0 && dm < -1.0)) {
       const double sign = d >= 0.0 ? 1.0 : -1.0;
-      const double hp = (heights_[i + 1] - heights_[i]) / dp; // slope toward upper neighbour
-      const double hm = (heights_[i - 1] - heights_[i]) / dm; // slope toward lower neighbour
+      const double hp = (heights[i + 1] - heights[i]) / dp; // slope toward upper neighbour
+      const double hm = (heights[i - 1] - heights[i]) / dm; // slope toward lower neighbour
       const double parabolic =
-          heights_[i] + sign / (dp - dm) * ((sign - dm) * hp + (dp - sign) * hm);
+          heights[i] + sign / (dp - dm) * ((sign - dm) * hp + (dp - sign) * hm);
       double candidate;
-      if (heights_[i - 1] < parabolic && parabolic < heights_[i + 1]) {
+      if (heights[i - 1] < parabolic && parabolic < heights[i + 1]) {
         candidate = parabolic;
       } else {
-        candidate = heights_[i] + sign * (sign > 0.0 ? hp : hm);
+        candidate = heights[i] + sign * (sign > 0.0 ? hp : hm);
       }
-      heights_[i] = candidate;
-      positions_[i] += sign;
+      heights[i] = candidate;
+      positions[i] += sign;
     }
   }
 }
 
 double P2Quantile::value() const noexcept {
-  if (n_ == 0) {
+  const auto& [q, n, heights, positions, desired, increments] = state_;
+  if (n == 0) {
     return 0.0;
   }
-  if (n_ < 5) {
+  if (n < 5) {
     // Exact small-sample quantile over what we have.
-    double tmp[5];
-    std::copy(heights_, heights_ + n_, tmp);
-    std::sort(tmp, tmp + n_);
-    const double rank = q_ * static_cast<double>(n_ - 1);
+    std::array<double, 5> tmp = heights;
+    std::sort(tmp.begin(), tmp.begin() + static_cast<std::ptrdiff_t>(n));
+    const double rank = q * static_cast<double>(n - 1);
     const auto lo = static_cast<std::size_t>(rank);
     const double frac = rank - static_cast<double>(lo);
-    if (lo + 1 >= n_) {
-      return tmp[n_ - 1];
+    if (lo + 1 >= n) {
+      return tmp[n - 1];
     }
     return tmp[lo] + frac * (tmp[lo + 1] - tmp[lo]);
   }
-  return heights_[2];
+  return heights[2];
 }
 
 TailQuantiles::TailQuantiles()

@@ -2,6 +2,7 @@
 // experiment harness (every paper figure reports mean and stdev).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -19,24 +20,29 @@ class RunningStats {
   void merge(const RunningStats& other) noexcept;
   void reset() noexcept { *this = RunningStats{}; }
 
-  [[nodiscard]] std::uint64_t count() const noexcept { return n_; }
-  [[nodiscard]] double mean() const noexcept { return n_ ? mean_ : 0.0; }
+  [[nodiscard]] std::uint64_t count() const noexcept { return state_.n; }
+  [[nodiscard]] double mean() const noexcept { return state_.n ? state_.mean : 0.0; }
   /// Sample variance (n-1 denominator), 0 for fewer than two samples.
   [[nodiscard]] double variance() const noexcept;
   [[nodiscard]] double stdev() const noexcept;
-  [[nodiscard]] double min() const noexcept { return n_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const noexcept { return n_ ? max_ : 0.0; }
-  [[nodiscard]] double sum() const noexcept { return sum_; }
+  [[nodiscard]] double min() const noexcept { return state_.n ? state_.min : 0.0; }
+  [[nodiscard]] double max() const noexcept { return state_.n ? state_.max : 0.0; }
+  [[nodiscard]] double sum() const noexcept { return state_.sum; }
+
+  /// The members a snapshot image holds as they are (snapshot/image.hpp).
+  struct State {
+    std::uint64_t n = 0;
+    double mean = 0.0;
+    double m2 = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+    double sum = 0.0;
+  };
 
  private:
   friend struct hpmmap::snapshot::Access;
 
-  std::uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
+  State state_;
 };
 
 /// Batch sample set with percentile queries. Used where the figures need
@@ -78,17 +84,22 @@ class P2Quantile {
 
   void add(double x) noexcept;
   [[nodiscard]] double value() const noexcept;
-  [[nodiscard]] std::uint64_t count() const noexcept { return n_; }
+  [[nodiscard]] std::uint64_t count() const noexcept { return state_.n; }
+
+  /// The members a snapshot image holds as they are (snapshot/image.hpp).
+  struct State {
+    double q = 0.0;
+    std::uint64_t n = 0;
+    std::array<double, 5> heights{};    // marker heights
+    std::array<double, 5> positions{};  // actual marker positions (1-based)
+    std::array<double, 5> desired{};    // desired marker positions
+    std::array<double, 5> increments{}; // desired-position increments per sample
+  };
 
  private:
   friend struct hpmmap::snapshot::Access;
 
-  double q_;
-  std::uint64_t n_ = 0;
-  double heights_[5] = {};       // marker heights
-  double positions_[5] = {};     // actual marker positions (1-based)
-  double desired_[5] = {};       // desired marker positions
-  double increments_[5] = {};    // desired-position increments per sample
+  State state_;
 };
 
 /// The tail-latency quantile set every serving figure reports: p50, p95,

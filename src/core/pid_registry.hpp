@@ -41,15 +41,15 @@ class PidRegistry {
   [[nodiscard]] std::size_t buckets() const noexcept { return slots_.size(); }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
- private:
-  friend struct hpmmap::snapshot::Access;
-
   enum class State : std::uint8_t { kEmpty, kUsed, kTombstone };
   struct Slot {
     State state = State::kEmpty;
     Pid pid = 0;
     std::uint32_t context = 0;
   };
+
+ private:
+  friend struct hpmmap::snapshot::Access;
 
   [[nodiscard]] static std::size_t hash(Pid pid, std::size_t buckets) noexcept;
   void grow();

@@ -7,32 +7,34 @@
 namespace hpmmap::hw {
 
 BandwidthModel::BandwidthModel(std::uint32_t zones, double zone_capacity_bytes_per_cycle)
-    : zone_demand_(zones, 0.0), capacity_(zone_capacity_bytes_per_cycle) {
+    : state_{.entries = {},
+             .zone_demand = std::vector<double>(zones, 0.0),
+             .capacity = zone_capacity_bytes_per_cycle} {
   HPMMAP_ASSERT(zones > 0, "need at least one zone");
-  HPMMAP_ASSERT(capacity_ > 0.0, "zone bandwidth must be positive");
+  HPMMAP_ASSERT(state_.capacity > 0.0, "zone bandwidth must be positive");
 }
 
-BandwidthModel::Consumer BandwidthModel::register_consumer() { return Consumer{next_id_++}; }
+BandwidthModel::Consumer BandwidthModel::register_consumer() { return Consumer{state_.next_id++}; }
 
 void BandwidthModel::set_demand(Consumer c, ZoneId zone, double bytes_per_cycle) {
-  HPMMAP_ASSERT(zone < zone_demand_.size(), "zone out of range");
+  HPMMAP_ASSERT(zone < state_.zone_demand.size(), "zone out of range");
   HPMMAP_ASSERT(bytes_per_cycle >= 0.0, "demand cannot be negative");
-  for (Entry& e : entries_) {
+  for (Entry& e : state_.entries) {
     if (e.consumer == c.id && e.zone == zone) {
-      zone_demand_[zone] += bytes_per_cycle - e.demand;
+      state_.zone_demand[zone] += bytes_per_cycle - e.demand;
       e.demand = bytes_per_cycle;
       return;
     }
   }
-  entries_.push_back(Entry{c.id, zone, bytes_per_cycle});
-  zone_demand_[zone] += bytes_per_cycle;
+  state_.entries.push_back(Entry{c.id, zone, bytes_per_cycle});
+  state_.zone_demand[zone] += bytes_per_cycle;
 }
 
 void BandwidthModel::clear_demand(Consumer c) {
-  for (auto it = entries_.begin(); it != entries_.end();) {
+  for (auto it = state_.entries.begin(); it != state_.entries.end();) {
     if (it->consumer == c.id) {
-      zone_demand_[it->zone] -= it->demand;
-      it = entries_.erase(it);
+      state_.zone_demand[it->zone] -= it->demand;
+      it = state_.entries.erase(it);
     } else {
       ++it;
     }
@@ -40,28 +42,28 @@ void BandwidthModel::clear_demand(Consumer c) {
 }
 
 double BandwidthModel::contention_factor(ZoneId zone) const noexcept {
-  if (zone >= zone_demand_.size()) {
+  if (zone >= state_.zone_demand.size()) {
     return 1.0;
   }
-  const double demand = zone_demand_[zone];
-  return demand <= capacity_ ? 1.0 : demand / capacity_;
+  const double demand = state_.zone_demand[zone];
+  return demand <= state_.capacity ? 1.0 : demand / state_.capacity;
 }
 
 double BandwidthModel::effective_rate(ZoneId zone, double bytes_per_cycle) const noexcept {
-  if (zone >= zone_demand_.size()) {
+  if (zone >= state_.zone_demand.size()) {
     return bytes_per_cycle;
   }
-  const double others = zone_demand_[zone];
+  const double others = state_.zone_demand[zone];
   const double total = others + bytes_per_cycle;
-  if (total <= capacity_) {
+  if (total <= state_.capacity) {
     return bytes_per_cycle;
   }
   // Proportional sharing of the saturated channel.
-  return capacity_ * bytes_per_cycle / total;
+  return state_.capacity * bytes_per_cycle / total;
 }
 
 double BandwidthModel::total_demand(ZoneId zone) const noexcept {
-  return zone < zone_demand_.size() ? zone_demand_[zone] : 0.0;
+  return zone < state_.zone_demand.size() ? state_.zone_demand[zone] : 0.0;
 }
 
 } // namespace hpmmap::hw

@@ -42,20 +42,25 @@ class BandwidthModel {
   [[nodiscard]] double effective_rate(ZoneId zone, double bytes_per_cycle) const noexcept;
 
   [[nodiscard]] double total_demand(ZoneId zone) const noexcept;
-  [[nodiscard]] double capacity() const noexcept { return capacity_; }
-
- private:
-  friend struct hpmmap::snapshot::Access;
+  [[nodiscard]] double capacity() const noexcept { return state_.capacity; }
 
   struct Entry {
     std::uint32_t consumer;
     ZoneId zone;
     double demand;
   };
-  std::vector<Entry> entries_;
-  std::vector<double> zone_demand_;
-  double capacity_;
-  std::uint32_t next_id_ = 1;
+  /// The members a snapshot image holds as they are (snapshot/image.hpp).
+  struct State {
+    std::vector<Entry> entries;
+    std::vector<double> zone_demand;
+    double capacity = 0.0;
+    std::uint32_t next_id = 1;
+  };
+
+ private:
+  friend struct hpmmap::snapshot::Access;
+
+  State state_;
 };
 
 } // namespace hpmmap::hw

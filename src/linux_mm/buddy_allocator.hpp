@@ -181,20 +181,20 @@ class BuddyAllocator {
   /// that the public API's eager coalescing makes unreachable.
   void corrupt_insert_free_block(Addr addr, unsigned order);
 
- private:
-  friend struct hpmmap::snapshot::Access;
-
   /// Per-order free bitmap: bit i = block [begin + i*order_bytes(o),
   /// +order_bytes(o)) is free; empty below min_order. `summary` has one
   /// bit per bits-word; `scan_hint` bounds the summary scan from below
   /// (monotone under pops, reset by inserts), making repeated pops
-  /// amortized O(1).
+  /// amortized O(1). A snapshot image holds the lists as they are.
   struct OrderList {
     std::vector<std::uint64_t> bits;
     std::vector<std::uint64_t> summary;
     std::uint64_t count = 0;
     std::size_t scan_hint = 0;
   };
+
+ private:
+  friend struct hpmmap::snapshot::Access;
 
   [[nodiscard]] Addr buddy_of(Addr addr, unsigned order) const noexcept;
   [[nodiscard]] std::uint64_t block_index(Addr addr, unsigned order) const noexcept {

@@ -20,16 +20,16 @@ void HugetlbPool::push(ZoneId zone, Addr addr) {
   // checks exist to catch.
   if (m.state(idx) != hw::FrameState::kHugetlbPool) {
     m.set_head(idx, hw::FrameState::kHugetlbPool, kLargePageOrder);
-    pool_[zone].stack.push_back(idx);
+    state_.pool[zone].stack.push_back(idx);
   }
-  ++pool_[zone].count;
+  ++state_.pool[zone].count;
 }
 
 HugetlbPool::HugetlbPool(MemorySystem& memory, std::uint64_t bytes_per_zone)
     : memory_(memory) {
   const std::uint32_t zones = memory_.zone_count();
-  pool_.resize(zones);
-  total_.assign(zones, 0);
+  state_.pool.resize(zones);
+  state_.total.assign(zones, 0);
   const std::uint64_t pages = bytes_per_zone / kLargePageSize;
   for (ZoneId z = 0; z < zones; ++z) {
     for (std::uint64_t i = 0; i < pages; ++i) {
@@ -37,8 +37,8 @@ HugetlbPool::HugetlbPool(MemorySystem& memory, std::uint64_t bytes_per_zone)
       HPMMAP_ASSERT(out.ok, "hugetlb boot reservation failed: zone too small/fragmented");
       push(z, out.addr);
     }
-    total_[z] = pages;
-    stats_.pool_pages_total += pages;
+    state_.total[z] = pages;
+    state_.stats.pool_pages_total += pages;
   }
   log_info("hugetlbfs", "reserved %llu x 2M pages per zone across %u zones", static_cast<unsigned long long>(pages), zones);
   trace::instant(trace::Category::kHugetlb, "hugetlb.reserve", 0, -1,
@@ -48,27 +48,27 @@ HugetlbPool::HugetlbPool(MemorySystem& memory, std::uint64_t bytes_per_zone)
 HugetlbPool::~HugetlbPool() {
   // Return whatever is still pooled; outstanding pages die with the
   // simulated machine.
-  for (ZoneId z = 0; z < pool_.size(); ++z) {
+  for (ZoneId z = 0; z < state_.pool.size(); ++z) {
     hw::MemMap& m = memory_.buddy(z).mem_map();
-    std::vector<std::uint32_t>& stack = pool_[z].stack;
+    std::vector<std::uint32_t>& stack = state_.pool[z].stack;
     while (!stack.empty()) {
       const std::uint32_t idx = stack.back();
       stack.pop_back();
       const Addr addr = m.addr_of(idx);
       m.clear_head(idx);
-      --pool_[z].count;
+      --state_.pool[z].count;
       memory_.free_pages(z, addr, kLargePageOrder);
     }
   }
 }
 
 std::optional<std::pair<Addr, ZoneId>> HugetlbPool::alloc_page(ZoneId zone) {
-  HPMMAP_ASSERT(zone < pool_.size(), "zone out of range");
+  HPMMAP_ASSERT(zone < state_.pool.size(), "zone out of range");
   // Injected exhaustion: behave exactly as if every zone's pool were
   // empty (no page leaves the pool, so conservation holds); the caller
   // sees the same SIGBUS-path outcome a real dry pool produces.
   if (verify::injector().should_fail(verify::InjectPoint::kHugetlbAlloc)) {
-    ++stats_.pool_exhausted;
+    ++state_.stats.pool_exhausted;
     if (trace::on(trace::Category::kHugetlb)) {
       trace::instant(trace::Category::kHugetlb, "hugetlb.pool_exhausted", 0, -1,
                      {trace::Arg::u64("zone", zone)});
@@ -76,9 +76,9 @@ std::optional<std::pair<Addr, ZoneId>> HugetlbPool::alloc_page(ZoneId zone) {
     }
     return std::nullopt;
   }
-  for (std::uint32_t probe = 0; probe < pool_.size(); ++probe) {
-    const ZoneId z = (zone + probe) % static_cast<ZoneId>(pool_.size());
-    std::vector<std::uint32_t>& stack = pool_[z].stack;
+  for (std::uint32_t probe = 0; probe < state_.pool.size(); ++probe) {
+    const ZoneId z = (zone + probe) % static_cast<ZoneId>(state_.pool.size());
+    std::vector<std::uint32_t>& stack = state_.pool[z].stack;
     if (stack.empty()) {
       continue;
     }
@@ -87,18 +87,18 @@ std::optional<std::pair<Addr, ZoneId>> HugetlbPool::alloc_page(ZoneId zone) {
     stack.pop_back();
     const Addr addr = m.addr_of(idx);
     m.clear_head(idx);
-    --pool_[z].count;
-    ++stats_.faults_served;
+    --state_.pool[z].count;
+    ++state_.stats.faults_served;
     if (trace::on(trace::Category::kHugetlb)) {
       trace::instant(trace::Category::kHugetlb, "hugetlb.alloc", 0, -1,
                      {trace::Arg::u64("zone", z),
-                      trace::Arg::u64("pool_free", pool_[z].count),
+                      trace::Arg::u64("pool_free", state_.pool[z].count),
                       trace::Arg::u64("spilled", z == zone ? 0 : 1)});
       ++trace::metrics().counter("hugetlb.pages_served");
     }
     return std::make_pair(addr, z);
   }
-  ++stats_.pool_exhausted;
+  ++state_.stats.pool_exhausted;
   if (trace::on(trace::Category::kHugetlb)) {
     trace::instant(trace::Category::kHugetlb, "hugetlb.pool_exhausted", 0, -1,
                    {trace::Arg::u64("zone", zone)});
@@ -108,23 +108,23 @@ std::optional<std::pair<Addr, ZoneId>> HugetlbPool::alloc_page(ZoneId zone) {
 }
 
 void HugetlbPool::free_page(ZoneId zone, Addr addr) {
-  HPMMAP_ASSERT(zone < pool_.size(), "zone out of range");
+  HPMMAP_ASSERT(zone < state_.pool.size(), "zone out of range");
   push(zone, addr);
   if (trace::on(trace::Category::kHugetlb)) {
     trace::instant(trace::Category::kHugetlb, "hugetlb.free", 0, -1,
                    {trace::Arg::u64("zone", zone),
-                    trace::Arg::u64("pool_free", pool_[zone].count)});
+                    trace::Arg::u64("pool_free", state_.pool[zone].count)});
   }
 }
 
 std::uint64_t HugetlbPool::free_pages(ZoneId zone) const {
-  HPMMAP_ASSERT(zone < pool_.size(), "zone out of range");
-  return pool_[zone].count;
+  HPMMAP_ASSERT(zone < state_.pool.size(), "zone out of range");
+  return state_.pool[zone].count;
 }
 
 std::uint64_t HugetlbPool::total_pages(ZoneId zone) const {
-  HPMMAP_ASSERT(zone < total_.size(), "zone out of range");
-  return total_[zone];
+  HPMMAP_ASSERT(zone < state_.total.size(), "zone out of range");
+  return state_.total[zone];
 }
 
 } // namespace hpmmap::mm

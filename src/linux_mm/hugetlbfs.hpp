@@ -52,25 +52,19 @@ class HugetlbPool {
 
   [[nodiscard]] std::uint64_t free_pages(ZoneId zone) const;
   [[nodiscard]] std::uint64_t total_pages(ZoneId zone) const;
-  [[nodiscard]] const HugetlbStats& stats() const noexcept { return stats_; }
+  [[nodiscard]] const HugetlbStats& stats() const noexcept { return state_.stats; }
 
   /// Visit the zone's free pool pages as (addr), newest first (stack
   /// order) — the invariant auditor's frame sweep.
   template <typename Fn>
   void for_each_pool_page(ZoneId zone, Fn&& fn) const {
-    HPMMAP_ASSERT(zone < pool_.size(), "zone out of range");
+    HPMMAP_ASSERT(zone < state_.pool.size(), "zone out of range");
     const hw::MemMap& m = memory_.buddy(zone).mem_map();
-    const std::vector<std::uint32_t>& stack = pool_[zone].stack;
+    const std::vector<std::uint32_t>& stack = state_.pool[zone].stack;
     for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
       fn(m.addr_of(*it));
     }
   }
-
- private:
-  friend struct hpmmap::snapshot::Access;
-
-  /// Stack push (ctor reservation and free_page share it).
-  void push(ZoneId zone, Addr addr);
 
   /// One zone's free stack of frame indices into the zone's MemMap, top
   /// at the back. A stack only ever holds frames of its own zone
@@ -81,11 +75,21 @@ class HugetlbPool {
     std::vector<std::uint32_t> stack;
     std::uint64_t count = 0;
   };
+  /// The members a snapshot image holds as they are (snapshot/image.hpp).
+  struct State {
+    std::vector<ZonePool> pool;
+    std::vector<std::uint64_t> total;
+    HugetlbStats stats;
+  };
+
+ private:
+  friend struct hpmmap::snapshot::Access;
+
+  /// Stack push (ctor reservation and free_page share it).
+  void push(ZoneId zone, Addr addr);
 
   MemorySystem& memory_;
-  std::vector<ZonePool> pool_;
-  std::vector<std::uint64_t> total_;
-  HugetlbStats stats_;
+  State state_;
 };
 
 } // namespace hpmmap::mm

@@ -11,7 +11,7 @@ using hw::FrameState;
 using hw::MemMap;
 
 PageCache::PageCache(BuddyAllocator& buddy, double dirty_fraction)
-    : buddy_(buddy), dirty_fraction_(dirty_fraction) {}
+    : buddy_(buddy), state_{.dirty_fraction = dirty_fraction} {}
 
 void PageCache::push_back_block(Addr addr, unsigned order, bool dirty) {
   MemMap& m = buddy_.mem_map();
@@ -19,7 +19,7 @@ void PageCache::push_back_block(Addr addr, unsigned order, bool dirty) {
   HPMMAP_ASSERT(m.state(idx) == FrameState::kUntracked, "block already cached");
   m.set_head(idx, dirty ? FrameState::kCacheDirty : FrameState::kCacheClean, order);
   lru_.push_back(idx);
-  cached_bytes_ += BuddyAllocator::order_bytes(order);
+  state_.cached_bytes += BuddyAllocator::order_bytes(order);
 }
 
 std::pair<std::uint64_t, bool> PageCache::pop_front_block() {
@@ -31,7 +31,7 @@ std::pair<std::uint64_t, bool> PageCache::pop_front_block() {
   m.clear_head(idx);
   buddy_.free(m.addr_of(idx), order);
   const std::uint64_t block_bytes = BuddyAllocator::order_bytes(order);
-  cached_bytes_ -= block_bytes;
+  state_.cached_bytes -= block_bytes;
   return {block_bytes, dirty};
 }
 
@@ -39,7 +39,7 @@ std::uint64_t PageCache::grow(std::uint64_t bytes, unsigned order, bool dirty) {
   std::uint64_t grown = 0;
   const std::uint64_t block_bytes = BuddyAllocator::order_bytes(order);
   while (grown < bytes) {
-    if (buddy_.free_bytes() < free_floor_ + block_bytes) {
+    if (buddy_.free_bytes() < state_.free_floor + block_bytes) {
       break;
     }
     auto alloc = buddy_.alloc(order);
@@ -50,9 +50,9 @@ std::uint64_t PageCache::grow(std::uint64_t bytes, unsigned order, bool dirty) {
     // configured rate using a deterministic rotation (no RNG needed for
     // an aggregate property).
     const bool is_dirty =
-        dirty || (dirty_fraction_ > 0.0 &&
-                  static_cast<double>(grow_count_ % 100) < dirty_fraction_ * 100.0);
-    ++grow_count_;
+        dirty || (state_.dirty_fraction > 0.0 &&
+                  static_cast<double>(state_.grow_count % 100) < state_.dirty_fraction * 100.0);
+    ++state_.grow_count;
     push_back_block(alloc->addr, order, is_dirty);
     grown += block_bytes;
   }
@@ -81,7 +81,7 @@ void PageCache::clear() {
   while (!lru_.empty()) {
     (void)pop_front_block();
   }
-  HPMMAP_ASSERT(cached_bytes_ == 0, "cache accounting drift");
+  HPMMAP_ASSERT(state_.cached_bytes == 0, "cache accounting drift");
 }
 
 void PageCache::relocate(std::span<const Move> moves) {

@@ -49,8 +49,8 @@ class PageCache {
   std::uint64_t grow(std::uint64_t bytes, unsigned order, bool dirty);
 
   /// Free-memory floor below which grow() refuses to allocate.
-  void set_free_floor(std::uint64_t bytes) noexcept { free_floor_ = bytes; }
-  [[nodiscard]] std::uint64_t free_floor() const noexcept { return free_floor_; }
+  void set_free_floor(std::uint64_t bytes) noexcept { state_.free_floor = bytes; }
+  [[nodiscard]] std::uint64_t free_floor() const noexcept { return state_.free_floor; }
 
   /// Adopt an already-allocated buddy block into the cache (a process
   /// exits but its file data stays cached). The block must have come
@@ -105,10 +105,19 @@ class PageCache {
     }
   }
 
-  [[nodiscard]] std::uint64_t cached_bytes() const noexcept { return cached_bytes_; }
+  [[nodiscard]] std::uint64_t cached_bytes() const noexcept { return state_.cached_bytes; }
   [[nodiscard]] std::size_t block_count() const noexcept { return lru_.size(); }
-  [[nodiscard]] double dirty_fraction() const noexcept { return dirty_fraction_; }
-  void set_dirty_fraction(double f) noexcept { dirty_fraction_ = f; }
+  [[nodiscard]] double dirty_fraction() const noexcept { return state_.dirty_fraction; }
+  void set_dirty_fraction(double f) noexcept { state_.dirty_fraction = f; }
+
+  /// The members a snapshot image holds as they are (snapshot/image.hpp);
+  /// the image stores the LRU apart, as an array.
+  struct State {
+    std::uint64_t cached_bytes = 0;
+    std::uint64_t free_floor = 0;
+    double dirty_fraction = 0.0;
+    std::uint64_t grow_count = 0; // deterministic dirty assignment
+  };
 
  private:
   friend struct hpmmap::snapshot::Access;
@@ -120,10 +129,7 @@ class PageCache {
 
   BuddyAllocator& buddy_;
   std::deque<std::uint32_t> lru_; // head-frame indices, oldest (reclaimed first) at the front
-  std::uint64_t cached_bytes_ = 0;
-  std::uint64_t free_floor_ = 0;
-  double dirty_fraction_;
-  std::uint64_t grow_count_ = 0; // deterministic dirty assignment
+  State state_;
 };
 
 } // namespace hpmmap::mm

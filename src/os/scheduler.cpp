@@ -7,38 +7,42 @@
 
 namespace hpmmap::os {
 
-Scheduler::Scheduler(std::uint32_t cores) : pinned_weight_(cores, 0.0), core_load_(cores, 0.0) {
+Scheduler::Scheduler(std::uint32_t cores)
+    : state_{.threads = {},
+             .free_slots = {},
+             .pinned_weight = std::vector<double>(cores, 0.0)},
+      core_load_(cores, 0.0) {
   HPMMAP_ASSERT(cores > 0, "need at least one core");
 }
 
 Scheduler::Thread& Scheduler::checked(ThreadId id, const char* what) {
-  HPMMAP_ASSERT(id.valid() && id.id <= threads_.size(), "bad thread id");
-  Thread& t = threads_[id.id - 1];
+  HPMMAP_ASSERT(id.valid() && id.id <= state_.threads.size(), "bad thread id");
+  Thread& t = state_.threads[id.id - 1];
   HPMMAP_ASSERT(t.gen == id.gen, "stale thread id (slot was recycled)");
   HPMMAP_ASSERT(t.live, what);
   return t;
 }
 
 Scheduler::ThreadId Scheduler::add_thread(std::int32_t core, double weight) {
-  HPMMAP_ASSERT(core < static_cast<std::int32_t>(pinned_weight_.size()), "core out of range");
+  HPMMAP_ASSERT(core < static_cast<std::int32_t>(state_.pinned_weight.size()), "core out of range");
   HPMMAP_ASSERT(weight >= 0.0 && weight <= 1.0, "weight is a duty cycle");
   std::uint32_t slot;
-  if (free_slots_.empty()) {
-    slot = static_cast<std::uint32_t>(threads_.size());
-    threads_.push_back(Thread{core, weight, 1, true});
+  if (state_.free_slots.empty()) {
+    slot = static_cast<std::uint32_t>(state_.threads.size());
+    state_.threads.push_back(Thread{core, weight, 1, true});
   } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    Thread& t = threads_[slot];
+    slot = state_.free_slots.back();
+    state_.free_slots.pop_back();
+    Thread& t = state_.threads[slot];
     t.core = core;
     t.weight = weight;
     t.live = true; // generation was bumped at remove time
   }
-  ++live_count_;
+  ++state_.live_count;
   if (core >= 0) {
-    pinned_weight_[static_cast<std::size_t>(core)] += weight;
+    state_.pinned_weight[static_cast<std::size_t>(core)] += weight;
   } else {
-    unpinned_weight_ += weight;
+    state_.unpinned_weight += weight;
   }
   dirty_ = true;
   if (trace::on(trace::Category::kSched)) {
@@ -46,21 +50,21 @@ Scheduler::ThreadId Scheduler::add_thread(std::int32_t core, double weight) {
                    {trace::Arg::u64("tid", slot + 1), trace::Arg::f64("weight", weight)});
     trace::counter(trace::Category::kSched, "sched.total_weight", total_weight());
   }
-  return ThreadId{slot + 1, threads_[slot].gen};
+  return ThreadId{slot + 1, state_.threads[slot].gen};
 }
 
 void Scheduler::remove_thread(ThreadId id) {
   Thread& t = checked(id, "double remove");
   if (t.core >= 0) {
-    pinned_weight_[static_cast<std::size_t>(t.core)] -= t.weight;
+    state_.pinned_weight[static_cast<std::size_t>(t.core)] -= t.weight;
   } else {
-    unpinned_weight_ -= t.weight;
+    state_.unpinned_weight -= t.weight;
   }
   t.live = false;
   ++t.gen; // invalidate outstanding handles before the slot is reused
-  free_slots_.push_back(id.id - 1);
-  HPMMAP_ASSERT(live_count_ > 0, "remove with no live threads");
-  --live_count_;
+  state_.free_slots.push_back(id.id - 1);
+  HPMMAP_ASSERT(state_.live_count > 0, "remove with no live threads");
+  --state_.live_count;
   dirty_ = true;
   if (trace::on(trace::Category::kSched)) {
     trace::instant(trace::Category::kSched, "sched.remove_thread", 0, t.core,
@@ -72,9 +76,9 @@ void Scheduler::remove_thread(ThreadId id) {
 void Scheduler::set_weight(ThreadId id, double weight) {
   Thread& t = checked(id, "weight change on dead thread");
   if (t.core >= 0) {
-    pinned_weight_[static_cast<std::size_t>(t.core)] += weight - t.weight;
+    state_.pinned_weight[static_cast<std::size_t>(t.core)] += weight - t.weight;
   } else {
-    unpinned_weight_ += weight - t.weight;
+    state_.unpinned_weight += weight - t.weight;
   }
   t.weight = weight;
   dirty_ = true;
@@ -90,10 +94,10 @@ void Scheduler::recompute() const {
   }
   // Water-fill the unpinned demand over the cores: find level L with
   // sum_c max(0, L - pinned_c) = unpinned. Then core load = max(pinned, L).
-  std::vector<double> sorted = pinned_weight_;
+  std::vector<double> sorted = state_.pinned_weight;
   std::sort(sorted.begin(), sorted.end());
   const double n = static_cast<double>(sorted.size());
-  double remaining = unpinned_weight_;
+  double remaining = state_.unpinned_weight;
   double level = 0.0;
   double filled = 0.0; // cores at or below the current level
   for (std::size_t i = 0; i < sorted.size(); ++i) {
@@ -114,8 +118,8 @@ void Scheduler::recompute() const {
     level += remaining / n;
   }
   water_level_ = level;
-  for (std::size_t c = 0; c < pinned_weight_.size(); ++c) {
-    core_load_[c] = std::max(pinned_weight_[c], water_level_);
+  for (std::size_t c = 0; c < state_.pinned_weight.size(); ++c) {
+    core_load_[c] = std::max(state_.pinned_weight[c], water_level_);
   }
   dirty_ = false;
 }
@@ -131,13 +135,13 @@ double Scheduler::dilation(std::int32_t core) const {
 
 double Scheduler::oversubscription() const {
   const double total = total_weight();
-  const double n = static_cast<double>(pinned_weight_.size());
+  const double n = static_cast<double>(state_.pinned_weight.size());
   return std::max(1.0, total / n);
 }
 
 double Scheduler::total_weight() const {
-  double total = unpinned_weight_;
-  for (double w : pinned_weight_) {
+  double total = state_.unpinned_weight;
+  for (double w : state_.pinned_weight) {
     total += w;
   }
   return total;

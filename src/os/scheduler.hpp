@@ -51,16 +51,13 @@ class Scheduler {
   [[nodiscard]] double oversubscription() const;
 
   [[nodiscard]] std::uint32_t cores() const noexcept {
-    return static_cast<std::uint32_t>(pinned_weight_.size());
+    return static_cast<std::uint32_t>(state_.pinned_weight.size());
   }
   [[nodiscard]] double total_weight() const;
   /// Size of the internal slot table — bounded by peak concurrent
   /// threads, not by lifetime churn (regression hook for the tests).
-  [[nodiscard]] std::size_t thread_slots() const noexcept { return threads_.size(); }
-  [[nodiscard]] std::size_t live_threads() const noexcept { return live_count_; }
-
- private:
-  friend struct hpmmap::snapshot::Access;
+  [[nodiscard]] std::size_t thread_slots() const noexcept { return state_.threads.size(); }
+  [[nodiscard]] std::size_t live_threads() const noexcept { return state_.live_count; }
 
   struct Thread {
     std::int32_t core;
@@ -68,14 +65,23 @@ class Scheduler {
     std::uint32_t gen;
     bool live;
   };
+  /// The members a snapshot image holds as they are (snapshot/image.hpp);
+  /// the solved loads below are recomputed after a restore.
+  struct State {
+    std::vector<Thread> threads;
+    std::vector<std::uint32_t> free_slots;
+    std::size_t live_count = 0;
+    std::vector<double> pinned_weight; // per-core pinned demand
+    double unpinned_weight = 0.0;
+  };
+
+ private:
+  friend struct hpmmap::snapshot::Access;
+
   [[nodiscard]] Thread& checked(ThreadId id, const char* what);
   void recompute() const;
 
-  std::vector<Thread> threads_;
-  std::vector<std::uint32_t> free_slots_;
-  std::size_t live_count_ = 0;
-  std::vector<double> pinned_weight_;      // per-core pinned demand
-  double unpinned_weight_ = 0.0;
+  State state_;
   mutable std::vector<double> core_load_;  // solved loads
   mutable double water_level_ = 0.0;
   mutable bool dirty_ = true;

@@ -15,7 +15,7 @@ Engine::Engine() {
 Engine::~Engine() { trace::clear_clock(this); }
 
 EventId Engine::schedule_entry(Cycles when, EventCallback fn, bool daemon) {
-  HPMMAP_ASSERT(when >= now_, "cannot schedule an event in the past");
+  HPMMAP_ASSERT(when >= state_.now, "cannot schedule an event in the past");
   HPMMAP_ASSERT(fn != nullptr, "event callback must be callable");
   std::uint32_t slot;
   if (free_slots_.empty()) {
@@ -28,7 +28,7 @@ EventId Engine::schedule_entry(Cycles when, EventCallback fn, bool daemon) {
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
   s.daemon = daemon;
-  heap_.push_back(Entry{when, next_seq_++, slot, s.gen});
+  heap_.push_back(Entry{when, state_.next_seq++, slot, s.gen});
   sift_up(heap_.size() - 1);
   ++live_;
   if (daemon) {
@@ -56,7 +56,7 @@ void Engine::cancel(EventId id) {
     HPMMAP_ASSERT(daemon_live_ > 0, "cancel with no live daemons");
     --daemon_live_;
   }
-  ++cancelled_;
+  ++state_.cancelled;
   HPMMAP_ASSERT(live_ > 0, "cancel with no live events");
   --live_;
 }
@@ -157,10 +157,10 @@ bool Engine::fire_next(Cycles limit) {
     free_slots_.push_back(e.slot);
     HPMMAP_ASSERT(live_ > 0, "firing with no live events");
     --live_;
-    // max(): a daemon entry can sit below now_ if a run_until() window
+    // max(): a daemon entry can sit below state_.now if a run_until() window
     // ended while only daemons remained; time never moves backward.
-    now_ = e.when > now_ ? e.when : now_;
-    ++fired_;
+    state_.now = e.when > state_.now ? e.when : state_.now;
+    ++state_.fired;
     fn();
     return true;
   }
@@ -168,17 +168,17 @@ bool Engine::fire_next(Cycles limit) {
 }
 
 void Engine::run() {
-  stopped_ = false;
-  while (!stopped_ && fire_next(~Cycles{0})) {
+  state_.stopped = false;
+  while (!state_.stopped && fire_next(~Cycles{0})) {
   }
 }
 
 void Engine::run_until(Cycles until) {
-  stopped_ = false;
-  while (!stopped_ && fire_next(until)) {
+  state_.stopped = false;
+  while (!state_.stopped && fire_next(until)) {
   }
-  if (!stopped_ && now_ < until) {
-    now_ = until;
+  if (!state_.stopped && state_.now < until) {
+    state_.now = until;
   }
 }
 

@@ -51,12 +51,12 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  [[nodiscard]] Cycles now() const noexcept { return now_; }
+  [[nodiscard]] Cycles now() const noexcept { return state_.now; }
 
   /// Schedule `fn` to run `delay` cycles from now.
   template <typename F>
   EventId schedule(Cycles delay, F&& fn) {
-    return schedule_at(now_ + delay, std::forward<F>(fn));
+    return schedule_at(state_.now + delay, std::forward<F>(fn));
   }
 
   /// Schedule `fn` at absolute time `when` (>= now()).
@@ -77,7 +77,7 @@ class Engine {
   /// turn a terminating simulation into an infinite one.
   template <typename F>
   EventId schedule_daemon(Cycles delay, F&& fn) {
-    return schedule_daemon_at(now_ + delay, std::forward<F>(fn));
+    return schedule_daemon_at(state_.now + delay, std::forward<F>(fn));
   }
 
   /// Daemon variant of schedule_at (see schedule_daemon).
@@ -103,8 +103,8 @@ class Engine {
   void run_until(Cycles until);
 
   /// Stop after the currently executing event returns.
-  void stop() noexcept { stopped_ = true; }
-  [[nodiscard]] bool stopped() const noexcept { return stopped_; }
+  void stop() noexcept { state_.stopped = true; }
+  [[nodiscard]] bool stopped() const noexcept { return state_.stopped; }
 
   /// A time no event reaches: "nothing pending" for callers that keep
   /// per-engine event times (the cluster coordinator's arrival slots).
@@ -118,12 +118,22 @@ class Engine {
   [[nodiscard]] std::size_t pending_events() const noexcept { return live_; }
   /// How many of those are daemon events (they never keep run() alive).
   [[nodiscard]] std::size_t pending_daemons() const noexcept { return daemon_live_; }
-  [[nodiscard]] std::uint64_t events_fired() const noexcept { return fired_; }
-  [[nodiscard]] std::uint64_t events_cancelled() const noexcept { return cancelled_; }
+  [[nodiscard]] std::uint64_t events_fired() const noexcept { return state_.fired; }
+  [[nodiscard]] std::uint64_t events_cancelled() const noexcept { return state_.cancelled; }
 
   /// Arena backing out-of-line callbacks and other short-lived event
   /// payloads; reset at quiescence, never mid-run.
   [[nodiscard]] BumpArena& arena() noexcept { return arena_; }
+
+  /// The clock and counters a snapshot image holds as they are
+  /// (snapshot/image.hpp); the queue itself moves as its owners' events.
+  struct State {
+    Cycles now = 0;
+    std::uint64_t next_seq = 1;
+    std::uint64_t fired = 0;
+    std::uint64_t cancelled = 0;
+    bool stopped = false;
+  };
 
  private:
   // Snapshot/restore reaches the queue internals (src/snapshot/): all
@@ -169,21 +179,17 @@ class Engine {
   std::vector<Entry> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  Cycles now_ = 0;
-  std::uint64_t next_seq_ = 1;
+  State state_;
 #ifndef NDEBUG
   // Debug ordering audit: non-daemon events must fire in strictly
   // increasing (when, seq) order — the invariant the PDES byte-identity
-  // gate rests on. Daemon events are exempt: one parked below now_
+  // gate rests on. Daemon events are exempt: one parked below state_.now
   // across a run_until() window legitimately replays an old timestamp.
   Cycles audit_last_when_ = 0;
   std::uint64_t audit_last_seq_ = 0;
 #endif
-  std::uint64_t fired_ = 0;
-  std::uint64_t cancelled_ = 0;
   std::size_t live_ = 0;
   std::size_t daemon_live_ = 0;
-  bool stopped_ = false;
 };
 
 } // namespace hpmmap::sim

@@ -5,10 +5,11 @@
 // A record's fields are walked in the order of a `fields(ar, x)` list.
 // Every aggregate has one by default: its members in declaration order,
 // counted by a brace-init probe and bound by a structured binding, so a
-// member added to a struct is walked with no other edit. A type whose
-// encoding is not its declaration keeps a hand list that overloads the
-// default (std::pair and trace::Arg below, NodeImage and mm::Vma in
-// image.hpp, mm::FaultStats beside its type). An archive derived from
+// member added to a struct (an owner's `State` in an image included) is
+// walked with no other edit. A type whose encoding is not its declaration
+// keeps a hand list that overloads the default (std::pair and trace::Arg
+// below, NodeImage and mm::Vma in image.hpp, mm::FaultStats and Rng
+// beside their types, as raw bytes). An archive derived from
 // Archive<Self> picks each value's encoding from its type: scalars and
 // enums as their raw little-endian bytes; arrays of numbers (and
 // strings) as one run behind a length word when they can grow; lists of

@@ -1,36 +1,49 @@
-// Snapshot images: plain value-type mirrors of every piece of node state
-// the simulation can hold at a quiesced instant (see DESIGN.md §12).
+// Snapshot images: every piece of node state the simulation can hold at a
+// quiesced instant (see DESIGN.md §12).
+//
+// Where an owner's members copy one-to-one, the image holds the owner's
+// own `State` aggregate (sim::Engine::State, mm::PageCache::State, ...)
+// or its element type (os::Scheduler::Thread, ...), so each such member
+// is declared once, in the owner. The structs below hold the rest.
 //
 // The contract is verbatim capture: each image field is a bit-for-bit
 // copy of the live structure's field, with exactly two translations —
 // raw pointers (AddressSpace*/Process*) become pids, and an owner's armed
 // engine event handle becomes an EventImage (firing time, sequence number,
 // daemon flag) in that owner's image, so restore can re-arm the identical
-// callback. Sets whose order carries no meaning (swap sets, THP's
-// in-flight merges) are stored sorted. Restore overwrites a freshly booted
-// world with these images; nothing is re-derived, so a resumed run
+// callback. Containers whose live type differs from the image's (the
+// page-cache LRU deque, the page-table node pool, the VMA tree) are
+// stored as arrays, and sets whose order carries no meaning (swap sets,
+// THP's in-flight merges) are stored sorted. Restore overwrites a freshly
+// booted world with these images; nothing is re-derived, so a resumed run
 // replays the exact event stream the uninterrupted run would have
 // produced.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "common/types.hpp"
+#include "hw/bandwidth.hpp"
 #include "hw/tlb.hpp"
 #include "linux_mm/buddy_allocator.hpp"
 #include "linux_mm/fault.hpp"
 #include "linux_mm/hugetlbfs.hpp"
+#include "linux_mm/page_cache.hpp"
 #include "linux_mm/smp.hpp"
 #include "linux_mm/thp.hpp"
 #include "linux_mm/vma.hpp"
 #include "core/kitten_allocator.hpp"
 #include "core/module.hpp"
+#include "core/pid_registry.hpp"
 #include "os/process.hpp"
+#include "os/scheduler.hpp"
+#include "sim/engine.hpp"
 #include "trace/trace.hpp"
 #include "verify/fault_inject.hpp"
 #include "workloads/kernel_build.hpp"
@@ -54,14 +67,6 @@ struct AnonRunImage {
 
 // --- engine ---------------------------------------------------------------
 
-struct EngineImage {
-  Cycles now = 0;
-  std::uint64_t next_seq = 1;
-  std::uint64_t fired = 0;
-  std::uint64_t cancelled = 0;
-  bool stopped = false;
-};
-
 /// One owner's engine event handle. The engine numbers events from 1, so
 /// seq 0 means nothing is pending.
 struct EventImage {
@@ -77,13 +82,6 @@ struct MemMapImage {
   std::vector<std::uint8_t> meta;
 };
 
-struct OrderListImage {
-  std::vector<std::uint64_t> bits;
-  std::vector<std::uint64_t> summary;
-  std::uint64_t count = 0;
-  std::uint64_t scan_hint = 0;
-};
-
 struct CorruptBlockImage {
   Addr addr = 0;
   std::uint32_t order = 0;
@@ -93,7 +91,7 @@ struct BuddyImage {
   Range range{};
   std::uint32_t max_order = 0;
   std::uint64_t free_bytes = 0;
-  std::vector<OrderListImage> lists;
+  std::vector<mm::BuddyAllocator::OrderList> lists;
   MemMapImage map;
   std::vector<CorruptBlockImage> corrupt_blocks;
   mm::BuddyStats stats{};
@@ -101,10 +99,7 @@ struct BuddyImage {
 
 struct CacheImage {
   std::vector<std::uint32_t> lru; // head-frame indices, oldest first
-  std::uint64_t cached_bytes = 0;
-  std::uint64_t free_floor = 0;
-  double dirty_fraction = 0.0;
-  std::uint64_t grow_count = 0;
+  mm::PageCache::State state;
 };
 
 struct ZoneImage {
@@ -116,19 +111,8 @@ struct ZoneImage {
 };
 
 struct MemoryImage {
-  std::array<std::uint64_t, 4> rng{};
+  Rng rng{0};
   std::vector<ZoneImage> zones;
-};
-
-struct HugetlbZonePoolImage {
-  std::vector<std::uint32_t> stack; // frame indices, top last
-  std::uint64_t count = 0;
-};
-
-struct HugetlbImage {
-  std::vector<HugetlbZonePoolImage> pool;
-  std::vector<std::uint64_t> total;
-  mm::HugetlbStats stats{};
 };
 
 /// One mm's SMP lock state: the release points every lock holds on the
@@ -224,12 +208,6 @@ struct ThpImage {
   mm::ThpStats stats{};
 };
 
-struct RegistrySlotImage {
-  std::uint8_t state = 0;
-  Pid pid = 0;
-  std::uint32_t context = 0;
-};
-
 struct ModuleContextImage {
   Pid pid = 0; // 0 when the context is dead (as == nullptr after restore)
   std::vector<mm::Vma> vmas;
@@ -240,11 +218,11 @@ struct ModuleContextImage {
 };
 
 struct ModuleImage {
-  std::array<std::uint64_t, 4> rng{};
+  Rng rng{0};
   std::vector<std::vector<Range>> offlined;
   std::vector<std::vector<BuddyImage>> kitten_zones;
   core::KittenStats kitten_stats{};
-  std::vector<RegistrySlotImage> registry_slots;
+  std::vector<core::PidRegistry::Slot> registry_slots;
   std::uint64_t registry_size = 0;
   std::uint64_t registry_tombstones = 0;
   std::vector<ModuleContextImage> contexts;
@@ -252,34 +230,6 @@ struct ModuleImage {
 };
 
 // --- os -------------------------------------------------------------------
-
-struct SchedulerThreadImage {
-  std::int32_t core = -1;
-  double weight = 0.0;
-  std::uint32_t gen = 0;
-  bool live = false;
-};
-
-struct SchedulerImage {
-  std::vector<SchedulerThreadImage> threads;
-  std::vector<std::uint32_t> free_slots;
-  std::uint64_t live_count = 0;
-  std::vector<double> pinned_weight;
-  double unpinned_weight = 0.0;
-};
-
-struct BandwidthEntryImage {
-  std::uint32_t consumer = 0;
-  ZoneId zone = 0;
-  double demand = 0.0;
-};
-
-struct BandwidthImage {
-  std::vector<BandwidthEntryImage> entries;
-  std::vector<double> zone_demand;
-  double capacity = 0.0;
-  std::uint32_t next_id = 1;
-};
 
 struct ProcessImage {
   Pid pid = 0;
@@ -295,12 +245,12 @@ struct ProcessImage {
 
 struct NodeImage {
   double clock_hz = 0.0;
-  std::array<std::uint64_t, 4> rng{};
-  SchedulerImage scheduler;
-  BandwidthImage bw;
+  Rng rng{0};
+  os::Scheduler::State scheduler;
+  hw::BandwidthModel::State bw;
   MemoryImage memory;
   bool has_hugetlb = false;
-  HugetlbImage hugetlb;
+  mm::HugetlbPool::State hugetlb;
   bool has_module = false;
   ModuleImage module;
   bool has_thp = false;
@@ -340,14 +290,8 @@ void fields(Ar& ar, NodeImage& n) {
 
 // --- workloads ------------------------------------------------------------
 
-struct BuildBlockImage {
-  ZoneId zone = 0;
-  Addr addr = 0;
-  std::uint32_t order = 0;
-};
-
 struct BuildJobImage {
-  std::vector<BuildBlockImage> blocks;
+  std::vector<workloads::KernelBuild::Block> blocks;
   std::uint32_t sched_id = 0;
   std::uint32_t sched_gen = 0;
   std::uint32_t bw_id = 0;
@@ -359,7 +303,7 @@ struct BuildJobImage {
 
 struct BuildImage {
   std::uint32_t node_index = 0;
-  std::array<std::uint64_t, 4> rng{};
+  Rng rng{0};
   std::vector<BuildJobImage> jobs;
   workloads::KernelBuildStats stats{};
   bool running = false;
@@ -367,49 +311,16 @@ struct BuildImage {
 
 // --- per-run context (trace / metrics / injector) --------------------------
 
-struct TraceImage {
-  std::vector<trace::Event> ring; // raw storage order, not rotated
-  std::uint64_t capacity = 0;
-  std::uint64_t head = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t recorded = 0;
-};
-
-struct RunningStatsImage {
-  std::uint64_t n = 0;
-  double mean = 0.0;
-  double m2 = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double sum = 0.0;
-};
-
-struct P2QuantileImage {
-  double q = 0.0;
-  std::uint64_t n = 0;
-  std::array<double, 5> heights{};
-  std::array<double, 5> positions{};
-  std::array<double, 5> desired{};
-  std::array<double, 5> increments{};
-};
-
 struct HistogramImage {
-  RunningStatsImage stats;
-  P2QuantileImage p50;
-  P2QuantileImage p95;
-  P2QuantileImage p99;
+  RunningStats::State stats;
+  P2Quantile::State p50;
+  P2Quantile::State p95;
+  P2Quantile::State p99;
 };
 
 struct MetricsImage {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, HistogramImage>> histograms;
-};
-
-struct InjectorImage {
-  verify::InjectionPlan plan{};
-  std::array<verify::PointStats, verify::kInjectPointCount> stats{};
-  std::array<std::uint64_t, 4> rng{};
-  bool armed = false;
 };
 
 // --- the world ------------------------------------------------------------
@@ -418,12 +329,12 @@ struct InjectorImage {
 /// Copyable: the amortized-aging sweep captures once and restores the
 /// same image into many worlds.
 struct WorldImage {
-  EngineImage engine;
+  sim::Engine::State engine;
   std::vector<NodeImage> nodes;
   std::vector<BuildImage> builds;
-  TraceImage trace;
+  trace::FlightRecorder::State trace;
   MetricsImage metrics;
-  InjectorImage injector;
+  verify::FaultInjector::State injector;
 };
 
 } // namespace hpmmap::snapshot

@@ -2,11 +2,13 @@
 // friend every mm/os/sim class grants; all private-state traffic lives here.
 //
 // Each image type has one transfer list, `Transfer<D>::transfer(img, live)`,
-// naming every field once; the direction D, Capture (live -> image) or
-// Restore (image -> live), decides through its primitives on the member `d`
-// which way each field moves; an owner's pending engine event moves with
-// it through d.event. Steps with no image field (clearing the engine,
-// dirtying caches) sit under `if constexpr (D::kRestores)`. Restore
+// naming every field once; an owner whose members copy one-to-one moves
+// its whole `State` (image.hpp) as one field. The direction D, Capture
+// (live -> image) or Restore (image -> live), decides through its
+// primitives on the member `d` which way each field moves; an owner's
+// pending engine event moves with it through d.event. Steps with no image
+// field (clearing the engine, dirtying caches) sit under `if constexpr
+// (D::kRestores)`. Restore
 // overwrites a freshly booted world (same config, aged_boot off, builds
 // constructed but not started); what boot derives from the configuration
 // (node and build counts, clock, zone ranges, list lengths, the module's
@@ -16,7 +18,6 @@
 #include "snapshot/snapshot.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <iterator>
 #include <string>
@@ -58,22 +59,17 @@ using Img = std::conditional_t<D::kRestores, const T, T>;
 template <class D, class T>
 using Live = std::conditional_t<D::kRestores, T, const T>;
 
-/// to <- from for one field. Same-typed values (vectors of numbers
-/// included) move as one assignment, fixed arrays element-wise, other
-/// containers (the LRU's deque) by one assign; integers and enums
-/// convert, and RNG states keep their bytes.
+/// to <- from for one field. Same-typed values (vectors and owners'
+/// `State` aggregates included) move as one assignment, other containers
+/// (the LRU's deque) by one assign; integers and enums convert.
 template <class To, class From>
 void put(To& to, const From& from) {
-  if constexpr (std::is_array_v<To> || std::is_array_v<From>) {
-    std::ranges::copy(from, std::ranges::begin(to));
-  } else if constexpr (std::is_same_v<To, From>) {
+  if constexpr (std::is_same_v<To, From>) {
     to = from;
   } else if constexpr (requires { to.assign(std::ranges::begin(from), std::ranges::end(from)); }) {
     to.assign(std::ranges::begin(from), std::ranges::end(from));
-  } else if constexpr (requires { static_cast<To>(from); }) {
-    to = static_cast<To>(from);
   } else {
-    to = std::bit_cast<To>(from);
+    to = static_cast<To>(from);
   }
 }
 
@@ -130,7 +126,7 @@ struct Access {
   }
 
   /// schedule_entry() with an explicit sequence number and without
-  /// advancing next_seq_: re-arms a captured event so it fires at its
+  /// advancing next_seq: re-arms a captured event so it fires at its
   /// original position in the global order.
   template <typename F>
   static sim::EventId schedule_raw(sim::Engine& e, Cycles when, std::uint64_t seq,
@@ -160,7 +156,8 @@ struct Access {
   // --- directions ------------------------------------------------------------
   //
   // d(img, live) moves one field. d.same(img, live, what) captures layout a
-  // fresh boot reproduces and asserts it on restore. d.each(img, live, fn)
+  // fresh boot reproduces and asserts it on restore; given a value rather
+  // than an image field (a list's length), it only asserts. d.each(img, live, fn)
   // moves a list entry by entry; restore rebuilds the list from
   // value-initialised entries. d.fixed(img, live, what, fn) moves a list
   // whose length a fresh boot fixes, asserted on restore. d.pid(img, ptr,
@@ -177,7 +174,11 @@ struct Access {
     template <class I, class L>
     void operator()(I& img, const L& live) const { put(img, live); }
     template <class I, class L>
-    void same(I& img, const L& live, const char* /*what*/) const { put(img, live); }
+    void same(I&& img, const L& live, const char* /*what*/) const {
+      if constexpr (std::is_lvalue_reference_v<I>) {
+        put(img, live);
+      }
+    }
     template <class I, class L, class F>
     void each(I& img, const L& live, F&& fn) const {
       img.resize(std::size(live));
@@ -261,9 +262,7 @@ struct Access {
 
     void transfer(Img<D, MemMapImage>& img, Live<D, hw::MemMap>& m) const {
       d.same(img.range, m.range_, "snapshot: mem_map range mismatch");
-      if constexpr (D::kRestores) {
-        d.same(img.meta.size(), m.meta_.size(), "snapshot: mem_map meta length mismatch");
-      }
+      d.same(img.meta.size(), m.meta_.size(), "snapshot: mem_map meta length mismatch");
       d(img.meta, m.meta_);
     }
 
@@ -272,14 +271,9 @@ struct Access {
       d.same(img.max_order, b.max_order_, "snapshot: buddy layout mismatch");
       d(img.free_bytes, b.free_bytes_);
       d.fixed(img.lists, b.lists_, "snapshot: buddy order count mismatch", [&](auto& li, auto& l) {
-        if constexpr (D::kRestores) {
-          d.same(li.bits.size(), l.bits.size(), "snapshot: buddy bitmap length mismatch");
-          d.same(li.summary.size(), l.summary.size(), "snapshot: buddy summary length mismatch");
-        }
-        d(li.bits, l.bits);
-        d(li.summary, l.summary);
-        d(li.count, l.count);
-        d(li.scan_hint, l.scan_hint);
+        d.same(li.bits.size(), l.bits.size(), "snapshot: buddy bitmap length mismatch");
+        d.same(li.summary.size(), l.summary.size(), "snapshot: buddy summary length mismatch");
+        d(li, l);
       });
       transfer(img.map, b.map_);
       d.each(img.corrupt_blocks, b.corrupt_blocks_, [&](auto& ci, auto& c) {
@@ -289,32 +283,16 @@ struct Access {
       d(img.stats, b.stats_);
     }
 
-    void transfer(Img<D, CacheImage>& img, Live<D, mm::PageCache>& c) const {
-      d(img.lru, c.lru_);
-      d(img.cached_bytes, c.cached_bytes_);
-      d(img.free_floor, c.free_floor_);
-      d(img.dirty_fraction, c.dirty_fraction_);
-      d(img.grow_count, c.grow_count_);
-    }
-
     void transfer(Img<D, MemoryImage>& img, Live<D, mm::MemorySystem>& ms) const {
       d(img.rng, ms.rng_);
       d.fixed(img.zones, ms.zones_, "snapshot: zone count mismatch", [&](auto& zi, auto& z) {
         transfer(zi.buddy, z.buddy);
-        transfer(zi.cache, z.cache);
+        d(zi.cache.lru, z.cache.lru_);
+        d(zi.cache.state, z.cache.state_);
         d(zi.online_bytes, z.online_bytes);
         d(zi.compact_cursor, z.compact_cursor);
         d(zi.compact_defer, z.compact_defer);
       });
-    }
-
-    void transfer(Img<D, HugetlbImage>& img, Live<D, mm::HugetlbPool>& h) const {
-      d.fixed(img.pool, h.pool_, "snapshot: hugetlb zone count mismatch", [&](auto& zi, auto& z) {
-        d(zi.stack, z.stack);
-        d(zi.count, z.count);
-      });
-      d(img.total, h.total_);
-      d(img.stats, h.stats_);
     }
 
     void transfer(Img<D, PageTableImage>& img, Live<D, mm::PageTable>& pt) const {
@@ -424,11 +402,7 @@ struct Access {
                         [&](auto& bi, auto& b) { transfer(bi, b); });
               });
       d(img.kitten_stats, m.kitten_.stats_);
-      d.each(img.registry_slots, m.registry_.slots_, [&](auto& si, auto& s) {
-        d(si.state, s.state);
-        d(si.pid, s.pid);
-        d(si.context, s.context);
-      });
+      d(img.registry_slots, m.registry_.slots_);
       d(img.registry_size, m.registry_.size_);
       d(img.registry_tombstones, m.registry_.tombstones_);
       d.each(img.contexts, m.contexts_, [&](auto& ci, auto& c) {
@@ -461,33 +435,6 @@ struct Access {
       d(img.stats, s.stats_);
     }
 
-    void transfer(Img<D, SchedulerImage>& img, Live<D, os::Scheduler>& s) const {
-      d.each(img.threads, s.threads_, [&](auto& ti, auto& t) {
-        d(ti.core, t.core);
-        d(ti.weight, t.weight);
-        d(ti.gen, t.gen);
-        d(ti.live, t.live);
-      });
-      d(img.free_slots, s.free_slots_);
-      d(img.live_count, s.live_count_);
-      d.fixed(img.pinned_weight, s.pinned_weight_, "snapshot: scheduler core count mismatch", d);
-      d(img.unpinned_weight, s.unpinned_weight_);
-      if constexpr (D::kRestores) {
-        s.dirty_ = true; // mutable caches recompute lazily
-      }
-    }
-
-    void transfer(Img<D, BandwidthImage>& img, Live<D, hw::BandwidthModel>& bw) const {
-      d.each(img.entries, bw.entries_, [&](auto& ei, auto& e) {
-        d(ei.consumer, e.consumer);
-        d(ei.zone, e.zone);
-        d(ei.demand, e.demand);
-      });
-      d(img.zone_demand, bw.zone_demand_);
-      d(img.capacity, bw.capacity_);
-      d(img.next_id, bw.next_id_);
-    }
-
     void transfer(Img<D, NodeImage>& img, Live<D, os::Node>& n) const {
       d.same(img.clock_hz, n.config_.machine.clock_hz, "snapshot: node clock mismatch");
       d.same(img.has_hugetlb, n.hugetlb_ != nullptr, "snapshot: hugetlb presence mismatch");
@@ -495,11 +442,18 @@ struct Access {
       d.same(img.has_thp, n.thp_ != nullptr, "snapshot: thp presence mismatch");
       d.same(img.has_smp, n.smp_ != nullptr, "snapshot: smp presence mismatch");
       d(img.rng, n.rng_);
-      transfer(img.scheduler, n.scheduler_);
-      transfer(img.bw, n.bw_);
+      d.same(img.scheduler.pinned_weight.size(), n.scheduler_.state_.pinned_weight.size(),
+             "snapshot: scheduler core count mismatch");
+      d(img.scheduler, n.scheduler_.state_);
+      if constexpr (D::kRestores) {
+        n.scheduler_.dirty_ = true; // mutable caches recompute lazily
+      }
+      d(img.bw, n.bw_.state_);
       transfer(img.memory, *n.memory_);
       if (img.has_hugetlb) {
-        transfer(img.hugetlb, *n.hugetlb_);
+        d.same(img.hugetlb.pool.size(), n.hugetlb_->state_.pool.size(),
+               "snapshot: hugetlb zone count mismatch");
+        d(img.hugetlb, n.hugetlb_->state_);
       }
       // Processes before module/THP/LRU: those rebind pointers by pid.
       // Restore constructs each process from its identity first.
@@ -547,11 +501,7 @@ struct Access {
     void transfer(Img<D, BuildImage>& img, Live<D, workloads::KernelBuild>& kb) const {
       d(img.rng, kb.rng_);
       d.fixed(img.jobs, kb.jobs_, "snapshot: build job count mismatch", [&](auto& ji, auto& j) {
-        d.each(ji.blocks, j.blocks, [&](auto& bi, auto& b) {
-          d(bi.zone, b.zone);
-          d(bi.addr, b.addr);
-          d(bi.order, b.order);
-        });
+        d(ji.blocks, j.blocks);
         d(ji.sched_id, j.sched.id);
         d(ji.sched_gen, j.sched.gen);
         d(ji.bw_id, j.bw.id);
@@ -567,50 +517,15 @@ struct Access {
       d(img.running, kb.running_);
     }
 
-    void transfer(Img<D, TraceImage>& img, Live<D, trace::FlightRecorder>& rec) const {
-      d(img.ring, rec.ring_);
-      d(img.capacity, rec.capacity_);
-      d(img.head, rec.head_);
-      d(img.dropped, rec.dropped_);
-      d(img.recorded, rec.recorded_);
-    }
-
-    void transfer(Img<D, RunningStatsImage>& img, Live<D, RunningStats>& s) const {
-      d(img.n, s.n_);
-      d(img.mean, s.mean_);
-      d(img.m2, s.m2_);
-      d(img.min, s.min_);
-      d(img.max, s.max_);
-      d(img.sum, s.sum_);
-    }
-
-    void transfer(Img<D, P2QuantileImage>& img, Live<D, P2Quantile>& p) const {
-      d(img.q, p.q_);
-      d(img.n, p.n_);
-      d(img.heights, p.heights_);
-      d(img.positions, p.positions_);
-      d(img.desired, p.desired_);
-      d(img.increments, p.increments_);
-    }
-
     void transfer(Img<D, MetricsImage>& img, Live<D, trace::MetricRegistry>& reg) const {
       d.each(img.counters, reg.counters_, d);
       d.each(img.histograms, reg.histograms_, [&](auto& hi, auto& h) {
         d(hi.first, h.first);
-        transfer(hi.second.stats, h.second.stats_);
-        transfer(hi.second.p50, h.second.p50_);
-        transfer(hi.second.p95, h.second.p95_);
-        transfer(hi.second.p99, h.second.p99_);
+        d(hi.second.stats, h.second.stats_.state_);
+        d(hi.second.p50, h.second.p50_.state_);
+        d(hi.second.p95, h.second.p95_.state_);
+        d(hi.second.p99, h.second.p99_.state_);
       });
-    }
-
-    /// on_fire_ is deliberately untouched: the resumed harness installs
-    /// its own audit hook before restore.
-    void transfer(Img<D, InjectorImage>& img, Live<D, verify::FaultInjector>& inj) const {
-      d(img.plan, inj.plan_);
-      d(img.stats, inj.stats_);
-      d(img.rng, inj.rng_);
-      d(img.armed, inj.armed_);
     }
 
     void transfer(Img<D, WorldImage>& img, const std::vector<os::Node*>& nodes,
@@ -619,11 +534,7 @@ struct Access {
       if constexpr (D::kRestores) {
         clear_events(e);
       }
-      d(img.engine.now, e.now_);
-      d(img.engine.next_seq, e.next_seq_);
-      d(img.engine.fired, e.fired_);
-      d(img.engine.cancelled, e.cancelled_);
-      d(img.engine.stopped, e.stopped_);
+      d(img.engine, e.state_);
       d.fixed(img.nodes, nodes, "snapshot: node count mismatch",
               [&](auto& ni, os::Node* n) { transfer(ni, *n); });
       d.fixed(img.builds, builds, "snapshot: build count mismatch", [&](auto& bi, auto& b) {
@@ -635,9 +546,11 @@ struct Access {
         HPMMAP_ASSERT(d.claimed == e.live_,
                       "snapshot: engine holds events no owner accounted for");
       }
-      transfer(img.trace, trace::recorder());
+      d(img.trace, trace::recorder().state_);
       transfer(img.metrics, trace::metrics());
-      transfer(img.injector, verify::injector());
+      // The injector's on_fire hook is deliberately untouched: the resumed
+      // harness installs its own audit hook before restore.
+      d(img.injector, verify::injector().state_);
     }
   };
 };

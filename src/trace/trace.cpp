@@ -62,42 +62,37 @@ std::optional<std::uint32_t> parse_categories(std::string_view csv) {
 }
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
-    : capacity_(std::max<std::size_t>(capacity, 1)) {}
+    : state_{.ring = {}, .capacity = std::max<std::size_t>(capacity, 1)} {}
 
 void FlightRecorder::set_capacity(std::size_t capacity) {
-  capacity_ = std::max<std::size_t>(capacity, 1);
-  ring_.clear();
-  ring_.shrink_to_fit();
-  head_ = 0;
-  dropped_ = 0;
-  recorded_ = 0;
+  state_ = State{.ring = {}, .capacity = std::max<std::size_t>(capacity, 1)};
 }
 
 void FlightRecorder::clear() noexcept {
-  ring_.clear();
-  head_ = 0;
-  dropped_ = 0;
-  recorded_ = 0;
+  state_.ring.clear();
+  state_.head = 0;
+  state_.dropped = 0;
+  state_.recorded = 0;
 }
 
 void FlightRecorder::push(const Event& e) {
-  ++recorded_;
-  if (ring_.size() < capacity_) {
-    ring_.push_back(e);
+  ++state_.recorded;
+  if (state_.ring.size() < state_.capacity) {
+    state_.ring.push_back(e);
     return;
   }
   // Full: overwrite the oldest entry and advance the head.
-  ring_[head_] = e;
-  head_ = (head_ + 1) % capacity_;
-  ++dropped_;
+  state_.ring[state_.head] = e;
+  state_.head = (state_.head + 1) % state_.capacity;
+  ++state_.dropped;
 }
 
 std::vector<Event> FlightRecorder::snapshot() const {
   std::vector<Event> out;
-  out.reserve(ring_.size());
-  // head_ is the oldest entry once the ring has wrapped.
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(head_ + i) % ring_.size()]);
+  out.reserve(state_.ring.size());
+  // head is the oldest entry once the ring has wrapped.
+  for (std::size_t i = 0; i < state_.ring.size(); ++i) {
+    out.push_back(state_.ring[(state_.head + i) % state_.ring.size()]);
   }
   return out;
 }

@@ -157,24 +157,30 @@ class FlightRecorder {
 
   void push(const Event& e);
 
-  [[nodiscard]] std::size_t size() const noexcept { return ring_.size(); }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+  [[nodiscard]] std::size_t size() const noexcept { return state_.ring.size(); }
+  [[nodiscard]] std::size_t capacity() const noexcept { return state_.capacity; }
   /// Events overwritten because the ring was full.
-  [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
+  [[nodiscard]] std::uint64_t dropped() const noexcept { return state_.dropped; }
   /// Events ever pushed (retained + dropped).
-  [[nodiscard]] std::uint64_t recorded() const noexcept { return recorded_; }
+  [[nodiscard]] std::uint64_t recorded() const noexcept { return state_.recorded; }
 
   /// Retained events, oldest first (push order).
   [[nodiscard]] std::vector<Event> snapshot() const;
 
+  /// The members a snapshot image holds as they are (snapshot/image.hpp);
+  /// the ring in raw storage order, not rotated.
+  struct State {
+    std::vector<Event> ring;
+    std::size_t capacity = 0;
+    std::size_t head = 0; // next overwrite position once full
+    std::uint64_t dropped = 0;
+    std::uint64_t recorded = 0;
+  };
+
  private:
   friend struct hpmmap::snapshot::Access;
 
-  std::vector<Event> ring_;
-  std::size_t capacity_;
-  std::size_t head_ = 0; // next overwrite position once full
-  std::uint64_t dropped_ = 0;
-  std::uint64_t recorded_ = 0;
+  State state_;
 };
 
 namespace detail {

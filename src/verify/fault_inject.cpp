@@ -36,23 +36,23 @@ std::optional<InjectPoint> point_from_name(std::string_view s) noexcept {
 }
 
 void FaultInjector::arm(const InjectionPlan& plan, std::uint64_t seed) {
-  plan_ = plan;
-  stats_ = {};
-  rng_ = Rng(seed).fork("fault_inject");
-  armed_ = true;
+  state_.plan = plan;
+  state_.stats = {};
+  state_.rng = Rng(seed).fork("fault_inject");
+  state_.armed = true;
 }
 
 std::uint64_t FaultInjector::total_fired() const noexcept {
   std::uint64_t total = 0;
-  for (const PointStats& s : stats_) {
+  for (const PointStats& s : state_.stats) {
     total += s.fired;
   }
   return total;
 }
 
 bool FaultInjector::roll(InjectPoint p) {
-  const PointPlan& plan = plan_[p];
-  PointStats& st = stats_[static_cast<std::size_t>(p)];
+  const PointPlan& plan = state_.plan[p];
+  PointStats& st = state_.stats[static_cast<std::size_t>(p)];
   ++st.calls;
   if (!plan.enabled() || st.fired >= plan.count) {
     return false;
@@ -65,7 +65,7 @@ bool FaultInjector::roll(InjectPoint p) {
       hit = (st.calls - plan.first) % plan.period == 0;
     }
   } else {
-    hit = rng_.chance(plan.probability);
+    hit = state_.rng.chance(plan.probability);
   }
   if (!hit) {
     return false;

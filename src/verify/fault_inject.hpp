@@ -106,13 +106,13 @@ class FaultInjector {
   /// private RNG stream for probabilistic points.
   void arm(const InjectionPlan& plan, std::uint64_t seed);
   /// Disarm; counters and the plan stay readable until the next arm().
-  void disarm() noexcept { armed_ = false; }
-  [[nodiscard]] bool armed() const noexcept { return armed_; }
+  void disarm() noexcept { state_.armed = false; }
+  [[nodiscard]] bool armed() const noexcept { return state_.armed; }
 
   /// The injection point: counts the call and returns true when the plan
   /// schedules a failure here. The disarmed fast path is one branch.
   [[nodiscard]] bool should_fail(InjectPoint p) {
-    if (!armed_) {
+    if (!state_.armed) {
       return false;
     }
     return roll(p);
@@ -120,14 +120,14 @@ class FaultInjector {
 
   /// Plan magnitude for `p` (the kNetDelay multiplier).
   [[nodiscard]] double magnitude(InjectPoint p) const noexcept {
-    return plan_[p].magnitude;
+    return state_.plan[p].magnitude;
   }
 
   [[nodiscard]] const PointStats& stats(InjectPoint p) const noexcept {
-    return stats_[static_cast<std::size_t>(p)];
+    return state_.stats[static_cast<std::size_t>(p)];
   }
   [[nodiscard]] const std::array<PointStats, kInjectPointCount>& all_stats() const noexcept {
-    return stats_;
+    return state_.stats;
   }
   [[nodiscard]] std::uint64_t total_fired() const noexcept;
 
@@ -136,15 +136,21 @@ class FaultInjector {
   /// audit-on-injection mode runs the auditor from here.
   void set_on_fire(std::function<void(InjectPoint)> cb) { on_fire_ = std::move(cb); }
 
+  /// Everything but the hook, which a snapshot leaves alone
+  /// (snapshot/image.hpp).
+  struct State {
+    InjectionPlan plan{};
+    std::array<PointStats, kInjectPointCount> stats{};
+    Rng rng{0};
+    bool armed = false;
+  };
+
  private:
   friend struct hpmmap::snapshot::Access;
 
   [[nodiscard]] bool roll(InjectPoint p);
 
-  InjectionPlan plan_{};
-  std::array<PointStats, kInjectPointCount> stats_{};
-  Rng rng_{0};
-  bool armed_ = false;
+  State state_;
   std::function<void(InjectPoint)> on_fire_;
 };
 

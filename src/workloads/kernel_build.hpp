@@ -55,14 +55,15 @@ class KernelBuild {
 
   [[nodiscard]] const KernelBuildStats& stats() const noexcept { return stats_; }
 
- private:
-  friend struct hpmmap::snapshot::Access;
-
   struct Block {
     ZoneId zone;
     Addr addr;
     unsigned order;
   };
+
+ private:
+  friend struct hpmmap::snapshot::Access;
+
   struct Job {
     std::vector<Block> blocks;
     os::Scheduler::ThreadId sched{};

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -1051,6 +1052,9 @@ TEST(SnapshotRestoreDeathTest, TargetsWithADifferentLayoutAreRefusedByTheOwner) 
 // bytes are pinned in tests/golden/snapshot_v7_small.hex. A deliberate
 // format change bumps kVersion and records a new golden.
 
+/// An Rng whose four state words are `s`.
+Rng rng_state(std::array<std::uint64_t, 4> s) { return std::bit_cast<Rng>(s); }
+
 snapshot::WorldImage hand_built_image() {
   using namespace snapshot;
   WorldImage w;
@@ -1058,7 +1062,7 @@ snapshot::WorldImage hand_built_image() {
 
   NodeImage n;
   n.clock_hz = 2.2e9;
-  n.rng = {1, 2, 3, 4};
+  n.rng = rng_state({1, 2, 3, 4});
   n.scheduler.threads = {{.core = 2, .weight = 1.5, .gen = 3, .live = true}};
   n.scheduler.free_slots = {4};
   n.scheduler.live_count = 1;
@@ -1079,12 +1083,13 @@ snapshot::WorldImage hand_built_image() {
   z.buddy.corrupt_blocks = {{.addr = 0x20000, .order = 1}};
   z.buddy.stats = {.allocs = 11, .frees = 12, .split_steps = 13, .merge_steps = 14,
                    .failed_allocs = 15};
-  z.cache = {.lru = {3, 4}, .cached_bytes = 0x2000, .free_floor = 0x1000,
-             .dirty_fraction = 0.125, .grow_count = 6};
+  z.cache = {.lru = {3, 4},
+             .state = {.cached_bytes = 0x2000, .free_floor = 0x1000, .dirty_fraction = 0.125,
+                       .grow_count = 6}};
   z.online_bytes = 0x80000;
   z.compact_cursor = 0x30000;
   z.compact_defer = 2;
-  n.memory.rng = {5, 6, 7, 8};
+  n.memory.rng = rng_state({5, 6, 7, 8});
   n.memory.zones = {z};
 
   n.has_hugetlb = true;
@@ -1093,7 +1098,7 @@ snapshot::WorldImage hand_built_image() {
   n.hugetlb.stats = {.pool_pages_total = 4, .faults_served = 2, .pool_exhausted = 1};
 
   n.has_module = true;
-  n.module.rng = {9, 10, 11, 12};
+  n.module.rng = rng_state({9, 10, 11, 12});
   n.module.offlined = {{Range{0x40000, 0x60000}}};
   BuddyImage kitten;
   kitten.range = {0x40000, 0x60000};
@@ -1101,7 +1106,8 @@ snapshot::WorldImage hand_built_image() {
   kitten.map.meta = {7};
   n.module.kitten_zones = {{kitten}};
   n.module.kitten_stats = {.allocs = 21, .frees = 22, .failed = 23};
-  n.module.registry_slots = {{.state = 1, .pid = 1001, .context = 0}};
+  n.module.registry_slots = {
+      {.state = core::PidRegistry::State::kUsed, .pid = 1001, .context = 0}};
   n.module.registry_size = 1;
   n.module.registry_tombstones = 0;
   n.module.contexts = {{.pid = 1001, .vmas = {}, .mmap_cursor = 0x50000, .heap_base = 0x44000,
@@ -1173,7 +1179,7 @@ snapshot::WorldImage hand_built_image() {
 
   BuildImage b;
   b.node_index = 0;
-  b.rng = {13, 14, 15, 16};
+  b.rng = rng_state({13, 14, 15, 16});
   b.jobs = {{.blocks = {{.zone = 0, .addr = 0x50000, .order = 2}}, .sched_id = 1,
              .sched_gen = 4, .bw_id = 1, .home = 0, .phase = 2, .live = true,
              .pending = {.when = 6000, .seq = 8, .daemon = true}}};
@@ -1214,7 +1220,7 @@ snapshot::WorldImage hand_built_image() {
 
   w.injector.plan.points[0].first = 3;
   w.injector.stats[1] = {.calls = 4, .fired = 1};
-  w.injector.rng = {17, 18, 19, 20};
+  w.injector.rng = rng_state({17, 18, 19, 20});
   w.injector.armed = true;
   return w;
 }
