@@ -206,10 +206,7 @@ AllocOutcome MemorySystem::alloc_pages(ZoneId zone, unsigned order, bool allow_r
   }
 
   if (!allow_reclaim) {
-    // Opportunistic path: take it only if no slow-path work is needed.
-    if (!buddy_fail && !below_low_watermark(zone) && try_fast()) {
-      return outcome;
-    }
+    // Opportunistic path: the fast path above was all it may take.
     return outcome;
   }
 

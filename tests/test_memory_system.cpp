@@ -154,6 +154,31 @@ TEST(MemorySystem, OpportunisticPathRefusesSlowWork) {
   EXPECT_FALSE(out.entered_reclaim);
 }
 
+TEST(MemorySystem, OpportunisticMissCountsOneFailedAlloc) {
+  Fixture f;
+  // Hold every 1 MiB block, then free the lower half of each 2 MiB pair:
+  // half the zone is free, well above the low watermark, but no free
+  // order-8 block has a free buddy, so no order-9 block exists.
+  BuddyAllocator& buddy = f.ms.buddy(0);
+  const Addr begin = buddy.range().begin;
+  std::vector<Addr> held;
+  while (auto a = buddy.alloc(8)) {
+    held.push_back(a->addr);
+  }
+  for (const Addr a : held) {
+    if ((a - begin) % BuddyAllocator::order_bytes(9) == 0) {
+      f.ms.free_pages(0, a, 8);
+    }
+  }
+  ASSERT_FALSE(f.ms.below_low_watermark(0));
+  ASSERT_FALSE(buddy.can_alloc(9));
+  const std::uint64_t failed = buddy.stats().failed_allocs;
+  const AllocOutcome out = f.ms.alloc_pages(0, 9, /*allow_reclaim=*/false);
+  EXPECT_FALSE(out.ok);
+  EXPECT_FALSE(out.entered_reclaim);
+  EXPECT_EQ(buddy.stats().failed_allocs, failed + 1);
+}
+
 TEST(MemorySystem, KswapdBalancesTowardHighWatermark) {
   Fixture f;
   f.ms.cache(0).grow(900 * MiB, 3, false);
