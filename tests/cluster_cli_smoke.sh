@@ -3,7 +3,8 @@
 # runtime does not depend on how many workers drive the per-node
 # engines, trials honour --topology and --trials with or without
 # --cluster-jobs, a traced run reports every node's counters from the
-# merged registry, and a bad number for any numeric flag, or a snapshot
+# merged registry, an SMP storm's --trace-out writes its events as Chrome
+# JSON with a .csv beside it, and a bad number for any numeric flag, or a snapshot
 # flag on the cluster model, is refused with a one-line message that
 # names the flag. The examples refuse a bad positional argument the same
 # way, and a figure bench refuses a flag it does not know.
@@ -65,6 +66,18 @@ for prefix in buddy. fault.; do
     exit 1
   fi
 done
+
+# The SMP storm exports through trace::write_chrome_json: a JSON array of
+# event records ("ph" is each record's phase), plus the .csv twin.
+"$run_experiment" --experiment smp --cores 4 --trace-out "$out/smp.json" > /dev/null
+if [[ "$(head -c 1 "$out/smp.json")" != "[" ]] || ! grep -q '"ph":' "$out/smp.json"; then
+  echo "--experiment smp --trace-out wrote no trace events to $out/smp.json"
+  exit 1
+fi
+if [[ ! -s "$out/smp.json.csv" ]]; then
+  echo "--experiment smp --trace-out wrote no .csv beside the JSON"
+  exit 1
+fi
 
 refused_by() {
   local binary="$1" message="$2"
