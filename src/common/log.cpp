@@ -55,11 +55,4 @@ HPMMAP_DEFINE_LOG_FN(log_error, LogLevel::kError)
 
 #undef HPMMAP_DEFINE_LOG_FN
 
-void log(LogLevel level, std::string_view subsystem, const char* fmt, ...) {
-  std::va_list args;
-  va_start(args, fmt);
-  detail::vlog_line(level, subsystem, fmt, args);
-  va_end(args);
-}
-
 } // namespace hpmmap

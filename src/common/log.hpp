@@ -26,7 +26,6 @@ void vlog_line(LogLevel level, std::string_view subsystem, const char* fmt, std:
 #define HPMMAP_PRINTF(fmt_idx, args_idx)
 #endif
 
-void log(LogLevel level, std::string_view subsystem, const char* fmt, ...) HPMMAP_PRINTF(3, 4);
 void log_debug(std::string_view subsystem, const char* fmt, ...) HPMMAP_PRINTF(2, 3);
 void log_info(std::string_view subsystem, const char* fmt, ...) HPMMAP_PRINTF(2, 3);
 void log_warn(std::string_view subsystem, const char* fmt, ...) HPMMAP_PRINTF(2, 3);

@@ -35,11 +35,6 @@ BuddyAllocator& MemorySystem::buddy(ZoneId zone) {
   return zones_[zone].buddy;
 }
 
-const BuddyAllocator& MemorySystem::buddy(ZoneId zone) const {
-  HPMMAP_ASSERT(zone < zones_.size(), "zone out of range");
-  return zones_[zone].buddy;
-}
-
 PageCache& MemorySystem::cache(ZoneId zone) {
   HPMMAP_ASSERT(zone < zones_.size(), "zone out of range");
   return zones_[zone].cache;

@@ -86,7 +86,6 @@ class MemorySystem {
   std::uint64_t kswapd_balance(ZoneId zone);
 
   [[nodiscard]] BuddyAllocator& buddy(ZoneId zone);
-  [[nodiscard]] const BuddyAllocator& buddy(ZoneId zone) const;
   [[nodiscard]] PageCache& cache(ZoneId zone);
   [[nodiscard]] std::uint32_t zone_count() const noexcept {
     return static_cast<std::uint32_t>(zones_.size());

@@ -132,19 +132,6 @@ void clear_clock(const void* ctx) noexcept {
 
 Cycles clock_now() noexcept { return g_clock.fn != nullptr ? g_clock.fn(g_clock.ctx) : 0; }
 
-void emit(const Event& e) {
-  if (!on(e.cat)) {
-    return;
-  }
-  if (e.span == 0 && detail::g_current_span != 0) {
-    Event stamped = e;
-    stamped.span = detail::g_current_span;
-    recorder().push(stamped);
-    return;
-  }
-  recorder().push(e);
-}
-
 namespace {
 
 Event make(Category cat, const char* event_name, Cycles ts, Cycles dur, Phase phase, Pid pid,

@@ -130,7 +130,8 @@ struct Event {
   Pid pid = 0;            // owning process, 0 = kernel/daemon context
   std::int32_t core = -1; // per-core track; -1 = unpinned/unknown
   /// Causal span: id of the request/actor on whose behalf this event
-  /// happened, stamped ambiently by emit() from the active SpanScope.
+  /// happened, stamped ambiently by the emission helpers from the active
+  /// SpanScope.
   /// 0 = no span (exporters omit the field, keeping spans-off output
   /// byte-identical to pre-span builds).
   std::uint32_t span = 0;
@@ -268,7 +269,6 @@ void clear_clock(const void* ctx) noexcept;
 // All re-check `on(cat)` so an unguarded call while disabled is a no-op;
 // hot paths still guard explicitly to skip argument setup.
 
-void emit(const Event& e);
 void complete(Category cat, const char* event_name, Cycles ts, Cycles dur, Pid pid,
               std::int32_t core, std::initializer_list<Arg> args = {});
 /// Instant at the current virtual time.

@@ -350,6 +350,12 @@ TEST(BenchDiff, ParsesFlattenedKeys) {
   EXPECT_EQ(doc->numbers.at("baseline.faults_per_sec"), 3.1e6);
   EXPECT_TRUE(doc->bools.at("deterministic_match"));
   EXPECT_FALSE(introspect::parse_bench_json("{ not json").has_value());
+  // An array's elements are keyed by their index.
+  const auto arrays = introspect::parse_bench_json(R"({"cores": [1, 4], "none": []})");
+  ASSERT_TRUE(arrays.has_value());
+  EXPECT_EQ(arrays->numbers.at("cores.0"), 1.0);
+  EXPECT_EQ(arrays->numbers.at("cores.1"), 4.0);
+  EXPECT_EQ(arrays->numbers.size(), 2u);
 }
 
 TEST(BenchDiff, PassesWithinThreshold) {

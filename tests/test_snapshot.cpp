@@ -35,6 +35,7 @@
 #include "sim/engine.hpp"
 #include "snapshot/snapshot.hpp"
 #include "trace/export.hpp"
+#include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 #include "verify/audit.hpp"
 #include "verify/fault_inject.hpp"
@@ -569,6 +570,25 @@ TEST(SnapshotRestoreFixpointWorlds, ShrunkSwapSetRecapturesItsOwnBytes) {
   RestoreTarget target(node_config(13, /*aged=*/false), workloads::no_competition());
   expect_restore_capture_fixpoint(snapshot::capture_world(engine, {&node}), target,
                                   "recapture_swap");
+}
+
+TEST(SnapshotRestoreFixpointWorlds, MetricHistogramsRestoreEveryMarker) {
+  // Past five samples a histogram's P² markers hold state that no query
+  // reads directly; restore must bring every marker back.
+  sim::Engine engine;
+  os::Node node(engine, node_config(17, /*aged=*/false));
+  trace::metrics().reset();
+  trace::Histogram& h = trace::metrics().histogram("test.cycles");
+  for (int i = 1; i <= 40; ++i) {
+    h.add(static_cast<double>((i * 37) % 101));
+  }
+  const double p95 = h.p95();
+  const snapshot::WorldImage image = snapshot::capture_world(engine, {&node});
+  trace::metrics().reset();
+  RestoreTarget target(node_config(17, /*aged=*/false), workloads::no_competition());
+  expect_restore_capture_fixpoint(image, target, "recapture_metrics");
+  EXPECT_EQ(trace::metrics().histograms().at("test.cycles").p95(), p95);
+  trace::metrics().reset();
 }
 
 TEST(SnapshotRestoreFixpointWorlds, ClusterNodeImagesRecaptureTheirOwnBytes) {
