@@ -1061,6 +1061,38 @@ TEST(SnapshotRestoreDeathTest, TargetsWithADifferentLayoutAreRefusedByTheOwner) 
   }
 }
 
+// A list whose length boot fixes is checked before the owner's bulk move
+// would overwrite it. A real boot cannot change these lengths without
+// tripping an earlier check, so the image is edited instead.
+TEST(SnapshotRestoreDeathTest, ImagesWithADifferentListLengthAreRefusedByTheOwner) {
+  sim::Engine engine;
+  os::Node node(engine, node_config(5, /*aged=*/false));
+  const snapshot::WorldImage image = snapshot::capture_world(engine, {&node});
+  ASSERT_TRUE(image.nodes.at(0).has_hugetlb);
+
+  struct Case {
+    const char* what;
+    void (*edit)(snapshot::NodeImage&);
+    const char* message;
+  };
+  const Case cases[] = {
+      {"per-core weights", [](snapshot::NodeImage& n) { n.scheduler.pinned_weight.pop_back(); },
+       "snapshot: scheduler core count mismatch"},
+      {"hugetlb pools", [](snapshot::NodeImage& n) { n.hugetlb.pool.pop_back(); },
+       "snapshot: hugetlb zone count mismatch"},
+      {"buddy orders",
+       [](snapshot::NodeImage& n) { n.memory.zones.at(0).buddy.lists.pop_back(); },
+       "snapshot: buddy order count mismatch"},
+  };
+  for (const Case& c : cases) {
+    snapshot::WorldImage edited = image;
+    c.edit(edited.nodes.at(0));
+    sim::Engine target_engine;
+    os::Node target(target_engine, node_config(5, /*aged=*/false));
+    EXPECT_DEATH(snapshot::restore_world(edited, target_engine, {&target}), c.message) << c.what;
+  }
+}
+
 // --- the v7 byte layout -----------------------------------------------------
 //
 // The fixpoint tests prove that save and load agree with each other; a
