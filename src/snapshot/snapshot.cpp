@@ -7,13 +7,13 @@
 // (live -> image) or Restore (image -> live), decides through its
 // primitives on the member `d` which way each field moves; an owner's
 // pending engine event moves with it through d.event. Steps with no image
-// field (clearing the engine, dirtying caches) sit under `if constexpr
-// (D::kRestores)`. Restore
-// overwrites a freshly booted world (same config, aged_boot off, builds
-// constructed but not started); what boot derives from the configuration
-// (node and build counts, clock, zone ranges, list lengths, the module's
-// offlined ranges) is asserted equal at its owner rather than copied, the
-// cheap cross-check that the fresh boot reproduced the captured topology.
+// field (clearing the engine, dirtying caches) sit under
+// `if constexpr (D::kRestores)`. Restore overwrites a freshly booted world
+// (same config, aged_boot off, builds constructed but not started); what
+// boot derives from the configuration (node and build counts, clock, zone
+// ranges, list lengths, the module's offlined ranges) is asserted equal at
+// its owner rather than copied, the cheap cross-check that the fresh boot
+// reproduced the captured topology.
 
 #include "snapshot/snapshot.hpp"
 
@@ -61,7 +61,8 @@ using Live = std::conditional_t<D::kRestores, T, const T>;
 
 /// to <- from for one field. Same-typed values (vectors and owners'
 /// `State` aggregates included) move as one assignment, other containers
-/// (the LRU's deque) by one assign; integers and enums convert.
+/// (the LRU's deque) by one assign, and the rest (enums, integers, a
+/// metric counter's pair) by a static_cast.
 template <class To, class From>
 void put(To& to, const From& from) {
   if constexpr (std::is_same_v<To, From>) {
