@@ -1,14 +1,14 @@
 // Binary save/load for WorldImage (--snapshot-out / --snapshot-in).
 //
 // The file is the image's fields in declaration order, walked by
-// snapshot/archive.hpp: every image struct is an aggregate and takes the
-// default field list; image.hpp holds the two hand lists (NodeImage's
-// presence flags, mm::Vma's pad byte). Three archives walk the lists:
-// Writer saves, Reader loads, and Sizer writes nothing and counts bytes
-// — walked over a value-initialised record it gives the fewest bytes
-// that record encodes to, which is how the loader bounds a record count
-// (DESIGN.md §12.6). Raw runs and mm::FaultStats' object bytes are a
-// same-architecture contract — a snapshot file is a local artifact for
+// snapshot/archive.hpp: every image struct and owner `State` is an
+// aggregate and takes the default field list; image.hpp holds two hand
+// lists (NodeImage's presence flags, mm::Vma's pad byte). Three archives
+// walk the lists: Writer saves, Reader loads, and Sizer writes nothing
+// and counts bytes — walked over a value-initialised record it gives the
+// fewest bytes that record encodes to, which is how the loader bounds a
+// record count (DESIGN.md §12.6). Raw runs and the object bytes of
+// mm::FaultStats and Rng are a same-architecture contract — a snapshot file is a local artifact for
 // resuming sweeps, not an interchange format or an archive; the
 // static_assert below pins the byte order and the version word refuses
 // images from older builds. save() streams to the file through a small
