@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
 """Zero-call gate: fail when a function under src/ never ran in the tests.
 
-    python3 tools/zero_call_gate.py <build-dir> [--allowlist FILE]
+    python3 tools/zero_call_gate.py <build-dir>
 
-Run it after ctest in a build configured with `--coverage`. For each
-object compiled from src/ (every .gcda under <build-dir>/src) it reads
-`gcov --json-format --stdout` and sums each function's call count over
-every translation unit that emits it. A function is its definition, a
-source position: every instantiation of a template (and of a lambda in
-one) counts toward it. A function defined in a file under src/ whose sum
-is zero fails the gate, unless the allowlist
-(tools/zero_call_allowlist.txt by default) names it.
+Run it after ctest in a build configured with `--coverage`. For every
+object in the build (every .gcda under <build-dir>) it reads
+`gcov --json-format --stdout` and sums each src/ function's call count
+over every translation unit that emits it. That includes test, bench and
+example objects: a src/ header's inline function or template emitted
+there may be the copy the linker keeps, so its calls are recorded in that
+object. A function is its definition, a source position: every
+instantiation of a template (and of a lambda in one) counts toward it. A
+function defined in a file under src/ whose sum is zero fails the gate,
+unless tools/zero_call_allowlist.txt names it.
 
 An allowlist line is a function's demangled name as the gate prints it,
 then two spaces, `#` and a one-line reason. Lines that start with `#` are
@@ -18,7 +20,6 @@ comments. An allowlist entry that names no zero-call function fails the
 gate too, so the list only holds live exceptions. Needs only gcov (GCC
 12 or later); it does not use gcovr.
 """
-import argparse
 import json
 import os
 import subprocess
@@ -26,6 +27,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src") + os.sep
+ALLOWLIST = os.path.join(ROOT, "tools", "zero_call_allowlist.txt")
 
 
 def read_allowlist(path):
@@ -47,10 +49,10 @@ def function_calls(build_dir):
     every instantiation in every translation unit]}."""
     calls = {}
     data_files = []
-    for top, _dirs, files in os.walk(os.path.join(os.path.abspath(build_dir), "src")):
+    for top, _dirs, files in os.walk(os.path.abspath(build_dir)):
         data_files += [os.path.join(top, f) for f in files if f.endswith(".gcda")]
     if not data_files:
-        sys.exit(f"no .gcda files under {build_dir}/src: build with --coverage and run ctest")
+        sys.exit(f"no .gcda files under {build_dir}: build with --coverage and run ctest")
     for data in sorted(data_files):
         out = subprocess.run(["gcov", "--json-format", "--stdout", data],
                              cwd=os.path.dirname(data), capture_output=True, text=True,
@@ -71,13 +73,10 @@ def function_calls(build_dir):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("build_dir")
-    ap.add_argument("--allowlist", default=os.path.join(ROOT, "tools", "zero_call_allowlist.txt"))
-    args = ap.parse_args()
-
-    allowed = read_allowlist(args.allowlist)
-    calls = function_calls(args.build_dir)
+    if len(sys.argv) != 2:
+        sys.exit("usage: zero_call_gate.py <build-dir>")
+    allowed = read_allowlist(ALLOWLIST)
+    calls = function_calls(sys.argv[1])
     zero = sorted((name, f"{path}:{line}") for (path, line, _col), (name, n) in calls.items()
                   if n == 0)
     failures = [(name, path) for name, path in zero if name not in allowed]
@@ -91,7 +90,7 @@ def main():
         print(f"  allowlisted but called or gone: {name}")
     if failures or stale:
         print("Call the function from a test, delete it, or allowlist it with a reason "
-              f"in {os.path.relpath(args.allowlist, ROOT)}.")
+              f"in {os.path.relpath(ALLOWLIST, ROOT)}.")
         return 1
     return 0
 
