@@ -6,6 +6,10 @@
 // directory mode every BENCH_*.json present in BASELINE is diffed
 // against the file of the same name in CURRENT (a missing current file
 // is a failure — a bench that stopped reporting is a regression too).
+// Either side may be a comma-separated list of rounds (files, or
+// directories) of the same bench: its numbers are then the per-key
+// median across the rounds (introspect::median_of), so CI can gate host
+// rates measured in alternating base/change rounds.
 //
 // Gated metrics (keys ending in improvement_ratio / speedup, or the
 // --gate list) fail the run when current < baseline * (1 - threshold).
@@ -30,6 +34,7 @@
 #include <sstream>
 #include <string>
 #include <sys/stat.h>
+#include <utility>
 #include <vector>
 
 #include "introspect/bench_diff.hpp"
@@ -43,7 +48,8 @@ using namespace hpmmap;
                "usage: bench_diff [--threshold F] [--threshold-for NAME=F]\n"
                "                  [--gate KEY[,KEY...]] BASELINE CURRENT\n"
                "  BASELINE/CURRENT: two BENCH_*.json files, or two directories\n"
-               "                    (every BENCH_*.json in BASELINE is compared)\n"
+               "                    (every BENCH_*.json in BASELINE is compared);\n"
+               "                    R1,R2,... takes the per-key median of rounds\n"
                "  --threshold F     allowed relative drop in gated metrics, in [0, 1)\n"
                "                    (default 0.10)\n"
                "  --threshold-for NAME=F  override the threshold for one bench file\n"
@@ -126,12 +132,42 @@ std::vector<std::string> bench_files(const std::string& dir) {
   return names;
 }
 
-/// Diff one baseline/current file pair; returns pass/fail (parse errors
-/// count as failure so CI can't silently skip a corrupt report).
-bool diff_pair(const std::string& base_path, const std::string& cur_path, double threshold,
+/// The rounds of one side: `list` split at commas, each with `suffix`
+/// appended ("/NAME" in directory mode).
+std::vector<std::string> rounds_of(const std::string& list, const std::string& suffix) {
+  std::vector<std::string> out;
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t comma = list.find(',', start);
+    out.push_back(list.substr(start, comma - start) + suffix);
+    if (comma == std::string::npos) {
+      return out;
+    }
+    start = comma + 1;
+  }
+}
+
+/// One side's document: the file, or the median of its rounds.
+std::optional<introspect::BenchDoc> load_rounds(const std::vector<std::string>& paths) {
+  std::vector<introspect::BenchDoc> docs;
+  for (const std::string& path : paths) {
+    auto doc = load(path);
+    if (!doc) {
+      return std::nullopt;
+    }
+    docs.push_back(std::move(*doc));
+  }
+  return docs.size() == 1 ? docs.front() : introspect::median_of(docs);
+}
+
+/// Diff one baseline/current pair (each one file or a list of rounds);
+/// returns pass/fail (parse errors count as failure so CI can't silently
+/// skip a corrupt report).
+bool diff_pair(const std::vector<std::string>& base_paths,
+               const std::vector<std::string>& cur_paths, double threshold,
                const std::vector<std::string>& gates, const std::string& title) {
-  const auto base = load(base_path);
-  const auto cur = load(cur_path);
+  const auto base = load_rounds(base_paths);
+  const auto cur = load_rounds(cur_paths);
   if (!base || !cur) {
     return false;
   }
@@ -188,20 +224,21 @@ int main(int argc, char** argv) {
   const std::string& current = paths[1];
 
   bool pass = true;
-  if (is_dir(baseline) && is_dir(current)) {
-    const std::vector<std::string> names = bench_files(baseline);
+  const std::string first_base = rounds_of(baseline, "").front();
+  if (is_dir(first_base) && is_dir(rounds_of(current, "").front())) {
+    const std::vector<std::string> names = bench_files(first_base);
     if (names.empty()) {
-      std::fprintf(stderr, "bench_diff: no BENCH_*.json under %s\n", baseline.c_str());
+      std::fprintf(stderr, "bench_diff: no BENCH_*.json under %s\n", first_base.c_str());
       return 2;
     }
     for (const std::string& name : names) {
-      pass = diff_pair(baseline + "/" + name, current + "/" + name,
+      pass = diff_pair(rounds_of(baseline, "/" + name), rounds_of(current, "/" + name),
                        threshold_for(name, threshold, overrides), gates, name) &&
              pass;
     }
   } else {
-    pass = diff_pair(baseline, current,
-                     threshold_for(basename_of(baseline), threshold, overrides), gates,
+    pass = diff_pair(rounds_of(baseline, ""), rounds_of(current, ""),
+                     threshold_for(basename_of(first_base), threshold, overrides), gates,
                      current);
   }
   std::printf("bench_diff: %s (default threshold %.4g%%, %zu per-bench override%s)\n",

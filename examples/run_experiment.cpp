@@ -30,6 +30,7 @@
 #include "cluster/network.hpp"
 #include "common/flags.hpp"
 #include "harness/batch.hpp"
+#include "harness/census.hpp"
 #include "harness/cluster.hpp"
 #include "hw/machine.hpp"
 #include "harness/experiment.hpp"
@@ -81,8 +82,8 @@ using namespace hpmmap;
       "                   threads (default 0; results identical for any value)\n"
       "  --perf-summary   append simulator throughput after the run: engine\n"
       "                   events/sec, mm faults/sec, per-kind mm cycle totals,\n"
-      "                   and (when tracing) the mm counters from the metrics\n"
-      "                   registry\n"
+      "                   the mm host-bytes census beside VmHWM, and (when\n"
+      "                   tracing) the mm counters from the metrics registry\n"
       "  --trace          record the fault trace and print a summary\n"
       "  --trace-out FILE write Chrome trace JSON to FILE and CSV to FILE.csv;\n"
       "                   with sampling on, telemetry counter tracks are spliced\n"
@@ -226,12 +227,31 @@ void report_verification(const harness::RunResult& r, bool injected, bool audite
   }
 }
 
+/// The process's peak resident set (VmHWM in /proc/self/status), in KiB;
+/// 0 where the file is missing.
+unsigned long long vm_hwm_kib() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) {
+    return 0;
+  }
+  char line[256];
+  unsigned long long kib = 0;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::sscanf(line, "VmHWM: %llu kB", &kib) == 1) {
+      break;
+    }
+  }
+  std::fclose(f);
+  return kib;
+}
+
 /// Wall-clock scope for --perf-summary: prints host-side throughput
-/// (simulator events and mm faults per wall second) plus the per-kind mm
-/// cycle accounting when it goes out of scope.
+/// (simulator events and mm faults per wall second), the per-kind mm
+/// cycle accounting and the mm host-bytes census when it goes out of
+/// scope.
 class PerfSummary {
  public:
-  explicit PerfSummary(bool enabled) : enabled_(enabled) {}
+  explicit PerfSummary(bool enabled) : enabled_(enabled) { harness::set_census(enabled); }
   void add_events(std::uint64_t n) noexcept { events_ += n; }
   void add_faults(const mm::FaultStats& f) noexcept {
     for (std::size_t k = 0; k < mm::kFaultKindCount; ++k) {
@@ -274,6 +294,7 @@ class PerfSummary {
       }
       std::printf("\n");
     }
+    print_census();
     // Traced runs leave the run's mm counters in the metrics registry;
     // surface the per-subsystem accounting next to the throughput line.
     const auto& counters = trace::metrics().counters();
@@ -295,6 +316,25 @@ class PerfSummary {
   PerfSummary& operator=(const PerfSummary&) = delete;
 
  private:
+  /// The largest world's mm host bytes per owner at its run's end, beside
+  /// the whole process's peak RSS.
+  static void print_census() {
+    const harness::CensusReport c = harness::census();
+    if (c.worlds == 0) {
+      return;
+    }
+    const auto mib = [](std::uint64_t b) { return static_cast<double>(b) / (1024.0 * 1024.0); };
+    const harness::HostBytes& h = c.largest;
+    std::printf("perf: mm host bytes, largest of %llu run%s (%llu node%s, %llu zones): "
+                "mem_map %.2f MiB, buddy bitmaps %.2f MiB, page tables %.2f MiB, "
+                "page cache %.2f MiB, anon lru %.2f MiB = %.2f MiB; process VmHWM %.1f MiB\n",
+                static_cast<unsigned long long>(c.worlds), c.worlds == 1 ? "" : "s",
+                static_cast<unsigned long long>(c.nodes), c.nodes == 1 ? "" : "s",
+                static_cast<unsigned long long>(c.zones), mib(h.mem_map), mib(h.buddy_bitmaps),
+                mib(h.page_tables), mib(h.page_cache), mib(h.anon_lru), mib(h.total()),
+                static_cast<double>(vm_hwm_kib()) / 1024.0);
+  }
+
   bool enabled_;
   std::uint64_t events_ = 0;
   std::array<std::uint64_t, mm::kFaultKindCount> fault_counts_{};

@@ -10,6 +10,7 @@
 #include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
+#include "harness/census.hpp"
 #include "harness/detail.hpp"
 #include "introspect/procfs.hpp"
 #include "introspect/sampler.hpp"
@@ -348,10 +349,13 @@ RunResult measure(ClusterWorld& w) {
       result.procfs_text += introspect::procfs_dump(*g->node);
     }
   }
+  std::vector<os::Node*> world;
   for (auto& g : w.groups) {
     Bound b(*g);
     g->verify->finish(result, {&*g->node});
+    world.push_back(&*g->node);
   }
+  record_census(world);
 
   // The caller's registry: node counters summed in node order (the
   // totals one shared registry would hold); P² histograms cannot be

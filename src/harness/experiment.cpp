@@ -5,6 +5,7 @@
 #include <optional>
 #include <utility>
 
+#include "harness/census.hpp"
 #include "harness/detail.hpp"
 #include "common/assert.hpp"
 #include "common/units.hpp"
@@ -116,6 +117,7 @@ struct NodeWorld {
       result.procfs_text = introspect::procfs_dump(*node);
     }
     verify->finish(result, {&*node});
+    record_census({&*node});
   }
 };
 
@@ -368,6 +370,7 @@ SmpRunResult run_smp(const SmpRunConfig& config) {
   detail::end_tracing(result, config.trace,
                       trace::Arg::u64("runtime_cycles", storm.span_cycles()));
   verify.finish(result, {&node});
+  record_census({&node});
   return result;
 }
 

@@ -1,5 +1,6 @@
 #include "introspect/bench_diff.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cstdio>
@@ -169,6 +170,29 @@ std::optional<BenchDoc> parse_bench_json(std::string_view text) {
     return std::nullopt;
   }
   return doc;
+}
+
+BenchDoc median_of(const std::vector<BenchDoc>& rounds) {
+  BenchDoc out;
+  std::map<std::string, std::vector<double>> values;
+  for (const BenchDoc& doc : rounds) {
+    for (const auto& [key, v] : doc.numbers) {
+      values[key].push_back(v);
+    }
+    for (const auto& [key, s] : doc.strings) {
+      out.strings.emplace(key, s);
+    }
+    for (const auto& [key, b] : doc.bools) {
+      bool& all = out.bools.emplace(key, b).first->second;
+      all = all && b;
+    }
+  }
+  for (auto& [key, v] : values) {
+    std::sort(v.begin(), v.end());
+    const std::size_t mid = v.size() / 2;
+    out.numbers[key] = v.size() % 2 == 1 ? v[mid] : (v[mid - 1] + v[mid]) / 2.0;
+  }
+  return out;
 }
 
 bool gated_by_default(std::string_view key) {

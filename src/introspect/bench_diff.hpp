@@ -62,6 +62,14 @@ struct DiffResult {
   }
 };
 
+/// One document from several rounds of the same bench: each number is the
+/// median of the rounds that report it (the mean of the middle two for an
+/// even count), each flag true only if every round says true, and each
+/// string the first round's. Host rates drift in phases on shared
+/// machines; the per-key median over alternating rounds resolves what a
+/// single pair cannot.
+[[nodiscard]] BenchDoc median_of(const std::vector<BenchDoc>& rounds);
+
 /// Keys gated by default: every key ending in `improvement_ratio` or
 /// `speedup` (higher is better, and a ratio, not an absolute host rate).
 [[nodiscard]] bool gated_by_default(std::string_view key);

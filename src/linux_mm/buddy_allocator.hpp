@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/host_bytes.hpp"
 #include "common/types.hpp"
 #include "common/units.hpp"
 #include "hw/mem_map.hpp"
@@ -142,6 +143,16 @@ class BuddyAllocator {
   /// cross-checks it against the freelists.
   [[nodiscard]] hw::MemMap& mem_map() noexcept { return map_; }
   [[nodiscard]] const hw::MemMap& mem_map() const noexcept { return map_; }
+
+  /// Heap bytes of the freelist bitmaps and their summaries (the mem_map
+  /// reports its own).
+  [[nodiscard]] std::uint64_t host_bytes() const noexcept {
+    std::uint64_t n = host_bytes_of(lists_);
+    for (const OrderList& list : lists_) {
+      n += host_bytes_of(list.bits) + host_bytes_of(list.summary);
+    }
+    return n;
+  }
 
   [[nodiscard]] static constexpr std::uint64_t order_bytes(unsigned order) noexcept {
     return kSmallPageSize << order;

@@ -25,6 +25,7 @@
 #include <span>
 #include <utility>
 
+#include "common/host_bytes.hpp"
 #include "common/types.hpp"
 #include "hw/mem_map.hpp"
 #include "linux_mm/buddy_allocator.hpp"
@@ -107,6 +108,8 @@ class PageCache {
 
   [[nodiscard]] std::uint64_t cached_bytes() const noexcept { return state_.cached_bytes; }
   [[nodiscard]] std::size_t block_count() const noexcept { return lru_.size(); }
+  /// Heap bytes of the LRU.
+  [[nodiscard]] std::uint64_t host_bytes() const noexcept { return host_bytes_of(lru_); }
   [[nodiscard]] double dirty_fraction() const noexcept { return state_.dirty_fraction; }
   void set_dirty_fraction(double f) noexcept { state_.dirty_fraction = f; }
 

@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/host_bytes.hpp"
 #include "common/types.hpp"
 #include "hw/tlb.hpp"
 
@@ -121,6 +122,12 @@ class PageTable {
     visit_leaves(kRoot, 0, 3, fn);
   }
 
+  /// Heap bytes of the node pool (table pages, recycled ones included)
+  /// and its per-node bookkeeping.
+  [[nodiscard]] std::uint64_t host_bytes() const noexcept {
+    return nodes_.host_bytes() + host_bytes_of(used_) + host_bytes_of(free_nodes_);
+  }
+
  private:
   friend struct hpmmap::snapshot::Access;
 
@@ -155,6 +162,9 @@ class PageTable {
       return chunks_[idx >> kChunkShift][idx & kChunkMask];
     }
     [[nodiscard]] std::uint32_t size() const noexcept { return size_; }
+    [[nodiscard]] std::uint64_t host_bytes() const noexcept {
+      return host_bytes_of(chunks_) + chunks_.size() * sizeof(Node) * (kChunkMask + 1);
+    }
     /// Grow by one node with unspecified contents; returns its index.
     std::uint32_t append() {
       if ((size_ & kChunkMask) == 0) {

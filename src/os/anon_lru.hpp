@@ -16,6 +16,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/host_bytes.hpp"
 #include "common/types.hpp"
 #include "common/units.hpp"
 
@@ -75,6 +76,8 @@ class AnonLru {
   [[nodiscard]] std::size_t size() const noexcept { return pages_; }
   [[nodiscard]] bool empty() const noexcept { return pages_ == 0; }
   [[nodiscard]] std::size_t run_count() const noexcept { return runs_.size(); }
+  /// Heap bytes of the run FIFO.
+  [[nodiscard]] std::uint64_t host_bytes() const noexcept { return host_bytes_of(runs_); }
 
  private:
   friend struct hpmmap::snapshot::Access;

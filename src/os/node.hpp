@@ -147,6 +147,8 @@ class Node {
   }
   [[nodiscard]] std::size_t process_count() const noexcept { return processes_.size(); }
   [[nodiscard]] double seconds(Cycles c) const noexcept { return config_.machine.seconds(c); }
+  /// The swap model's anon LRU (see anon_lru_ below).
+  [[nodiscard]] const AnonLru& anon_lru() const noexcept { return anon_lru_; }
   /// Cumulative anonymous 4K pages evicted to swap (vmstat's pswpout).
   [[nodiscard]] std::uint64_t swapped_out_total() const noexcept { return swapped_out_total_; }
 

@@ -261,10 +261,16 @@ struct Access {
       };
     }
 
+    /// The image holds the dense v7 meta bytes: capture densifies the
+    /// sections, restore materializes only those with a nonzero inner byte.
     void transfer(Img<D, MemMapImage>& img, Live<D, hw::MemMap>& m) const {
-      d.same(img.range, m.range_, "snapshot: mem_map range mismatch");
-      d.same(img.meta.size(), m.meta_.size(), "snapshot: mem_map meta length mismatch");
-      d(img.meta, m.meta_);
+      d.same(img.range, m.range(), "snapshot: mem_map range mismatch");
+      if constexpr (D::kRestores) {
+        d.same(img.meta.size(), m.frame_count(), "snapshot: mem_map meta length mismatch");
+        m.assign_dense(img.meta);
+      } else {
+        img.meta = m.to_dense();
+      }
     }
 
     void transfer(Img<D, BuddyImage>& img, Live<D, mm::BuddyAllocator>& b) const {

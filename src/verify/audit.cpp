@@ -133,6 +133,18 @@ void audit_buddy(const mm::BuddyAllocator& buddy, std::string_view label, AuditR
                      " buddy-free but the freelist bitmap disagrees");
     }
   });
+  // Section residency: a section keeps its inner buffer exactly while its
+  // count of nonzero inner entries is positive, so the count must be that
+  // number and never zero (a stale count leaks or drops the buffer).
+  map.for_each_materialized([&](std::uint32_t sec, unsigned count, unsigned nonzero) {
+    ++report.checks;
+    if (count != nonzero || count == 0) {
+      report.add("memmap.section_count",
+                 who + ": mem_map section " + num(sec) + " @" +
+                     hex(map.addr_of(sec * hw::MemMap::kSectionEntries)) + " counts " +
+                     num(count) + " inner heads but holds " + num(nonzero));
+    }
+  });
 }
 
 void audit_page_cache(const mm::BuddyAllocator& buddy, const mm::PageCache& cache,

@@ -13,6 +13,8 @@
 //              free block heads a kBuddyFree mem_map entry, every
 //              kBuddyFree entry is on the freelist bitmap)
 //              (same checks for the Kitten heaps over offlined memory);
+//   memmap     every materialized mem_map section's count equals its
+//              nonzero inner entries and is not zero;
 //   cache      the intrusive LRU chain is sound: walking the links
 //              visits exactly block_count() blocks whose byte total is
 //              cached_bytes, every visited head carries a cache state

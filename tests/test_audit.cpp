@@ -316,6 +316,34 @@ TEST(Audit, DetectsForgedBuddyFreeMark) {
   EXPECT_TRUE(has_violation(r, "buddy.memmap_orphan")) << r.summary();
 }
 
+TEST(Audit, DetectsStaleMemMapSectionCount) {
+  mm::BuddyAllocator buddy(Range{0, 8 * MiB}, 10);
+  // An order-0 allocation splits section 0's max-order block: the ten
+  // upper halves' heads (orders 0..9) land inside the section, so it
+  // materializes.
+  const auto frame = buddy.alloc(0);
+  ASSERT_TRUE(frame.has_value());
+  hw::MemMap& map = buddy.mem_map();
+  ASSERT_EQ(map.materialized_sections(), 1u);
+  const auto audit = [&] {
+    verify::AuditReport r;
+    verify::audit_buddy(buddy, "test", r);
+    return r;
+  };
+  EXPECT_TRUE(audit().ok()) << audit().summary();
+  // A count one above the heads it holds.
+  map.corrupt_section_count(0, 11);
+  EXPECT_TRUE(has_violation(audit(), "memmap.section_count")) << audit().summary();
+  // Coalescing clears the ten heads but the stale count keeps the
+  // buffer: a materialized section with nothing in it.
+  buddy.free(frame->addr, 0);
+  ASSERT_EQ(map.materialized_sections(), 1u);
+  EXPECT_TRUE(has_violation(audit(), "memmap.section_count")) << audit().summary();
+  // The same empty section with a count of zero.
+  map.corrupt_section_count(0, 0);
+  EXPECT_TRUE(has_violation(audit(), "memmap.section_count")) << audit().summary();
+}
+
 TEST(Audit, DetectsCacheBlockStateDrift) {
   mm::BuddyAllocator buddy(Range{0, 4 * MiB}, 8);
   mm::PageCache cache(buddy);

@@ -8,6 +8,7 @@
 
 #include "cluster/network.hpp"
 #include "harness/batch.hpp"
+#include "harness/census.hpp"
 #include "harness/cluster.hpp"
 #include "harness/experiment.hpp"
 #include "harness/result_fields.hpp"
@@ -117,6 +118,48 @@ TEST(Integration, ScalingHpmmapCompletesWithNearZeroFaults) {
   const harness::RunResult r = harness::run_cluster({cfg});
   EXPECT_EQ(r.faults.count[1], 0u);
   EXPECT_LT(r.faults.count[0], 8192u);
+}
+
+TEST(HostCensus, IsAPureObserver) {
+  const harness::SingleNodeRunConfig single =
+      quick("miniMD", harness::Manager::kHpmmap, workloads::profile_a(2), 2);
+  harness::ScalingRunConfig scaling;
+  scaling.app = "HPCCG";
+  scaling.manager = harness::Manager::kThp;
+  scaling.commodity = workloads::profile_c();
+  scaling.nodes = 2;
+  scaling.ranks_per_node = 2;
+  scaling.seed = 3;
+  scaling.footprint_scale = 0.08;
+  scaling.duration_scale = 0.05;
+
+  harness::set_census(false);
+  const harness::RunResult single_off = harness::run_single_node(single);
+  const harness::RunResult cluster_off = harness::run_cluster({scaling});
+  EXPECT_EQ(harness::census().worlds, 0u);
+
+  harness::set_census(true);
+  const harness::RunResult single_on = harness::run_single_node(single);
+  const harness::CensusReport one = harness::census();
+  const harness::RunResult cluster_on = harness::run_cluster({scaling});
+  const harness::CensusReport both = harness::census();
+  harness::set_census(false);
+
+  EXPECT_EQ(harness::first_difference(single_off, single_on), std::nullopt);
+  EXPECT_EQ(harness::first_difference(cluster_off, cluster_on), std::nullopt);
+  // The HPMMAP node: Linux zones and Kitten heaps, a process's tables.
+  EXPECT_EQ(one.worlds, 1u);
+  EXPECT_EQ(one.nodes, 1u);
+  EXPECT_GT(one.largest.mem_map, 0u);
+  EXPECT_GT(one.largest.buddy_bitmaps, 0u);
+  EXPECT_GT(one.largest.page_tables, 0u);
+  EXPECT_GT(one.largest.page_cache, 0u);
+  EXPECT_GT(one.largest.anon_lru, 0u);
+  // The two-node cluster is one world, and the larger of the two.
+  EXPECT_EQ(both.worlds, 2u);
+  EXPECT_EQ(both.nodes, 2u);
+  EXPECT_EQ(both.zones, 4u);
+  EXPECT_GT(both.largest.total(), one.largest.total());
 }
 
 TEST(Integration, DeterministicGivenSeed) {

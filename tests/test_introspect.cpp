@@ -409,6 +409,26 @@ TEST(BenchDiff, ExplicitGateKeysOverrideDefaults) {
   }
 }
 
+TEST(BenchDiff, MedianOfRoundsIsPerKey) {
+  // The rounds a host-rate A/B alternates: one slow phase must not move
+  // the gated value.
+  std::vector<introspect::BenchDoc> rounds(3, *introspect::parse_bench_json(kBenchJson));
+  rounds[0].numbers["faults_per_sec"] = 6.69e6;
+  rounds[1].numbers["faults_per_sec"] = 3.68e6;
+  rounds[2].numbers["faults_per_sec"] = 6.50e6;
+  rounds[1].numbers["only_here"] = 7.0;
+  rounds[2].bools["deterministic_match"] = false;
+  const introspect::BenchDoc m = introspect::median_of(rounds);
+  EXPECT_EQ(m.numbers.at("faults_per_sec"), 6.50e6);
+  EXPECT_EQ(m.numbers.at("only_here"), 7.0); // a key one round reports
+  EXPECT_EQ(m.numbers.at("faults"), 1e6);
+  EXPECT_EQ(m.strings.at("bench"), "mm_hotpath");
+  EXPECT_FALSE(m.bools.at("deterministic_match")); // any false round fails
+  // An even count takes the mean of the middle two.
+  rounds.pop_back();
+  EXPECT_EQ(introspect::median_of(rounds).numbers.at("faults_per_sec"), (3.68e6 + 6.69e6) / 2);
+}
+
 TEST(BenchDiff, ThresholdMustParseCompletelyInsideZeroToOne) {
   EXPECT_FALSE(introspect::parse_threshold("abc").has_value());
   EXPECT_FALSE(introspect::parse_threshold("-0.1").has_value());

@@ -441,5 +441,206 @@ TEST(MemMapDifferential, CacheFifoAndPoolStacksMatchModels) {
   EXPECT_GT(double_frees, 10u);
 }
 
+// ---------------------------------------------------------------------------
+// Differential property test: the sectioned map vs a dense byte array.
+// ---------------------------------------------------------------------------
+
+/// The dense model's block_containing(): the pre-section probe loop.
+std::optional<std::pair<Addr, unsigned>> dense_block_containing(
+    const std::vector<std::uint8_t>& meta, Range range, unsigned min_order, Addr addr,
+    std::uint8_t states, unsigned max_order) {
+  if (!range.contains(addr)) {
+    return std::nullopt;
+  }
+  const std::uint64_t off = addr - range.begin;
+  for (unsigned o = min_order; o <= max_order; ++o) {
+    const std::uint64_t base = align_down(off, kSmallPageSize << o);
+    const std::uint8_t m = meta[base >> (12 + min_order)];
+    if ((states & (1u << (m & 0x7u))) != 0 && (m >> 3) == o) {
+      return std::make_pair(range.begin + base, o);
+    }
+  }
+  return std::nullopt;
+}
+
+/// Sections whose inner entries (all but the first) hold a nonzero byte.
+std::size_t sections_with_inner(const std::vector<std::uint8_t>& meta) {
+  std::size_t n = 0;
+  for (std::size_t base = 0; base < meta.size(); base += MemMap::kSectionEntries) {
+    const auto end = meta.begin() + static_cast<std::ptrdiff_t>(
+                                        std::min(meta.size(), base + MemMap::kSectionEntries));
+    if (std::any_of(meta.begin() + static_cast<std::ptrdiff_t>(base) + 1, end,
+                    [](std::uint8_t b) { return b != 0; })) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+/// Random set/clear/probe/sweep sequences against the dense model over
+/// `frames` entries of `4 KiB << min_order`. Indices cluster near section
+/// boundaries and in the last (partial) section; bulk clears cross
+/// sections and wipe whole sections, so sections release and then
+/// rematerialize. Every read must agree after every op.
+void drive_sectioned_map(unsigned min_order, std::uint64_t frames, std::uint64_t seed) {
+  const std::uint64_t grain = kSmallPageSize << min_order;
+  const Range range{kBase, kBase + frames * grain};
+  MemMap m(range, min_order);
+  std::vector<std::uint8_t> model(frames, 0);
+  const std::uint32_t sections =
+      static_cast<std::uint32_t>((frames + MemMap::kSectionEntries - 1) / MemMap::kSectionEntries);
+  std::vector<bool> was_materialized(sections, false);
+  std::vector<bool> released(sections, false);
+  std::size_t rematerialized = 0;
+  std::size_t probes_hit = 0;
+  std::vector<std::pair<std::uint32_t, unsigned>> placed; // aligned heads set: (index, order - min)
+
+  Rng rng(seed);
+  const auto pick_index = [&]() -> std::uint32_t {
+    const std::uint64_t roll = rng.uniform(10);
+    if (roll < 4) {
+      // Within 8 entries of a section boundary, either side.
+      const std::uint64_t sec = rng.uniform(sections + 1) * MemMap::kSectionEntries;
+      const std::uint64_t idx = sec + rng.uniform(16);
+      return static_cast<std::uint32_t>(std::min(frames - 1, idx >= 8 ? idx - 8 : idx));
+    }
+    if (roll < 6) {
+      // The last section, which may be partial.
+      const std::uint64_t last = std::uint64_t{sections - 1} * MemMap::kSectionEntries;
+      return static_cast<std::uint32_t>(last + rng.uniform(frames - last));
+    }
+    return static_cast<std::uint32_t>(rng.uniform(frames));
+  };
+
+  for (int op = 0; op < 6'000; ++op) {
+    const std::uint64_t roll = rng.uniform(100);
+    if (roll < 45) {
+      std::uint32_t idx = pick_index();
+      const auto st = static_cast<FrameState>(rng.uniform(6));
+      unsigned order = static_cast<unsigned>(rng.uniform(32));
+      if (rng.chance(0.7)) {
+        // A naturally aligned block head, as the owners mark them.
+        const unsigned k = static_cast<unsigned>(rng.uniform(13));
+        order = min_order + k;
+        idx &= ~((std::uint32_t{1} << k) - 1);
+        placed.emplace_back(idx, k);
+      }
+      m.set_head(idx, st, order);
+      model[idx] = static_cast<std::uint8_t>(static_cast<unsigned>(st) | (order << 3));
+    } else if (roll < 70) {
+      const std::uint32_t idx = pick_index();
+      m.clear_head(idx);
+      model[idx] = 0;
+    } else if (roll < 80) {
+      // A bulk clear: short runs, runs crossing a boundary, whole sections.
+      const std::uint32_t first = pick_index();
+      const std::uint64_t room = frames - first;
+      const std::uint64_t want = rng.chance(0.3) ? MemMap::kSectionEntries * 2
+                                                 : rng.uniform(MemMap::kSectionEntries + 64);
+      const auto count = static_cast<std::uint32_t>(std::min(room, want));
+      m.clear_heads(first, count);
+      std::fill_n(model.begin() + first, count, std::uint8_t{0});
+    } else if (roll < 97) {
+      Addr addr = range.begin + rng.uniform(range.size());
+      auto states = static_cast<std::uint8_t>(rng.uniform(64));
+      if (!placed.empty() && rng.chance(0.5)) {
+        // Inside a block placed earlier (it may have been cleared since).
+        const auto [head, k] = placed[rng.uniform(placed.size())];
+        const std::uint64_t span = std::min(grain << k, range.end - m.addr_of(head));
+        addr = m.addr_of(head) + rng.uniform(span);
+        states = 0x3f;
+      }
+      // Max orders past a section's size probe other sections' heads.
+      const unsigned max_order = min_order + static_cast<unsigned>(rng.uniform(13));
+      const auto got = m.block_containing(addr, states, max_order);
+      ASSERT_EQ(got, dense_block_containing(model, range, min_order, addr, states, max_order))
+          << "op " << op << " addr " << addr;
+      if (got.has_value()) {
+        ++probes_hit;
+      }
+    } else {
+      // The snapshot round trip: densify, then materialize into a fresh map.
+      MemMap fresh(range, min_order);
+      fresh.set_head(0, FrameState::kBuddyFree, 10);
+      fresh.set_head(static_cast<std::uint32_t>(frames - 1), FrameState::kCacheDirty, 0);
+      fresh.assign_dense(m.to_dense());
+      m = std::move(fresh);
+    }
+
+    // Equal reads, everywhere.
+    ASSERT_EQ(m.to_dense(), model) << "op " << op;
+    for (const std::uint32_t idx : {pick_index(), pick_index()}) {
+      ASSERT_EQ(m.state(idx), static_cast<FrameState>(model[idx] & 0x7u)) << "op " << op;
+      ASSERT_EQ(m.order(idx), static_cast<unsigned>(model[idx] >> 3)) << "op " << op;
+    }
+    std::vector<std::uint32_t> heads;
+    m.for_each_head([&](Addr a, FrameState st, unsigned o) {
+      const std::uint32_t idx = m.index_of(a);
+      EXPECT_EQ(model[idx], static_cast<std::uint8_t>(static_cast<unsigned>(st) | (o << 3)));
+      heads.push_back(idx);
+    });
+    std::vector<std::uint32_t> want_heads;
+    for (std::uint32_t i = 0; i < frames; ++i) {
+      if (model[i] != 0) {
+        want_heads.push_back(i);
+      }
+    }
+    ASSERT_EQ(heads, want_heads) << "op " << op;
+    // A section holds a buffer exactly while an inner byte is nonzero,
+    // and its count is that byte count.
+    ASSERT_EQ(m.materialized_sections(), sections_with_inner(model)) << "op " << op;
+    std::vector<bool> now(sections, false);
+    m.for_each_materialized([&](std::uint32_t sec, unsigned count, unsigned nonzero) {
+      EXPECT_EQ(count, nonzero) << "op " << op << " section " << sec;
+      now[sec] = true;
+    });
+    for (std::uint32_t sec = 0; sec < sections; ++sec) {
+      if (was_materialized[sec] && !now[sec]) {
+        released[sec] = true;
+      } else if (!was_materialized[sec] && now[sec] && released[sec]) {
+        ++rematerialized;
+      }
+    }
+    was_materialized = now;
+  }
+  EXPECT_GT(rematerialized, static_cast<std::size_t>(sections) * 3)
+      << "sections must release and then rematerialize, repeatedly";
+  EXPECT_GT(probes_hit, 50u);
+}
+
+TEST(MemMapDifferential, SectionedMatchesDenseModel) {
+  // A Linux-style map: three whole sections and a partial fourth.
+  drive_sectioned_map(0, 3 * MemMap::kSectionEntries + 300, 0xd15e);
+  // A Kitten map (one entry per 2 MiB): one whole section and a partial second.
+  drive_sectioned_map(9, MemMap::kSectionEntries + 77, 0x6177);
+}
+
+TEST(MemMap, SparesAreReusedNotReallocated) {
+  auto m = make(64 * MiB); // 16 sections
+  const std::uint64_t empty = m.host_bytes();
+  // Materialize every section, then release them all.
+  for (std::uint32_t sec = 0; sec < 16; ++sec) {
+    m.set_head(sec * MemMap::kSectionEntries + 5, FrameState::kBuddyFree, 0);
+  }
+  EXPECT_EQ(m.materialized_sections(), 16u);
+  EXPECT_GE(m.host_bytes() - empty, 16u * MemMap::kSectionEntries);
+  m.clear_heads(0, static_cast<std::uint32_t>(m.frame_count()));
+  EXPECT_EQ(m.materialized_sections(), 0u);
+  const std::uint64_t full = m.host_bytes(); // every buffer now spare
+  // Rematerializing takes spares: the map grows no further.
+  for (std::uint32_t sec = 0; sec < 16; ++sec) {
+    m.set_head(sec * MemMap::kSectionEntries + 9, FrameState::kCacheClean, 0);
+  }
+  EXPECT_EQ(m.materialized_sections(), 16u);
+  EXPECT_EQ(m.host_bytes(), full);
+  // A head at a section's first frame needs no buffer at all.
+  auto heads_only = make(64 * MiB);
+  for (std::uint32_t sec = 0; sec < 16; ++sec) {
+    heads_only.set_head(sec * MemMap::kSectionEntries, FrameState::kBuddyFree, 10);
+  }
+  EXPECT_EQ(heads_only.materialized_sections(), 0u);
+  EXPECT_EQ(heads_only.host_bytes(), empty);
+}
+
 } // namespace
 } // namespace hpmmap

@@ -7,6 +7,8 @@
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
+#include "hw/mem_map.hpp"
+#include "linux_mm/hugetlbfs.hpp"
 #include "os/anon_lru.hpp"
 #include "os/node.hpp"
 #include "sim/engine.hpp"
@@ -300,6 +302,58 @@ TEST(Node, SwapNeverTouchesOfflinedFrames) {
   // The swapping never reached the HPMMAP mappings.
   for (Addr va = region.addr; va < region.addr + 256 * MiB; va += kLargePageSize) {
     EXPECT_TRUE(hpc.address_space().page_table().walk(va).has_value());
+  }
+  EXPECT_EQ(hpc.address_space().swapped_pages(), 0u);
+}
+
+TEST(Node, HugetlbfsWorldSwapsItsNonPoolSide) {
+  // E2's "Load, Small" storm: a HugeTLBfs node whose pool is reserved at
+  // boot, with a commodity hog driving the rest of zone 0 past its low
+  // watermark and no page cache left to reclaim. The hog's oldest pages
+  // go to swap and refault with a disk read; the pool stays out of it.
+  sim::Engine engine;
+  NodeConfig cfg = small_config();
+  cfg.hugetlb_pool_per_zone = 512 * MiB;
+  Node node(engine, cfg);
+  mm::HugetlbPool& pool = *node.hugetlb();
+  Process& hpc = spawn_app(node, MmPolicy::kHugetlbfs);
+  const auto region = node.sys_mmap(hpc, 128 * MiB, kProtRW, Node::Segment::kHeapData);
+  ASSERT_EQ(region.err, Errno::kOk);
+  (void)node.touch_range(hpc, Range{region.addr, region.addr + 128 * MiB});
+  const std::uint64_t pool_free = pool.free_pages(0);
+  ASSERT_LT(pool_free, pool.total_pages(0)) << "the app must hold pool pages";
+
+  // Zone 0 has 2 GiB, 512 MiB of it pooled: the hog asks for all the rest.
+  Process& hog = node.spawn("hog", MmPolicy::kLinuxPlain, 1, 1.0,
+                            mm::AddressSpace::ZonePolicy::kSingle, 0);
+  constexpr std::uint64_t kHogBytes = 1536 * MiB;
+  const auto hog_mem = node.sys_mmap(hog, kHogBytes, kProtRW, Node::Segment::kHeapData);
+  ASSERT_EQ(hog_mem.err, Errno::kOk);
+  (void)node.touch_range(hog, Range{hog_mem.addr, hog_mem.addr + kHogBytes});
+  ASSERT_GT(hog.address_space().swapped_pages(), 0u);
+  EXPECT_GT(node.swapped_out_total(), 0u);
+
+  // The oldest page went first; touching it again takes the swap-in path.
+  const Addr first = hog_mem.addr;
+  ASSERT_TRUE(hog.address_space().is_swapped(first));
+  const Cycles refault = node.touch_range(hog, Range{first, first + kSmallPageSize});
+  EXPECT_FALSE(hog.address_space().is_swapped(first));
+  EXPECT_TRUE(hog.address_space().page_table().walk(first).has_value());
+  EXPECT_GT(refault, node.memory().costs().swap_in_mean / 100) << "no disk read was paid";
+
+  // The pool kept its count and every free page its kHugetlbPool head;
+  // the app's pool pages are still mapped, none swapped.
+  EXPECT_EQ(pool.free_pages(0), pool_free);
+  const hw::MemMap& map = node.memory().buddy(0).mem_map();
+  std::uint64_t walked = 0;
+  pool.for_each_pool_page(0, [&](Addr a) {
+    EXPECT_EQ(map.state(map.index_of(a)), hw::FrameState::kHugetlbPool) << a;
+    ++walked;
+  });
+  EXPECT_EQ(walked, pool_free);
+  for (Addr va = region.addr; va < region.addr + 128 * MiB; va += kLargePageSize) {
+    const auto t = hpc.address_space().page_table().walk(va);
+    ASSERT_TRUE(t.has_value()) << va;
   }
   EXPECT_EQ(hpc.address_space().swapped_pages(), 0u);
 }
