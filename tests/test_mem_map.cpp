@@ -3,8 +3,9 @@
 // drive the bitmap-freelist BuddyAllocator against an std::set-based
 // reference model (the pre-rework implementation's data structure), and
 // the page-cache LRU and hugetlb pool stacks against std::deque and
-// std::vector models, through random op sequences — results, accounting
-// and list order must agree at every step.
+// std::vector models, and the sectioned map itself against a dense byte
+// array, through random op sequences — results, accounting and list
+// order must agree at every step.
 #include <gtest/gtest.h>
 
 #include <algorithm>
