@@ -28,6 +28,7 @@
 #include "common/assert.hpp"
 #include "common/types.hpp"
 #include "common/units.hpp"
+#include "hw/mem_map.hpp"
 #include "linux_mm/buddy_allocator.hpp"
 #include "linux_mm/page_cache.hpp"
 #include "linux_mm/page_table.hpp"
@@ -63,7 +64,8 @@ struct Rng {
 StormResult run_storm(std::uint64_t faults, std::uint64_t zone_bytes) {
   const Range zone{0, zone_bytes};
   mm::BuddyAllocator buddy(zone, kMaxOrder);
-  mm::PageCache cache(buddy, 0.3);
+  hw::MemMap map(zone);
+  mm::PageCache cache(buddy, map, 0.3);
   mm::PageTable pt;
 
   // --- setup (untimed): age the zone the way a booted, loaded node is

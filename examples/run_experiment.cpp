@@ -147,13 +147,15 @@ harness::Manager parse_manager(const std::string& s) {
 
 /// Export one traced run: Perfetto-loadable JSON (with telemetry counter
 /// tracks when the run sampled), CSV twin, metric report. Templated so
-/// serving runs (ServerRunResult) export identically.
+/// serving runs (ServerRunResult) and SMP storms (SmpRunResult, which
+/// sample no telemetry) export identically.
 template <typename R>
-void dump_trace(const R& r, const std::string& path) {
+void dump_trace(const R& r, const std::string& path,
+                const std::vector<introspect::TimeSeries>& telemetry) {
   trace::ExportOptions eopt;
   eopt.clock_hz = r.clock_hz;
   eopt.t0 = r.trace_t0;
-  if (!introspect::write_chrome_json_with_counters(path, r.events, r.telemetry, eopt)) {
+  if (!introspect::write_chrome_json_with_counters(path, r.events, telemetry, eopt)) {
     std::fprintf(stderr, "failed to write %s\n", path.c_str());
     std::exit(1);
   }
@@ -253,16 +255,11 @@ class PerfSummary {
  public:
   explicit PerfSummary(bool enabled) : enabled_(enabled) { harness::set_census(enabled); }
   void add_events(std::uint64_t n) noexcept { events_ += n; }
-  void add_faults(const mm::FaultStats& f) noexcept {
-    for (std::size_t k = 0; k < mm::kFaultKindCount; ++k) {
-      fault_counts_[k] += f.count[k];
-      fault_cycles_[k] += f.total_cycles[k];
-    }
-  }
+  void add_faults(const mm::FaultStats& f) noexcept { faults_.add(f); }
   void add_series(const harness::SeriesPoint& p) noexcept {
     for (std::size_t k = 0; k < mm::kFaultKindCount; ++k) {
-      fault_counts_[k] += p.fault_counts[k];
-      fault_cycles_[k] += p.fault_cycles[k];
+      faults_.count[k] += p.fault_counts[k];
+      faults_.total_cycles[k] += p.fault_cycles[k];
     }
   }
   ~PerfSummary() {
@@ -278,7 +275,7 @@ class PerfSummary {
                 wall > 0 ? static_cast<double>(events_) / wall : 0.0,
                 harness::default_jobs());
     std::uint64_t faults = 0;
-    for (const std::uint64_t n : fault_counts_) {
+    for (const std::uint64_t n : faults_.count) {
       faults += n;
     }
     if (faults > 0) {
@@ -286,11 +283,11 @@ class PerfSummary {
                   static_cast<unsigned long long>(faults),
                   wall > 0 ? static_cast<double>(faults) / wall : 0.0);
       for (std::size_t k = 0; k < mm::kFaultKindCount; ++k) {
-        if (fault_counts_[k] == 0) {
+        if (faults_.count[k] == 0) {
           continue;
         }
         std::printf(" %s %s", std::string(mm::name(static_cast<mm::FaultKind>(k))).c_str(),
-                    harness::with_commas(fault_cycles_[k]).c_str());
+                    harness::with_commas(faults_.total_cycles[k]).c_str());
       }
       std::printf("\n");
     }
@@ -337,8 +334,7 @@ class PerfSummary {
 
   bool enabled_;
   std::uint64_t events_ = 0;
-  std::array<std::uint64_t, mm::kFaultKindCount> fault_counts_{};
-  std::array<std::uint64_t, mm::kFaultKindCount> fault_cycles_{};
+  mm::FaultStats faults_;
   std::chrono::steady_clock::time_point start_ = std::chrono::steady_clock::now();
 };
 
@@ -390,7 +386,7 @@ int run_hpc(const Config& cfg, std::uint32_t trials, unsigned jobs, const HpcFla
     report_verification(r, flags.injecting, flags.audit);
     report_introspection(r, flags.metrics_out, flags.procfs_dump);
     if (!flags.trace_out.empty()) {
-      dump_trace(r, flags.trace_out);
+      dump_trace(r, flags.trace_out, r.telemetry);
     }
     return r.audit_violations == 0 ? 0 : 1;
   }
@@ -504,7 +500,7 @@ int run_server_mode(const harness::ServerRunConfig& cfg, std::uint32_t trials,
   }
   report_introspection(first, metrics_out, procfs_dump);
   if (!trace_out.empty()) {
-    dump_trace(first, trace_out);
+    dump_trace(first, trace_out, first.telemetry);
   }
   if (!attr_out.empty()) {
     // Trial 0's decomposition (later trials differ only by seed); the
@@ -777,18 +773,7 @@ int main(int argc, char** argv) {
                 harness::with_commas(r.smp.zone_lock_wait).c_str(),
                 harness::with_commas(r.smp.ipi_stall).c_str());
     if (!trace_out.empty()) {
-      trace::ExportOptions eopt;
-      eopt.clock_hz = r.clock_hz;
-      eopt.t0 = r.trace_t0;
-      if (!trace::write_chrome_json(trace_out, r.events, eopt) ||
-          !trace::write_csv(trace_out + ".csv", r.events)) {
-        std::fprintf(stderr, "failed to write %s\n", trace_out.c_str());
-        return 1;
-      }
-      std::printf("trace: %zu events -> %s (+.csv); %llu overwritten in the ring\n",
-                  r.events.size(), trace_out.c_str(),
-                  static_cast<unsigned long long>(r.trace_dropped));
-      std::printf("%s", trace::metrics().report().c_str());
+      dump_trace(r, trace_out, {});
     }
     return r.audit_violations == 0 ? 0 : 1;
   }

@@ -9,8 +9,9 @@
 //   - no watermarks, no reclaim, no page cache: allocation either
 //     succeeds in O(log) or fails immediately;
 //   - nothing below 2 MiB, the smallest page HPMMAP maps: the heaps'
-//     buddies have min order 9, so they keep no 4 KiB-grain freelists
-//     and one mem_map byte per 2 MiB block;
+//     buddies have min order 9, so they keep no 4 KiB-grain freelists;
+//     nothing but their bitmaps records a free block, and they hold no
+//     mem_map;
 //   - per-zone instances mirror the offlined split across NUMA zones.
 #pragma once
 

@@ -31,13 +31,12 @@ HostBytes host_bytes(os::Node& node) {
   HostBytes h;
   mm::MemorySystem& memory = node.memory();
   for (ZoneId z = 0; z < memory.zone_count(); ++z) {
-    h.mem_map += memory.buddy(z).mem_map().host_bytes();
+    h.mem_map += memory.mem_map(z).host_bytes();
     h.buddy_bitmaps += memory.buddy(z).host_bytes();
     h.page_cache += memory.cache(z).host_bytes();
   }
   if (const core::HpmmapModule* module = node.hpmmap_module(); module != nullptr) {
     module->allocator().for_each_buddy([&](ZoneId, const mm::BuddyAllocator& buddy) {
-      h.mem_map += buddy.mem_map().host_bytes();
       h.buddy_bitmaps += buddy.host_bytes();
     });
   }

@@ -18,7 +18,7 @@ class Node;
 namespace hpmmap::harness {
 
 struct HostBytes {
-  std::uint64_t mem_map = 0;       // hw::MemMap, Linux zones and Kitten heaps
+  std::uint64_t mem_map = 0;       // hw::MemMap of each Linux zone
   std::uint64_t buddy_bitmaps = 0; // BuddyAllocator freelist bitmaps + summaries
   std::uint64_t page_tables = 0;   // PageTable node pools, every process
   std::uint64_t page_cache = 0;    // PageCache LRUs

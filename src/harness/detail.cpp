@@ -148,11 +148,7 @@ RunResult collect_jobs(const std::vector<workloads::MpiJob*>& jobs, double clock
   result.clock_hz = clock_hz;
   result.trace_t0 = job_start;
   for (const workloads::MpiJob* job : jobs) {
-    const mm::FaultStats fs = job->aggregate_faults();
-    for (std::size_t k = 0; k < mm::kFaultKindCount; ++k) {
-      result.faults.count[k] += fs.count[k];
-      result.faults.total_cycles[k] += fs.total_cycles[k];
-    }
+    result.faults.add(job->aggregate_faults());
     for (std::size_t r = 0; r < job->rank_count(); ++r) {
       result.app_pids.push_back(job->rank_process(r).pid());
     }

@@ -4,44 +4,15 @@
 
 namespace hpmmap::hw {
 
-MemMap::MemMap(Range range, unsigned min_order) : range_(range), shift_(12 + min_order) {
+MemMap::MemMap(Range range) : range_(range) {
   HPMMAP_ASSERT(!range_.empty(), "mem_map range must be non-empty");
   HPMMAP_ASSERT(is_aligned(range_.begin, kSmallPageSize) && is_aligned(range_.end, kSmallPageSize),
                 "mem_map range must be page-aligned");
-  HPMMAP_ASSERT(is_aligned(range_.size(), std::uint64_t{1} << shift_),
-                "mem_map range must be a whole number of min-order blocks");
-  HPMMAP_ASSERT(range_.size() >> shift_ <= std::uint64_t{1} << 32,
+  HPMMAP_ASSERT(range_.size() / kSmallPageSize <= std::uint64_t{1} << 32,
                 "range too large for 32-bit frame indices");
-  frames_ = range_.size() >> shift_;
+  frames_ = range_.size() / kSmallPageSize;
   sections_.resize(static_cast<std::size_t>((frames_ + kSectionEntries - 1) >> kSectionShift));
   pool_ = std::make_unique_for_overwrite<std::uint8_t[]>(sections_.size() << kSectionShift);
-}
-
-void MemMap::clear_heads(std::uint32_t first, std::uint32_t count) noexcept {
-  HPMMAP_ASSERT(first <= frames_ && count <= frames_ - first, "frame index out of range");
-  const std::uint64_t end = std::uint64_t{first} + count;
-  for (std::uint64_t idx = first; idx < end;) {
-    Section& s = sections_[static_cast<std::size_t>(idx >> kSectionShift)];
-    const std::uint64_t base = idx & ~std::uint64_t{kSectionEntries - 1};
-    const std::uint64_t stop = std::min(end, base + kSectionEntries);
-    std::uint32_t i = static_cast<std::uint32_t>(idx - base);
-    if (i == 0) {
-      s.head = 0;
-      ++i;
-    }
-    const std::uint32_t n = static_cast<std::uint32_t>(stop - base);
-    if (s.inner != nullptr && i < n) {
-      const std::uint32_t cleared = nonzero(s.inner + i, n - i);
-      if (cleared != 0) {
-        std::memset(s.inner + i, 0, n - i);
-        s.count = static_cast<std::uint16_t>(s.count - cleared);
-        if (s.count == 0) {
-          release(s);
-        }
-      }
-    }
-    idx = stop;
-  }
 }
 
 std::vector<std::uint8_t> MemMap::to_dense() const {

@@ -1,27 +1,27 @@
-// Frame-metadata map over a physical range — the moral equivalent of
+// Frame-metadata map over a Linux zone — the moral equivalent of
 // Linux's `struct page` mem_map, kept per section as SPARSEMEM does.
 //
-// Every BuddyAllocator owns one MemMap covering its range. It holds one
-// byte per block of the allocator's smallest order: per 4 KiB frame for a
-// Linux zone (min order 0), per 2 MiB block for a Kitten heap (min order
-// 9, the smallest page HPMMAP maps). Only the *head* of a tracked block is
-// marked (state in the low 3 bits, block order in the high 5; orders
-// count 4 KiB pages at any granularity); blocks are naturally aligned, so
-// the block containing an address is found by aligning down at each order
-// and probing the head — O(max_order) with no search structure.
+// Every Linux zone (mm::MemorySystem) owns one MemMap covering its range,
+// one byte per 4 KiB frame. It records the owners the zone's buddy does
+// not track: page-cache blocks, hugetlb pool pages and frames parked on
+// per-CPU pcp lists. A free buddy block is recorded only in the buddy's
+// own bitmaps, and the Kitten heaps over offlined memory hold no map.
+// Only the *head* of a tracked block is marked (state in the low 3 bits,
+// block order in the high 5); blocks are naturally aligned, so the block
+// containing an address is found by aligning down at each order and
+// probing the head — O(max_order) with no search structure.
 //
-// The entries come in sections of 1024 (4 MiB of a Linux zone, one
-// max-order block). Entry 0 of every section is a dense per-section head
-// byte, so a free max-order block costs no per-frame bytes. The other
-// 1023 entries live in a 1 KiB buffer that a section holds only while at
-// least one of them is nonzero; a per-section count of nonzero inner
-// bytes says when the last one clears, and the buffer then goes back,
-// zeroed, to the map's spare list for the next section that splits. The
-// buffers are slots of one per-map pool with room for every section,
-// reserved at construction and left untouched: slots are handed out from
-// the front, so only the most ever held at once become resident, and the
-// pool leaves the heap in one piece. Aging fills memory from the bottom,
-// so about half of a fig8 THP zone's sections never materialize
+// The entries come in sections of 1024 (4 MiB, one max-order block).
+// Entry 0 of every section is a dense per-section head byte, so a
+// section whose only head sits on its first frame costs no per-frame
+// bytes. The other 1023 entries live in a 1 KiB buffer that a section
+// holds only while at least one of them is nonzero; a per-section count
+// of nonzero inner bytes says when the last one clears, and the buffer
+// then goes back, zeroed, to the map's spare list for the next section
+// that needs one. The buffers are slots of one per-map pool with room
+// for every section, reserved at construction and left untouched: slots
+// are handed out from the front, so only the most ever held at once
+// become resident, and the pool leaves the heap in one piece
 // (DESIGN.md §9.5).
 //
 // The lists over these blocks live with their owners as plain arrays of
@@ -52,7 +52,7 @@ namespace hpmmap::hw {
 /// page tables are the source of truth for mappings.
 enum class FrameState : std::uint8_t {
   kUntracked = 0,
-  kBuddyFree = 1,
+  // 1 is unused: a free buddy block lives only in the buddy's bitmaps.
   kCacheClean = 2,
   kCacheDirty = 3,
   kHugetlbPool = 4,
@@ -72,23 +72,21 @@ class MemMap {
   static constexpr unsigned kSectionShift = 10;
   static constexpr std::uint32_t kSectionEntries = 1u << kSectionShift;
 
-  /// One meta byte per (4 KiB << min_order) block of `range`.
-  explicit MemMap(Range range, unsigned min_order = 0);
+  /// One meta byte per 4 KiB frame of `range`.
+  explicit MemMap(Range range);
 
   [[nodiscard]] Range range() const noexcept { return range_; }
-  /// Meta entries: one per min-order block (per 4 KiB frame at order 0).
   [[nodiscard]] std::uint64_t frame_count() const noexcept { return frames_; }
-  [[nodiscard]] unsigned min_order() const noexcept { return shift_ - 12; }
   [[nodiscard]] bool contains(Addr addr) const noexcept { return range_.contains(addr); }
 
-  /// Index of the min-order block containing `addr`.
+  /// Index of the frame containing `addr`.
   [[nodiscard]] std::uint32_t index_of(Addr addr) const noexcept {
     HPMMAP_ASSERT(range_.contains(addr), "address outside mem_map");
-    return static_cast<std::uint32_t>((addr - range_.begin) >> shift_);
+    return static_cast<std::uint32_t>((addr - range_.begin) / kSmallPageSize);
   }
   [[nodiscard]] Addr addr_of(std::uint32_t idx) const noexcept {
     HPMMAP_ASSERT(idx < frames_, "frame index out of range");
-    return range_.begin + (static_cast<Addr>(idx) << shift_);
+    return range_.begin + static_cast<Addr>(idx) * kSmallPageSize;
   }
 
   [[nodiscard]] FrameState state(std::uint32_t idx) const noexcept {
@@ -102,8 +100,6 @@ class MemMap {
     write(idx, static_cast<std::uint8_t>(static_cast<unsigned>(st) | (order << 3)));
   }
   void clear_head(std::uint32_t idx) noexcept { write(idx, 0); }
-  /// clear_head() on each of the `count` entries from `first`.
-  void clear_heads(std::uint32_t first, std::uint32_t count) noexcept;
 
   /// The tracked block containing `addr` whose state is selected by
   /// `states` (OR of state_mask), as (block base, order). O(max_order)
@@ -116,15 +112,15 @@ class MemMap {
     if (!range_.contains(addr)) {
       return std::nullopt;
     }
-    const std::uint64_t idx = (addr - range_.begin) >> shift_;
+    const std::uint64_t idx = (addr - range_.begin) / kSmallPageSize;
     const std::uint8_t* inner = sections_[static_cast<std::size_t>(idx >> kSectionShift)].inner;
-    for (unsigned o = min_order(); o <= max_order; ++o) {
-      const std::uint64_t base = idx & ~((std::uint64_t{1} << (o - min_order())) - 1);
+    for (unsigned o = 0; o <= max_order; ++o) {
+      const std::uint64_t base = idx & ~((std::uint64_t{1} << o) - 1);
       const std::uint64_t i = base & (kSectionEntries - 1);
       const std::uint8_t m = i != 0 ? (inner != nullptr ? inner[i] : 0)
                                     : sections_[static_cast<std::size_t>(base >> kSectionShift)].head;
       if ((states & static_cast<std::uint8_t>(1u << (m & 0x7u))) != 0 && (m >> 3) == o) {
-        return std::make_pair(range_.begin + (base << shift_), o);
+        return std::make_pair(range_.begin + base * kSmallPageSize, o);
       }
     }
     return std::nullopt;
@@ -257,7 +253,6 @@ class MemMap {
   void release(Section& s) noexcept;
 
   Range range_;
-  unsigned shift_; // log2 of the bytes one meta byte covers
   std::uint64_t frames_ = 0;
   std::vector<Section> sections_;
   /// The buffers: one allocation with a 1 KiB slot per section, never

@@ -84,7 +84,8 @@ std::string render_vmstat(const Vmstat& s) {
 }
 
 std::string render_pagetypeinfo(const std::vector<PagetypeinfoZone>& zones) {
-  // Owner states in mem_map meta order; kUntracked heads never exist.
+  // Rows in FrameState order, with the buddy's free blocks in the unused
+  // value 1; kUntracked heads never exist.
   static constexpr const char* kStateName[] = {
       "untracked", "buddy-free", "cache-clean", "cache-dirty", "hugetlb-pool", "pcp-cache"};
   std::string out;

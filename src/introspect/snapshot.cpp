@@ -144,8 +144,10 @@ void capture_vmstat(os::Node& node, Vmstat& out) {
 void capture_pagetypeinfo(os::Node& node, std::vector<PagetypeinfoZone>& out) {
   mm::MemorySystem& mem = node.memory();
   out.resize(mem.zone_count());
-  // kUntracked..kPcpCache — index by the FrameState value directly.
+  // kUntracked..kPcpCache — index by the FrameState value directly; the
+  // unused value 1 is the buddy-free row.
   constexpr std::size_t kStateCount = 6;
+  constexpr std::size_t kBuddyFreeRow = 1;
   for (ZoneId z = 0; z < mem.zone_count(); ++z) {
     const mm::BuddyAllocator& buddy = mem.buddy(z);
     PagetypeinfoZone& row = out[z];
@@ -154,7 +156,11 @@ void capture_pagetypeinfo(os::Node& node, std::vector<PagetypeinfoZone>& out) {
     for (auto& per_order : row.counts) {
       per_order.assign(buddy.max_order() + 1, 0);
     }
-    buddy.mem_map().for_each_head([&](Addr, hw::FrameState st, unsigned order) {
+    // The buddy-free row counts the bitmaps' free blocks; the owner rows
+    // count the zone mem_map's heads.
+    buddy.for_each_free_block(
+        [&](Addr, unsigned order) { ++row.counts[kBuddyFreeRow][order]; });
+    mem.mem_map(z).for_each_head([&](Addr, hw::FrameState st, unsigned order) {
       const auto s = static_cast<std::size_t>(st);
       if (s < kStateCount && order < row.counts[s].size()) {
         ++row.counts[s][order];

@@ -72,12 +72,14 @@ struct Vmstat {
   std::uint64_t allocstall = 0;         // direct-reclaim entries
 };
 
-/// One /proc/pagetypeinfo row: per-zone counts of tracked block heads
-/// by (FrameState, order), from the mem_map ownership array.
+/// One /proc/pagetypeinfo row: per-zone counts of block heads by owner
+/// state and order: free blocks from the buddy's bitmaps, the other
+/// owners from the zone's mem_map.
 struct PagetypeinfoZone {
   ZoneId zone = 0;
-  /// counts[state][order]; state indexed by hw::FrameState (kBuddyFree,
-  /// kCacheClean, kCacheDirty, kHugetlbPool, kPcpCache), order 0..max_order.
+  /// counts[state][order]; state indexed by hw::FrameState (kCacheClean,
+  /// kCacheDirty, kHugetlbPool, kPcpCache), with the unused value 1 for
+  /// buddy-free blocks; order 0..max_order.
   std::vector<std::vector<std::uint64_t>> counts;
 };
 

@@ -8,15 +8,14 @@
 namespace hpmmap::mm {
 
 BuddyAllocator::BuddyAllocator(Range phys_range, unsigned max_order, unsigned min_order)
-    : range_(phys_range),
-      max_order_(max_order),
-      min_order_(min_order),
-      map_(phys_range, min_order) {
+    : range_(phys_range), max_order_(max_order), min_order_(min_order) {
   HPMMAP_ASSERT(!range_.empty(), "buddy range must be non-empty");
   HPMMAP_ASSERT(is_aligned(range_.begin, kSmallPageSize) && is_aligned(range_.end, kSmallPageSize),
                 "buddy range must be page-aligned");
   HPMMAP_ASSERT(max_order_ < 32, "implausible max order");
   HPMMAP_ASSERT(min_order_ <= max_order_, "min order above max order");
+  HPMMAP_ASSERT(is_aligned(range_.size(), order_bytes(min_order_)),
+                "buddy range must be a whole number of min-order blocks");
   lists_.resize(max_order_ + 1);
   for (unsigned o = min_order_; o <= max_order_; ++o) {
     const std::uint64_t blocks = (range_.size() + order_bytes(o) - 1) / order_bytes(o);
@@ -62,7 +61,6 @@ void BuddyAllocator::insert_block(unsigned order, Addr addr) {
   list.summary[w >> 6] |= std::uint64_t{1} << (w & 63);
   ++list.count;
   list.scan_hint = std::min(list.scan_hint, w >> 6);
-  map_.set_head(map_.index_of(addr), hw::FrameState::kBuddyFree, order);
 }
 
 void BuddyAllocator::remove_block(unsigned order, Addr addr) {
@@ -74,7 +72,6 @@ void BuddyAllocator::remove_block(unsigned order, Addr addr) {
     list.summary[w >> 6] &= ~(std::uint64_t{1} << (w & 63));
   }
   --list.count;
-  map_.clear_head(map_.index_of(addr));
 }
 
 std::optional<std::uint64_t> BuddyAllocator::first_block(unsigned order) {
@@ -346,11 +343,6 @@ bool BuddyAllocator::check_consistency() const {
     }
     blocks.push_back(Range{a, a + order_bytes(o)});
     bytes += order_bytes(o);
-    // The mem_map must agree that this frame heads a free block.
-    const std::uint32_t frame = map_.index_of(a);
-    if (map_.state(frame) != hw::FrameState::kBuddyFree || map_.order(frame) != o) {
-      ok = false;
-    }
   });
   if (!ok || bytes != free_bytes_) {
     return false;
@@ -395,9 +387,6 @@ BuddyAllocator::FrameRun BuddyAllocator::alloc_frames(std::uint64_t max_frames) 
   const std::uint64_t pages = std::uint64_t{1} << k;
   const std::uint64_t m = std::min(max_frames, pages);
   const FrameRun run{block, k, m};
-  // Frames 1..m-1 were each inserted by an earlier frame's split and
-  // popped in turn: their heads end cleared.
-  map_.clear_heads(map_.index_of(block) + 1, static_cast<std::uint32_t>(m - 1));
   // What alloc(0) leaves of the block: the maximal aligned pieces of
   // [m, pages), one per order, each inserted by the split that made it.
   for (std::uint64_t p = m; p < pages; p += p & (~p + 1)) {

@@ -9,10 +9,10 @@
 // Order 0 is one 4 KiB frame. kMaxOrder covers 4 KiB << kMaxOrder; Linux
 // uses 11 (4 MiB); the Kitten instance uses a larger maximum so whole
 // 128 MiB+ offlined blocks stay coalesced. An instance may also have a
-// floor, `min_order`: it hands out no block below it, keeps no freelist
-// bitmaps below it, and its mem_map holds one byte per min-order block.
-// Orders stay in 4 KiB units either way. The Kitten instance's floor is
-// order 9 (2 MiB), the smallest page HPMMAP maps; Linux zones have none.
+// floor, `min_order`: it hands out no block below it and keeps no
+// freelist bitmaps below it. Orders stay in 4 KiB units either way. The
+// Kitten instance's floor is order 9 (2 MiB), the smallest page HPMMAP
+// maps; Linux zones have none.
 //
 // The freelists are per-order bitmaps (bit i = block i of that order is
 // free) with a one-level summary (bit j = word j is non-zero), not node
@@ -20,10 +20,11 @@
 // heap traffic, find-first-set pops are address-ordered by construction
 // (the determinism contract: the allocator always returns the
 // lowest-addressed free block of an order), and the buddy-of test that
-// drives coalescing is a single bit probe instead of a set lookup. Head
-// frames are mirrored into the owning hw::MemMap so the auditor — and
-// the page cache and compaction, which share the map — can resolve
-// frame ownership without consulting this class's internals.
+// drives coalescing is a single bit probe instead of a set lookup. The
+// bitmaps are the only record of a free block: free_block_containing()
+// resolves any address by one bit probe per order, and the owners of
+// allocated blocks (page cache, hugetlb pool, pcp lists) mark them in
+// their zone's hw::MemMap, which this class never touches.
 #pragma once
 
 #include <bit>
@@ -36,7 +37,6 @@
 #include "common/host_bytes.hpp"
 #include "common/types.hpp"
 #include "common/units.hpp"
-#include "hw/mem_map.hpp"
 
 namespace hpmmap::snapshot {
 struct Access;
@@ -92,8 +92,8 @@ class BuddyAllocator {
 
   /// Up to `max_frames` order-0 frames from the block alloc(0) would
   /// split next, popped once: the frames, their split steps, the
-  /// bitmaps, the mem_map heads, free_bytes(), stats() and every list's
-  /// scan hint end up exactly as after `frames` calls to alloc(0).
+  /// bitmaps, free_bytes(), stats() and every list's scan hint end up
+  /// exactly as after `frames` calls to alloc(0).
   /// Returns no frames (and, unlike alloc(), records no failure) when
   /// nothing is free. Emits no trace events: callers with the buddy
   /// category on use alloc(0), which reports each split. Order-0
@@ -116,7 +116,7 @@ class BuddyAllocator {
   [[nodiscard]] bool take_free_block(Addr addr, unsigned order);
 
   /// True if the exact block (addr, order) is on the freelist — a single
-  /// bit probe; the auditor's inverse check against mem_map ownership.
+  /// bit probe.
   [[nodiscard]] bool is_free_block(Addr addr, unsigned order) const;
 
   [[nodiscard]] std::uint64_t free_bytes() const noexcept { return free_bytes_; }
@@ -138,14 +138,7 @@ class BuddyAllocator {
   [[nodiscard]] unsigned min_order() const noexcept { return min_order_; }
   [[nodiscard]] Range range() const noexcept { return range_; }
 
-  /// The frame-metadata array for this range. The page cache and hugetlb
-  /// pool thread their intrusive state through it; the auditor
-  /// cross-checks it against the freelists.
-  [[nodiscard]] hw::MemMap& mem_map() noexcept { return map_; }
-  [[nodiscard]] const hw::MemMap& mem_map() const noexcept { return map_; }
-
-  /// Heap bytes of the freelist bitmaps and their summaries (the mem_map
-  /// reports its own).
+  /// Heap bytes of the freelist bitmaps and their summaries.
   [[nodiscard]] std::uint64_t host_bytes() const noexcept {
     std::uint64_t n = host_bytes_of(lists_);
     for (const OrderList& list : lists_) {
@@ -160,7 +153,7 @@ class BuddyAllocator {
   [[nodiscard]] static unsigned order_for_bytes(std::uint64_t size) noexcept;
 
   /// Exhaustive invariant check (free blocks disjoint, aligned, inside
-  /// the range; accounting consistent; bitmap/summary/mem_map coherent).
+  /// the range; accounting consistent; bitmap and summary coherent).
   /// For tests; O(free blocks + bitmap words).
   [[nodiscard]] bool check_consistency() const;
 
@@ -226,7 +219,6 @@ class BuddyAllocator {
   unsigned min_order_;
   std::uint64_t free_bytes_ = 0;
   std::vector<OrderList> lists_;
-  hw::MemMap map_;
   /// corrupt_insert_free_block() entries the bitmap cannot represent
   /// (out of range / misaligned): kept aside so the auditor's
   /// enumeration still sees them. Always empty outside corruption tests.

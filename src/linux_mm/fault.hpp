@@ -71,6 +71,13 @@ struct FaultStats {
     ++count[i];
     total_cycles[i] += cost;
   }
+  /// Add another set of counters, kind by kind.
+  void add(const FaultStats& o) noexcept {
+    for (std::size_t k = 0; k < kFaultKindCount; ++k) {
+      count[k] += o.count[k];
+      total_cycles[k] += o.total_cycles[k];
+    }
+  }
 };
 
 /// Walked as its raw bytes: the probe behind the default field list

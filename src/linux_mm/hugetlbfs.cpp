@@ -9,7 +9,7 @@
 namespace hpmmap::mm {
 
 void HugetlbPool::push(ZoneId zone, Addr addr) {
-  hw::MemMap& m = memory_.buddy(zone).mem_map();
+  hw::MemMap& m = memory_.mem_map(zone);
   HPMMAP_ASSERT(m.contains(addr), "pooled page outside its zone");
   const std::uint32_t idx = m.index_of(addr);
   // No state assertion here: the auditor, not this push, is responsible
@@ -49,7 +49,7 @@ HugetlbPool::~HugetlbPool() {
   // Return whatever is still pooled; outstanding pages die with the
   // simulated machine.
   for (ZoneId z = 0; z < state_.pool.size(); ++z) {
-    hw::MemMap& m = memory_.buddy(z).mem_map();
+    hw::MemMap& m = memory_.mem_map(z);
     std::vector<std::uint32_t>& stack = state_.pool[z].stack;
     while (!stack.empty()) {
       const std::uint32_t idx = stack.back();
@@ -82,7 +82,7 @@ std::optional<std::pair<Addr, ZoneId>> HugetlbPool::alloc_page(ZoneId zone) {
     if (stack.empty()) {
       continue;
     }
-    hw::MemMap& m = memory_.buddy(z).mem_map();
+    hw::MemMap& m = memory_.mem_map(z);
     const std::uint32_t idx = stack.back();
     stack.pop_back();
     const Addr addr = m.addr_of(idx);

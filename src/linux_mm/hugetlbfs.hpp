@@ -59,7 +59,7 @@ class HugetlbPool {
   template <typename Fn>
   void for_each_pool_page(ZoneId zone, Fn&& fn) const {
     HPMMAP_ASSERT(zone < state_.pool.size(), "zone out of range");
-    const hw::MemMap& m = memory_.buddy(zone).mem_map();
+    const hw::MemMap& m = memory_.mem_map(zone);
     const std::vector<std::uint32_t>& stack = state_.pool[zone].stack;
     for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
       fn(m.addr_of(*it));

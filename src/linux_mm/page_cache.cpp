@@ -10,26 +10,24 @@ namespace hpmmap::mm {
 using hw::FrameState;
 using hw::MemMap;
 
-PageCache::PageCache(BuddyAllocator& buddy, double dirty_fraction)
-    : buddy_(buddy), state_{.dirty_fraction = dirty_fraction} {}
+PageCache::PageCache(BuddyAllocator& buddy, MemMap& map, double dirty_fraction)
+    : buddy_(buddy), map_(map), state_{.dirty_fraction = dirty_fraction} {}
 
 void PageCache::push_back_block(Addr addr, unsigned order, bool dirty) {
-  MemMap& m = buddy_.mem_map();
-  const std::uint32_t idx = m.index_of(addr);
-  HPMMAP_ASSERT(m.state(idx) == FrameState::kUntracked, "block already cached");
-  m.set_head(idx, dirty ? FrameState::kCacheDirty : FrameState::kCacheClean, order);
+  const std::uint32_t idx = map_.index_of(addr);
+  HPMMAP_ASSERT(map_.state(idx) == FrameState::kUntracked, "block already cached");
+  map_.set_head(idx, dirty ? FrameState::kCacheDirty : FrameState::kCacheClean, order);
   lru_.push_back(idx);
   state_.cached_bytes += BuddyAllocator::order_bytes(order);
 }
 
 std::pair<std::uint64_t, bool> PageCache::pop_front_block() {
-  MemMap& m = buddy_.mem_map();
   const std::uint32_t idx = lru_.front();
   lru_.pop_front();
-  const unsigned order = m.order(idx);
-  const bool dirty = m.state(idx) == FrameState::kCacheDirty;
-  m.clear_head(idx);
-  buddy_.free(m.addr_of(idx), order);
+  const unsigned order = map_.order(idx);
+  const bool dirty = map_.state(idx) == FrameState::kCacheDirty;
+  map_.clear_head(idx);
+  buddy_.free(map_.addr_of(idx), order);
   const std::uint64_t block_bytes = BuddyAllocator::order_bytes(order);
   state_.cached_bytes -= block_bytes;
   return {block_bytes, dirty};
@@ -85,23 +83,22 @@ void PageCache::clear() {
 }
 
 void PageCache::relocate(std::span<const Move> moves) {
-  MemMap& m = buddy_.mem_map();
   using Moved = std::pair<std::uint32_t, std::uint32_t>; // (old head, new head)
   std::vector<Moved> moved;
   moved.reserve(moves.size());
   for (const Move& mv : moves) {
-    const std::uint32_t io = m.index_of(mv.from);
-    const FrameState st = m.state(io);
+    const std::uint32_t io = map_.index_of(mv.from);
+    const FrameState st = map_.state(io);
     HPMMAP_ASSERT(st == FrameState::kCacheClean || st == FrameState::kCacheDirty,
                   "relocate of a block the cache does not own");
-    const std::uint32_t in = m.index_of(mv.to);
+    const std::uint32_t in = map_.index_of(mv.to);
     // The target is normally a freshly-allocated (untracked) block, but
     // only another cache block is an outright error: compaction tests
     // relocate onto raw free space without reserving it first.
-    HPMMAP_ASSERT(m.state(in) != FrameState::kCacheClean && m.state(in) != FrameState::kCacheDirty,
+    HPMMAP_ASSERT((hw::state_mask(map_.state(in)) & hw::kCacheStates) == 0,
                   "relocate target already cached");
-    m.set_head(in, st, m.order(io));
-    m.clear_head(io);
+    map_.set_head(in, st, map_.order(io));
+    map_.clear_head(io);
     moved.emplace_back(io, in);
   }
   // One LRU walk rewrites each moved head in place, keeping its position.

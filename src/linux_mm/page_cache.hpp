@@ -13,7 +13,7 @@
 //
 // There is no per-block heap state: the LRU is a FIFO of head-frame
 // indices (pushed at the back, reclaimed from the front), dirtiness and
-// order live in the per-frame meta byte of the buddy's hw::MemMap
+// order live in the per-frame meta byte of the zone's hw::MemMap
 // (kCacheClean/kCacheDirty heads), and block_containing() is an
 // O(orders) align-down probe of that meta instead of an ordered-map
 // search — grow and shrink stay O(1) per block.
@@ -38,9 +38,11 @@ namespace hpmmap::mm {
 
 class PageCache {
  public:
-  /// `dirty_fraction`: probability a cached block needs writeback before
-  /// it can be reclaimed (compiler temp output vs read-only source).
-  explicit PageCache(BuddyAllocator& buddy, double dirty_fraction = 0.3);
+  /// `map`: the zone's mem_map over the buddy's range, where the cache
+  /// marks its block heads. `dirty_fraction`: probability a cached block
+  /// needs writeback before it can be reclaimed (compiler temp output vs
+  /// read-only source).
+  PageCache(BuddyAllocator& buddy, hw::MemMap& map, double dirty_fraction = 0.3);
 
   /// Read `bytes` of file data into the cache: allocates order-`order`
   /// blocks from the buddy until satisfied or free memory reaches the
@@ -55,7 +57,9 @@ class PageCache {
 
   /// Adopt an already-allocated buddy block into the cache (a process
   /// exits but its file data stays cached). The block must have come
-  /// from this cache's buddy and must not be freed by the caller.
+  /// from this cache's buddy and must not be freed by the caller. A
+  /// block that is still free in the buddy is not caught here: the
+  /// auditor's frame sweep reports it as `frame.double_owner`.
   void adopt(Addr addr, unsigned order, bool dirty);
 
   /// Drop cached blocks until `bytes` have been freed back to the buddy
@@ -72,7 +76,7 @@ class PageCache {
 
   /// The cache block containing `addr`, if any, as (block base, order).
   [[nodiscard]] std::optional<std::pair<Addr, unsigned>> block_containing(Addr addr) const {
-    return buddy_.mem_map().block_containing(addr, hw::kCacheStates, buddy_.max_order());
+    return map_.block_containing(addr, hw::kCacheStates, buddy_.max_order());
   }
 
   /// Compaction support: each block at `from` now lives at `to`. LRU
@@ -89,7 +93,7 @@ class PageCache {
   /// O(frames) meta scan — audits, not the hot path.
   template <typename Fn>
   void for_each_block(Fn&& fn) const {
-    buddy_.mem_map().for_each_head([&](Addr a, hw::FrameState st, unsigned o) {
+    map_.for_each_head([&](Addr a, hw::FrameState st, unsigned o) {
       if (st == hw::FrameState::kCacheClean || st == hw::FrameState::kCacheDirty) {
         fn(a, o, st == hw::FrameState::kCacheDirty);
       }
@@ -100,9 +104,8 @@ class PageCache {
   /// auditor's walk.
   template <typename Fn>
   void for_each_lru(Fn&& fn) const {
-    const hw::MemMap& m = buddy_.mem_map();
     for (const std::uint32_t idx : lru_) {
-      fn(m.addr_of(idx), m.order(idx), m.state(idx) == hw::FrameState::kCacheDirty);
+      fn(map_.addr_of(idx), map_.order(idx), map_.state(idx) == hw::FrameState::kCacheDirty);
     }
   }
 
@@ -131,6 +134,7 @@ class PageCache {
   std::pair<std::uint64_t, bool> pop_front_block();
 
   BuddyAllocator& buddy_;
+  hw::MemMap& map_;
   std::deque<std::uint32_t> lru_; // head-frame indices, oldest (reclaimed first) at the front
   State state_;
 };

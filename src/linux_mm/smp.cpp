@@ -116,7 +116,7 @@ SmallAlloc SmpDomain::alloc_small(MemorySystem& mem, ZoneId zone, std::int32_t c
     if (!list.frames.empty()) {
       out.addr = list.frames.back();
       list.frames.pop_back();
-      hw::MemMap& map = mem.buddy(zone).mem_map();
+      hw::MemMap& map = mem.mem_map(zone);
       map.clear_head(map.index_of(out.addr));
       out.ok = true;
       out.from_pcp = true;
@@ -127,7 +127,7 @@ SmallAlloc SmpDomain::alloc_small(MemorySystem& mem, ZoneId zone, std::int32_t c
     // Miss: refill a batch from the buddy under one zone-lock acquire.
     ++stats_.pcp_misses;
     BuddyAllocator& buddy = mem.buddy(zone);
-    hw::MemMap& map = buddy.mem_map();
+    hw::MemMap& map = mem.mem_map(zone);
     Cycles hold = costs_.smp_lock_acquire;
     std::uint32_t got = 0;
     for (std::uint32_t i = 0; i < config_.pcp_batch; ++i) {
@@ -182,7 +182,7 @@ LockedOp SmpDomain::free_small(MemorySystem& mem, ZoneId zone, std::int32_t core
   const std::uint32_t cpu =
       core >= 0 ? static_cast<std::uint32_t>(core) % config_.cores : 0;
   PcpList& list = pcp_[pcp_index(cpu, zone)];
-  hw::MemMap& map = mem.buddy(zone).mem_map();
+  hw::MemMap& map = mem.mem_map(zone);
   map.set_head(map.index_of(addr), hw::FrameState::kPcpCache, 0);
   list.frames.push_back(addr);
   LockedOp op;
@@ -212,7 +212,7 @@ LockedOp SmpDomain::drain_list(MemorySystem& mem, ZoneId zone, PcpList& list, Cy
     return {};
   }
   ++stats_.pcp_drains;
-  hw::MemMap& map = mem.buddy(zone).mem_map();
+  hw::MemMap& map = mem.mem_map(zone);
   Cycles hold = costs_.smp_lock_acquire;
   const std::size_t spill = list.frames.size() - down_to;
   // Coldest frames (front of the LIFO) go back to the buddy.

@@ -92,7 +92,6 @@ struct BuddyImage {
   std::uint32_t max_order = 0;
   std::uint64_t free_bytes = 0;
   std::vector<mm::BuddyAllocator::OrderList> lists;
-  MemMapImage map;
   std::vector<CorruptBlockImage> corrupt_blocks;
   mm::BuddyStats stats{};
 };
@@ -104,6 +103,7 @@ struct CacheImage {
 
 struct ZoneImage {
   BuddyImage buddy;
+  MemMapImage map;
   CacheImage cache;
   std::uint64_t online_bytes = 0;
   Addr compact_cursor = 0;

@@ -45,8 +45,9 @@ constexpr std::uint32_t kMagic = 0x4e535048; // "HPSN"
 // anon LRU is stored as (pid, first, pages) runs, and a Kitten heap's
 // mem_map holds one meta byte per 2 MiB block. v7: no fingerprint and no
 // event list; each owner's image holds its pending events and a node its
-// clock.
-constexpr std::uint32_t kVersion = 7;
+// clock. v8: the mem_map is the Linux zone's, stored after the zone's
+// buddy and holding no free-block heads; a Kitten heap stores no map.
+constexpr std::uint32_t kVersion = 8;
 
 /// Loaded trace strings live until process exit; std::set node stability
 /// keeps every handed-out c_str() valid as the pool grows.

@@ -261,7 +261,7 @@ struct Access {
       };
     }
 
-    /// The image holds the dense v7 meta bytes: capture densifies the
+    /// The image holds the dense meta bytes: capture densifies the
     /// sections, restore materializes only those with a nonzero inner byte.
     void transfer(Img<D, MemMapImage>& img, Live<D, hw::MemMap>& m) const {
       d.same(img.range, m.range(), "snapshot: mem_map range mismatch");
@@ -282,7 +282,6 @@ struct Access {
         d.same(li.summary.size(), l.summary.size(), "snapshot: buddy summary length mismatch");
         d(li, l);
       });
-      transfer(img.map, b.map_);
       d.each(img.corrupt_blocks, b.corrupt_blocks_, [&](auto& ci, auto& c) {
         d(ci.addr, c.first);
         d(ci.order, c.second);
@@ -294,6 +293,7 @@ struct Access {
       d(img.rng, ms.rng_);
       d.fixed(img.zones, ms.zones_, "snapshot: zone count mismatch", [&](auto& zi, auto& z) {
         transfer(zi.buddy, z.buddy);
+        transfer(zi.map, z.map);
         d(zi.cache.lru, z.cache.lru_);
         d(zi.cache.state, z.cache.state_);
         d(zi.online_bytes, z.online_bytes);

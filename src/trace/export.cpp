@@ -118,17 +118,6 @@ std::string chrome_json(const std::vector<Event>& events, const ExportOptions& o
   return out;
 }
 
-bool write_chrome_json(const std::string& path, const std::vector<Event>& events,
-                       const ExportOptions& opts) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) {
-    return false;
-  }
-  const std::string body = chrome_json(events, opts);
-  f.write(body.data(), static_cast<std::streamsize>(body.size()));
-  return f.good();
-}
-
 namespace {
 
 constexpr std::string_view kCsvHeader = "ts_cycles,dur_cycles,phase,category,name,pid,core,args\n";

@@ -33,10 +33,6 @@ struct ExportOptions {
 [[nodiscard]] std::string chrome_json(const std::vector<Event>& events,
                                       const ExportOptions& opts = {});
 
-/// Write chrome_json() to a file; returns false on I/O failure.
-bool write_chrome_json(const std::string& path, const std::vector<Event>& events,
-                       const ExportOptions& opts = {});
-
 /// CSV with header `ts_cycles,dur_cycles,phase,category,name,pid,core,args`.
 /// Args serialize as `name:u=123|name:f=1.5|name:s=text`. A nonzero
 /// causal span rides as a trailing `span:u=N` arg token (absent when

@@ -8,8 +8,7 @@
 // static_key idiom:
 //
 //   - call sites are guarded by `trace::on(Category)`, one relaxed load
-//     and a predictable branch when tracing is off (plus a compile-time
-//     kill switch, HPMMAP_TRACE_OFF, that folds every site to nothing);
+//     and a predictable branch when tracing is off;
 //   - enabled events land in a bounded ring buffer (flight recorder):
 //     overwrite-oldest with a drop counter, never unbounded growth;
 //   - timestamps are virtual cycles read through a clock hook the
@@ -203,12 +202,7 @@ extern thread_local bool g_spans_enabled;
 /// construction in `if (trace::on(cat))` so disabled tracepoints cost a
 /// predictable not-taken branch.
 [[nodiscard]] inline bool on(Category c) noexcept {
-#ifdef HPMMAP_TRACE_OFF
-  (void)c;
-  return false;
-#else
   return (detail::g_enabled_mask & static_cast<std::uint32_t>(c)) != 0;
-#endif
 }
 
 /// Enable exactly the categories in `mask` (0 disables everything).

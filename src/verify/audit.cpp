@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "core/module.hpp"
+#include "hw/mem_map.hpp"
 #include "hw/phys_mem.hpp"
 #include "linux_mm/address_space.hpp"
 #include "linux_mm/buddy_allocator.hpp"
@@ -54,7 +55,6 @@ std::string AuditReport::summary() const {
 void audit_buddy(const mm::BuddyAllocator& buddy, std::string_view label, AuditReport& report) {
   const std::string who{label};
   const Range range = buddy.range();
-  const hw::MemMap& map = buddy.mem_map();
   struct Block {
     Addr addr;
     unsigned order;
@@ -73,19 +73,6 @@ void audit_buddy(const mm::BuddyAllocator& buddy, std::string_view label, AuditR
     if (!is_aligned(a - range.begin, size)) {
       report.add("buddy.misaligned",
                  who + ": free block " + hex(a) + " misaligned for order " + num(o));
-    }
-    // The mem_map must mark this frame as the head of a free block of
-    // exactly this order (freelist -> mem_map direction).
-    if (range.contains(a)) {
-      const std::uint32_t frame = map.index_of(a);
-      ++report.checks;
-      if (map.state(frame) != hw::FrameState::kBuddyFree || map.order(frame) != o) {
-        report.add("buddy.memmap_state",
-                   who + ": free block " + hex(a) + " order " + num(o) +
-                       " has mem_map state " +
-                       num(static_cast<std::uint64_t>(map.state(frame))) + " order " +
-                       num(map.order(frame)));
-      }
     }
     // Uncoalesced pair: this block's buddy is free at the same order, so
     // free() should have merged them. Report each pair once (a < buddy).
@@ -119,20 +106,10 @@ void audit_buddy(const mm::BuddyAllocator& buddy, std::string_view label, AuditR
                      " overlaps " + hex(cur.addr) + " order " + num(cur.order));
     }
   }
-  // mem_map -> freelist direction: every kBuddyFree head must be an
-  // actual freelist entry (an orphan means a stale or forged mem_map
-  // annotation).
-  map.for_each_head([&](Addr a, hw::FrameState st, unsigned o) {
-    if (st != hw::FrameState::kBuddyFree) {
-      return;
-    }
-    ++report.checks;
-    if (!buddy.is_free_block(a, o)) {
-      report.add("buddy.memmap_orphan",
-                 who + ": mem_map marks " + hex(a) + " order " + num(o) +
-                     " buddy-free but the freelist bitmap disagrees");
-    }
-  });
+}
+
+void audit_mem_map(const hw::MemMap& map, std::string_view label, AuditReport& report) {
+  const std::string who{label};
   // Section residency: a section keeps its inner buffer exactly while its
   // count of nonzero inner entries is positive, so the count must be that
   // number and never zero (a stale count leaks or drops the buffer).
@@ -147,10 +124,9 @@ void audit_buddy(const mm::BuddyAllocator& buddy, std::string_view label, AuditR
   });
 }
 
-void audit_page_cache(const mm::BuddyAllocator& buddy, const mm::PageCache& cache,
-                      std::string_view label, AuditReport& report) {
+void audit_page_cache(const hw::MemMap& map, const mm::PageCache& cache, std::string_view label,
+                      AuditReport& report) {
   const std::string who{label};
-  const hw::MemMap& map = buddy.mem_map();
   std::vector<Addr> walked;
   walked.reserve(cache.block_count());
   std::uint64_t bytes = 0;
@@ -233,7 +209,8 @@ void MmAuditor::audit_buddies(AuditReport& report) {
 void MmAuditor::audit_caches(AuditReport& report) {
   mm::MemorySystem& memory = node_.memory();
   for (ZoneId z = 0; z < memory.zone_count(); ++z) {
-    audit_page_cache(memory.buddy(z), memory.cache(z), "zone " + num(z), report);
+    audit_mem_map(memory.mem_map(z), "zone " + num(z), report);
+    audit_page_cache(memory.mem_map(z), memory.cache(z), "zone " + num(z), report);
   }
 }
 
@@ -438,7 +415,7 @@ void MmAuditor::audit_hugetlb(AuditReport& report) {
     free += pool->free_pages(z);
     // The intrusive stack must walk to exactly the counted pages, each
     // marked kHugetlbPool in its zone's mem_map.
-    const hw::MemMap& map = memory.buddy(z).mem_map();
+    const hw::MemMap& map = memory.mem_map(z);
     std::uint64_t walked = 0;
     pool->for_each_pool_page(z, [&](Addr a) {
       ++walked;
@@ -507,13 +484,12 @@ void MmAuditor::audit_pcp(AuditReport& report) {
       return;
     }
     ++listed[z];
-    const mm::BuddyAllocator& buddy = memory.buddy(z);
+    const hw::MemMap& map = memory.mem_map(z);
     ++report.checks;
-    if (!buddy.range().contains(a)) {
+    if (!map.contains(a)) {
       report.add("pcp.out_of_range",
                  "cpu " + num(cpu) + ": cached frame " + hex(a) + " outside zone " + num(z));
     } else {
-      const hw::MemMap& map = buddy.mem_map();
       const std::uint32_t frame = map.index_of(a);
       ++report.checks;
       if (map.state(frame) != hw::FrameState::kPcpCache || map.order(frame) != 0) {
@@ -537,7 +513,7 @@ void MmAuditor::audit_pcp(AuditReport& report) {
   // carry (an orphan mark hides a frame from every allocator forever; a
   // count drift means a mark was lost or a frame double-listed).
   for (ZoneId z = 0; z < memory.zone_count(); ++z) {
-    const hw::MemMap& map = memory.buddy(z).mem_map();
+    const hw::MemMap& map = memory.mem_map(z);
     std::uint64_t heads = 0;
     map.for_each_head([&](Addr a, hw::FrameState st, unsigned o) {
       if (st != hw::FrameState::kPcpCache) {

@@ -8,13 +8,14 @@
 //
 //   buddy      free blocks in-range, aligned, non-overlapping, no
 //              duplicates; every mergeable buddy pair coalesced;
-//              accounted free_bytes equals the sum over the freelists;
-//              freelist and mem_map agree in both directions (every
-//              free block heads a kBuddyFree mem_map entry, every
-//              kBuddyFree entry is on the freelist bitmap)
+//              accounted free_bytes equals the sum over the freelists
 //              (same checks for the Kitten heaps over offlined memory);
-//   memmap     every materialized mem_map section's count equals its
-//              nonzero inner entries and is not zero;
+//              the per-order bitmaps are the only record of a free
+//              block, so a lost bit shows as an accounting drift and a
+//              block handed to a second owner while free shows in the
+//              frame sweep below;
+//   memmap     every materialized section of a zone's mem_map counts
+//              exactly its nonzero inner entries, and not zero;
 //   cache      the intrusive LRU chain is sound: walking the links
 //              visits exactly block_count() blocks whose byte total is
 //              cached_bytes, every visited head carries a cache state
@@ -56,6 +57,9 @@
 #include <string_view>
 #include <vector>
 
+namespace hpmmap::hw {
+class MemMap;
+}
 namespace hpmmap::mm {
 class BuddyAllocator;
 class PageCache;
@@ -92,14 +96,16 @@ struct AuditReport {
 
 /// Audit one buddy allocator in isolation (no Node needed): blocks
 /// in-range, aligned, non-overlapping, no duplicates, no uncoalesced
-/// buddy pairs, free_bytes consistent, mem_map ownership coherent in
-/// both directions. `label` prefixes diagnostics.
+/// buddy pairs, free_bytes consistent. `label` prefixes diagnostics.
 void audit_buddy(const mm::BuddyAllocator& buddy, std::string_view label, AuditReport& report);
 
-/// Audit one page cache in isolation: LRU linkage, byte accounting and
-/// mem_map cache-state agreement (see the `cache` block above).
-void audit_page_cache(const mm::BuddyAllocator& buddy, const mm::PageCache& cache,
-                      std::string_view label, AuditReport& report);
+/// Audit one zone mem_map's section counts (the `memmap` block above).
+void audit_mem_map(const hw::MemMap& map, std::string_view label, AuditReport& report);
+
+/// Audit one page cache against its zone's mem_map: LRU linkage, byte
+/// accounting and cache-state agreement (see the `cache` block above).
+void audit_page_cache(const hw::MemMap& map, const mm::PageCache& cache, std::string_view label,
+                      AuditReport& report);
 
 class MmAuditor {
  public:

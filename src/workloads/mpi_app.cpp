@@ -312,11 +312,7 @@ void MpiJob::finish_job() {
 mm::FaultStats MpiJob::aggregate_faults() const {
   mm::FaultStats total;
   for (const Rank& r : ranks_) {
-    const mm::FaultStats& fs = r.proc->fault_stats();
-    for (std::size_t k = 0; k < 4; ++k) {
-      total.count[k] += fs.count[k];
-      total.total_cycles[k] += fs.total_cycles[k];
-    }
+    total.add(r.proc->fault_stats());
   }
   return total;
 }

@@ -362,11 +362,7 @@ void ServerApp::maybe_finish() {
 mm::FaultStats ServerApp::aggregate_faults() const {
   mm::FaultStats total;
   for (const Worker& wk : workers_) {
-    const mm::FaultStats& fs = wk.proc->fault_stats();
-    for (std::size_t k = 0; k < 4; ++k) {
-      total.count[k] += fs.count[k];
-      total.total_cycles[k] += fs.total_cycles[k];
-    }
+    total.add(wk.proc->fault_stats());
   }
   return total;
 }

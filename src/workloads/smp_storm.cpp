@@ -11,7 +11,9 @@ namespace hpmmap::workloads {
 SmpStorm::SmpStorm(sim::Engine& engine, os::Node& node, SmpStormConfig config)
     : engine_(engine), node_(node), config_(config) {
   HPMMAP_ASSERT(config_.cores > 0, "storm needs at least one core");
-  HPMMAP_ASSERT(config_.slab_bytes >= kSmallPageSize, "slab below one page");
+  HPMMAP_ASSERT(config_.slab_bytes >= kSmallPageSize &&
+                    is_aligned(config_.slab_bytes, kSmallPageSize),
+                "slab is not a whole number of pages");
   workers_.resize(config_.cores);
   const std::uint32_t zones = node_.spec().numa_zones;
   if (config_.shared_process) {
@@ -66,15 +68,11 @@ void SmpStorm::begin_round(std::size_t i) {
 void SmpStorm::touch_step(std::size_t i) {
   Worker& w = workers_[i];
   trace::SpanScope span(static_cast<std::uint32_t>(i + 1));
-  const Addr slab_end = w.slab + config_.slab_bytes;
-  const Addr end =
-      std::min<Addr>(slab_end, w.pos + config_.touch_slice_pages * kSmallPageSize);
-  const std::uint64_t pages = (end - w.pos) / kSmallPageSize;
-  Cycles cost = node_.touch_range(*w.proc, Range{w.pos, end}, w.core);
-  cost += pages * config_.app_work_per_page;
-  pages_touched_ += pages;
-  w.pos = end;
-  if (w.pos < slab_end) {
+  const Cycles cost =
+      node_.touch_range(*w.proc, Range{w.pos, w.pos + kSmallPageSize}, w.core) + kAppWorkPerPage;
+  ++pages_touched_;
+  w.pos += kSmallPageSize;
+  if (w.pos < w.slab + config_.slab_bytes) {
     engine_.schedule(std::max<Cycles>(cost, 1), [this, i] { touch_step(i); });
   } else {
     engine_.schedule(std::max<Cycles>(cost, 1), [this, i] { end_round(i); });
@@ -107,11 +105,7 @@ mm::FaultStats SmpStorm::aggregate_faults() const {
       continue; // shared process: count once
     }
     last = w.proc;
-    const mm::FaultStats& s = w.proc->fault_stats();
-    for (std::size_t k = 0; k < mm::kFaultKindCount; ++k) {
-      total.count[k] += s.count[k];
-      total.total_cycles[k] += s.total_cycles[k];
-    }
+    total.add(w.proc->fault_stats());
   }
   return total;
 }

@@ -16,6 +16,11 @@
 // finish). Per-page app work is a fixed cycle count, never a random
 // draw, so a run is a pure function of (config, seed) and the
 // three-manager comparison runs common random numbers.
+//
+// Each event faults exactly one page: with several faults per event,
+// re-entries of mmap_sem inside one slice would be stamped before a
+// writer's release and re-pay the same wait (smp.hpp's stamping
+// discipline bounds the error but cannot remove it).
 #pragma once
 
 #include <cstdint>
@@ -36,13 +41,6 @@ struct SmpStormConfig {
   os::MmPolicy policy = os::MmPolicy::kLinuxPlain;
   std::uint64_t rounds = 6;            // mmap→touch→munmap rounds per core
   std::uint64_t slab_bytes = 2 * MiB;  // per-round mapping per core
-  /// Pages faulted per engine event. Keep at 1: with multiple faults
-  /// per event, re-entries of mmap_sem inside one slice are stamped
-  /// before a writer's release and re-pay the same wait (smp.hpp's
-  /// stamping discipline bounds the error but can't remove it).
-  std::uint64_t touch_slice_pages = 1;
-  /// Fixed user-mode cycles per touched page (the app consuming it).
-  Cycles app_work_per_page = 600;
 };
 
 class SmpStorm {
@@ -63,6 +61,9 @@ class SmpStorm {
   [[nodiscard]] mm::FaultStats aggregate_faults() const;
 
  private:
+  /// Fixed user-mode cycles per touched page (the app consuming it).
+  static constexpr Cycles kAppWorkPerPage = 600;
+
   struct Worker {
     os::Process* proc = nullptr;
     std::int32_t core = 0;

@@ -67,8 +67,9 @@ for prefix in buddy. fault.; do
   fi
 done
 
-# The SMP storm exports through trace::write_chrome_json: a JSON array of
-# event records ("ph" is each record's phase), plus the .csv twin.
+# The SMP storm exports through the same writer as every traced run, with
+# no telemetry counters: a JSON array of event records ("ph" is each
+# record's phase), plus the .csv twin.
 "$run_experiment" --experiment smp --cores 4 --trace-out "$out/smp.json" > /dev/null
 if [[ "$(head -c 1 "$out/smp.json")" != "[" ]] || ! grep -q '"ph":' "$out/smp.json"; then
   echo "--experiment smp --trace-out wrote no trace events to $out/smp.json"

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 #include <vector>
 
@@ -288,55 +289,104 @@ TEST(Audit, DetectsHugetlbPoolLeak) {
 
 // --- mem_map cross-check corruption ---------------------------------------
 //
-// The intrusive rework gave every owner (buddy freelists, cache LRU,
-// hugetlb stacks) a second, independent record of ownership in the
-// zone's mem_map; each case below desynchronizes one direction of that
-// agreement and expects the named violation.
+// Every owner the buddy does not track (cache LRU, hugetlb stacks, pcp
+// lists) keeps a second, independent record of ownership in the zone's
+// mem_map; each case below desynchronizes one direction of that
+// agreement and expects the named violation. A free block is recorded
+// only in the buddy's bitmaps, so its corruptions surface in the books
+// and in the frame sweep instead.
 
-TEST(Audit, DetectsFreeBlockMissingFromMemMap) {
-  mm::BuddyAllocator buddy(Range{0, 1 * MiB}, 8);
-  // The freelist says the max-order block is free; wipe its mem_map head
-  // so the metadata array disagrees.
-  buddy.mem_map().clear_head(0);
-  verify::AuditReport r;
-  verify::audit_buddy(buddy, "test", r);
-  EXPECT_TRUE(has_violation(r, "buddy.memmap_state")) << r.summary();
+/// Restore `image` into a fresh boot of `cfg`; the state arrives from
+/// the image, so the boot skips aging.
+std::unique_ptr<os::Node> restore_fresh(const snapshot::WorldImage& image, sim::Engine& engine,
+                                        os::NodeConfig cfg) {
+  cfg.aged_boot = false;
+  auto node = std::make_unique<os::Node>(engine, cfg);
+  snapshot::restore_world(image, engine, {node.get()});
+  return node;
 }
 
-TEST(Audit, DetectsForgedBuddyFreeMark) {
-  mm::BuddyAllocator buddy(Range{0, 1 * MiB}, 8);
-  const auto block = buddy.alloc(2);
-  ASSERT_TRUE(block.has_value());
-  // The block is allocated, but something re-marks it free in the
-  // mem_map (a lost clear, a stray write): the reverse sweep must catch
-  // the orphan mark with no matching freelist entry.
-  buddy.mem_map().set_head(buddy.mem_map().index_of(block->addr), hw::FrameState::kBuddyFree, 2);
-  verify::AuditReport r;
-  verify::audit_buddy(buddy, "test", r);
-  EXPECT_TRUE(has_violation(r, "buddy.memmap_orphan")) << r.summary();
+/// Clear the lowest free bit of zone 0's `order` list in `image`, keeping
+/// the list's count and summary in step: the block simply vanishes from
+/// the freelists while free_bytes still counts it. Returns its address.
+Addr drop_free_bit(snapshot::WorldImage& image, unsigned order) {
+  snapshot::BuddyImage& buddy = image.nodes.at(0).memory.zones.at(0).buddy;
+  mm::BuddyAllocator::OrderList& list = buddy.lists.at(order);
+  for (std::size_t w = 0; w < list.bits.size(); ++w) {
+    if (list.bits[w] != 0) {
+      const auto bit = static_cast<unsigned>(std::countr_zero(list.bits[w]));
+      list.bits[w] &= list.bits[w] - 1;
+      if (list.bits[w] == 0) {
+        list.summary[w >> 6] &= ~(std::uint64_t{1} << (w & 63));
+      }
+      --list.count;
+      return buddy.range.begin + ((static_cast<Addr>(w) * 64 + bit) << (12 + order));
+    }
+  }
+  ADD_FAILURE() << "no free block of order " << order;
+  return 0;
+}
+
+TEST(Audit, DetectsFreeBitClearedInACapturedImage) {
+  const os::NodeConfig cfg = small_config();
+  snapshot::WorldImage image;
+  {
+    sim::Engine engine;
+    os::Node node(engine, cfg);
+    image = snapshot::capture_world(engine, {&node});
+  }
+  // A max-order block's bit lost in the image: after restore nothing
+  // owns those frames, and the freelists sum a block short.
+  (void)drop_free_bit(image, mm::kLinuxMaxOrder);
+  sim::Engine engine;
+  const std::unique_ptr<os::Node> node = restore_fresh(image, engine, cfg);
+  const verify::AuditReport r = verify::MmAuditor(*node).run();
+  EXPECT_TRUE(has_violation(r, "buddy.accounting")) << r.summary();
+}
+
+TEST(Audit, DetectsCacheBlockAdoptedOverAFreeBlock) {
+  // The page cache adopts a block the buddy still holds free (an
+  // adopt() without the alloc()): the cache marks its head in the
+  // mem_map as usual, and the frame sweep finds the block owned twice.
+  sim::Engine engine;
+  os::Node node(engine, small_config());
+  Addr block = 0;
+  unsigned order = 0;
+  bool got = false;
+  node.memory().buddy(0).for_each_free_block([&](Addr a, unsigned o) {
+    if (!got) {
+      block = a;
+      order = o;
+      got = true;
+    }
+  });
+  ASSERT_TRUE(got);
+  node.memory().cache(0).adopt(block, order, /*dirty=*/false);
+  const verify::AuditReport r = verify::MmAuditor(node).run();
+  EXPECT_TRUE(has_violation(r, "frame.double_owner")) << r.summary();
 }
 
 TEST(Audit, DetectsStaleMemMapSectionCount) {
-  mm::BuddyAllocator buddy(Range{0, 8 * MiB}, 10);
-  // An order-0 allocation splits section 0's max-order block: the ten
-  // upper halves' heads (orders 0..9) land inside the section, so it
-  // materializes.
-  const auto frame = buddy.alloc(0);
-  ASSERT_TRUE(frame.has_value());
-  hw::MemMap& map = buddy.mem_map();
+  hw::MemMap map(Range{0, 8 * MiB});
+  // Ten pcp heads inside section 0 materialize its buffer.
+  for (std::uint32_t i = 1; i <= 10; ++i) {
+    map.set_head(i, hw::FrameState::kPcpCache, 0);
+  }
   ASSERT_EQ(map.materialized_sections(), 1u);
   const auto audit = [&] {
     verify::AuditReport r;
-    verify::audit_buddy(buddy, "test", r);
+    verify::audit_mem_map(map, "test", r);
     return r;
   };
   EXPECT_TRUE(audit().ok()) << audit().summary();
   // A count one above the heads it holds.
   map.corrupt_section_count(0, 11);
   EXPECT_TRUE(has_violation(audit(), "memmap.section_count")) << audit().summary();
-  // Coalescing clears the ten heads but the stale count keeps the
-  // buffer: a materialized section with nothing in it.
-  buddy.free(frame->addr, 0);
+  // Clearing the ten heads leaves the stale count keeping the buffer: a
+  // materialized section with nothing in it.
+  for (std::uint32_t i = 1; i <= 10; ++i) {
+    map.clear_head(i);
+  }
   ASSERT_EQ(map.materialized_sections(), 1u);
   EXPECT_TRUE(has_violation(audit(), "memmap.section_count")) << audit().summary();
   // The same empty section with a count of zero.
@@ -346,7 +396,8 @@ TEST(Audit, DetectsStaleMemMapSectionCount) {
 
 TEST(Audit, DetectsCacheBlockStateDrift) {
   mm::BuddyAllocator buddy(Range{0, 4 * MiB}, 8);
-  mm::PageCache cache(buddy);
+  hw::MemMap map(buddy.range());
+  mm::PageCache cache(buddy, map);
   ASSERT_GT(cache.grow(64 * KiB, 0, false), 0u);
   Addr first = 0;
   bool got = false;
@@ -360,21 +411,11 @@ TEST(Audit, DetectsCacheBlockStateDrift) {
   // Flip a cached block's mem_map entry to a non-cache state: the LRU
   // walk sees the bad state, and the reverse head-count no longer
   // matches the cache's block count.
-  buddy.mem_map().set_head(buddy.mem_map().index_of(first), hw::FrameState::kBuddyFree, 0);
+  map.set_head(map.index_of(first), hw::FrameState::kHugetlbPool, 0);
   verify::AuditReport r;
-  verify::audit_page_cache(buddy, cache, "test", r);
+  verify::audit_page_cache(map, cache, "test", r);
   EXPECT_TRUE(has_violation(r, "cache.memmap_state")) << r.summary();
   EXPECT_TRUE(has_violation(r, "cache.memmap_orphan")) << r.summary();
-}
-
-/// Restore `image` into a fresh boot of `cfg`; the state arrives from
-/// the image, so the boot skips aging.
-std::unique_ptr<os::Node> restore_fresh(const snapshot::WorldImage& image, sim::Engine& engine,
-                                        os::NodeConfig cfg) {
-  cfg.aged_boot = false;
-  auto node = std::make_unique<os::Node>(engine, cfg);
-  snapshot::restore_world(image, engine, {node.get()});
-  return node;
 }
 
 /// Copy zone 0's first LRU entry over a later one of the same order: the
@@ -383,7 +424,7 @@ std::unique_ptr<os::Node> restore_fresh(const snapshot::WorldImage& image, sim::
 void duplicate_lru_entry(snapshot::WorldImage& image) {
   snapshot::ZoneImage& zone = image.nodes.at(0).memory.zones.at(0);
   std::vector<std::uint32_t>& lru = zone.cache.lru;
-  const std::vector<std::uint8_t>& meta = zone.buddy.map.meta;
+  const std::vector<std::uint8_t>& meta = zone.map.meta;
   const auto same_order = std::find_if(lru.begin() + 1, lru.end(), [&](std::uint32_t idx) {
     return meta.at(idx) >> 3 == meta.at(lru.front()) >> 3;
   });
@@ -404,7 +445,7 @@ TEST(Audit, DetectsBrokenLruChain) {
   sim::Engine engine;
   const std::unique_ptr<os::Node> node = restore_fresh(image, engine, cfg);
   verify::AuditReport r;
-  verify::audit_page_cache(node->memory().buddy(0), node->memory().cache(0), "test", r);
+  verify::audit_page_cache(node->memory().mem_map(0), node->memory().cache(0), "test", r);
   EXPECT_TRUE(has_violation(r, "cache.lru_broken")) << r.summary();
   EXPECT_FALSE(has_violation(r, "cache.accounting")) << r.summary();
 }
@@ -425,7 +466,8 @@ TEST(Audit, DetectsHugetlbPoolPageStateDrift) {
   ASSERT_TRUE(got);
   // A pool page whose mem_map entry was wiped: the stack walk must flag
   // the state mismatch.
-  node.memory().buddy(0).mem_map().clear_head(node.memory().buddy(0).mem_map().index_of(pooled));
+  hw::MemMap& map = node.memory().mem_map(0);
+  map.clear_head(map.index_of(pooled));
   verify::MmAuditor auditor(node);
   const verify::AuditReport r = auditor.run();
   EXPECT_FALSE(r.ok());
@@ -452,7 +494,7 @@ TEST(Audit, DetectsHugetlbDoubleFree) {
 //
 // An SmpDomain parks order-0 frames on per-CPU lists; the pcp audit
 // family holds them to the same two-direction mem_map agreement as the
-// buddy freelists, plus exactly-one-CPU ownership. Warm the lists the
+// page cache, plus exactly-one-CPU ownership. Warm the lists the
 // way a real core does: fault a slab (the refill path stocks the list)
 // and munmap half of it (the free path stacks more until the drain
 // watermark).
@@ -511,7 +553,7 @@ TEST(Audit, DetectsPcpMemMapStateDrift) {
     }
   });
   ASSERT_TRUE(got);
-  hw::MemMap& map = node->memory().buddy(0).mem_map();
+  hw::MemMap& map = node->memory().mem_map(0);
   map.clear_head(map.index_of(cached));
   const verify::AuditReport r = verify::MmAuditor(*node).run();
   EXPECT_FALSE(r.ok());
@@ -527,7 +569,7 @@ TEST(Audit, DetectsForgedPcpMark) {
   const std::unique_ptr<os::Node> node = warm_smp_node(engine);
   const mm::AllocOutcome frame = node->memory().alloc_pages(0, 0, /*allow_reclaim=*/false);
   ASSERT_TRUE(frame.ok);
-  hw::MemMap& map = node->memory().buddy(0).mem_map();
+  hw::MemMap& map = node->memory().mem_map(0);
   map.set_head(map.index_of(frame.addr), hw::FrameState::kPcpCache, 0);
   const verify::AuditReport r = verify::MmAuditor(*node).run();
   EXPECT_FALSE(r.ok());
@@ -567,25 +609,20 @@ std::unique_ptr<os::Node> restore_aged_world(sim::Engine& engine) {
 }
 
 TEST(AuditRestored, SkewedFreelistBitIsNamedExactly) {
+  os::NodeConfig cfg;
+  snapshot::WorldImage image = capture_aged_world(cfg);
+  {
+    sim::Engine engine;
+    ASSERT_TRUE(verify::MmAuditor(*restore_fresh(image, engine, cfg)).run().ok());
+  }
+  // Clear one order-0 free block's bit in the aged image: the restored
+  // freelists no longer hold the frame that free_bytes still counts.
+  (void)drop_free_bit(image, 0);
   sim::Engine engine;
-  const std::unique_ptr<os::Node> node = restore_aged_world(engine);
-  ASSERT_TRUE(verify::MmAuditor(*node).run().ok());
-  // Wipe the mem_map head of one genuinely free block: the freelist
-  // entry loses its metadata mirror.
-  mm::BuddyAllocator& buddy = node->memory().buddy(0);
-  Addr block = 0;
-  bool got = false;
-  buddy.for_each_free_block([&](Addr a, unsigned) {
-    if (!got) {
-      block = a;
-      got = true;
-    }
-  });
-  ASSERT_TRUE(got);
-  buddy.mem_map().clear_head(buddy.mem_map().index_of(block));
+  const std::unique_ptr<os::Node> node = restore_fresh(image, engine, cfg);
   const verify::AuditReport r = verify::MmAuditor(*node).run();
   EXPECT_FALSE(r.ok());
-  EXPECT_TRUE(has_violation(r, "buddy.memmap_state")) << r.summary();
+  EXPECT_TRUE(has_violation(r, "buddy.accounting")) << r.summary();
 }
 
 TEST(AuditRestored, BrokenLruLinkIsNamedExactly) {

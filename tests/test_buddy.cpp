@@ -203,8 +203,6 @@ constexpr unsigned kFloor = 9; // 2 MiB, the Kitten heaps' floor
 TEST(BuddyMinOrder, KeepsNoStateBelowTheFloor) {
   BuddyAllocator b(Range{0, 64 * MiB}, 14, kFloor);
   EXPECT_EQ(b.min_order(), kFloor);
-  EXPECT_EQ(b.mem_map().frame_count(), 64 * MiB / (2 * MiB));
-  EXPECT_EQ(b.mem_map().min_order(), kFloor);
   EXPECT_EQ(b.free_bytes(), 64 * MiB);
   EXPECT_EQ(b.largest_free_order(), 14u);
   for (unsigned o = 0; o < kFloor; ++o) {
@@ -225,15 +223,6 @@ TEST(BuddyMinOrder, SplitsStopAtTheFloorAndFourKiBProbesStillResolve) {
   EXPECT_EQ(b.free_block_containing(2 * MiB + 4 * KiB),
             std::make_optional(std::make_pair(Addr{2 * MiB}, kFloor)));
   EXPECT_EQ(b.free_block_containing(4 * KiB), std::nullopt);
-  // The mem_map has one entry per 2 MiB block; orders stay in 4 KiB units.
-  const hw::MemMap& map = b.mem_map();
-  EXPECT_EQ(map.index_of(2 * MiB + 4 * KiB), 1u);
-  EXPECT_EQ(map.addr_of(1), 2 * MiB);
-  EXPECT_EQ(map.state(1), hw::FrameState::kBuddyFree);
-  EXPECT_EQ(map.order(1), kFloor);
-  const std::uint8_t free_mask = hw::state_mask(hw::FrameState::kBuddyFree);
-  EXPECT_EQ(map.block_containing(8 * MiB + 12 * KiB, free_mask, 12),
-            std::make_optional(std::make_pair(Addr{8 * MiB}, 11u)));
   EXPECT_TRUE(b.check_consistency());
   b.free(a->addr, kFloor);
   EXPECT_EQ(b.free_blocks(12), 1u);
@@ -345,8 +334,8 @@ TEST_P(BuddyProperty, RandomOpsPreserveInvariants) {
 /// alloc_frames() pops one block for many order-0 frames. After random
 /// alloc/free histories it must hand out the frames, with the split
 /// steps, that as many alloc(0) calls on a twin allocator return, and
-/// leave the twin's exact state: stats, free blocks, bitmaps, mem_map
-/// and every list's scan hint (the snapshot image holds them all).
+/// leave the twin's exact state: stats, free blocks, bitmaps and every
+/// list's scan hint (the snapshot image holds them all).
 TEST_P(BuddyProperty, BulkFramesMatchOneAllocAtATime) {
   const auto params = GetParam();
   BuddyAllocator bulk(Range{0, params.arena_bytes}, params.max_order);
@@ -373,17 +362,6 @@ TEST_P(BuddyProperty, BulkFramesMatchOneAllocAtATime) {
         twin.free(held[i].first, held[i].second);
         held[i] = held.back();
         held.pop_back();
-      }
-    }
-    // Stale heads inside free blocks: alloc(0) sets and clears the head
-    // of every frame it hands out, so the bulk handout must clear them.
-    for (int k = 0; k < 32; ++k) {
-      const Addr stale = rng.uniform(params.arena_bytes / kSmallPageSize) * kSmallPageSize;
-      const auto blk = twin.free_block_containing(stale);
-      if (blk.has_value() && blk->first != stale) {
-        for (BuddyAllocator* b : {&bulk, &twin}) {
-          b->mem_map().set_head(b->mem_map().index_of(stale), hw::FrameState::kCacheClean, 0);
-        }
       }
     }
     // n frames: in bulk, one block at a time, and one alloc(0) each.

@@ -100,7 +100,6 @@ TEST(Kitten, HeapsKeepNothingBelowTwoMiB) {
   k.for_each_buddy([&](ZoneId z, const mm::BuddyAllocator& buddy) {
     ++buddies;
     EXPECT_EQ(buddy.min_order(), KittenAllocator::kMinOrder) << "zone " << z;
-    EXPECT_EQ(buddy.mem_map().frame_count(), buddy.range().size() / (2 * MiB)) << "zone " << z;
     for (unsigned o = 0; o < KittenAllocator::kMinOrder; ++o) {
       EXPECT_EQ(buddy.free_blocks(o), 0u) << "zone " << z << " order " << o;
     }

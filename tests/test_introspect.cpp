@@ -1,5 +1,5 @@
 // Introspection-layer tests: golden procfs text against a scripted
-// fault sequence, buddyinfo/mem_map/auditor reconciliation, the sampler
+// fault sequence, buddyinfo/free-block/auditor reconciliation, the sampler
 // determinism contract (sampling on == sampling off, byte for byte, in
 // every other output), --jobs byte-identity of the exported telemetry,
 // the exporters, and the bench_diff verdict logic.
@@ -18,7 +18,6 @@
 #include "harness/batch.hpp"
 #include "harness/experiment.hpp"
 #include "harness/result_fields.hpp"
-#include "hw/mem_map.hpp"
 #include "introspect/bench_diff.hpp"
 #include "introspect/export.hpp"
 #include "introspect/procfs.hpp"
@@ -143,9 +142,9 @@ TEST(ProcfsGolden, VmstatAndPagetypeinfo) {
                introspect::vmstat_text(s.node) + introspect::pagetypeinfo_text(s.node));
 }
 
-// --- reconciliation: buddyinfo <-> mem_map <-> auditor ------------------
+// --- reconciliation: buddyinfo <-> free-block sweep <-> auditor ---------
 
-TEST(ProcfsReconcile, BuddyinfoMatchesMemMapOwnership) {
+TEST(ProcfsReconcile, BuddyinfoMatchesTheFreeBlockSweep) {
   ScriptedNode s;
   std::vector<introspect::BuddyinfoZone> zones;
   introspect::capture_buddyinfo(s.node, zones);
@@ -155,18 +154,16 @@ TEST(ProcfsReconcile, BuddyinfoMatchesMemMapOwnership) {
     const introspect::BuddyinfoZone& row = zones[z];
     ASSERT_STREQ(row.zone_name, "Normal");
     const mm::BuddyAllocator& buddy = mem.buddy(z);
-    // Independent recount from the frame-metadata array: every
-    // buddy-free block head, bucketed by order.
-    std::vector<std::uint64_t> from_mem_map(buddy.max_order() + 1, 0);
+    // Recount from the bitmaps' bits, not their per-order counts: every
+    // free block, bucketed by order.
+    std::vector<std::uint64_t> swept(buddy.max_order() + 1, 0);
     std::uint64_t free_bytes = 0;
-    buddy.mem_map().for_each_head([&](Addr, hw::FrameState state, unsigned order) {
-      if (state == hw::FrameState::kBuddyFree) {
-        ASSERT_LT(order, from_mem_map.size());
-        ++from_mem_map[order];
-        free_bytes += kSmallPageSize << order;
-      }
+    buddy.for_each_free_block([&](Addr, unsigned order) {
+      ASSERT_LT(order, swept.size());
+      ++swept[order];
+      free_bytes += kSmallPageSize << order;
     });
-    EXPECT_EQ(row.free_counts, from_mem_map) << "zone " << z;
+    EXPECT_EQ(row.free_counts, swept) << "zone " << z;
     EXPECT_EQ(free_bytes, buddy.free_bytes()) << "zone " << z;
   }
 }

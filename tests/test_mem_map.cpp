@@ -59,8 +59,8 @@ TEST(MemMap, HeadMarkingPacksStateAndOrder) {
   // Neighbouring frames are untouched (head-only marking).
   EXPECT_EQ(m.state(4), FrameState::kUntracked);
   EXPECT_EQ(m.state(6), FrameState::kUntracked);
-  m.set_head(5, FrameState::kBuddyFree, 18);
-  EXPECT_EQ(m.state(5), FrameState::kBuddyFree);
+  m.set_head(5, FrameState::kHugetlbPool, 18);
+  EXPECT_EQ(m.state(5), FrameState::kHugetlbPool);
   EXPECT_EQ(m.order(5), 18u);
   m.clear_head(5);
   EXPECT_EQ(m.state(5), FrameState::kUntracked);
@@ -80,18 +80,18 @@ TEST(MemMap, BlockContainingProbesEveryOrder) {
     EXPECT_EQ(hit->second, 9u);
   }
   // A mask that excludes the state misses.
-  EXPECT_FALSE(m.block_containing(block, hw::state_mask(FrameState::kBuddyFree), 10).has_value());
+  EXPECT_FALSE(m.block_containing(block, hw::state_mask(FrameState::kPcpCache), 10).has_value());
   // max_order below the block's order misses (probe never reaches o=9).
   EXPECT_FALSE(m.block_containing(block + 8 * KiB, hw::kCacheStates, 8).has_value());
   // Outside the range misses without asserting.
   EXPECT_FALSE(m.block_containing(kBase - 4 * KiB, hw::kCacheStates, 10).has_value());
   // An order-0 head elsewhere is found at exactly its own frame.
-  m.set_head(3, FrameState::kBuddyFree, 0);
-  const auto small = m.block_containing(m.addr_of(3), hw::state_mask(FrameState::kBuddyFree), 10);
+  m.set_head(3, FrameState::kPcpCache, 0);
+  const auto small = m.block_containing(m.addr_of(3), hw::state_mask(FrameState::kPcpCache), 10);
   ASSERT_TRUE(small.has_value());
   EXPECT_EQ(small->second, 0u);
   EXPECT_FALSE(
-      m.block_containing(m.addr_of(4), hw::state_mask(FrameState::kBuddyFree), 10).has_value());
+      m.block_containing(m.addr_of(4), hw::state_mask(FrameState::kPcpCache), 10).has_value());
 }
 
 TEST(MemMap, BlockContainingRequiresMatchingOrder) {
@@ -99,8 +99,8 @@ TEST(MemMap, BlockContainingRequiresMatchingOrder) {
   // A frame marked order 3 must not satisfy an order-0 probe of its own
   // address under a different alignment: the meta order is part of the
   // match, so stale low-order marks cannot shadow a larger block.
-  m.set_head(0, FrameState::kBuddyFree, 3);
-  const auto hit = m.block_containing(kBase + 4 * KiB, hw::state_mask(FrameState::kBuddyFree), 10);
+  m.set_head(0, FrameState::kCacheDirty, 3);
+  const auto hit = m.block_containing(kBase + 4 * KiB, hw::kCacheStates, 10);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->first, kBase);
   EXPECT_EQ(hit->second, 3u);
@@ -448,15 +448,15 @@ TEST(MemMapDifferential, CacheFifoAndPoolStacksMatchModels) {
 
 /// The dense model's block_containing(): the pre-section probe loop.
 std::optional<std::pair<Addr, unsigned>> dense_block_containing(
-    const std::vector<std::uint8_t>& meta, Range range, unsigned min_order, Addr addr,
-    std::uint8_t states, unsigned max_order) {
+    const std::vector<std::uint8_t>& meta, Range range, Addr addr, std::uint8_t states,
+    unsigned max_order) {
   if (!range.contains(addr)) {
     return std::nullopt;
   }
   const std::uint64_t off = addr - range.begin;
-  for (unsigned o = min_order; o <= max_order; ++o) {
+  for (unsigned o = 0; o <= max_order; ++o) {
     const std::uint64_t base = align_down(off, kSmallPageSize << o);
-    const std::uint8_t m = meta[base >> (12 + min_order)];
+    const std::uint8_t m = meta[base / kSmallPageSize];
     if ((states & (1u << (m & 0x7u))) != 0 && (m >> 3) == o) {
       return std::make_pair(range.begin + base, o);
     }
@@ -479,14 +479,13 @@ std::size_t sections_with_inner(const std::vector<std::uint8_t>& meta) {
 }
 
 /// Random set/clear/probe/sweep sequences against the dense model over
-/// `frames` entries of `4 KiB << min_order`. Indices cluster near section
-/// boundaries and in the last (partial) section; bulk clears cross
-/// sections and wipe whole sections, so sections release and then
-/// rematerialize. Every read must agree after every op.
-void drive_sectioned_map(unsigned min_order, std::uint64_t frames, std::uint64_t seed) {
-  const std::uint64_t grain = kSmallPageSize << min_order;
-  const Range range{kBase, kBase + frames * grain};
-  MemMap m(range, min_order);
+/// `frames` 4 KiB entries. Indices cluster near section boundaries and in
+/// the last (partial) section; runs of clears cross sections and wipe
+/// whole sections, so sections release and then rematerialize. Every
+/// read must agree after every op.
+void drive_sectioned_map(std::uint64_t frames, std::uint64_t seed) {
+  const Range range{kBase, kBase + frames * kSmallPageSize};
+  MemMap m(range);
   std::vector<std::uint8_t> model(frames, 0);
   const std::uint32_t sections =
       static_cast<std::uint32_t>((frames + MemMap::kSectionEntries - 1) / MemMap::kSectionEntries);
@@ -494,7 +493,7 @@ void drive_sectioned_map(unsigned min_order, std::uint64_t frames, std::uint64_t
   std::vector<bool> released(sections, false);
   std::size_t rematerialized = 0;
   std::size_t probes_hit = 0;
-  std::vector<std::pair<std::uint32_t, unsigned>> placed; // aligned heads set: (index, order - min)
+  std::vector<std::pair<std::uint32_t, unsigned>> placed; // aligned heads set: (index, order)
 
   Rng rng(seed);
   const auto pick_index = [&]() -> std::uint32_t {
@@ -521,10 +520,9 @@ void drive_sectioned_map(unsigned min_order, std::uint64_t frames, std::uint64_t
       unsigned order = static_cast<unsigned>(rng.uniform(32));
       if (rng.chance(0.7)) {
         // A naturally aligned block head, as the owners mark them.
-        const unsigned k = static_cast<unsigned>(rng.uniform(13));
-        order = min_order + k;
-        idx &= ~((std::uint32_t{1} << k) - 1);
-        placed.emplace_back(idx, k);
+        order = static_cast<unsigned>(rng.uniform(13));
+        idx &= ~((std::uint32_t{1} << order) - 1);
+        placed.emplace_back(idx, order);
       }
       m.set_head(idx, st, order);
       model[idx] = static_cast<std::uint8_t>(static_cast<unsigned>(st) | (order << 3));
@@ -533,13 +531,15 @@ void drive_sectioned_map(unsigned min_order, std::uint64_t frames, std::uint64_t
       m.clear_head(idx);
       model[idx] = 0;
     } else if (roll < 80) {
-      // A bulk clear: short runs, runs crossing a boundary, whole sections.
+      // A run of clears: short runs, runs crossing a boundary, whole sections.
       const std::uint32_t first = pick_index();
       const std::uint64_t room = frames - first;
       const std::uint64_t want = rng.chance(0.3) ? MemMap::kSectionEntries * 2
                                                  : rng.uniform(MemMap::kSectionEntries + 64);
       const auto count = static_cast<std::uint32_t>(std::min(room, want));
-      m.clear_heads(first, count);
+      for (std::uint32_t i = first; i < first + count; ++i) {
+        m.clear_head(i);
+      }
       std::fill_n(model.begin() + first, count, std::uint8_t{0});
     } else if (roll < 97) {
       Addr addr = range.begin + rng.uniform(range.size());
@@ -547,22 +547,22 @@ void drive_sectioned_map(unsigned min_order, std::uint64_t frames, std::uint64_t
       if (!placed.empty() && rng.chance(0.5)) {
         // Inside a block placed earlier (it may have been cleared since).
         const auto [head, k] = placed[rng.uniform(placed.size())];
-        const std::uint64_t span = std::min(grain << k, range.end - m.addr_of(head));
+        const std::uint64_t span = std::min(kSmallPageSize << k, range.end - m.addr_of(head));
         addr = m.addr_of(head) + rng.uniform(span);
         states = 0x3f;
       }
       // Max orders past a section's size probe other sections' heads.
-      const unsigned max_order = min_order + static_cast<unsigned>(rng.uniform(13));
+      const auto max_order = static_cast<unsigned>(rng.uniform(13));
       const auto got = m.block_containing(addr, states, max_order);
-      ASSERT_EQ(got, dense_block_containing(model, range, min_order, addr, states, max_order))
+      ASSERT_EQ(got, dense_block_containing(model, range, addr, states, max_order))
           << "op " << op << " addr " << addr;
       if (got.has_value()) {
         ++probes_hit;
       }
     } else {
       // The snapshot round trip: densify, then materialize into a fresh map.
-      MemMap fresh(range, min_order);
-      fresh.set_head(0, FrameState::kBuddyFree, 10);
+      MemMap fresh(range);
+      fresh.set_head(0, FrameState::kHugetlbPool, 10);
       fresh.set_head(static_cast<std::uint32_t>(frames - 1), FrameState::kCacheDirty, 0);
       fresh.assign_dense(m.to_dense());
       m = std::move(fresh);
@@ -610,10 +610,8 @@ void drive_sectioned_map(unsigned min_order, std::uint64_t frames, std::uint64_t
 }
 
 TEST(MemMapDifferential, SectionedMatchesDenseModel) {
-  // A Linux-style map: three whole sections and a partial fourth.
-  drive_sectioned_map(0, 3 * MemMap::kSectionEntries + 300, 0xd15e);
-  // A Kitten map (one entry per 2 MiB): one whole section and a partial second.
-  drive_sectioned_map(9, MemMap::kSectionEntries + 77, 0x6177);
+  // Three whole sections and a partial fourth.
+  drive_sectioned_map(3 * MemMap::kSectionEntries + 300, 0xd15e);
 }
 
 TEST(MemMap, SparesAreReusedNotReallocated) {
@@ -621,11 +619,13 @@ TEST(MemMap, SparesAreReusedNotReallocated) {
   const std::uint64_t empty = m.host_bytes();
   // Materialize every section, then release them all.
   for (std::uint32_t sec = 0; sec < 16; ++sec) {
-    m.set_head(sec * MemMap::kSectionEntries + 5, FrameState::kBuddyFree, 0);
+    m.set_head(sec * MemMap::kSectionEntries + 5, FrameState::kPcpCache, 0);
   }
   EXPECT_EQ(m.materialized_sections(), 16u);
   EXPECT_GE(m.host_bytes() - empty, 16u * MemMap::kSectionEntries);
-  m.clear_heads(0, static_cast<std::uint32_t>(m.frame_count()));
+  for (std::uint32_t sec = 0; sec < 16; ++sec) {
+    m.clear_head(sec * MemMap::kSectionEntries + 5);
+  }
   EXPECT_EQ(m.materialized_sections(), 0u);
   const std::uint64_t full = m.host_bytes(); // every buffer now spare
   // Rematerializing takes spares: the map grows no further.
@@ -637,10 +637,46 @@ TEST(MemMap, SparesAreReusedNotReallocated) {
   // A head at a section's first frame needs no buffer at all.
   auto heads_only = make(64 * MiB);
   for (std::uint32_t sec = 0; sec < 16; ++sec) {
-    heads_only.set_head(sec * MemMap::kSectionEntries, FrameState::kBuddyFree, 10);
+    heads_only.set_head(sec * MemMap::kSectionEntries, FrameState::kCacheClean, 10);
   }
   EXPECT_EQ(heads_only.materialized_sections(), 0u);
   EXPECT_EQ(heads_only.host_bytes(), empty);
+}
+
+TEST(MemMap, AZoneBuddyAloneWritesNoHead) {
+  // A free block is recorded only in the buddy's bitmaps: splits,
+  // coalescing and bulk frame runs leave the zone's map untouched.
+  hw::PhysicalMemory phys(128 * MiB, 1);
+  hw::BandwidthModel bw(1, 5.6);
+  mm::MemorySystem ms(phys, bw, Rng(3), mm::CostModel{});
+  mm::BuddyAllocator& buddy = ms.buddy(0);
+  Rng rng(0xb0d1ULL);
+  std::vector<std::pair<Addr, unsigned>> held;
+  for (int op = 0; op < 2'000; ++op) {
+    if (held.empty() || rng.chance(0.55)) {
+      const auto order = static_cast<unsigned>(rng.uniform(mm::kLinuxMaxOrder + 1));
+      if (const auto a = buddy.alloc(order); a.has_value()) {
+        held.emplace_back(a->addr, order);
+      }
+    } else if (rng.chance(0.2)) {
+      const mm::BuddyAllocator::FrameRun run = buddy.alloc_frames(rng.uniform(1, 700));
+      for (std::uint64_t j = 0; j < run.frames; ++j) {
+        held.emplace_back(run.base + j * kSmallPageSize, 0);
+      }
+    } else {
+      const std::size_t k = rng.uniform(held.size());
+      buddy.free(held[k].first, held[k].second);
+      held[k] = held.back();
+      held.pop_back();
+    }
+  }
+  ASSERT_GT(held.size(), 0u);
+  ASSERT_TRUE(buddy.check_consistency());
+  const hw::MemMap& map = ms.mem_map(0);
+  EXPECT_EQ(map.materialized_sections(), 0u);
+  std::uint64_t heads = 0;
+  map.for_each_head([&](Addr, FrameState, unsigned) { ++heads; });
+  EXPECT_EQ(heads, 0u);
 }
 
 } // namespace

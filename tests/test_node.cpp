@@ -344,7 +344,7 @@ TEST(Node, HugetlbfsWorldSwapsItsNonPoolSide) {
   // The pool kept its count and every free page its kHugetlbPool head;
   // the app's pool pages are still mapped, none swapped.
   EXPECT_EQ(pool.free_pages(0), pool_free);
-  const hw::MemMap& map = node.memory().buddy(0).mem_map();
+  const hw::MemMap& map = node.memory().mem_map(0);
   std::uint64_t walked = 0;
   pool.for_each_pool_page(0, [&](Addr a) {
     EXPECT_EQ(map.state(map.index_of(a)), hw::FrameState::kHugetlbPool) << a;

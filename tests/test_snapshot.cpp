@@ -874,7 +874,7 @@ class SnapshotFileDeathTest : public ::testing::Test {
   }
   /// The first zone's mem_map meta length, followed by the meta bytes.
   [[nodiscard]] std::size_t meta_length_offset() const {
-    const std::vector<std::uint8_t>& meta = image_.nodes.at(0).memory.zones.at(0).buddy.map.meta;
+    const std::vector<std::uint8_t>& meta = image_.nodes.at(0).memory.zones.at(0).map.meta;
     return find_word(meta.size(), std::string(reinterpret_cast<const char*>(meta.data()), 64));
   }
   /// The node count, followed by the first node's clock and RNG state.
@@ -911,15 +911,15 @@ TEST_F(SnapshotFileDeathTest, CutOffImagesFailWithTheLoaderMessage) {
 }
 
 TEST_F(SnapshotFileDeathTest, OversizedLengthWordsFailWithTheLoaderMessage) {
-  // One length word of each kind: a number array (the meta run), a
-  // string (the first process's name, after the process count and its
-  // pid) and lists of records (a zone's corrupt blocks, nodes, one node's
+  // One length word of each kind: number arrays (the meta run and the
+  // zone's LRU after it), a string (the first process's name, after the
+  // process count and its pid) and lists of records (nodes, one node's
   // processes, the trace ring), whose unit is derived.
   const std::size_t meta = meta_length_offset();
   const std::size_t length_words[] = {
       meta,
       process_count_offset() + 8 + sizeof(Pid),
-      meta + 8 + image_.nodes.at(0).memory.zones.at(0).buddy.map.meta.size(),
+      meta + 8 + image_.nodes.at(0).memory.zones.at(0).map.meta.size(),
       node_count_offset(),
       process_count_offset(),
       ring_count_offset()};
@@ -933,7 +933,7 @@ TEST_F(SnapshotFileDeathTest, OversizedLengthWordsFailWithTheLoaderMessage) {
 }
 
 TEST_F(SnapshotFileDeathTest, OlderImageVersionIsRefused) {
-  for (const std::uint32_t version : {4u, 6u}) {
+  for (const std::uint32_t version : {4u, 6u, 7u}) {
     std::string b = bytes_;
     std::memcpy(b.data() + 4, &version, sizeof version);
     write(b);
@@ -942,10 +942,10 @@ TEST_F(SnapshotFileDeathTest, OlderImageVersionIsRefused) {
   }
 }
 
-// A Kitten heap's mem_map and bitmaps are sized by its min order, which
-// the image does not record: restore must refuse arrays whose lengths
-// differ from the fresh world's rather than install them. So must an anon
-// LRU run that names a pid the world never spawned.
+// A Kitten heap's bitmaps are sized by its min order, which the image
+// does not record, and a zone's mem_map by the zone: restore must refuse
+// arrays whose lengths differ from the fresh world's rather than install
+// them. So must an anon LRU run that names a pid the world never spawned.
 TEST(SnapshotRestoreDeathTest, MisSizedKittenArraysAndUnknownLruPidsAreRefused) {
   sim::Engine engine;
   os::Node node(engine, node_config(5, /*aged=*/false));
@@ -956,8 +956,6 @@ TEST(SnapshotRestoreDeathTest, MisSizedKittenArraysAndUnknownLruPidsAreRefused) 
   (void)node.touch_range(p, Range{out.addr, out.addr + 64 * KiB});
   const snapshot::WorldImage image = snapshot::capture_world(engine, {&node});
   ASSERT_FALSE(image.nodes.at(0).anon_lru.empty());
-  ASSERT_EQ(image.nodes.at(0).module.kitten_zones.at(0).at(0).map.meta.size(),
-            node.hpmmap_module()->allocator().total_bytes(0) / (2 * MiB));
 
   struct Case {
     const char* stem;
@@ -965,10 +963,8 @@ TEST(SnapshotRestoreDeathTest, MisSizedKittenArraysAndUnknownLruPidsAreRefused) 
     const char* message;
   };
   const Case cases[] = {
-      {"kitten_meta_long",
-       [](snapshot::WorldImage& w) {
-         w.nodes.at(0).module.kitten_zones.at(0).at(0).map.meta.push_back(0);
-       },
+      {"zone_meta_long",
+       [](snapshot::WorldImage& w) { w.nodes.at(0).memory.zones.at(0).map.meta.push_back(0); },
        "snapshot: mem_map meta length mismatch"},
       {"kitten_bits_long",
        [](snapshot::WorldImage& w) {
@@ -1077,7 +1073,7 @@ TEST(SnapshotRestoreDeathTest, ImagesWithADifferentHugetlbZoneCountAreRefusedByT
                "snapshot: hugetlb zone count mismatch");
 }
 
-// --- the v7 byte layout -----------------------------------------------------
+// --- the v8 byte layout -----------------------------------------------------
 //
 // The fixpoint tests prove that save and load agree with each other; a
 // change that reordered a field in both would still pass them. This
@@ -1085,7 +1081,7 @@ TEST(SnapshotRestoreDeathTest, ImagesWithADifferentHugetlbZoneCountAreRefusedByT
 // move it: every list holds one or two entries, every has_* branch is
 // on, every event handle is armed, and the trace event carries one
 // argument of each kind. Its saved
-// bytes are pinned in tests/golden/snapshot_v7_small.hex. A deliberate
+// bytes are pinned in tests/golden/snapshot_v8_small.hex. A deliberate
 // format change bumps kVersion and records a new golden.
 
 /// An Rng whose four state words are `s`.
@@ -1114,11 +1110,11 @@ snapshot::WorldImage hand_built_image() {
   z.buddy.max_order = 10;
   z.buddy.free_bytes = 0x8000;
   z.buddy.lists = {{.bits = {0x5, 0x0}, .summary = {0x1}, .count = 2, .scan_hint = 1}};
-  z.buddy.map.range = {0x10000, 0x90000};
-  z.buddy.map.meta = {1, 2, 3, 4, 5, 6, 7, 8, 9};
   z.buddy.corrupt_blocks = {{.addr = 0x20000, .order = 1}};
   z.buddy.stats = {.allocs = 11, .frees = 12, .split_steps = 13, .merge_steps = 14,
                    .failed_allocs = 15};
+  z.map.range = {0x10000, 0x90000};
+  z.map.meta = {1, 2, 3, 4, 5, 6, 7, 8, 9};
   z.cache = {.lru = {3, 4},
              .state = {.cached_bytes = 0x2000, .free_floor = 0x1000, .dirty_fraction = 0.125,
                        .grow_count = 6}};
@@ -1139,7 +1135,6 @@ snapshot::WorldImage hand_built_image() {
   BuddyImage kitten;
   kitten.range = {0x40000, 0x60000};
   kitten.max_order = 9;
-  kitten.map.meta = {7};
   n.module.kitten_zones = {{kitten}};
   n.module.kitten_stats = {.allocs = 21, .frees = 22, .failed = 23};
   n.module.registry_slots = {
@@ -1276,15 +1271,15 @@ std::string to_hex(const std::string& bytes) {
   return out;
 }
 
-TEST(SnapshotFileFormat, HandBuiltImageMatchesTheV7Bytes) {
-  const std::string path = temp_path("v7_layout");
+TEST(SnapshotFileFormat, HandBuiltImageMatchesTheV8Bytes) {
+  const std::string path = temp_path("v8_layout");
   snapshot::save(hand_built_image(), path);
   const std::string saved = to_hex(file_bytes(path));
-  const std::string golden = file_bytes(HPMMAP_GOLDEN_DIR "/snapshot_v7_small.hex");
+  const std::string golden = file_bytes(HPMMAP_GOLDEN_DIR "/snapshot_v8_small.hex");
   if (saved != golden) {
-    const std::string actual = temp_path("v7_layout_actual") + ".hex";
+    const std::string actual = temp_path("v8_layout_actual") + ".hex";
     std::ofstream(actual, std::ios::binary) << saved;
-    ADD_FAILURE() << "saved bytes differ from the v7 golden; they are in " << actual;
+    ADD_FAILURE() << "saved bytes differ from the v8 golden; they are in " << actual;
   }
   // The loader reads the pinned bytes back to the same image.
   snapshot::save(snapshot::load(path), path);
