@@ -28,7 +28,6 @@
 #include "common/assert.hpp"
 #include "common/types.hpp"
 #include "common/units.hpp"
-#include "hw/mem_map.hpp"
 #include "linux_mm/buddy_allocator.hpp"
 #include "linux_mm/page_cache.hpp"
 #include "linux_mm/page_table.hpp"
@@ -64,8 +63,7 @@ struct Rng {
 StormResult run_storm(std::uint64_t faults, std::uint64_t zone_bytes) {
   const Range zone{0, zone_bytes};
   mm::BuddyAllocator buddy(zone, kMaxOrder);
-  hw::MemMap map(zone);
-  mm::PageCache cache(buddy, map, 0.3);
+  mm::PageCache cache(buddy, 0.3);
   mm::PageTable pt;
 
   // --- setup (untimed): age the zone the way a booted, loaded node is

@@ -323,11 +323,11 @@ class PerfSummary {
     const auto mib = [](std::uint64_t b) { return static_cast<double>(b) / (1024.0 * 1024.0); };
     const harness::HostBytes& h = c.largest;
     std::printf("perf: mm host bytes, largest of %llu run%s (%llu node%s, %llu zones): "
-                "mem_map %.2f MiB, buddy bitmaps %.2f MiB, page tables %.2f MiB, "
+                "buddy bitmaps %.2f MiB, page tables %.2f MiB, "
                 "page cache %.2f MiB, anon lru %.2f MiB = %.2f MiB; process VmHWM %.1f MiB\n",
                 static_cast<unsigned long long>(c.worlds), c.worlds == 1 ? "" : "s",
                 static_cast<unsigned long long>(c.nodes), c.nodes == 1 ? "" : "s",
-                static_cast<unsigned long long>(c.zones), mib(h.mem_map), mib(h.buddy_bitmaps),
+                static_cast<unsigned long long>(c.zones), mib(h.buddy_bitmaps),
                 mib(h.page_tables), mib(h.page_cache), mib(h.anon_lru), mib(h.total()),
                 static_cast<double>(vm_hwm_kib()) / 1024.0);
   }

@@ -10,8 +10,7 @@
 //     succeeds in O(log) or fails immediately;
 //   - nothing below 2 MiB, the smallest page HPMMAP maps: the heaps'
 //     buddies have min order 9, so they keep no 4 KiB-grain freelists;
-//     nothing but their bitmaps records a free block, and they hold no
-//     mem_map;
+//     nothing but their bitmaps records a free block;
 //   - per-zone instances mirror the offlined split across NUMA zones.
 #pragma once
 

@@ -19,7 +19,6 @@ CensusReport g_report;
 } // namespace
 
 HostBytes& HostBytes::operator+=(const HostBytes& o) noexcept {
-  mem_map += o.mem_map;
   buddy_bitmaps += o.buddy_bitmaps;
   page_tables += o.page_tables;
   page_cache += o.page_cache;
@@ -31,7 +30,6 @@ HostBytes host_bytes(os::Node& node) {
   HostBytes h;
   mm::MemorySystem& memory = node.memory();
   for (ZoneId z = 0; z < memory.zone_count(); ++z) {
-    h.mem_map += memory.mem_map(z).host_bytes();
     h.buddy_bitmaps += memory.buddy(z).host_bytes();
     h.page_cache += memory.cache(z).host_bytes();
   }

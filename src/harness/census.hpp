@@ -1,9 +1,9 @@
 // Host-bytes census of the mm layer: the host memory the simulator's own
 // structures hold, per owner (ROADMAP item 9's step 1, scoped to mm).
 //
-// Each owner reports its heap bytes through host_bytes(): the mem_map
-// sections, the buddy bitmaps, the page-table node pools, the page-cache
-// LRUs and the anon LRU. The census reads them at the end of a run and
+// Each owner reports its heap bytes through host_bytes(): the buddy
+// bitmaps, the page-table node pools, the page caches (LRU and index)
+// and the anon LRU. The census reads them at the end of a run and
 // changes nothing, so every result is identical with it on or off.
 // `run_experiment --perf-summary` prints it beside the process's VmHWM.
 #pragma once
@@ -18,14 +18,13 @@ class Node;
 namespace hpmmap::harness {
 
 struct HostBytes {
-  std::uint64_t mem_map = 0;       // hw::MemMap of each Linux zone
   std::uint64_t buddy_bitmaps = 0; // BuddyAllocator freelist bitmaps + summaries
   std::uint64_t page_tables = 0;   // PageTable node pools, every process
-  std::uint64_t page_cache = 0;    // PageCache LRUs
+  std::uint64_t page_cache = 0;    // PageCache LRUs and indexes
   std::uint64_t anon_lru = 0;      // os::AnonLru
 
   [[nodiscard]] std::uint64_t total() const noexcept {
-    return mem_map + buddy_bitmaps + page_tables + page_cache + anon_lru;
+    return buddy_bitmaps + page_tables + page_cache + anon_lru;
   }
   HostBytes& operator+=(const HostBytes& o) noexcept;
 };

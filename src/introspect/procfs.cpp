@@ -84,10 +84,8 @@ std::string render_vmstat(const Vmstat& s) {
 }
 
 std::string render_pagetypeinfo(const std::vector<PagetypeinfoZone>& zones) {
-  // Rows in FrameState order, with the buddy's free blocks in the unused
-  // value 1; kUntracked heads never exist.
-  static constexpr const char* kStateName[] = {
-      "untracked", "buddy-free", "cache-clean", "cache-dirty", "hugetlb-pool", "pcp-cache"};
+  static constexpr const char* kOwnerName[PagetypeinfoZone::kOwnerCount] = {
+      "buddy-free", "cache-clean", "cache-dirty", "hugetlb-pool", "pcp-cache"};
   std::string out;
   std::size_t orders = 0;
   for (const PagetypeinfoZone& z : zones) {
@@ -101,9 +99,9 @@ std::string render_pagetypeinfo(const std::vector<PagetypeinfoZone>& zones) {
   }
   out += '\n';
   for (const PagetypeinfoZone& z : zones) {
-    for (std::size_t s = 1; s < z.counts.size(); ++s) { // skip untracked
+    for (std::size_t s = 0; s < z.counts.size(); ++s) {
       appendf(out, "Node %u, zone %8s, type %12s", static_cast<unsigned>(z.zone), "Normal",
-              kStateName[s]);
+              kOwnerName[s]);
       for (const std::uint64_t count : z.counts[s]) {
         appendf(out, " %6" PRIu64, count);
       }

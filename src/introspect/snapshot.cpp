@@ -12,6 +12,7 @@
 #include "linux_mm/buddy_allocator.hpp"
 #include "linux_mm/hugetlbfs.hpp"
 #include "linux_mm/page_cache.hpp"
+#include "linux_mm/smp.hpp"
 #include "linux_mm/thp.hpp"
 #include "linux_mm/vma.hpp"
 #include "os/node.hpp"
@@ -144,27 +145,27 @@ void capture_vmstat(os::Node& node, Vmstat& out) {
 void capture_pagetypeinfo(os::Node& node, std::vector<PagetypeinfoZone>& out) {
   mm::MemorySystem& mem = node.memory();
   out.resize(mem.zone_count());
-  // kUntracked..kPcpCache — index by the FrameState value directly; the
-  // unused value 1 is the buddy-free row.
-  constexpr std::size_t kStateCount = 6;
-  constexpr std::size_t kBuddyFreeRow = 1;
   for (ZoneId z = 0; z < mem.zone_count(); ++z) {
     const mm::BuddyAllocator& buddy = mem.buddy(z);
     PagetypeinfoZone& row = out[z];
     row.zone = z;
-    row.counts.resize(kStateCount);
+    row.counts.resize(PagetypeinfoZone::kOwnerCount);
     for (auto& per_order : row.counts) {
       per_order.assign(buddy.max_order() + 1, 0);
     }
-    // The buddy-free row counts the bitmaps' free blocks; the owner rows
-    // count the zone mem_map's heads.
     buddy.for_each_free_block(
-        [&](Addr, unsigned order) { ++row.counts[kBuddyFreeRow][order]; });
-    mem.mem_map(z).for_each_head([&](Addr, hw::FrameState st, unsigned order) {
-      const auto s = static_cast<std::size_t>(st);
-      if (s < kStateCount && order < row.counts[s].size()) {
-        ++row.counts[s][order];
-      }
+        [&](Addr, unsigned order) { ++row.counts[PagetypeinfoZone::kBuddyFree][order]; });
+    mem.cache(z).for_each_lru([&](Addr, unsigned order, bool dirty) {
+      ++row.counts[dirty ? PagetypeinfoZone::kCacheDirty : PagetypeinfoZone::kCacheClean][order];
+    });
+    if (const mm::HugetlbPool* pool = node.hugetlb()) {
+      pool->for_each_pool_page(
+          z, [&](Addr) { ++row.counts[PagetypeinfoZone::kHugetlbPool][mm::kLargePageOrder]; });
+    }
+  }
+  if (const mm::SmpDomain* smp = node.smp()) {
+    smp->for_each_pcp_frame([&](std::uint32_t, ZoneId z, Addr) {
+      ++out[z].counts[PagetypeinfoZone::kPcpCache][0];
     });
   }
 }

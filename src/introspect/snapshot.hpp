@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "hw/mem_map.hpp"
 
 namespace hpmmap::os {
 class Node;
@@ -73,13 +72,20 @@ struct Vmstat {
 };
 
 /// One /proc/pagetypeinfo row: per-zone counts of block heads by owner
-/// state and order: free blocks from the buddy's bitmaps, the other
-/// owners from the zone's mem_map.
+/// and order, each from its owner's own record: the buddy's bitmaps, the
+/// page-cache LRU, the hugetlb pool stack and the pcp lists.
 struct PagetypeinfoZone {
+  /// The owners, in the order the rows print.
+  enum Owner : std::size_t {
+    kBuddyFree,
+    kCacheClean,
+    kCacheDirty,
+    kHugetlbPool,
+    kPcpCache,
+    kOwnerCount
+  };
   ZoneId zone = 0;
-  /// counts[state][order]; state indexed by hw::FrameState (kCacheClean,
-  /// kCacheDirty, kHugetlbPool, kPcpCache), with the unused value 1 for
-  /// buddy-free blocks; order 0..max_order.
+  /// counts[owner][order], order 0..max_order.
   std::vector<std::vector<std::uint64_t>> counts;
 };
 

@@ -164,75 +164,6 @@ unsigned BuddyAllocator::free(Addr addr, unsigned order) {
   return merges;
 }
 
-bool BuddyAllocator::reserve_exact(Addr addr, unsigned order) {
-  HPMMAP_ASSERT(order <= max_order_, "order above max_order");
-  HPMMAP_ASSERT(order >= min_order_, "order below min_order");
-  const Range want{addr, addr + order_bytes(order)};
-  if (!range_.contains(want.begin) || want.end > range_.end) {
-    return false;
-  }
-  // A single larger free block may contain the whole region: split it
-  // down until the wanted block is an exact free-list entry.
-  if (auto container = free_block_containing(addr);
-      container.has_value() && container->second > order &&
-      Range{container->first, container->first + order_bytes(container->second)}.contains(want)) {
-    Addr block = container->first;
-    unsigned o = container->second;
-    remove_block(o, block);
-    while (o > order) {
-      --o;
-      const Addr lower = block;
-      const Addr upper = block + order_bytes(o);
-      if (want.begin >= upper) {
-        insert_block(o, lower);
-        block = upper;
-      } else {
-        insert_block(o, upper);
-        block = lower;
-      }
-      ++stats_.split_steps;
-    }
-    HPMMAP_ASSERT(block == addr, "split descent must land on the wanted block");
-    free_bytes_ -= order_bytes(order);
-    ++stats_.allocs;
-    return true;
-  }
-  // Collect the free blocks covering `want`; they must tile it exactly.
-  struct Piece {
-    Addr addr;
-    unsigned order;
-  };
-  std::vector<Piece> cover;
-  std::uint64_t covered = 0;
-  for (unsigned o = min_order_; o <= max_order_; ++o) {
-    const std::uint64_t ob = order_bytes(o);
-    // Free blocks intersecting [want) at this order: the block whose
-    // range contains want.begin through the one containing want.end-1.
-    const std::uint64_t first = (want.begin - range_.begin) / ob;
-    const std::uint64_t last = (want.end - 1 - range_.begin) / ob;
-    for (std::uint64_t idx = first; idx <= last; ++idx) {
-      if (!test_bit(o, idx)) {
-        continue;
-      }
-      const Addr a = range_.begin + idx * ob;
-      if (!want.contains(Range{a, a + ob})) {
-        return false; // a free block straddles the boundary: cannot take exactly
-      }
-      cover.push_back(Piece{a, o});
-      covered += ob;
-    }
-  }
-  if (covered != want.size()) {
-    return false; // some of the region is allocated
-  }
-  for (const Piece& p : cover) {
-    remove_block(p.order, p.addr);
-  }
-  free_bytes_ -= want.size();
-  ++stats_.allocs;
-  return true;
-}
-
 std::optional<std::pair<Addr, unsigned>> BuddyAllocator::free_block_containing(Addr addr) const {
   if (!range_.contains(addr)) {
     return std::nullopt;
@@ -275,15 +206,6 @@ std::uint64_t BuddyAllocator::free_blocks(unsigned order) const {
     n += o == order ? 1 : 0;
   }
   return n;
-}
-
-std::optional<unsigned> BuddyAllocator::largest_free_order() const {
-  for (unsigned o = max_order_ + 1; o-- > 0;) {
-    if (free_blocks(o) != 0) {
-      return o;
-    }
-  }
-  return std::nullopt;
 }
 
 double BuddyAllocator::fragmentation() const {

@@ -6,9 +6,10 @@
 // (§III-A says HPMMAP borrows Kitten's buddy allocator) — the policy
 // differences (watermarks, reclaim) live in the callers, not here.
 //
-// Order 0 is one 4 KiB frame. kMaxOrder covers 4 KiB << kMaxOrder; Linux
-// uses 11 (4 MiB); the Kitten instance uses a larger maximum so whole
-// 128 MiB+ offlined blocks stay coalesced. An instance may also have a
+// Order 0 is one 4 KiB frame. An instance's blocks reach 4 KiB <<
+// max_order: Linux zones use kLinuxMaxOrder = 10 (4 MiB), and the Kitten
+// instance a larger maximum so whole 128 MiB+ offlined blocks stay
+// coalesced. An instance may also have a
 // floor, `min_order`: it hands out no block below it and keeps no
 // freelist bitmaps below it. Orders stay in 4 KiB units either way. The
 // Kitten instance's floor is order 9 (2 MiB), the smallest page HPMMAP
@@ -22,9 +23,9 @@
 // lowest-addressed free block of an order), and the buddy-of test that
 // drives coalescing is a single bit probe instead of a set lookup. The
 // bitmaps are the only record of a free block: free_block_containing()
-// resolves any address by one bit probe per order, and the owners of
-// allocated blocks (page cache, hugetlb pool, pcp lists) mark them in
-// their zone's hw::MemMap, which this class never touches.
+// resolves any address by one bit probe per order. The owners of
+// allocated blocks (page cache, hugetlb pool, pcp lists) keep their own
+// records of them.
 #pragma once
 
 #include <bit>
@@ -103,11 +104,6 @@ class BuddyAllocator {
   /// Free a previously allocated block; returns coalesce step count.
   unsigned free(Addr addr, unsigned order);
 
-  /// Remove a specific *free* block from the freelists (used by
-  /// compaction to claim a region it assembled). Returns false if any
-  /// part of [addr, addr + size(order)) is not currently free.
-  [[nodiscard]] bool reserve_exact(Addr addr, unsigned order);
-
   /// The free block containing `addr`, if any, as (base, order).
   [[nodiscard]] std::optional<std::pair<Addr, unsigned>> free_block_containing(Addr addr) const;
 
@@ -122,8 +118,6 @@ class BuddyAllocator {
   [[nodiscard]] std::uint64_t free_bytes() const noexcept { return free_bytes_; }
   [[nodiscard]] std::uint64_t total_bytes() const noexcept { return range_.size(); }
   [[nodiscard]] std::uint64_t free_blocks(unsigned order) const;
-  /// Largest order with at least one free block, or nullopt if empty.
-  [[nodiscard]] std::optional<unsigned> largest_free_order() const;
 
   /// Fragmentation in [0, 1]: 0 when all free memory sits in max-order
   /// blocks, approaching 1 when it is shattered into order-0 frames.

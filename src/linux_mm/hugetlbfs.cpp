@@ -1,5 +1,7 @@
 #include "linux_mm/hugetlbfs.hpp"
 
+#include <bit>
+
 #include "common/assert.hpp"
 #include "common/log.hpp"
 #include "trace/metrics.hpp"
@@ -8,21 +10,52 @@
 
 namespace hpmmap::mm {
 
+std::uint64_t HugetlbPool::page_of(ZoneId zone, Addr addr) const {
+  const Range r = memory_.buddy(zone).range();
+  HPMMAP_ASSERT(r.contains(addr) && is_aligned(addr - r.begin, kLargePageSize),
+                "pooled page outside its zone");
+  return (addr - r.begin) / kLargePageSize;
+}
+
+bool HugetlbPool::pooled(ZoneId zone, Addr addr) const {
+  HPMMAP_ASSERT(zone < state_.pool.size(), "zone out of range");
+  const std::uint64_t page = page_of(zone, addr);
+  return ((state_.pool[zone].pooled[page / 64] >> (page % 64)) & 1u) != 0;
+}
+
+std::uint64_t HugetlbPool::pooled_count(ZoneId zone) const {
+  HPMMAP_ASSERT(zone < state_.pool.size(), "zone out of range");
+  std::uint64_t n = 0;
+  for (const std::uint64_t w : state_.pool[zone].pooled) {
+    n += static_cast<std::uint64_t>(std::popcount(w));
+  }
+  return n;
+}
+
 void HugetlbPool::push(ZoneId zone, Addr addr) {
-  hw::MemMap& m = memory_.mem_map(zone);
-  HPMMAP_ASSERT(m.contains(addr), "pooled page outside its zone");
-  const std::uint32_t idx = m.index_of(addr);
+  ZonePool& p = state_.pool[zone];
+  const std::uint64_t page = page_of(zone, addr);
   // No state assertion here: the auditor, not this push, is responsible
   // for flagging a page returned while still mapped (leak detection
   // tests drive exactly that). A page that is already pooled — a double
   // free_page — is only re-accounted, never pushed twice: a count/stack
   // mismatch is exactly what the auditor's conservation and stack-walk
   // checks exist to catch.
-  if (m.state(idx) != hw::FrameState::kHugetlbPool) {
-    m.set_head(idx, hw::FrameState::kHugetlbPool, kLargePageOrder);
-    state_.pool[zone].stack.push_back(idx);
+  if (!pooled(zone, addr)) {
+    p.pooled[page / 64] |= std::uint64_t{1} << (page % 64);
+    p.stack.push_back(static_cast<std::uint32_t>(page * kSmallPagesPerLarge));
   }
-  ++state_.pool[zone].count;
+  ++p.count;
+}
+
+Addr HugetlbPool::pop(ZoneId zone) {
+  ZonePool& p = state_.pool[zone];
+  const std::uint32_t idx = p.stack.back();
+  p.stack.pop_back();
+  const std::uint64_t page = idx / kSmallPagesPerLarge;
+  p.pooled[page / 64] &= ~(std::uint64_t{1} << (page % 64));
+  --p.count;
+  return memory_.buddy(zone).range().begin + static_cast<Addr>(idx) * kSmallPageSize;
 }
 
 HugetlbPool::HugetlbPool(MemorySystem& memory, std::uint64_t bytes_per_zone)
@@ -32,6 +65,8 @@ HugetlbPool::HugetlbPool(MemorySystem& memory, std::uint64_t bytes_per_zone)
   state_.total.assign(zones, 0);
   const std::uint64_t pages = bytes_per_zone / kLargePageSize;
   for (ZoneId z = 0; z < zones; ++z) {
+    const std::uint64_t zone_pages = memory_.buddy(z).range().size() / kLargePageSize;
+    state_.pool[z].pooled.assign(static_cast<std::size_t>((zone_pages + 63) / 64), 0);
     for (std::uint64_t i = 0; i < pages; ++i) {
       AllocOutcome out = memory_.alloc_pages(z, kLargePageOrder, /*allow_reclaim=*/true);
       HPMMAP_ASSERT(out.ok, "hugetlb boot reservation failed: zone too small/fragmented");
@@ -49,15 +84,8 @@ HugetlbPool::~HugetlbPool() {
   // Return whatever is still pooled; outstanding pages die with the
   // simulated machine.
   for (ZoneId z = 0; z < state_.pool.size(); ++z) {
-    hw::MemMap& m = memory_.mem_map(z);
-    std::vector<std::uint32_t>& stack = state_.pool[z].stack;
-    while (!stack.empty()) {
-      const std::uint32_t idx = stack.back();
-      stack.pop_back();
-      const Addr addr = m.addr_of(idx);
-      m.clear_head(idx);
-      --state_.pool[z].count;
-      memory_.free_pages(z, addr, kLargePageOrder);
+    while (!state_.pool[z].stack.empty()) {
+      memory_.free_pages(z, pop(z), kLargePageOrder);
     }
   }
 }
@@ -78,16 +106,10 @@ std::optional<std::pair<Addr, ZoneId>> HugetlbPool::alloc_page(ZoneId zone) {
   }
   for (std::uint32_t probe = 0; probe < state_.pool.size(); ++probe) {
     const ZoneId z = (zone + probe) % static_cast<ZoneId>(state_.pool.size());
-    std::vector<std::uint32_t>& stack = state_.pool[z].stack;
-    if (stack.empty()) {
+    if (state_.pool[z].stack.empty()) {
       continue;
     }
-    hw::MemMap& m = memory_.mem_map(z);
-    const std::uint32_t idx = stack.back();
-    stack.pop_back();
-    const Addr addr = m.addr_of(idx);
-    m.clear_head(idx);
-    --state_.pool[z].count;
+    const Addr addr = pop(z);
     ++state_.stats.faults_served;
     if (trace::on(trace::Category::kHugetlb)) {
       trace::instant(trace::Category::kHugetlb, "hugetlb.alloc", 0, -1,

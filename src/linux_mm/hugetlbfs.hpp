@@ -6,9 +6,10 @@
 // sword Figure 5 documents: hugetlb faults always find memory, while the
 // rest of the system fights over what is left.
 //
-// Each zone's free pages are a LIFO stack of head-frame indices into that
-// zone's hw::MemMap, and every pooled page is also marked kHugetlbPool
-// there, so the auditor can cross-check the stack against the map.
+// Each zone's free pages are a LIFO stack of zone-relative head-frame
+// indices, beside a pooled bit per 2 MiB page of the zone: the bit keeps
+// a double free_page from pushing a page twice, and the auditor
+// cross-checks the stack against it.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +17,6 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "hw/mem_map.hpp"
 #include "linux_mm/memory_system.hpp"
 
 namespace hpmmap::snapshot {
@@ -59,21 +59,27 @@ class HugetlbPool {
   template <typename Fn>
   void for_each_pool_page(ZoneId zone, Fn&& fn) const {
     HPMMAP_ASSERT(zone < state_.pool.size(), "zone out of range");
-    const hw::MemMap& m = memory_.mem_map(zone);
+    const Addr begin = memory_.buddy(zone).range().begin;
     const std::vector<std::uint32_t>& stack = state_.pool[zone].stack;
     for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-      fn(m.addr_of(*it));
+      fn(begin + static_cast<Addr>(*it) * kSmallPageSize);
     }
   }
 
-  /// One zone's free stack of frame indices into the zone's MemMap, top
-  /// at the back. A stack only ever holds frames of its own zone
-  /// (reservation and free_page both key by the frame's physical zone).
-  /// The count is kept apart so the auditor can catch a drift between it
-  /// and the stack.
+  /// Whether the zone's pooled bit for the 2 MiB page at `addr` is set.
+  [[nodiscard]] bool pooled(ZoneId zone, Addr addr) const;
+  /// Pooled bits set in the zone; the stack's length when they agree.
+  [[nodiscard]] std::uint64_t pooled_count(ZoneId zone) const;
+
+  /// One zone's free stack of zone-relative frame indices, top at the
+  /// back, and its pooled bit per 2 MiB page. A stack only ever holds
+  /// frames of its own zone (reservation and free_page both key by the
+  /// frame's physical zone). The count is kept apart so the auditor can
+  /// catch a drift between it and the stack.
   struct ZonePool {
     std::vector<std::uint32_t> stack;
     std::uint64_t count = 0;
+    std::vector<std::uint64_t> pooled;
   };
   /// The members a snapshot image holds as they are (snapshot/image.hpp).
   struct State {
@@ -87,6 +93,10 @@ class HugetlbPool {
 
   /// Stack push (ctor reservation and free_page share it).
   void push(ZoneId zone, Addr addr);
+  /// Pop the zone's top page, clearing its pooled bit.
+  Addr pop(ZoneId zone);
+  /// The zone's 2 MiB page index of `addr`.
+  [[nodiscard]] std::uint64_t page_of(ZoneId zone, Addr addr) const;
 
   MemorySystem& memory_;
   State state_;

@@ -35,11 +35,6 @@ BuddyAllocator& MemorySystem::buddy(ZoneId zone) {
   return zones_[zone].buddy;
 }
 
-hw::MemMap& MemorySystem::mem_map(ZoneId zone) {
-  HPMMAP_ASSERT(zone < zones_.size(), "zone out of range");
-  return zones_[zone].map;
-}
-
 PageCache& MemorySystem::cache(ZoneId zone) {
   HPMMAP_ASSERT(zone < zones_.size(), "zone out of range");
   return zones_[zone].cache;

@@ -1,5 +1,5 @@
-// The Linux-side physical memory system: per-zone buddy allocators,
-// mem_maps and page caches, plus the allocation slow path (watermarks,
+// The Linux-side physical memory system: per-zone buddy allocators and
+// page caches, plus the allocation slow path (watermarks,
 // direct reclaim, compaction) every consumer goes through.
 //
 // alloc_pages() is the chokepoint that produces the paper's load
@@ -22,7 +22,6 @@
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "hw/bandwidth.hpp"
-#include "hw/mem_map.hpp"
 #include "hw/phys_mem.hpp"
 #include "linux_mm/buddy_allocator.hpp"
 #include "linux_mm/cost_model.hpp"
@@ -87,9 +86,6 @@ class MemorySystem {
   std::uint64_t kswapd_balance(ZoneId zone);
 
   [[nodiscard]] BuddyAllocator& buddy(ZoneId zone);
-  /// The zone's frame-metadata map: the heads of page-cache blocks,
-  /// hugetlb pool pages and pcp frames (free blocks live in the buddy).
-  [[nodiscard]] hw::MemMap& mem_map(ZoneId zone);
   [[nodiscard]] PageCache& cache(ZoneId zone);
   [[nodiscard]] std::uint32_t zone_count() const noexcept {
     return static_cast<std::uint32_t>(zones_.size());
@@ -120,13 +116,12 @@ class MemorySystem {
 
   struct ZoneState {
     BuddyAllocator buddy;
-    hw::MemMap map;
     PageCache cache;
     std::uint64_t online_bytes;
     Addr compact_cursor;            // rotates through candidate 2M windows
     unsigned compact_defer = 0;     // defer_compaction(): skip attempts after failure
     ZoneState(Range r, std::uint64_t online)
-        : buddy(r, kLinuxMaxOrder), map(r), cache(buddy, map), online_bytes(online),
+        : buddy(r, kLinuxMaxOrder), cache(buddy), online_bytes(online),
           compact_cursor(r.begin) {}
   };
 
@@ -142,8 +137,8 @@ class MemorySystem {
   hw::BandwidthModel& bw_;
   Rng rng_;
   CostModel costs_;
-  // Contiguous, one per physical zone. ZoneState holds internal
-  // references (cache -> buddy, map), so elements must never relocate:
+  // Contiguous, one per physical zone. ZoneState holds an internal
+  // reference (cache -> buddy), so elements must never relocate:
   // rebuild_zones() reserves the full zone count before emplacing, and
   // nothing else grows the vector.
   std::vector<ZoneState> zones_;

@@ -1,36 +1,54 @@
 #include "linux_mm/page_cache.hpp"
 
 #include <algorithm>
-#include <vector>
-
-#include "common/assert.hpp"
 
 namespace hpmmap::mm {
 
-using hw::FrameState;
-using hw::MemMap;
+PageCache::PageCache(BuddyAllocator& buddy, double dirty_fraction)
+    : buddy_(buddy), index_(buddy.max_order() + 1), state_{.dirty_fraction = dirty_fraction} {}
 
-PageCache::PageCache(BuddyAllocator& buddy, MemMap& map, double dirty_fraction)
-    : buddy_(buddy), map_(map), state_{.dirty_fraction = dirty_fraction} {}
+void PageCache::flip(std::uint32_t head, unsigned order) {
+  std::vector<std::uint64_t>& bits = index_[order];
+  if (bits.empty()) {
+    bits.resize(static_cast<std::size_t>(((buddy_.range().size() >> (12 + order)) + 63) / 64));
+  }
+  const std::uint64_t i = std::uint64_t{head} >> order;
+  bits[i >> 6] ^= std::uint64_t{1} << (i & 63);
+}
+
+void PageCache::reindex() {
+  for (std::vector<std::uint64_t>& bits : index_) {
+    std::fill(bits.begin(), bits.end(), 0);
+  }
+  for (const Entry& e : lru_) {
+    HPMMAP_ASSERT(e.order < index_.size() && e.head % (1u << e.order) == 0 &&
+                      addr_of(e.head) + BuddyAllocator::order_bytes(e.order) <=
+                          buddy_.range().end,
+                  "page-cache LRU entry is not a block of its zone");
+    if (!test(e.order, std::uint64_t{e.head} >> e.order)) {
+      flip(e.head, e.order);
+    }
+  }
+}
+
+void PageCache::corrupt_flip_index(Addr addr, unsigned order) { flip(head_of(addr), order); }
 
 void PageCache::push_back_block(Addr addr, unsigned order, bool dirty) {
-  const std::uint32_t idx = map_.index_of(addr);
-  HPMMAP_ASSERT(map_.state(idx) == FrameState::kUntracked, "block already cached");
-  map_.set_head(idx, dirty ? FrameState::kCacheDirty : FrameState::kCacheClean, order);
-  lru_.push_back(idx);
+  const std::uint32_t head = head_of(addr);
+  HPMMAP_ASSERT(!test(order, std::uint64_t{head} >> order), "block already cached");
+  flip(head, order);
+  lru_.push_back(Entry{head, static_cast<std::uint8_t>(order), dirty});
   state_.cached_bytes += BuddyAllocator::order_bytes(order);
 }
 
 std::pair<std::uint64_t, bool> PageCache::pop_front_block() {
-  const std::uint32_t idx = lru_.front();
+  const Entry e = lru_.front();
   lru_.pop_front();
-  const unsigned order = map_.order(idx);
-  const bool dirty = map_.state(idx) == FrameState::kCacheDirty;
-  map_.clear_head(idx);
-  buddy_.free(map_.addr_of(idx), order);
-  const std::uint64_t block_bytes = BuddyAllocator::order_bytes(order);
+  flip(e.head, e.order);
+  buddy_.free(addr_of(e.head), e.order);
+  const std::uint64_t block_bytes = BuddyAllocator::order_bytes(e.order);
   state_.cached_bytes -= block_bytes;
-  return {block_bytes, dirty};
+  return {block_bytes, e.dirty};
 }
 
 std::uint64_t PageCache::grow(std::uint64_t bytes, unsigned order, bool dirty) {
@@ -87,27 +105,26 @@ void PageCache::relocate(std::span<const Move> moves) {
   std::vector<Moved> moved;
   moved.reserve(moves.size());
   for (const Move& mv : moves) {
-    const std::uint32_t io = map_.index_of(mv.from);
-    const FrameState st = map_.state(io);
-    HPMMAP_ASSERT(st == FrameState::kCacheClean || st == FrameState::kCacheDirty,
+    const auto from = block_containing(mv.from);
+    HPMMAP_ASSERT(from.has_value() && from->first == mv.from,
                   "relocate of a block the cache does not own");
-    const std::uint32_t in = map_.index_of(mv.to);
-    // The target is normally a freshly-allocated (untracked) block, but
+    // The target is normally a freshly-allocated (uncached) block, but
     // only another cache block is an outright error: compaction tests
     // relocate onto raw free space without reserving it first.
-    HPMMAP_ASSERT((hw::state_mask(map_.state(in)) & hw::kCacheStates) == 0,
-                  "relocate target already cached");
-    map_.set_head(in, st, map_.order(io));
-    map_.clear_head(io);
-    moved.emplace_back(io, in);
+    const auto to = block_containing(mv.to);
+    HPMMAP_ASSERT(!to.has_value() || to->first != mv.to, "relocate target already cached");
+    const Moved heads{head_of(mv.from), head_of(mv.to)};
+    flip(heads.first, from->second);
+    flip(heads.second, from->second);
+    moved.push_back(heads);
   }
   // One LRU walk rewrites each moved head in place, keeping its position.
   std::ranges::sort(moved);
   std::size_t left = moved.size();
   for (auto it = lru_.begin(); left > 0 && it != lru_.end(); ++it) {
-    const auto hit = std::ranges::lower_bound(moved, *it, {}, &Moved::first);
-    if (hit != moved.end() && hit->first == *it) {
-      *it = hit->second;
+    const auto hit = std::ranges::lower_bound(moved, it->head, {}, &Moved::first);
+    if (hit != moved.end() && hit->first == it->head) {
+      it->head = hit->second;
       --left;
     }
   }

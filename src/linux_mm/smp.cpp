@@ -116,8 +116,6 @@ SmallAlloc SmpDomain::alloc_small(MemorySystem& mem, ZoneId zone, std::int32_t c
     if (!list.frames.empty()) {
       out.addr = list.frames.back();
       list.frames.pop_back();
-      hw::MemMap& map = mem.mem_map(zone);
-      map.clear_head(map.index_of(out.addr));
       out.ok = true;
       out.from_pcp = true;
       out.work = costs_.smp_pcp_op;
@@ -127,7 +125,6 @@ SmallAlloc SmpDomain::alloc_small(MemorySystem& mem, ZoneId zone, std::int32_t c
     // Miss: refill a batch from the buddy under one zone-lock acquire.
     ++stats_.pcp_misses;
     BuddyAllocator& buddy = mem.buddy(zone);
-    hw::MemMap& map = mem.mem_map(zone);
     Cycles hold = costs_.smp_lock_acquire;
     std::uint32_t got = 0;
     for (std::uint32_t i = 0; i < config_.pcp_batch; ++i) {
@@ -141,7 +138,6 @@ SmallAlloc SmpDomain::alloc_small(MemorySystem& mem, ZoneId zone, std::int32_t c
         out.addr = a->addr; // first (lowest) frame satisfies this fault
         out.ok = true;
       } else {
-        map.set_head(map.index_of(a->addr), hw::FrameState::kPcpCache, 0);
         list.frames.push_back(a->addr);
       }
       ++got;
@@ -182,8 +178,6 @@ LockedOp SmpDomain::free_small(MemorySystem& mem, ZoneId zone, std::int32_t core
   const std::uint32_t cpu =
       core >= 0 ? static_cast<std::uint32_t>(core) % config_.cores : 0;
   PcpList& list = pcp_[pcp_index(cpu, zone)];
-  hw::MemMap& map = mem.mem_map(zone);
-  map.set_head(map.index_of(addr), hw::FrameState::kPcpCache, 0);
   list.frames.push_back(addr);
   LockedOp op;
   op.work = costs_.smp_pcp_op;
@@ -212,13 +206,11 @@ LockedOp SmpDomain::drain_list(MemorySystem& mem, ZoneId zone, PcpList& list, Cy
     return {};
   }
   ++stats_.pcp_drains;
-  hw::MemMap& map = mem.mem_map(zone);
   Cycles hold = costs_.smp_lock_acquire;
   const std::size_t spill = list.frames.size() - down_to;
   // Coldest frames (front of the LIFO) go back to the buddy.
   for (std::size_t i = 0; i < spill; ++i) {
     const Addr addr = list.frames[i];
-    map.clear_head(map.index_of(addr));
     const unsigned merges = mem.free_pages(zone, addr, 0);
     hold += costs_.buddy_base + merges * costs_.buddy_merge_step + costs_.smp_pcp_move_frame;
   }

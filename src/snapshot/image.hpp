@@ -15,9 +15,10 @@
 // page-cache LRU deque, the page-table node pool, the VMA tree) are
 // stored as arrays, and sets whose order carries no meaning (swap sets,
 // THP's in-flight merges) are stored sorted. Restore overwrites a freshly
-// booted world with these images; nothing is re-derived, so a resumed run
-// replays the exact event stream the uninterrupted run would have
-// produced.
+// booted world with these images. Only lookup structures are re-derived:
+// the VMA tree by re-insert and the page-cache index from the LRU, so a
+// resumed run replays the exact event stream the uninterrupted run would
+// have produced.
 #pragma once
 
 #include <cstddef>
@@ -77,11 +78,6 @@ struct EventImage {
 
 // --- hw / linux_mm --------------------------------------------------------
 
-struct MemMapImage {
-  Range range{};
-  std::vector<std::uint8_t> meta;
-};
-
 struct CorruptBlockImage {
   Addr addr = 0;
   std::uint32_t order = 0;
@@ -97,13 +93,12 @@ struct BuddyImage {
 };
 
 struct CacheImage {
-  std::vector<std::uint32_t> lru; // head-frame indices, oldest first
+  std::vector<mm::PageCache::Entry> lru; // oldest first; restore re-indexes them
   mm::PageCache::State state;
 };
 
 struct ZoneImage {
   BuddyImage buddy;
-  MemMapImage map;
   CacheImage cache;
   std::uint64_t online_bytes = 0;
   Addr compact_cursor = 0;

@@ -47,7 +47,9 @@ constexpr std::uint32_t kMagic = 0x4e535048; // "HPSN"
 // event list; each owner's image holds its pending events and a node its
 // clock. v8: the mem_map is the Linux zone's, stored after the zone's
 // buddy and holding no free-block heads; a Kitten heap stores no map.
-constexpr std::uint32_t kVersion = 8;
+// v9: no mem_map; a page-cache LRU entry is {head, order, dirty}, and
+// each hugetlb zone pool stores its pooled bit per 2 MiB page.
+constexpr std::uint32_t kVersion = 9;
 
 /// Loaded trace strings live until process exit; std::set node stability
 /// keeps every handed-out c_str() valid as the pool grows.

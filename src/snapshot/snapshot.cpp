@@ -7,7 +7,8 @@
 // (live -> image) or Restore (image -> live), decides through its
 // primitives on the member `d` which way each field moves; an owner's
 // pending engine event moves with it through d.event. Steps with no image
-// field (clearing the engine, dirtying caches) sit under
+// field (clearing the engine, dirtying caches, re-indexing the page
+// cache from its LRU) sit under
 // `if constexpr (D::kRestores)`. Restore overwrites a freshly booted world
 // (same config, aged_boot off, builds constructed but not started); what
 // boot derives from the configuration (node and build counts, clock, zone
@@ -27,7 +28,6 @@
 #include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "hw/bandwidth.hpp"
-#include "hw/mem_map.hpp"
 #include "linux_mm/address_space.hpp"
 #include "linux_mm/buddy_allocator.hpp"
 #include "linux_mm/hugetlbfs.hpp"
@@ -261,18 +261,6 @@ struct Access {
       };
     }
 
-    /// The image holds the dense meta bytes: capture densifies the
-    /// sections, restore materializes only those with a nonzero inner byte.
-    void transfer(Img<D, MemMapImage>& img, Live<D, hw::MemMap>& m) const {
-      d.same(img.range, m.range(), "snapshot: mem_map range mismatch");
-      if constexpr (D::kRestores) {
-        d.same(img.meta.size(), m.frame_count(), "snapshot: mem_map meta length mismatch");
-        m.assign_dense(img.meta);
-      } else {
-        img.meta = m.to_dense();
-      }
-    }
-
     void transfer(Img<D, BuddyImage>& img, Live<D, mm::BuddyAllocator>& b) const {
       d.same(img.range, b.range_, "snapshot: buddy layout mismatch");
       d.same(img.max_order, b.max_order_, "snapshot: buddy layout mismatch");
@@ -293,8 +281,10 @@ struct Access {
       d(img.rng, ms.rng_);
       d.fixed(img.zones, ms.zones_, "snapshot: zone count mismatch", [&](auto& zi, auto& z) {
         transfer(zi.buddy, z.buddy);
-        transfer(zi.map, z.map);
         d(zi.cache.lru, z.cache.lru_);
+        if constexpr (D::kRestores) {
+          z.cache.reindex();
+        }
         d(zi.cache.state, z.cache.state_);
         d(zi.online_bytes, z.online_bytes);
         d(zi.compact_cursor, z.compact_cursor);
@@ -458,8 +448,11 @@ struct Access {
       d(img.bw, n.bw_.state_);
       transfer(img.memory, *n.memory_);
       if (img.has_hugetlb) {
-        d.same(img.hugetlb.pool.size(), n.hugetlb_->state_.pool.size(),
-               "snapshot: hugetlb zone count mismatch");
+        d.fixed(img.hugetlb.pool, n.hugetlb_->state_.pool, "snapshot: hugetlb zone count mismatch",
+                [&](auto& pi, auto& p) {
+                  d.same(pi.pooled.size(), p.pooled.size(),
+                         "snapshot: hugetlb pooled bitmap length mismatch");
+                });
         d(img.hugetlb, n.hugetlb_->state_);
       }
       // Processes before module/THP/LRU: those rebind pointers by pid.

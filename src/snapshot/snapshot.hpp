@@ -1,8 +1,8 @@
 // Node snapshot/restore (DESIGN.md §12).
 //
 // capture_world() deep-copies every structure of a quiesced simulation —
-// engine clock and pending events, buddy bitmaps, the mem_map meta
-// bytes, page-cache LRU FIFOs, packed page tables, hugetlb pool stacks,
+// engine clock and pending events, buddy bitmaps, page-cache LRU FIFOs,
+// packed page tables, hugetlb pool stacks and pooled bits,
 // VMA trees, the PID registry, module state, the flight recorder,
 // metrics and the fault injector — into a WorldImage.
 // restore_world() overwrites a freshly booted world (same configuration,

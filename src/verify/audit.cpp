@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/module.hpp"
-#include "hw/mem_map.hpp"
 #include "hw/phys_mem.hpp"
 #include "linux_mm/address_space.hpp"
 #include "linux_mm/buddy_allocator.hpp"
@@ -108,24 +107,7 @@ void audit_buddy(const mm::BuddyAllocator& buddy, std::string_view label, AuditR
   }
 }
 
-void audit_mem_map(const hw::MemMap& map, std::string_view label, AuditReport& report) {
-  const std::string who{label};
-  // Section residency: a section keeps its inner buffer exactly while its
-  // count of nonzero inner entries is positive, so the count must be that
-  // number and never zero (a stale count leaks or drops the buffer).
-  map.for_each_materialized([&](std::uint32_t sec, unsigned count, unsigned nonzero) {
-    ++report.checks;
-    if (count != nonzero || count == 0) {
-      report.add("memmap.section_count",
-                 who + ": mem_map section " + num(sec) + " @" +
-                     hex(map.addr_of(sec * hw::MemMap::kSectionEntries)) + " counts " +
-                     num(count) + " inner heads but holds " + num(nonzero));
-    }
-  });
-}
-
-void audit_page_cache(const hw::MemMap& map, const mm::PageCache& cache, std::string_view label,
-                      AuditReport& report) {
+void audit_page_cache(const mm::PageCache& cache, std::string_view label, AuditReport& report) {
   const std::string who{label};
   std::vector<Addr> walked;
   walked.reserve(cache.block_count());
@@ -134,13 +116,10 @@ void audit_page_cache(const hw::MemMap& map, const mm::PageCache& cache, std::st
     (void)dirty;
     walked.push_back(a);
     bytes += mm::BuddyAllocator::order_bytes(o);
-    const hw::FrameState st = map.state(map.index_of(a));
     ++report.checks;
-    if (st != hw::FrameState::kCacheClean && st != hw::FrameState::kCacheDirty) {
-      report.add("cache.memmap_state",
-                 who + ": LRU block " + hex(a) + " order " + num(o) +
-                     " has non-cache mem_map state " +
-                     num(static_cast<std::uint64_t>(st)));
+    if (cache.block_containing(a) != std::make_optional(std::make_pair(a, o))) {
+      report.add("cache.unindexed",
+                 who + ": LRU block " + hex(a) + " order " + num(o) + " is not in the index");
     }
   });
   // The LRU holds each block once: a duplicate would be reclaimed twice,
@@ -156,20 +135,15 @@ void audit_page_cache(const hw::MemMap& map, const mm::PageCache& cache, std::st
                who + ": LRU byte total " + num(bytes) + " != accounted cached_bytes " +
                    num(cache.cached_bytes()));
   }
-  // mem_map -> LRU direction: the meta sweep must find exactly the
-  // cache's blocks (an extra cache-state head is unreachable by
-  // reclaim; a missing one hides a block from compaction).
-  std::uint64_t heads = 0;
-  cache.for_each_block([&](Addr a, unsigned o, bool dirty) {
-    (void)a;
-    (void)o;
-    (void)dirty;
-    ++heads;
-  });
+  // Index -> LRU direction: with every LRU block indexed, equal counts
+  // leave no indexed block the LRU does not reach (such a block is
+  // unreachable by reclaim yet seen by compaction).
+  std::uint64_t indexed = 0;
+  cache.for_each_block([&](Addr, unsigned) { ++indexed; });
   ++report.checks;
-  if (heads != cache.block_count()) {
-    report.add("cache.memmap_orphan",
-               who + ": mem_map holds " + num(heads) + " cache heads, cache counts " +
+  if (indexed != cache.block_count()) {
+    report.add("cache.index_orphan",
+               who + ": index holds " + num(indexed) + " blocks, LRU holds " +
                    num(cache.block_count()));
   }
 }
@@ -209,8 +183,7 @@ void MmAuditor::audit_buddies(AuditReport& report) {
 void MmAuditor::audit_caches(AuditReport& report) {
   mm::MemorySystem& memory = node_.memory();
   for (ZoneId z = 0; z < memory.zone_count(); ++z) {
-    audit_mem_map(memory.mem_map(z), "zone " + num(z), report);
-    audit_page_cache(memory.mem_map(z), memory.cache(z), "zone " + num(z), report);
+    audit_page_cache(memory.cache(z), "zone " + num(z), report);
   }
 }
 
@@ -339,8 +312,7 @@ void MmAuditor::audit_frames(AuditReport& report) {
     memory.buddy(z).for_each_free_block([&](Addr a, unsigned o) {
       frames.push_back(Interval{a, a + mm::BuddyAllocator::order_bytes(o), "buddy_free", 0});
     });
-    memory.cache(z).for_each_block([&](Addr a, unsigned o, bool dirty) {
-      (void)dirty;
+    memory.cache(z).for_each_block([&](Addr a, unsigned o) {
       frames.push_back(Interval{a, a + mm::BuddyAllocator::order_bytes(o), "page_cache", 0});
     });
   }
@@ -413,23 +385,25 @@ void MmAuditor::audit_hugetlb(AuditReport& report) {
   for (ZoneId z = 0; z < memory.zone_count(); ++z) {
     total += pool->total_pages(z);
     free += pool->free_pages(z);
-    // The intrusive stack must walk to exactly the counted pages, each
-    // marked kHugetlbPool in its zone's mem_map.
-    const hw::MemMap& map = memory.mem_map(z);
+    // The stack must walk to exactly the counted pages, each with its
+    // pooled bit set, and no other bit may be set.
+    const Range zone = memory.buddy(z).range();
     std::uint64_t walked = 0;
     pool->for_each_pool_page(z, [&](Addr a) {
       ++walked;
-      const std::uint32_t frame = map.index_of(a);
       ++report.checks;
-      if (map.state(frame) != hw::FrameState::kHugetlbPool ||
-          map.order(frame) != mm::kLargePageOrder) {
-        report.add("hugetlb.memmap_state",
-                   "zone " + num(z) + ": pooled page " + hex(a) +
-                       " has mem_map state " +
-                       num(static_cast<std::uint64_t>(map.state(frame))) + " order " +
-                       num(map.order(frame)));
+      if (!zone.contains(a) || !is_aligned(a - zone.begin, kLargePageSize) ||
+          !pool->pooled(z, a)) {
+        report.add("hugetlb.pooled_bit",
+                   "zone " + num(z) + ": pooled page " + hex(a) + " has no pooled bit");
       }
     });
+    ++report.checks;
+    if (pool->pooled_count(z) != walked) {
+      report.add("hugetlb.pooled_bit",
+                 "zone " + num(z) + ": " + num(pool->pooled_count(z)) +
+                     " pooled bits set, the stack holds " + num(walked) + " pages");
+    }
     ++report.checks;
     if (walked != pool->free_pages(z)) {
       report.add("hugetlb.stack",
@@ -470,35 +444,15 @@ void MmAuditor::audit_pcp(AuditReport& report) {
     return;
   }
   mm::MemorySystem& memory = node_.memory();
-  // list -> mem_map direction: every cached frame is an in-range order-0
-  // kPcpCache head, and no frame sits on two CPUs' lists (a frame popped
-  // by two cores at once is the double-alloc waiting to happen).
+  // Every cached frame lies in its zone, and no frame sits on two CPUs'
+  // lists (a frame popped by two cores at once is the double-alloc
+  // waiting to happen).
   std::map<Addr, std::uint32_t> owner; // frame -> first owning cpu
-  std::vector<std::uint64_t> listed(memory.zone_count(), 0);
   smp->for_each_pcp_frame([&](std::uint32_t cpu, ZoneId z, Addr a) {
     ++report.checks;
-    if (z >= memory.zone_count()) {
-      report.add("pcp.out_of_range",
-                 "cpu " + num(cpu) + ": cached frame " + hex(a) + " names zone " + num(z) +
-                     " beyond the machine's " + num(memory.zone_count()));
-      return;
-    }
-    ++listed[z];
-    const hw::MemMap& map = memory.mem_map(z);
-    ++report.checks;
-    if (!map.contains(a)) {
+    if (z >= memory.zone_count() || !memory.buddy(z).range().contains(a)) {
       report.add("pcp.out_of_range",
                  "cpu " + num(cpu) + ": cached frame " + hex(a) + " outside zone " + num(z));
-    } else {
-      const std::uint32_t frame = map.index_of(a);
-      ++report.checks;
-      if (map.state(frame) != hw::FrameState::kPcpCache || map.order(frame) != 0) {
-        report.add("pcp.memmap_state",
-                   "cpu " + num(cpu) + " zone " + num(z) + ": cached frame " + hex(a) +
-                       " has mem_map state " +
-                       num(static_cast<std::uint64_t>(map.state(frame))) + " order " +
-                       num(map.order(frame)));
-      }
     }
     ++report.checks;
     const auto [it, fresh] = owner.emplace(a, cpu);
@@ -508,33 +462,6 @@ void MmAuditor::audit_pcp(AuditReport& report) {
                      num(it->second) + " and cpu " + num(cpu));
     }
   });
-  // mem_map -> list direction plus per-zone conservation: the kPcpCache
-  // heads the metadata sweep finds are exactly the frames the lists
-  // carry (an orphan mark hides a frame from every allocator forever; a
-  // count drift means a mark was lost or a frame double-listed).
-  for (ZoneId z = 0; z < memory.zone_count(); ++z) {
-    const hw::MemMap& map = memory.mem_map(z);
-    std::uint64_t heads = 0;
-    map.for_each_head([&](Addr a, hw::FrameState st, unsigned o) {
-      if (st != hw::FrameState::kPcpCache) {
-        return;
-      }
-      (void)o;
-      ++heads;
-      ++report.checks;
-      if (owner.find(a) == owner.end()) {
-        report.add("pcp.memmap_orphan",
-                   "zone " + num(z) + ": mem_map marks " + hex(a) +
-                       " pcp-cached but no CPU list holds it");
-      }
-    });
-    ++report.checks;
-    if (heads != listed[z]) {
-      report.add("pcp.conservation",
-                 "zone " + num(z) + ": mem_map holds " + num(heads) +
-                     " pcp heads, the CPU lists carry " + num(listed[z]) + " frames");
-    }
-  }
 }
 
 } // namespace hpmmap::verify

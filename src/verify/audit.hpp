@@ -14,13 +14,10 @@
 //              block, so a lost bit shows as an accounting drift and a
 //              block handed to a second owner while free shows in the
 //              frame sweep below;
-//   memmap     every materialized section of a zone's mem_map counts
-//              exactly its nonzero inner entries, and not zero;
-//   cache      the intrusive LRU chain is sound: walking the links
-//              visits exactly block_count() blocks whose byte total is
-//              cached_bytes, every visited head carries a cache state
-//              in the mem_map, and the mem_map holds no cache-state
-//              head the LRU does not reach;
+//   cache      the page cache's two records agree: every LRU entry's
+//              index bit is set, the index holds no block the LRU does
+//              not reach, the LRU holds each block once, and its byte
+//              total is cached_bytes;
 //   vma        every per-process VMA tree (Linux and HPMMAP's own
 //              region lists) passes its structural invariants;
 //   pte        every mapped leaf falls wholly inside exactly one VMA of
@@ -37,16 +34,13 @@
 //              leaked into two owners or double-mapped across
 //              processes, and every frame lies inside physical RAM;
 //   pcp        when the node runs an SmpDomain, every frame parked on a
-//              per-CPU page-frame cache is an in-range order-0 head
-//              marked kPcpCache in its zone's mem_map, owned by exactly
-//              one CPU's list (a frame on two lists is the double-free
-//              shape pcp corruption takes), and conservation holds per
-//              zone: the mem_map's kPcpCache heads are exactly the
-//              frames the lists carry;
+//              per-CPU page-frame cache lies in its zone's range and is
+//              owned by exactly one CPU's list (a frame on two lists is
+//              the double-free shape pcp corruption takes);
 //   hugetlb    pool pages are conserved: free + mapped-as-hugetlb
-//              equals the boot reservation; each zone's intrusive pool
-//              stack walks to exactly free_pages() entries, all marked
-//              kHugetlbPool in the mem_map.
+//              equals the boot reservation; each zone's pool stack walks
+//              to exactly free_pages() entries, and its pooled bits are
+//              exactly the stack's pages.
 //
 // The auditor only reads; it reports violations instead of asserting so
 // tests can drive it over deliberately corrupted state.
@@ -57,9 +51,6 @@
 #include <string_view>
 #include <vector>
 
-namespace hpmmap::hw {
-class MemMap;
-}
 namespace hpmmap::mm {
 class BuddyAllocator;
 class PageCache;
@@ -99,13 +90,9 @@ struct AuditReport {
 /// buddy pairs, free_bytes consistent. `label` prefixes diagnostics.
 void audit_buddy(const mm::BuddyAllocator& buddy, std::string_view label, AuditReport& report);
 
-/// Audit one zone mem_map's section counts (the `memmap` block above).
-void audit_mem_map(const hw::MemMap& map, std::string_view label, AuditReport& report);
-
-/// Audit one page cache against its zone's mem_map: LRU linkage, byte
-/// accounting and cache-state agreement (see the `cache` block above).
-void audit_page_cache(const hw::MemMap& map, const mm::PageCache& cache, std::string_view label,
-                      AuditReport& report);
+/// Audit one page cache: LRU against index, duplicates and byte
+/// accounting (the `cache` block above).
+void audit_page_cache(const mm::PageCache& cache, std::string_view label, AuditReport& report);
 
 class MmAuditor {
  public:

@@ -23,9 +23,9 @@ if "$run_experiment" "${args[@]}" --snapshot-in "$snap/cut.snap" > /dev/null 2> 
 fi
 cat "$snap/cut.err"
 grep -q "snapshot: truncated image file" "$snap/cut.err"
-# The version word follows the 4-byte magic; 7 is the previous format
-# and 6, 5 and 4 the ones before it.
-for v in 4 5 6 7; do
+# The version word follows the 4-byte magic; 8 is the previous format
+# and 7, 6, 5 and 4 the ones before it.
+for v in 4 5 6 7 8; do
   cp "$snap/a.snap" "$snap/v$v.snap"
   printf "\\x0$v\\x00\\x00\\x00" | dd of="$snap/v$v.snap" bs=1 seek=4 conv=notrunc status=none
   if "$run_experiment" "${args[@]}" --snapshot-in "$snap/v$v.snap" > /dev/null 2> "$snap/v$v.err"; then

@@ -12,7 +12,6 @@
 #include "common/units.hpp"
 #include "harness/cluster.hpp"
 #include "harness/experiment.hpp"
-#include "hw/mem_map.hpp"
 #include "linux_mm/buddy_allocator.hpp"
 #include "linux_mm/page_cache.hpp"
 #include "linux_mm/smp.hpp"
@@ -287,14 +286,13 @@ TEST(Audit, DetectsHugetlbPoolLeak) {
       << r.summary();
 }
 
-// --- mem_map cross-check corruption ---------------------------------------
+// --- owner-record corruption ---------------------------------------------
 //
-// Every owner the buddy does not track (cache LRU, hugetlb stacks, pcp
-// lists) keeps a second, independent record of ownership in the zone's
-// mem_map; each case below desynchronizes one direction of that
-// agreement and expects the named violation. A free block is recorded
-// only in the buddy's bitmaps, so its corruptions surface in the books
-// and in the frame sweep instead.
+// Every owner is the only record of its blocks: the buddy's bitmaps, the
+// page cache's LRU and index, the hugetlb stacks and pooled bits, the pcp
+// lists. Each case below corrupts one record (a live hook, or a captured
+// image restored into a fresh boot) and expects the named violation in
+// the owner's own books or in the frame sweep.
 
 /// Restore `image` into a fresh boot of `cfg`; the state arrives from
 /// the image, so the boot skips aging.
@@ -346,8 +344,8 @@ TEST(Audit, DetectsFreeBitClearedInACapturedImage) {
 
 TEST(Audit, DetectsCacheBlockAdoptedOverAFreeBlock) {
   // The page cache adopts a block the buddy still holds free (an
-  // adopt() without the alloc()): the cache marks its head in the
-  // mem_map as usual, and the frame sweep finds the block owned twice.
+  // adopt() without the alloc()): the cache indexes the block as usual,
+  // and the frame sweep finds the block owned twice.
   sim::Engine engine;
   os::Node node(engine, small_config());
   Addr block = 0;
@@ -366,56 +364,34 @@ TEST(Audit, DetectsCacheBlockAdoptedOverAFreeBlock) {
   EXPECT_TRUE(has_violation(r, "frame.double_owner")) << r.summary();
 }
 
-TEST(Audit, DetectsStaleMemMapSectionCount) {
-  hw::MemMap map(Range{0, 8 * MiB});
-  // Ten pcp heads inside section 0 materialize its buffer.
-  for (std::uint32_t i = 1; i <= 10; ++i) {
-    map.set_head(i, hw::FrameState::kPcpCache, 0);
-  }
-  ASSERT_EQ(map.materialized_sections(), 1u);
-  const auto audit = [&] {
-    verify::AuditReport r;
-    verify::audit_mem_map(map, "test", r);
-    return r;
-  };
-  EXPECT_TRUE(audit().ok()) << audit().summary();
-  // A count one above the heads it holds.
-  map.corrupt_section_count(0, 11);
-  EXPECT_TRUE(has_violation(audit(), "memmap.section_count")) << audit().summary();
-  // Clearing the ten heads leaves the stale count keeping the buffer: a
-  // materialized section with nothing in it.
-  for (std::uint32_t i = 1; i <= 10; ++i) {
-    map.clear_head(i);
-  }
-  ASSERT_EQ(map.materialized_sections(), 1u);
-  EXPECT_TRUE(has_violation(audit(), "memmap.section_count")) << audit().summary();
-  // The same empty section with a count of zero.
-  map.corrupt_section_count(0, 0);
-  EXPECT_TRUE(has_violation(audit(), "memmap.section_count")) << audit().summary();
-}
-
 TEST(Audit, DetectsCacheBlockStateDrift) {
   mm::BuddyAllocator buddy(Range{0, 4 * MiB}, 8);
-  hw::MemMap map(buddy.range());
-  mm::PageCache cache(buddy, map);
+  mm::PageCache cache(buddy);
   ASSERT_GT(cache.grow(64 * KiB, 0, false), 0u);
   Addr first = 0;
   bool got = false;
-  cache.for_each_block([&](Addr a, unsigned, bool) {
+  cache.for_each_block([&](Addr a, unsigned) {
     if (!got) {
       first = a;
       got = true;
     }
   });
   ASSERT_TRUE(got);
-  // Flip a cached block's mem_map entry to a non-cache state: the LRU
-  // walk sees the bad state, and the reverse head-count no longer
-  // matches the cache's block count.
-  map.set_head(map.index_of(first), hw::FrameState::kHugetlbPool, 0);
+  // Drop a cached block from the index: the LRU walk finds it unindexed,
+  // and the index no longer counts the LRU's blocks.
+  cache.corrupt_flip_index(first, 0);
   verify::AuditReport r;
-  verify::audit_page_cache(map, cache, "test", r);
-  EXPECT_TRUE(has_violation(r, "cache.memmap_state")) << r.summary();
-  EXPECT_TRUE(has_violation(r, "cache.memmap_orphan")) << r.summary();
+  verify::audit_page_cache(cache, "test", r);
+  EXPECT_TRUE(has_violation(r, "cache.unindexed")) << r.summary();
+  EXPECT_TRUE(has_violation(r, "cache.index_orphan")) << r.summary();
+  // Restored, plus a stray bit over an uncached frame: only the index ->
+  // LRU direction can see a block the LRU does not reach.
+  cache.corrupt_flip_index(first, 0);
+  cache.corrupt_flip_index(3 * MiB, 0);
+  r = verify::AuditReport{};
+  verify::audit_page_cache(cache, "test", r);
+  EXPECT_FALSE(has_violation(r, "cache.unindexed")) << r.summary();
+  EXPECT_TRUE(has_violation(r, "cache.index_orphan")) << r.summary();
 }
 
 /// Copy zone 0's first LRU entry over a later one of the same order: the
@@ -423,10 +399,9 @@ TEST(Audit, DetectsCacheBlockStateDrift) {
 /// every count and byte total still balances.
 void duplicate_lru_entry(snapshot::WorldImage& image) {
   snapshot::ZoneImage& zone = image.nodes.at(0).memory.zones.at(0);
-  std::vector<std::uint32_t>& lru = zone.cache.lru;
-  const std::vector<std::uint8_t>& meta = zone.map.meta;
-  const auto same_order = std::find_if(lru.begin() + 1, lru.end(), [&](std::uint32_t idx) {
-    return meta.at(idx) >> 3 == meta.at(lru.front()) >> 3;
+  std::vector<mm::PageCache::Entry>& lru = zone.cache.lru;
+  const auto same_order = std::find_if(lru.begin() + 1, lru.end(), [&](const auto& e) {
+    return e.order == lru.front().order;
   });
   ASSERT_NE(same_order, lru.end());
   *same_order = lru.front();
@@ -445,33 +420,31 @@ TEST(Audit, DetectsBrokenLruChain) {
   sim::Engine engine;
   const std::unique_ptr<os::Node> node = restore_fresh(image, engine, cfg);
   verify::AuditReport r;
-  verify::audit_page_cache(node->memory().mem_map(0), node->memory().cache(0), "test", r);
+  verify::audit_page_cache(node->memory().cache(0), "test", r);
   EXPECT_TRUE(has_violation(r, "cache.lru_broken")) << r.summary();
   EXPECT_FALSE(has_violation(r, "cache.accounting")) << r.summary();
 }
 
 TEST(Audit, DetectsHugetlbPoolPageStateDrift) {
-  sim::Engine engine;
   os::NodeConfig cfg = small_config();
   cfg.hugetlb_pool_per_zone = 64 * MiB;
-  os::Node node(engine, cfg);
-  Addr pooled = 0;
-  bool got = false;
-  node.hugetlb()->for_each_pool_page(0, [&](Addr a) {
-    if (!got) {
-      pooled = a;
-      got = true;
-    }
-  });
-  ASSERT_TRUE(got);
-  // A pool page whose mem_map entry was wiped: the stack walk must flag
-  // the state mismatch.
-  hw::MemMap& map = node.memory().mem_map(0);
-  map.clear_head(map.index_of(pooled));
-  verify::MmAuditor auditor(node);
-  const verify::AuditReport r = auditor.run();
+  snapshot::WorldImage image;
+  {
+    sim::Engine engine;
+    os::Node node(engine, cfg);
+    image = snapshot::capture_world(engine, {&node});
+  }
+  // A pooled page's bit lost in the image: the stack walk must flag the
+  // page, and the bits no longer count the stack.
+  std::vector<std::uint64_t>& bits = image.nodes.at(0).hugetlb.pool.at(0).pooled;
+  const auto word = std::find_if(bits.begin(), bits.end(), [](std::uint64_t w) { return w != 0; });
+  ASSERT_NE(word, bits.end());
+  *word &= *word - 1;
+  sim::Engine engine;
+  const std::unique_ptr<os::Node> node = restore_fresh(image, engine, cfg);
+  const verify::AuditReport r = verify::MmAuditor(*node).run();
   EXPECT_FALSE(r.ok());
-  EXPECT_TRUE(has_violation(r, "hugetlb.memmap_state")) << r.summary();
+  EXPECT_TRUE(has_violation(r, "hugetlb.pooled_bit")) << r.summary();
 }
 
 TEST(Audit, DetectsHugetlbDoubleFree) {
@@ -493,8 +466,8 @@ TEST(Audit, DetectsHugetlbDoubleFree) {
 // --- per-CPU page-frame caches ---------------------------------------------
 //
 // An SmpDomain parks order-0 frames on per-CPU lists; the pcp audit
-// family holds them to the same two-direction mem_map agreement as the
-// page cache, plus exactly-one-CPU ownership. Warm the lists the
+// family holds each frame to its zone's range and to exactly-one-CPU
+// ownership. Warm the lists the
 // way a real core does: fault a slab (the refill path stocks the list)
 // and munmap half of it (the free path stacks more until the drain
 // watermark).
@@ -527,54 +500,15 @@ TEST(Audit, SmpNodeWithWarmPcpListsIsClean) {
 
 TEST(Audit, DetectsPcpFrameOnTwoCpuLists) {
   // The same frame on two CPUs' lists: both cores will hand it out, the
-  // double-alloc shape of pcp corruption. Ownership, conservation and
-  // the global frame sweep must all name it.
+  // double-alloc shape of pcp corruption. Ownership and the global frame
+  // sweep must both name it.
   sim::Engine engine;
   const std::unique_ptr<os::Node> node = warm_smp_node(engine);
   node->smp()->corrupt_clone_pcp_frame(0, 1, 0);
   const verify::AuditReport r = verify::MmAuditor(*node).run();
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(has_violation(r, "pcp.duplicate")) << r.summary();
-  EXPECT_TRUE(has_violation(r, "pcp.conservation")) << r.summary();
   EXPECT_TRUE(has_violation(r, "frame.double_owner")) << r.summary();
-}
-
-TEST(Audit, DetectsPcpMemMapStateDrift) {
-  // A cached frame whose mem_map head was wiped: the list walk must flag
-  // the state mismatch (and the head count drifts with it).
-  sim::Engine engine;
-  const std::unique_ptr<os::Node> node = warm_smp_node(engine);
-  Addr cached = 0;
-  bool got = false;
-  node->smp()->for_each_pcp_frame([&](std::uint32_t, ZoneId z, Addr a) {
-    if (!got && z == 0) {
-      cached = a;
-      got = true;
-    }
-  });
-  ASSERT_TRUE(got);
-  hw::MemMap& map = node->memory().mem_map(0);
-  map.clear_head(map.index_of(cached));
-  const verify::AuditReport r = verify::MmAuditor(*node).run();
-  EXPECT_FALSE(r.ok());
-  EXPECT_TRUE(has_violation(r, "pcp.memmap_state")) << r.summary();
-  EXPECT_TRUE(has_violation(r, "pcp.conservation")) << r.summary();
-}
-
-TEST(Audit, DetectsForgedPcpMark) {
-  // An allocated frame re-marked kPcpCache with no list holding it: the
-  // reverse sweep must catch the orphan — such a frame is invisible to
-  // every allocator forever.
-  sim::Engine engine;
-  const std::unique_ptr<os::Node> node = warm_smp_node(engine);
-  const mm::AllocOutcome frame = node->memory().alloc_pages(0, 0, /*allow_reclaim=*/false);
-  ASSERT_TRUE(frame.ok);
-  hw::MemMap& map = node->memory().mem_map(0);
-  map.set_head(map.index_of(frame.addr), hw::FrameState::kPcpCache, 0);
-  const verify::AuditReport r = verify::MmAuditor(*node).run();
-  EXPECT_FALSE(r.ok());
-  EXPECT_TRUE(has_violation(r, "pcp.memmap_orphan")) << r.summary();
-  EXPECT_TRUE(has_violation(r, "pcp.conservation")) << r.summary();
 }
 
 // --- corruption on a restored image ----------------------------------------

@@ -2,9 +2,11 @@
 // allocator and HPMMAP's Kitten instance).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <ostream>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -28,7 +30,7 @@ TEST(Buddy, FreshAllocatorIsFullyFree) {
   EXPECT_EQ(b.free_bytes(), 64 * MiB);
   EXPECT_EQ(b.total_bytes(), 64 * MiB);
   EXPECT_TRUE(b.check_consistency());
-  EXPECT_EQ(b.largest_free_order(), kMax);
+  EXPECT_EQ(b.free_blocks(kMax), 64 * MiB / BuddyAllocator::order_bytes(kMax));
 }
 
 TEST(Buddy, OrderBytes) {
@@ -157,22 +159,6 @@ TEST(Buddy, FragmentationRisesWithScatteredHoles) {
   EXPECT_TRUE(b.check_consistency());
 }
 
-TEST(Buddy, ReserveExactTakesFreeRegion) {
-  auto b = make(4 * MiB);
-  EXPECT_TRUE(b.reserve_exact(0, 9));
-  EXPECT_EQ(b.free_bytes(), 2 * MiB);
-  EXPECT_TRUE(b.check_consistency());
-  b.free(0, 9);
-  EXPECT_EQ(b.free_bytes(), 4 * MiB);
-}
-
-TEST(Buddy, ReserveExactFailsOnAllocatedRegion) {
-  auto b = make(4 * MiB);
-  auto a = b.alloc(0); // carves from the bottom
-  ASSERT_TRUE(a.has_value());
-  EXPECT_FALSE(b.reserve_exact(0, 9));
-}
-
 TEST(Buddy, FreeBlockContaining) {
   auto b = make(4 * MiB);
   auto blk = b.free_block_containing(1 * MiB);
@@ -204,7 +190,7 @@ TEST(BuddyMinOrder, KeepsNoStateBelowTheFloor) {
   BuddyAllocator b(Range{0, 64 * MiB}, 14, kFloor);
   EXPECT_EQ(b.min_order(), kFloor);
   EXPECT_EQ(b.free_bytes(), 64 * MiB);
-  EXPECT_EQ(b.largest_free_order(), 14u);
+  EXPECT_EQ(b.free_blocks(14), 1u);
   for (unsigned o = 0; o < kFloor; ++o) {
     EXPECT_EQ(b.free_blocks(o), 0u) << "order " << o;
     EXPECT_FALSE(b.is_free_block(0, o)) << "order " << o;
@@ -407,6 +393,153 @@ INSTANTIATE_TEST_SUITE_P(
                       BuddyPropertyParams{8 * MiB, 6, 4},
                       BuddyPropertyParams{128 * MiB, 13, 5},
                       BuddyPropertyParams{kMemorySectionSize, 15, 6}));
+
+// --- differential: bitmap freelists vs an std::set model ------------------
+
+constexpr Addr kBase = 16 * MiB;
+
+/// Reference buddy allocator: the pre-rework ordered-set freelists with
+/// the same pop-lowest / eager-coalesce policy. Deliberately naive.
+class SetBuddy {
+ public:
+  SetBuddy(Range range, unsigned max_order) : range_(range), max_order_(max_order) {
+    lists_.resize(max_order + 1);
+    Addr cursor = range_.begin;
+    while (cursor < range_.end) {
+      unsigned order = max_order_;
+      while (order > 0 &&
+             (!is_aligned(cursor - range_.begin, bytes_of(order)) ||
+              cursor + bytes_of(order) > range_.end)) {
+        --order;
+      }
+      lists_[order].insert(cursor);
+      free_bytes_ += bytes_of(order);
+      cursor += bytes_of(order);
+    }
+  }
+
+  std::optional<Addr> alloc(unsigned order) {
+    unsigned found = order;
+    while (found <= max_order_ && lists_[found].empty()) {
+      ++found;
+    }
+    if (found > max_order_) {
+      return std::nullopt;
+    }
+    const Addr block = *lists_[found].begin();
+    lists_[found].erase(lists_[found].begin());
+    for (unsigned o = found; o > order; --o) {
+      lists_[o - 1].insert(block + bytes_of(o - 1));
+    }
+    free_bytes_ -= bytes_of(order);
+    return block;
+  }
+
+  void free(Addr addr, unsigned order) {
+    free_bytes_ += bytes_of(order);
+    Addr block = addr;
+    unsigned o = order;
+    while (o < max_order_) {
+      const Addr buddy = range_.begin + ((block - range_.begin) ^ bytes_of(o));
+      if (buddy + bytes_of(o) > range_.end || !lists_[o].contains(buddy)) {
+        break;
+      }
+      lists_[o].erase(buddy);
+      block = std::min(block, buddy);
+      ++o;
+    }
+    lists_[o].insert(block);
+  }
+
+  bool take(Addr addr, unsigned order) {
+    if (!lists_[order].contains(addr)) {
+      return false;
+    }
+    lists_[order].erase(addr);
+    free_bytes_ -= bytes_of(order);
+    return true;
+  }
+
+  [[nodiscard]] std::uint64_t free_bytes() const { return free_bytes_; }
+  [[nodiscard]] const std::set<Addr>& list(unsigned o) const { return lists_[o]; }
+
+ private:
+  [[nodiscard]] static std::uint64_t bytes_of(unsigned o) { return kSmallPageSize << o; }
+
+  Range range_;
+  unsigned max_order_;
+  std::uint64_t free_bytes_ = 0;
+  std::vector<std::set<Addr>> lists_;
+};
+
+void expect_equivalent(const BuddyAllocator& b, const SetBuddy& ref) {
+  ASSERT_EQ(b.free_bytes(), ref.free_bytes());
+  for (unsigned o = 0; o <= b.max_order(); ++o) {
+    ASSERT_EQ(b.free_blocks(o), ref.list(o).size()) << "order " << o;
+  }
+  // Identical enumeration, block for block.
+  std::vector<std::pair<Addr, unsigned>> got;
+  b.for_each_free_block([&](Addr a, unsigned o) { got.emplace_back(a, o); });
+  std::vector<std::pair<Addr, unsigned>> want;
+  for (unsigned o = 0; o <= b.max_order(); ++o) {
+    for (const Addr a : ref.list(o)) {
+      want.emplace_back(a, o);
+    }
+  }
+  ASSERT_EQ(got, want);
+  ASSERT_TRUE(b.check_consistency());
+}
+
+TEST(BuddyDifferential, MatchesSetModel) {
+  const Range range{kBase, kBase + 64 * MiB};
+  BuddyAllocator buddy(range, kMax);
+  SetBuddy ref(range, kMax);
+
+  Rng rng(0x5eedULL);
+  std::vector<std::pair<Addr, unsigned>> held;
+  for (int i = 0; i < 30'000; ++i) {
+    const std::uint64_t roll = rng.uniform(100);
+    if (roll < 55) {
+      // Skewed toward small orders, like the real fault mix.
+      const unsigned order = static_cast<unsigned>(rng.uniform(kMax + 1)) / 2;
+      const auto a = buddy.alloc(order);
+      const auto r = ref.alloc(order);
+      ASSERT_EQ(a.has_value(), r.has_value());
+      if (a.has_value()) {
+        ASSERT_EQ(a->addr, *r); // pop-lowest determinism, both models
+        held.emplace_back(a->addr, order);
+      }
+    } else if (roll < 90 && !held.empty()) {
+      const std::size_t k = rng.uniform(held.size());
+      buddy.free(held[k].first, held[k].second);
+      ref.free(held[k].first, held[k].second);
+      held[k] = held.back();
+      held.pop_back();
+    } else {
+      // take_free_block on a random existing free block (or a refused
+      // miss on an allocated address — both paths must agree).
+      const Addr addr = kBase + align_down(rng.uniform(64 * MiB), 4 * KiB);
+      const unsigned order = static_cast<unsigned>(rng.uniform(4));
+      const Addr base = kBase + align_down(addr - kBase, kSmallPageSize << order);
+      const bool took = buddy.take_free_block(base, order);
+      ASSERT_EQ(took, ref.take(base, order));
+      if (took) {
+        held.emplace_back(base, order);
+      }
+    }
+    if (i % 2'000 == 0) {
+      expect_equivalent(buddy, ref);
+    }
+  }
+  expect_equivalent(buddy, ref);
+  // Drain and confirm full coalescing back to pristine.
+  for (const auto& [addr, order] : held) {
+    buddy.free(addr, order);
+    ref.free(addr, order);
+  }
+  expect_equivalent(buddy, ref);
+  EXPECT_EQ(buddy.free_bytes(), 64 * MiB);
+}
 
 } // namespace
 } // namespace hpmmap::mm

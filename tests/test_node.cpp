@@ -7,7 +7,6 @@
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
-#include "hw/mem_map.hpp"
 #include "linux_mm/hugetlbfs.hpp"
 #include "os/anon_lru.hpp"
 #include "os/node.hpp"
@@ -341,13 +340,12 @@ TEST(Node, HugetlbfsWorldSwapsItsNonPoolSide) {
   EXPECT_TRUE(hog.address_space().page_table().walk(first).has_value());
   EXPECT_GT(refault, node.memory().costs().swap_in_mean / 100) << "no disk read was paid";
 
-  // The pool kept its count and every free page its kHugetlbPool head;
-  // the app's pool pages are still mapped, none swapped.
+  // The pool kept its count and every free page its pooled bit; the
+  // app's pool pages are still mapped, none swapped.
   EXPECT_EQ(pool.free_pages(0), pool_free);
-  const hw::MemMap& map = node.memory().mem_map(0);
   std::uint64_t walked = 0;
   pool.for_each_pool_page(0, [&](Addr a) {
-    EXPECT_EQ(map.state(map.index_of(a)), hw::FrameState::kHugetlbPool) << a;
+    EXPECT_TRUE(pool.pooled(0, a)) << a;
     ++walked;
   });
   EXPECT_EQ(walked, pool_free);

@@ -357,7 +357,7 @@ TEST(SnapshotSmp, CaptureCyclesInterleavedWithPcpChurnStayExact) {
 // --- the image file: save/load fixpoint and corrupt-file rejection --------
 //
 // save(load(save(img))) must reproduce save(img) byte for byte: every
-// array the serializer moves as one raw run (mem_map, buddy bitmaps,
+// array the serializer moves as one raw run (buddy bitmaps, hugetlb bits,
 // page tables, SMP stamps, pcp lists, P2 markers, ...) comes back to the
 // same bytes. Each loaded world must also restore audit-clean.
 
@@ -836,7 +836,13 @@ class SnapshotFileDeathTest : public ::testing::Test {
     node.spawn("victim", os::MmPolicy::kLinuxThp, 0, 1.0, mm::AddressSpace::ZonePolicy::kSingle,
                0);
     image_ = snapshot::capture_world(engine, {&node});
-    // A marker event first in the ring, so its count word can be found.
+    // A marker run at the head of zone 0's order-0 bitmap and a marker
+    // event first in the ring, so their length words can be found. Only
+    // the file is corrupted and loaded; nothing restores these.
+    std::vector<std::uint64_t>& bits = image_.nodes.at(0).memory.zones.at(0).buddy.lists.at(0).bits;
+    ASSERT_GT(bits.size() * 8, 1024u);
+    bits[0] = 0x5eedfacecafef00d;
+    bits[1] = 0x0ddba11decade5ed;
     trace::Event marker;
     marker.ts = 0x0123456789abcdef;
     marker.dur = 0x0fedcba987654321;
@@ -872,10 +878,14 @@ class SnapshotFileDeathTest : public ::testing::Test {
   static std::string raw(const T& v) {
     return std::string(reinterpret_cast<const char*>(&v), sizeof v);
   }
-  /// The first zone's mem_map meta length, followed by the meta bytes.
-  [[nodiscard]] std::size_t meta_length_offset() const {
-    const std::vector<std::uint8_t>& meta = image_.nodes.at(0).memory.zones.at(0).map.meta;
-    return find_word(meta.size(), std::string(reinterpret_cast<const char*>(meta.data()), 64));
+  /// Zone 0's order-0 bitmap, whose run starts with the marker words.
+  [[nodiscard]] const std::vector<std::uint64_t>& marked_bits() const {
+    return image_.nodes.at(0).memory.zones.at(0).buddy.lists.at(0).bits;
+  }
+  /// The marked bitmap's length, followed by the marker words.
+  [[nodiscard]] std::size_t bits_length_offset() const {
+    const std::vector<std::uint64_t>& bits = marked_bits();
+    return find_word(bits.size(), raw(bits[0]) + raw(bits[1]));
   }
   /// The node count, followed by the first node's clock and RNG state.
   [[nodiscard]] std::size_t node_count_offset() const {
@@ -900,9 +910,9 @@ class SnapshotFileDeathTest : public ::testing::Test {
 };
 
 TEST_F(SnapshotFileDeathTest, CutOffImagesFailWithTheLoaderMessage) {
-  const std::size_t meta = meta_length_offset();
+  const std::size_t bits = bits_length_offset();
   for (const std::size_t cut : {std::size_t{0}, std::size_t{3}, std::size_t{6}, std::size_t{12},
-                                std::size_t{21}, meta + 4, meta + 8 + 1000,
+                                std::size_t{21}, bits + 4, bits + 8 + 1000,
                                 bytes_.size() / 2, bytes_.size() - 1}) {
     write(bytes_.substr(0, cut));
     EXPECT_DEATH((void)snapshot::load(path_), "snapshot: truncated image file")
@@ -911,15 +921,15 @@ TEST_F(SnapshotFileDeathTest, CutOffImagesFailWithTheLoaderMessage) {
 }
 
 TEST_F(SnapshotFileDeathTest, OversizedLengthWordsFailWithTheLoaderMessage) {
-  // One length word of each kind: number arrays (the meta run and the
-  // zone's LRU after it), a string (the first process's name, after the
+  // One length word of each kind: number arrays (the marked bitmap and
+  // its summary after it), a string (the first process's name, after the
   // process count and its pid) and lists of records (nodes, one node's
   // processes, the trace ring), whose unit is derived.
-  const std::size_t meta = meta_length_offset();
+  const std::size_t bits = bits_length_offset();
   const std::size_t length_words[] = {
-      meta,
+      bits,
       process_count_offset() + 8 + sizeof(Pid),
-      meta + 8 + image_.nodes.at(0).memory.zones.at(0).map.meta.size(),
+      bits + 8 + marked_bits().size() * sizeof(std::uint64_t),
       node_count_offset(),
       process_count_offset(),
       ring_count_offset()};
@@ -933,7 +943,7 @@ TEST_F(SnapshotFileDeathTest, OversizedLengthWordsFailWithTheLoaderMessage) {
 }
 
 TEST_F(SnapshotFileDeathTest, OlderImageVersionIsRefused) {
-  for (const std::uint32_t version : {4u, 6u, 7u}) {
+  for (const std::uint32_t version : {4u, 6u, 7u, 8u}) {
     std::string b = bytes_;
     std::memcpy(b.data() + 4, &version, sizeof version);
     write(b);
@@ -943,9 +953,10 @@ TEST_F(SnapshotFileDeathTest, OlderImageVersionIsRefused) {
 }
 
 // A Kitten heap's bitmaps are sized by its min order, which the image
-// does not record, and a zone's mem_map by the zone: restore must refuse
-// arrays whose lengths differ from the fresh world's rather than install
-// them. So must an anon LRU run that names a pid the world never spawned.
+// does not record, and a hugetlb pool's pooled bits by its zone: restore
+// must refuse arrays whose lengths differ from the fresh world's rather
+// than install them. So must an anon LRU run that names a pid the world
+// never spawned.
 TEST(SnapshotRestoreDeathTest, MisSizedKittenArraysAndUnknownLruPidsAreRefused) {
   sim::Engine engine;
   os::Node node(engine, node_config(5, /*aged=*/false));
@@ -963,9 +974,9 @@ TEST(SnapshotRestoreDeathTest, MisSizedKittenArraysAndUnknownLruPidsAreRefused) 
     const char* message;
   };
   const Case cases[] = {
-      {"zone_meta_long",
-       [](snapshot::WorldImage& w) { w.nodes.at(0).memory.zones.at(0).map.meta.push_back(0); },
-       "snapshot: mem_map meta length mismatch"},
+      {"pooled_bits_long",
+       [](snapshot::WorldImage& w) { w.nodes.at(0).hugetlb.pool.at(0).pooled.push_back(0); },
+       "snapshot: hugetlb pooled bitmap length mismatch"},
       {"kitten_bits_long",
        [](snapshot::WorldImage& w) {
          w.nodes.at(0).module.kitten_zones.at(0).at(0).lists.at(0).bits.push_back(0);
@@ -1073,7 +1084,7 @@ TEST(SnapshotRestoreDeathTest, ImagesWithADifferentHugetlbZoneCountAreRefusedByT
                "snapshot: hugetlb zone count mismatch");
 }
 
-// --- the v8 byte layout -----------------------------------------------------
+// --- the v9 byte layout -----------------------------------------------------
 //
 // The fixpoint tests prove that save and load agree with each other; a
 // change that reordered a field in both would still pass them. This
@@ -1081,7 +1092,7 @@ TEST(SnapshotRestoreDeathTest, ImagesWithADifferentHugetlbZoneCountAreRefusedByT
 // move it: every list holds one or two entries, every has_* branch is
 // on, every event handle is armed, and the trace event carries one
 // argument of each kind. Its saved
-// bytes are pinned in tests/golden/snapshot_v8_small.hex. A deliberate
+// bytes are pinned in tests/golden/snapshot_v9_small.hex. A deliberate
 // format change bumps kVersion and records a new golden.
 
 /// An Rng whose four state words are `s`.
@@ -1113,9 +1124,7 @@ snapshot::WorldImage hand_built_image() {
   z.buddy.corrupt_blocks = {{.addr = 0x20000, .order = 1}};
   z.buddy.stats = {.allocs = 11, .frees = 12, .split_steps = 13, .merge_steps = 14,
                    .failed_allocs = 15};
-  z.map.range = {0x10000, 0x90000};
-  z.map.meta = {1, 2, 3, 4, 5, 6, 7, 8, 9};
-  z.cache = {.lru = {3, 4},
+  z.cache = {.lru = {{.head = 3, .order = 0, .dirty = true}, {.head = 4, .order = 2, .dirty = false}},
              .state = {.cached_bytes = 0x2000, .free_floor = 0x1000, .dirty_fraction = 0.125,
                        .grow_count = 6}};
   z.online_bytes = 0x80000;
@@ -1125,7 +1134,7 @@ snapshot::WorldImage hand_built_image() {
   n.memory.zones = {z};
 
   n.has_hugetlb = true;
-  n.hugetlb.pool = {{.stack = {5, 1}, .count = 2}};
+  n.hugetlb.pool = {{.stack = {5, 1}, .count = 2, .pooled = {0x3}}};
   n.hugetlb.total = {4};
   n.hugetlb.stats = {.pool_pages_total = 4, .faults_served = 2, .pool_exhausted = 1};
 
@@ -1271,15 +1280,15 @@ std::string to_hex(const std::string& bytes) {
   return out;
 }
 
-TEST(SnapshotFileFormat, HandBuiltImageMatchesTheV8Bytes) {
-  const std::string path = temp_path("v8_layout");
+TEST(SnapshotFileFormat, HandBuiltImageMatchesTheV9Bytes) {
+  const std::string path = temp_path("v9_layout");
   snapshot::save(hand_built_image(), path);
   const std::string saved = to_hex(file_bytes(path));
-  const std::string golden = file_bytes(HPMMAP_GOLDEN_DIR "/snapshot_v8_small.hex");
+  const std::string golden = file_bytes(HPMMAP_GOLDEN_DIR "/snapshot_v9_small.hex");
   if (saved != golden) {
-    const std::string actual = temp_path("v8_layout_actual") + ".hex";
+    const std::string actual = temp_path("v9_layout_actual") + ".hex";
     std::ofstream(actual, std::ios::binary) << saved;
-    ADD_FAILURE() << "saved bytes differ from the v8 golden; they are in " << actual;
+    ADD_FAILURE() << "saved bytes differ from the v9 golden; they are in " << actual;
   }
   // The loader reads the pinned bytes back to the same image.
   snapshot::save(snapshot::load(path), path);
